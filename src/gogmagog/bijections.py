@@ -29,6 +29,10 @@ nested layers and sums them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .triangles import (
     Asm,
     BooleanTriangle,
@@ -40,9 +44,12 @@ from .triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
+    _triangle_cells,
+    expand_domains,
     expand_fundamental,
     fundamental_domain,
     is_permutation_matrix,
+    validate_batch,
 )
 
 __all__ = [
@@ -68,6 +75,7 @@ __all__ = [
     "boolean_to_magog",
     "tsscpp_to_boolean",
     "boolean_to_tsscpp",
+    "booleans_to_tsscpp",
     "boolean_to_monotone_perm",
     "monotone_perm_to_boolean",
     "permutation_to_boolean",
@@ -253,6 +261,55 @@ def tsscpp_to_boolean(p: PlanePartition) -> BooleanTriangle:
 
 def boolean_to_tsscpp(b: BooleanTriangle) -> PlanePartition:
     return expand_fundamental(fundamental_from_boolean(b))
+
+
+@lru_cache(maxsize=None)
+def _layer_cells(n):
+    """For each entry (r, c) of a boolean triangle of order n, row-major: its
+    diagonal q = n - 1 - r + c, its depth c (0-based), and which cells (i, j)
+    of an n x n grid a layer row starting at (i, i) covers, i <= j < i + q - c
+    (the row's length q - c is n - 1 - r)."""
+    r, c = _triangle_cells(n - 1)
+    i, j = np.arange(n)[:, None], np.arange(n)
+    covers = (i <= j) & (j < i + (n - 1 - r)[:, None, None])
+    return n - 1 - r + c, c, covers.astype(np.int64)
+
+
+def _domains_from_booleans(n, a):
+    """Batch form of :func:`fundamental_from_boolean` on the boolean
+    triangles in the rows of ``a`` (see ``triangles.validate_batch``), as the
+    padded domain arrays :func:`triangles.expand_domains` takes.  A zero at
+    depth c of diagonal q with i zeros above it is a layer row of length
+    q - c in domain row i."""
+    q, depth, covers = _layer_cells(n)
+    zeros = a == 0
+    grid = np.zeros((len(a), n, n), dtype=np.int64)
+    grid[:, q, depth] = zeros
+    above = grid.cumsum(axis=2)[:, q, depth] - zeros
+    rows = (zeros[:, :, None] & (above[:, :, None] == np.arange(n))).astype(np.int64)
+    padded = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.int16)
+    padded[:, n + 1 :, n + 1 :] = np.einsum("mpi,pij->mij", rows, covers)
+    return padded
+
+
+def booleans_to_tsscpp(n, chunk):
+    """Batch form of :func:`boolean_to_tsscpp`: the heights arrays, shape
+    (len(chunk), 2n, 2n), of the TSSCPPs of a chunk of raw boolean triangles
+    of order n, in chunk order.
+
+    Every check of the scalar path is made, batched: the triangles are
+    validated with ``triangles.validate_batch`` and the closures with
+    ``triangles.expand_domains``.  The domains need no separate check: one
+    that round-trips is the corner of a valid plane partition.  When any
+    check fails, the scalar maps run on the chunk and raise the first
+    failure.
+    """
+    a = validate_batch(BooleanTriangle, n, chunk)
+    heights = None if a is None else expand_domains(n, _domains_from_booleans(n, a))
+    if heights is None:
+        rows = [boolean_to_tsscpp(BooleanTriangle(n, raw)).rows for raw in chunk]
+        heights = np.array(rows, dtype=np.int64).reshape(len(chunk), 2 * n, 2 * n)
+    return heights
 
 
 def is_permutation_boolean(b: BooleanTriangle) -> bool:

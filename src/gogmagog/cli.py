@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -39,11 +38,7 @@ class Config:
 
     @classmethod
     def from_environment(cls):
-        caps = dict(enumeration.DEFAULT_CAPS)
-        env = os.environ.get(enumeration.ENV_CAP)
-        if env is not None:
-            caps = {family: int(env) for family in caps}
-        return cls(max_n=caps)
+        return cls(max_n={family: enumeration._cap(family, None) for family in FamilyId})
 
     def cap(self, family):
         return self.max_n[FamilyId(family)]
@@ -201,11 +196,10 @@ def _object_stats(obj):
 
 def _cmd_enumerate(args, config):
     family = FamilyId(args.family)
-    stream = enumeration.generate(family, args.n, max_n=config.cap(family))
     if args.count_only:
-        print(sum(1 for _ in stream))
+        print(enumeration.count(family, args.n, max_n=config.cap(family)))
         return 0
-    for obj in stream:
+    for obj in enumeration.generate(family, args.n, max_n=config.cap(family)):
         print(to_json(obj))
     return 0
 
@@ -376,9 +370,8 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = Config.from_environment()
     try:
-        return args.func(args, config)
+        return args.func(args, Config.from_environment())
     except (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,20 @@
 """Exhaustive generators and counters for every family.
 
-Each family streams its objects exactly once, in lexicographic order on the
-row-major representation.  Generation is backtracking with constraint
+Each family yields its objects exactly once, in lexicographic order on the
+row-major representation.  The search is backtracking with constraint
 propagation: boolean triangles prune on the diagonal partial sums row by row,
 matrices prune on row/column prefix sums, monotone and magog triangles grow
 from the fixed bottom row (any partial tower extends, so no dead ends), and
 nests add one path at a time pruning on intersection with the previous path.
+TSSCPPs are the expansions of the boolean triangles.
+
+The search yields raw row tuples, which are validated in chunks of ``CHUNK``
+values at a time by ``triangles.validate_batch`` (TSSCPPs by
+``bijections.booleans_to_tsscpp``), with every check the constructors make.
+:func:`count` adds up the sizes of the validated chunks and builds no
+objects; :func:`generate` builds the objects of a validated chunk without
+checking each one again.  A chunk that fails a check goes through the
+validating constructors, which raise the first violation.
 
 Orders are capped (``DEFAULT_CAPS``, overridable per call or via the
 ``TSSCPP_MAX_N`` environment variable) because the families grow too fast for
@@ -17,14 +26,27 @@ from __future__ import annotations
 import os
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, islice, permutations, product
 
 from . import bijections
-from .triangles import Asm, BooleanTriangle, MagogTriangle, MonotoneTriangle, NilpNest, Permutation
+from .triangles import (
+    Asm,
+    BooleanTriangle,
+    MagogTriangle,
+    MonotoneTriangle,
+    NilpNest,
+    Permutation,
+    PlanePartition,
+    build_batch,
+    validate_batch,
+)
 
 __all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count"]
 
 ENV_CAP = "TSSCPP_MAX_N"
+# Values validated at a time: large enough that the per-chunk numpy calls
+# cost little, small enough that a chunk's arrays stay a few MB.
+CHUNK = 2048
 
 
 class FamilyId(str, Enum):
@@ -55,11 +77,16 @@ class CapExceeded(ValueError):
 
 
 def _cap(family, max_n):
+    """The order cap: ``max_n`` if given, else ``TSSCPP_MAX_N`` if set, else
+    the family default.  A malformed ``TSSCPP_MAX_N`` raises CapExceeded."""
     if max_n is not None:
         return max_n
     env = os.environ.get(ENV_CAP)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CapExceeded(f"{ENV_CAP} must be an integer, got {env!r}") from None
     return DEFAULT_CAPS[family]
 
 
@@ -224,37 +251,51 @@ def _iter_nilp_paths(n):
     yield from rec(1, frozenset())
 
 
+def _chunks(values):
+    values = iter(values)
+    while chunk := list(islice(values, CHUNK)):
+        yield chunk
+
+
+def _sorted(search):
+    return lambda n: sorted(search(n))
+
+
+# family -> (class, search yielding the raw values of order n in order)
+_SEARCH = {
+    FamilyId.BOOLEAN: (BooleanTriangle, _iter_boolean_rows),
+    FamilyId.PERMUTATION_BOOLEAN: (BooleanTriangle, _iter_perm_boolean_rows),
+    FamilyId.PERMUTATION: (Permutation, lambda n: permutations(range(1, n + 1))),
+    FamilyId.MONOTONE: (MonotoneTriangle, _sorted(lambda n: _monotone_towers(n, _monotone_rows_above))),
+    FamilyId.MAGOG: (
+        MagogTriangle,
+        _sorted(lambda n: _monotone_towers(n, lambda row: _magog_rows_above(row, n))),
+    ),
+    FamilyId.ASM: (Asm, _sorted(_iter_asm_matrices)),
+    FamilyId.NILP: (NilpNest, _sorted(_iter_nilp_paths)),
+}
+
+
+def _tsscpp_heights(n):
+    """Validated heights arrays of the TSSCPPs of order n, chunk by chunk."""
+    for chunk in _chunks(_iter_boolean_rows(n)):
+        yield bijections.booleans_to_tsscpp(n, chunk)
+
+
 @lru_cache(maxsize=32)
 def _elements(family, n):
-    if family is FamilyId.BOOLEAN:
-        return tuple(BooleanTriangle(n, rows) for rows in _iter_boolean_rows(n))
-    if family is FamilyId.PERMUTATION_BOOLEAN:
-        return tuple(BooleanTriangle(n, rows) for rows in _iter_perm_boolean_rows(n))
-    if family is FamilyId.PERMUTATION:
-        return tuple(Permutation(n, sigma) for sigma in permutations(range(1, n + 1)))
-    if family is FamilyId.MONOTONE:
-        towers = _monotone_towers(n, _monotone_rows_above)
-        towers.sort()
-        return tuple(MonotoneTriangle(n, tower) for tower in towers)
-    if family is FamilyId.MAGOG:
-        towers = _monotone_towers(n, lambda row: _magog_rows_above(row, n))
-        towers.sort()
-        return tuple(MagogTriangle(n, tower) for tower in towers)
-    if family is FamilyId.ASM:
-        matrices = _iter_asm_matrices(n)
-        matrices.sort()
-        return tuple(Asm(n, rows) for rows in matrices)
-    if family is FamilyId.NILP:
-        return tuple(NilpNest(n, paths) for paths in sorted(_iter_nilp_paths(n)))
     if family is FamilyId.TSSCPP:
-        partitions = [bijections.boolean_to_tsscpp(b) for b in _elements(FamilyId.BOOLEAN, n)]
-        partitions.sort(key=lambda p: p.rows)
-        return tuple(partitions)
-    raise ValueError(f"unknown family {family!r}")
+        rows = sorted(
+            tuple(map(tuple, heights)) for chunk in _tsscpp_heights(n) for heights in chunk.tolist()
+        )
+        cls = PlanePartition
+    else:
+        cls, search = _SEARCH[family]
+        rows = search(n)
+    return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in _chunks(rows)))
 
 
-def generate(family, n, *, max_n=None):
-    """Stream the family at order n, each object once, deterministic order."""
+def _checked(family, n, max_n):
     family = FamilyId(family)
     if n < 1:
         raise CapExceeded(f"order must be >= 1, got {n}")
@@ -264,11 +305,25 @@ def generate(family, n, *, max_n=None):
             f"order {n} exceeds the cap {cap} for {family.value} "
             f"(raise it with max_n or {ENV_CAP})"
         )
+    return family
+
+
+def generate(family, n, *, max_n=None):
+    """Yield the family at order n, each object once, deterministic order."""
+    family = _checked(family, n, max_n)
     yield from _elements(family, n)
 
 
 def count(family, n, *, max_n=None) -> int:
+    """Size of the family at order n; every value is validated, none built."""
+    family = _checked(family, n, max_n)
+    if family is FamilyId.TSSCPP:
+        return sum(len(heights) for heights in _tsscpp_heights(n))
+    cls, search = _SEARCH[family]
     total = 0
-    for _ in generate(family, n, max_n=max_n):
-        total += 1
+    for chunk in _chunks(search(n)):
+        if validate_batch(cls, n, chunk) is None:
+            for value in chunk:
+                cls(n, value)  # raises the first violation
+        total += len(chunk)
     return total

@@ -22,12 +22,17 @@ Conventions, fixed once for the whole package:
 
 All types are frozen dataclasses; construction validates every defining
 inequality and reports the first violation in row-major scan order.
+:func:`validate_batch` makes the same checks on a whole chunk of raw values
+at once, and :func:`build_batch` builds a chunk that passes them without
+checking each object again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -63,6 +68,9 @@ __all__ = [
     "validate_tsscpp",
     "fundamental_domain",
     "expand_fundamental",
+    "expand_domains",
+    "validate_batch",
+    "build_batch",
     "is_permutation_matrix",
     "to_json_dict",
     "from_json_dict",
@@ -146,6 +154,10 @@ class IntersectionError(ValidationError):
     pass
 
 
+def _is_int(entry):
+    return isinstance(entry, (int, np.integer)) and not isinstance(entry, bool)
+
+
 def _as_rows(raw, what):
     """Normalize a nested sequence to a tuple of int tuples."""
     try:
@@ -154,7 +166,7 @@ def _as_rows(raw, what):
         raise ShapeError(f"{what}: expected a sequence of rows")
     for r, row in enumerate(rows):
         for c, entry in enumerate(row):
-            if not isinstance(entry, (int, np.integer)) or isinstance(entry, bool):
+            if not _is_int(entry):
                 raise EntryError(
                     f"{what}: entry at ({r + 1},{c + 1}) is not an integer",
                     row=r + 1,
@@ -447,7 +459,14 @@ class Permutation:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        sigma = tuple(int(v) for v in self.sigma)
+        try:
+            sigma = tuple(self.sigma)
+        except TypeError:
+            raise ShapeError("permutation: expected a sequence of values")
+        for i, v in enumerate(sigma, start=1):
+            if not _is_int(v):
+                raise EntryError(f"permutation: value at position {i} is not an integer", col=i)
+        sigma = tuple(int(v) for v in sigma)
         object.__setattr__(self, "sigma", sigma)
         if len(sigma) != self.n or sorted(sigma) != list(range(1, self.n + 1)):
             raise ValidationError(f"permutation: {sigma} is not a bijection on 1..{self.n}")
@@ -593,6 +612,181 @@ class SymmetryReport:
         return self.symmetric and self.cyclically_symmetric and self.self_complementary
 
 
+# -- batch validation --------------------------------------------------------
+#
+# A batch is an int array with one row per object: its entries flattened in
+# row-major order.  Each ``_..._ok(a, n)`` below makes every check of one
+# family's constructor on all rows at once.
+
+
+@lru_cache(maxsize=None)
+def _triangle_cells(rows):
+    """Row and column of each entry of a dense triangle, row-major."""
+    r = np.repeat(np.arange(rows), np.arange(1, rows + 1))
+    return r, np.arange(len(r)) - r * (r + 1) // 2
+
+
+@lru_cache(maxsize=None)
+def _triangle_neighbours(n):
+    """Flat positions with a right neighbour, positions with a row below,
+    and the below-left neighbours of the latter."""
+    r, c = _triangle_cells(n)
+    p = np.arange(len(r))
+    above = p[r < n - 1]
+    return p[c < r], above, above + r[above] + 1
+
+
+def _interlacing_ok(a, n, magog):
+    right, above, below_left = _triangle_neighbours(n)
+    entry, left, right_below = a[:, above], a[:, below_left], a[:, below_left + 1]
+    return bool(
+        ((a >= 1) & (a <= n)).all()
+        and (a[:, a.shape[1] - n :] == np.arange(1, n + 1)).all()
+        and (a[:, right] < a[:, right + 1]).all()
+        and (left <= entry).all()
+        and ((right_below <= entry + 1) if magog else (entry <= right_below)).all()
+    )
+
+
+def _boolean_ok(a, n):
+    """0/1 entries and the diagonal partial sums: with ``sums[r, q]`` the sum
+    of diagonal q over rows 1..r+1, ``sums[r, q] <= 1 + sums[r, q - 1]`` for
+    q >= 2 (trivially so above the top of diagonal q, where it is zero)."""
+    if not ((a == 0) | (a == 1)).all():
+        return False
+    r, c = _triangle_cells(n - 1)
+    sums = np.zeros((len(a), n - 1, n), dtype=a.dtype)
+    sums[:, r, n - 1 - r + c] = a
+    sums = sums.cumsum(axis=1, dtype=a.dtype)
+    return bool((sums[:, :, 2:] <= sums[:, :, 1:-1] + 1).all())
+
+
+def _asm_ok(a, n):
+    """Entries -1/0/1, row and column prefix sums 0/1, line sums 1."""
+    if not ((a >= -1) & (a <= 1)).all():
+        return False
+    a = a.reshape(len(a), n, n)
+    rows, cols = a.cumsum(axis=2, dtype=a.dtype), a.cumsum(axis=1, dtype=a.dtype)
+    return bool(
+        ((rows == 0) | (rows == 1)).all()
+        and ((cols == 0) | (cols == 1)).all()
+        and (rows[:, :, -1] == 1).all()
+        and (cols[:, -1, :] == 1).all()
+    )
+
+
+def _permutation_ok(a, n):
+    return bool((np.sort(a, axis=1) == np.arange(1, n + 1)).all())
+
+
+@lru_cache(maxsize=None)
+def _nest_steps(n):
+    """For each step of a nest, row-major over the paths: its path i, where
+    the path's steps start, and the y-coordinate after the step."""
+    r, c = _triangle_cells(n - 1)
+    return r + 1, r * (r + 1) // 2, r - c
+
+
+def _nest_ok(a, n):
+    """``a`` is 1 for a "D" step and 0 for a "V" step.  Every lattice point
+    of a nest gets the code x * n + y; no code may repeat."""
+    path, start, y = _nest_steps(n)
+    moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
+    np.cumsum(a, axis=1, out=moved[:, 1:])
+    x = path + moved[:, 1:] - moved[:, start]
+    starts = np.arange(1, n) * (n + 1)
+    codes = np.concatenate((np.broadcast_to(starts, (len(a), n - 1)), x * n + y), axis=1)
+    codes.sort(axis=1)
+    return bool((codes[:, 1:] != codes[:, :-1]).all())
+
+
+def _plane_partition_ok(a, n):
+    side = 2 * n
+    a = a.reshape(len(a), side, side)
+    return bool(
+        ((a >= 0) & (a <= side)).all()
+        and (a[:, :, 1:] <= a[:, :, :-1]).all()
+        and (a[:, 1:, :] <= a[:, :-1, :]).all()
+    )
+
+
+# class -> (row lengths at order n, or None for a flat value of n entries;
+# entry type; array check).  Every value is a tuple, and so is every row.
+_BATCH = {
+    MonotoneTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_ok, magog=False)),
+    MagogTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_ok, magog=True)),
+    BooleanTriangle: (lambda n: range(1, n), int, _boolean_ok),
+    Asm: (lambda n: [n] * n, int, _asm_ok),
+    Permutation: (None, int, _permutation_ok),
+    NilpNest: (lambda n: range(1, n), str, _nest_ok),
+    PlanePartition: (lambda n: [2 * n] * (2 * n), int, _plane_partition_ok),
+}
+
+
+def _flat_entries(chunk, n, row_lengths):
+    """Entries of the chunk, row-major, or None when its shape is off."""
+    if not set(map(type, chunk)) <= {tuple}:
+        return None
+    if row_lengths is None:
+        if set(map(len, chunk)) - {n}:
+            return None
+        return list(chain.from_iterable(chunk))
+    lengths = list(row_lengths(n))
+    if set(map(len, chunk)) - {len(lengths)}:
+        return None
+    rows = list(chain.from_iterable(chunk))
+    if not set(map(type, rows)) <= {tuple} or list(map(len, rows)) != lengths * len(chunk):
+        return None
+    return list(chain.from_iterable(rows))
+
+
+def validate_batch(cls, n, chunk):
+    """Check a chunk of raw values for ``cls`` of order ``n`` all at once.
+
+    ``chunk`` is a list of values for the constructor's second argument, in
+    the form the enumeration search yields them: tuples of ``int`` tuples
+    (``Permutation``: ``int`` tuples; ``NilpNest``: tuples of ``"V"``/``"D"``
+    tuples).  Returns the entries as an int array, one row per value, when
+    every value passes every check ``cls(n, value)`` makes; otherwise None,
+    and the constructor must decide.  Other forms the constructor accepts,
+    such as lists or numpy integers, are refused here too.
+    """
+    row_lengths, entry_type, ok = _BATCH[cls]
+    if n < 1:
+        return None
+    entries = _flat_entries(chunk, n, row_lengths)
+    if entries is None or not set(map(type, entries)) <= {entry_type}:
+        return None
+    if entry_type is str:
+        if not set(entries) <= {"V", "D"}:
+            return None
+        entries = list(map("D".__eq__, entries))
+    try:
+        a = np.array(entries, dtype=np.int64)
+    except OverflowError:
+        return None
+    a = a.reshape(len(chunk), len(entries) // len(chunk) if chunk else 0)
+    return a if ok(a, n) else None
+
+
+def build_batch(cls, n, chunk):
+    """``[cls(n, value) for value in chunk]``, without checking each object
+    again when :func:`validate_batch` passes the whole chunk.  Otherwise the
+    constructor runs on every value and raises the first violation."""
+    if validate_batch(cls, n, chunk) is None:
+        return [cls(n, value) for value in chunk]
+    name = fields(cls)[1].name
+    new = object.__new__
+    objects = []
+    for value in chunk:
+        obj = new(cls)
+        attributes = obj.__dict__
+        attributes["n"] = n
+        attributes[name] = value
+        objects.append(obj)
+    return objects
+
+
 def validate_monotone(raw):
     rows = _as_rows(raw, "monotone triangle")
     return MonotoneTriangle(len(rows), rows)
@@ -631,38 +825,69 @@ def validate_tsscpp(p: PlanePartition):
     return SymmetryReport(symmetric, cyclic, self_comp)
 
 
+def _corner(p: PlanePartition):
+    n = p.n
+    return tuple(tuple(p.rows[n + i][n + j] for j in range(i, n)) for i in range(n))
+
+
 def fundamental_domain(p: PlanePartition):
     """Extract the triangular corner t[i][j], n+1 <= i <= j <= 2n."""
     report = validate_tsscpp(p)
     if not report.all_true:
         raise NotTsscpp(f"array is not a TSSCPP: {report}")
-    n = p.n
-    rows = tuple(tuple(p.rows[n + i][n + j] for j in range(i, n)) for i in range(n))
-    return FundamentalDomain(n, rows)
+    return FundamentalDomain(p.n, _corner(p))
+
+
+@lru_cache(maxsize=None)
+def _closure_cells(n):
+    """For every cell of the (2n)^3 cube, row-major: the flat index into the
+    padded (2n+1)^2 domain array of the height that decides the cell, the
+    threshold it is compared with, and whether the cell decides itself (its
+    middle coordinate exceeds n) or through its complement cell.  Built on
+    first use and shared by every domain of order n."""
+    side = 2 * n
+    idx = np.arange(1, side + 1)
+    grid = np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1)
+    low, mid, high = np.sort(grid, axis=0)
+    inside = mid >= n + 1
+    flat = np.where(inside, mid * (side + 1) + high, (side + 1 - mid) * (side + 1) + side + 1 - low)
+    threshold = np.where(inside, low, side + 1 - high).astype(np.int16)
+    return flat, threshold, inside
+
+
+def _closure(n, dom):
+    """Membership cubes, shape (m, 2n, 2n, 2n), of the closures of the padded
+    domain arrays ``dom`` of shape (m, 2n+1, 2n+1).
+
+    The lattice-point set is closed under the six coordinate permutations and
+    the complementation involution: a cell sorted to (a >= b >= c) lies in the
+    set iff c <= t[b][a] when b > n, and otherwise iff its complement cell is
+    absent.
+    """
+    side = 2 * n
+    flat, threshold, inside = _closure_cells(n)
+    member = (dom.reshape(len(dom), -1)[:, flat] >= threshold) == inside
+    return member.reshape(len(dom), side, side, side)
+
+
+def _padded_domain(d: FundamentalDomain):
+    n = d.n
+    dom = np.zeros((1, 2 * n + 1, 2 * n + 1), dtype=np.int64)
+    for i, row in enumerate(d.rows):
+        for c, entry in enumerate(row):
+            dom[0, n + 1 + i, n + 1 + i + c] = entry
+    return dom
 
 
 def expand_fundamental(d: FundamentalDomain):
     """The unique TSSCPP with fundamental domain ``d``.
 
-    The lattice-point set is closed under the six coordinate permutations and
-    the complementation involution: a cell sorted to (a >= b >= c) lies in the
-    set iff c <= t[b][a] when b > n, and otherwise iff its complement cell is
-    absent.  The result is fully re-validated; failures mean the domain is
-    inconsistent.
+    The closure of the domain (see :func:`_closure`) is fully re-validated;
+    failures mean the domain is inconsistent.
     """
     n = d.n
     side = 2 * n
-    dom = np.zeros((side + 1, side + 1), dtype=np.int64)
-    for i, row in enumerate(d.rows):
-        for c, entry in enumerate(row):
-            dom[n + 1 + i, n + 1 + i + c] = entry
-    idx = np.arange(1, side + 1)
-    grid = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"))
-    low, mid, high = np.sort(grid, axis=0)
-    inside = mid >= n + 1
-    known = low <= dom[mid, high]
-    complement = (side + 1 - high) > dom[side + 1 - mid, side + 1 - low]
-    m = np.where(inside, known, complement)
+    m = _closure(n, _padded_domain(d))[0]
     heights = m.sum(axis=2)
     k = np.arange(1, side + 1)
     if not (m == (k[None, None, :] <= heights[:, :, None])).all():
@@ -673,9 +898,42 @@ def expand_fundamental(d: FundamentalDomain):
         raise InconsistentDomain(f"closure is not a plane partition: {exc}") from exc
     if not validate_tsscpp(p).all_true:
         raise InconsistentDomain("closure is not totally symmetric self-complementary")
-    if fundamental_domain(p) != d:
+    if _corner(p) != d.rows:
         raise InconsistentDomain("closure does not reproduce the domain")
     return p
+
+
+def expand_domains(n, dom):
+    """Batch form of :func:`expand_fundamental`, with every check it makes.
+
+    ``dom`` holds fundamental domains of order ``n`` as padded arrays of
+    shape (m, 2n+1, 2n+1): ``dom[:, n+1+i, n+1+i+c]`` is entry ``(i, c)``
+    (0-based) of a domain, every other entry is zero.  Returns the heights
+    arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure is column
+    contiguous, a plane partition, totally symmetric and self-complementary,
+    and reproduces its domain; otherwise None, and :func:`expand_fundamental`
+    must decide (it raises the first failure).
+    """
+    side = 2 * n
+    m = _closure(n, dom)
+    # Column contiguity: down the third axis every column is a run of
+    # members followed by a run of non-members.
+    if not (m[..., 1:] <= m[..., :-1]).all():
+        return None
+    heights = m.sum(axis=3, dtype=np.int16)
+    if not _plane_partition_ok(heights.reshape(len(dom), -1), n):
+        return None
+    # The cube of a contiguous closure is the cube of its heights.
+    if not (
+        (m == m.transpose(0, 2, 1, 3)).all()
+        and (m == m.transpose(0, 3, 1, 2)).all()
+        and (m == ~m[:, ::-1, ::-1, ::-1]).all()
+    ):
+        return None
+    corner = np.triu(np.ones((n, n), dtype=bool))
+    if not (heights[:, n:, n:] == dom[:, n + 1 :, n + 1 :]).all(where=corner):
+        return None
+    return heights
 
 
 _KINDS = {
@@ -683,7 +941,7 @@ _KINDS = {
     "magog_triangle": lambda d: MagogTriangle(d["n"], _as_rows(d["rows"], "magog triangle")),
     "boolean_triangle": lambda d: BooleanTriangle(d["n"], _as_rows(d["rows"], "boolean triangle")),
     "asm": lambda d: Asm(d["n"], _as_rows(d["rows"], "asm")),
-    "permutation": lambda d: Permutation(d["n"], tuple(d["sigma"])),
+    "permutation": lambda d: Permutation(d["n"], d["sigma"]),
     "nilp_nest": lambda d: NilpNest(d["n"], tuple(tuple(p) for p in d["paths"])),
     "plane_partition": lambda d: PlanePartition(d["n"], _as_rows(d["rows"], "plane partition")),
     "fundamental_domain": lambda d: FundamentalDomain(d["n"], _as_rows(d["rows"], "fundamental domain")),

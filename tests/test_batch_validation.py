@@ -1,0 +1,205 @@
+"""Differential tests of the batch path against the validating constructors.
+
+The enumeration validates its search output in chunks (``validate_batch``,
+``booleans_to_tsscpp``) and builds objects without re-validating them.  Here
+the constructors are the oracle: the batch path must build the same objects
+in the same order, and must reject a value exactly when the constructor
+raises.
+"""
+
+import random
+
+import pytest
+
+from gogmagog import bijections, enumeration
+from gogmagog.enumeration import FamilyId, count, generate
+from gogmagog.triangles import (
+    AlternationError,
+    Asm,
+    BooleanTriangle,
+    FundamentalDomain,
+    MagogTriangle,
+    MonotoneTriangle,
+    NilpNest,
+    Permutation,
+    PlanePartition,
+    ValidationError,
+    _padded_domain,
+    build_batch,
+    expand_domains,
+    expand_fundamental,
+    to_json,
+    validate_batch,
+)
+
+
+def scalar_objects(family, n):
+    """The family built by the validating constructors from the raw search
+    output, in the enumeration's order."""
+    if family is FamilyId.TSSCPP:
+        partitions = [
+            bijections.boolean_to_tsscpp(BooleanTriangle(n, rows))
+            for rows in enumeration._iter_boolean_rows(n)
+        ]
+        return sorted(partitions, key=lambda p: p.rows)
+    cls, search = enumeration._SEARCH[family]
+    return [cls(n, value) for value in search(n)]
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the batch path ran a scalar check")
+
+
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+def test_batch_path_builds_what_the_constructors_build(family, monkeypatch):
+    for n in range(1, 7):
+        expected = scalar_objects(family, n)
+        with monkeypatch.context() as m:
+            # Every chunk must pass the batch checks: no object may go
+            # through a validating constructor or the scalar expansion.
+            for cls in (Asm, BooleanTriangle, MagogTriangle, MonotoneTriangle, NilpNest, Permutation, PlanePartition):
+                m.setattr(cls, "__post_init__", _forbidden)
+            m.setattr(bijections, "boolean_to_tsscpp", _forbidden)
+            enumeration._elements.cache_clear()
+            got = list(generate(family, n))
+            total = count(family, n)
+        enumeration._elements.cache_clear()
+        assert got == expected, (family, n)
+        assert [to_json(obj) for obj in got] == [to_json(obj) for obj in expected]
+        assert total == len(expected)
+
+
+# -- single-entry mutations ---------------------------------------------------
+
+
+def _raw(obj):
+    return obj.sigma if isinstance(obj, Permutation) else obj.paths if isinstance(obj, NilpNest) else obj.rows
+
+
+def _replacements(value, n):
+    """Values to put in place of one entry: nearby and out-of-range integers,
+    and the same number as a bool and as a float."""
+    if isinstance(value, str):
+        return ["D" if value == "V" else "V", "X", 1, True]
+    ints = {value - 2, value - 1, value + 1, value + 2, 0, -1, n + 1, 2 * n + 1} - {value}
+    return sorted(ints) + [bool(value), True, float(value)]
+
+
+def _mutations(raw, n):
+    """Every single-entry mutation of a raw value, as raw values."""
+    if raw and not isinstance(raw[0], tuple):  # a flat permutation
+        for i, value in enumerate(raw):
+            for new in _replacements(value, n):
+                yield raw[:i] + (new,) + raw[i + 1 :]
+        return
+    for r, row in enumerate(raw):
+        for c, value in enumerate(row):
+            for new in _replacements(value, n):
+                yield raw[:r] + (row[:c] + (new,) + row[c + 1 :],) + raw[r + 1 :]
+
+
+def _scalar_error(cls, n, raw):
+    try:
+        cls(n, raw)
+    except ValidationError as exc:
+        return exc
+    return None
+
+
+SAMPLED = [
+    (Asm, FamilyId.ASM, 4),
+    (Asm, FamilyId.ASM, 5),
+    (BooleanTriangle, FamilyId.BOOLEAN, 5),
+    (BooleanTriangle, FamilyId.PERMUTATION_BOOLEAN, 5),
+    (MonotoneTriangle, FamilyId.MONOTONE, 5),
+    (MagogTriangle, FamilyId.MAGOG, 5),
+    (NilpNest, FamilyId.NILP, 5),
+    (Permutation, FamilyId.PERMUTATION, 5),
+    (PlanePartition, FamilyId.TSSCPP, 3),
+]
+
+
+@pytest.mark.parametrize("cls,family,n", SAMPLED, ids=lambda v: getattr(v, "__name__", str(v)))
+def test_batch_check_rejects_exactly_what_the_constructor_rejects(cls, family, n):
+    rng = random.Random(2015)
+    objects = list(generate(family, n))
+    sample = rng.sample(objects, min(12, len(objects)))
+    valid = [_raw(obj) for obj in objects[:5]]
+    rejected = 0
+    for obj in sample:
+        for raw in _mutations(_raw(obj), n):
+            error = _scalar_error(cls, n, raw)
+            assert (validate_batch(cls, n, [raw]) is None) == (error is not None), raw
+            if error is None:
+                continue
+            rejected += 1
+            # In a chunk with valid values the whole chunk is refused, and
+            # building it raises the constructor's exception.
+            chunk = valid + [raw]
+            assert validate_batch(cls, n, chunk) is None
+            with pytest.raises(type(error)) as raised:
+                build_batch(cls, n, chunk)
+            assert (str(raised.value), raised.value.row, raised.value.col) == (
+                str(error),
+                error.row,
+                error.col,
+            )
+    assert rejected > 0
+
+
+def test_asm_batch_check_on_matrices_of_valid_rows():
+    """A single-entry mutation always breaks a row sum, so the column checks
+    are probed with matrices stacked from valid rows instead."""
+    rng = random.Random(1508)
+    n = 4
+    rows = sorted({row for a in generate(FamilyId.ASM, n) for row in a.rows})
+    verdicts = set()
+    for _ in range(3000):
+        raw = tuple(rng.choice(rows) for _ in range(n))
+        error = _scalar_error(Asm, n, raw)
+        assert (validate_batch(Asm, n, [raw]) is None) == (error is not None), raw
+        verdicts.add(type(error))
+    assert verdicts >= {type(None), AlternationError}
+
+
+def test_batch_expansion_rejects_exactly_the_inconsistent_domains():
+    """Single-entry mutations of fundamental domains that still satisfy the
+    domain constructor: the batch expansion refuses exactly those the scalar
+    expansion raises on."""
+    n = 4
+    domains = [bijections.fundamental_from_boolean(b) for b in generate(FamilyId.BOOLEAN, n)]
+    consistent = inconsistent = 0
+    for d in domains[::3]:
+        for raw in _mutations(d.rows, n):
+            try:
+                mutated = FundamentalDomain(n, raw)
+            except ValidationError:
+                continue
+            try:
+                expected = expand_fundamental(mutated).rows
+            except ValidationError:
+                expected = None
+            heights = expand_domains(n, _padded_domain(mutated))
+            if expected is None:
+                inconsistent += 1
+                assert heights is None, raw
+            else:
+                consistent += 1
+                assert tuple(map(tuple, heights[0].tolist())) == expected
+    assert consistent and inconsistent
+
+
+def test_batch_check_refuses_other_representations():
+    """Lists, bools and numpy integers are the constructor's to normalise or
+    reject; the batch check passes only tuples of plain ints."""
+    import numpy as np
+
+    rows = ((1,), (1, 0))
+    assert validate_batch(BooleanTriangle, 3, [rows]) is not None
+    assert validate_batch(BooleanTriangle, 3, [[[1], [1, 0]]]) is None
+    assert validate_batch(BooleanTriangle, 3, [((np.int64(1),), (1, 0))]) is None
+    assert validate_batch(BooleanTriangle, 3, [((True,), (1, 0))]) is None
+    assert build_batch(BooleanTriangle, 3, [[[1], [1, 0]]]) == [BooleanTriangle(3, rows)]
+    assert validate_batch(Permutation, 3, [(1, 2, 3)]) is not None
+    assert validate_batch(Permutation, 3, [(1, 2, 2)]) is None
+    assert validate_batch(Permutation, 3, [(1, 2)]) is None

@@ -161,3 +161,17 @@ def test_module_entry_point():
         text=True,
     )
     assert result.returncode == 0 and result.stdout.strip() == "7"
+
+
+def test_malformed_env_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TSSCPP_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "enumerate", "--family", "boolean", "--n", "3", "--count-only")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: TSSCPP_MAX_N")
+
+
+def test_permutation_with_non_integer_values_is_a_usage_error(capsys):
+    for sigma in ("[1.7,2.2]", "[true,2]"):
+        blob = '{"kind":"permutation","n":2,"sigma":%s}' % sigma
+        code, out, err = run_cli(capsys, "convert", "--from", "permutation", "--to", "boolean", blob)
+        assert code == 2 and out == "" and "not an integer" in err

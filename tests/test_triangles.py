@@ -360,6 +360,17 @@ def test_expand_fundamental_round_trip():
         assert expand_fundamental(d) == p
 
 
+def test_expand_fundamental_checks_the_symmetries_once(monkeypatch):
+    from gogmagog import triangles
+
+    calls = []
+    monkeypatch.setattr(triangles, "validate_tsscpp", lambda p: calls.append(p) or validate_tsscpp(p))
+    for rows, domain in zip(gold.TSSCPP_3, gold.DOMAINS_3):
+        calls.clear()
+        assert expand_fundamental(FundamentalDomain(3, domain)).rows == rows
+        assert len(calls) == 1
+
+
 def test_expand_fundamental_rejects_inconsistent_domain():
     # the last domain column is forced to zero; a one there cannot expand
     with pytest.raises(InconsistentDomain):
@@ -415,6 +426,16 @@ def test_permutation_one_line():
     big = Permutation(10, tuple(range(10, 0, -1)))
     assert Permutation.from_one_line(big.one_line()) == big
     assert p.inverse().sigma == (5, 6, 3, 1, 4, 2)
+
+
+def test_permutation_rejects_non_integers_like_the_other_constructors():
+    for sigma, position in (((1.7, 2.2), 1), ((True, 2), 1), ((1, 2.0), 2), ((2, False), 2)):
+        with pytest.raises(EntryError) as err:
+            Permutation(2, sigma)
+        assert err.value.col == position
+    with pytest.raises(ShapeError):
+        Permutation(1, 5)
+    assert Permutation(2, [2, 1]).sigma == (2, 1)
 
 
 def test_values_are_immutable():
