@@ -7,7 +7,7 @@ acceptance test suite drives the same functions.
 
 from __future__ import annotations
 
-from . import bijections, orders
+from . import bijections, enumeration, orders
 from .statistics import avoids
 from .triangles import Permutation
 
@@ -47,48 +47,38 @@ def check_strong_bruhat(n):
     return _result("thm4.4", n, same_relations and iso is not None, size=a.size)
 
 
-def _tamari_check(base_poset, n, claim):
-    avoid_132 = base_poset.induced(
-        lambda s: avoids(Permutation.from_one_line(s), (1, 3, 2))
+def _catalan_subposet_check(base_poset, n, claim, pattern, build_target):
+    """The ``pattern`` avoiders of ``base_poset``, relabelled by
+    :func:`orders.bracket_label_map`, are exactly the order ``build_target(n)``."""
+    avoiders = base_poset.induced(
+        lambda s: avoids(Permutation.from_one_line(s), pattern)
     )
-    tam = orders.build_tamari(n)
+    target = build_target(n)
     label_map = orders.bracket_label_map(n)
-    mapped = {label_map[s] for s in avoid_132.labels}
-    iso = avoid_132.isomorphism_to(tam)
-    canonical = mapped == set(tam.labels) and all(
-        avoid_132.leq(x, y) == tam.leq(label_map[x], label_map[y])
-        for x in avoid_132.labels
-        for y in avoid_132.labels
+    mapped = {label_map[s] for s in avoiders.labels}
+    iso = avoiders.isomorphism_to(target)
+    canonical = mapped == set(target.labels) and all(
+        avoiders.leq(x, y) == target.leq(label_map[x], label_map[y])
+        for x in avoiders.labels
+        for y in avoiders.labels
     )
-    return _result(claim, n, iso is not None and canonical, size=tam.size)
-
-
-def _catalan_check(base_poset, n, claim):
-    avoid_213 = base_poset.induced(
-        lambda s: avoids(Permutation.from_one_line(s), (2, 1, 3))
-    )
-    cat = orders.build_catalan_distributive(n)
-    label_map = orders.bracket_label_map(n)
-    mapped = {label_map[s] for s in avoid_213.labels}
-    iso = avoid_213.isomorphism_to(cat)
-    canonical = mapped == set(cat.labels) and all(
-        avoid_213.leq(x, y) == cat.leq(label_map[x], label_map[y])
-        for x in avoid_213.labels
-        for y in avoid_213.labels
-    )
-    return _result(claim, n, iso is not None and canonical, size=cat.size)
+    return _result(claim, n, iso is not None and canonical, size=target.size)
 
 
 def check_tamari_subposet(n):
     """132-avoiders inside the magog permutation order form the rotation
     lattice on bracket vectors, via x_i = i + row sum."""
-    return _tamari_check(orders.build_Tn_perm(n), n, "thm4.9")
+    return _catalan_subposet_check(
+        orders.build_Tn_perm(n), n, "thm4.9", (1, 3, 2), orders.build_tamari
+    )
 
 
 def check_catalan_subposet(n):
     """213-avoiders inside the magog permutation order form the distributive
     lattice of weakly increasing sequences."""
-    return _catalan_check(orders.build_Tn_perm(n), n, "thm4.12")
+    return _catalan_subposet_check(
+        orders.build_Tn_perm(n), n, "thm4.12", (2, 1, 3), orders.build_catalan_distributive
+    )
 
 
 def check_bruhat_sandwich(n):
@@ -116,8 +106,10 @@ def check_tamcat_in_boolean_poset(n):
     """The boolean permutation order contains the same two Catalan
     subposets on 132- and 213-avoiders."""
     base = orders.build_TBool_perm(n)
-    tam = _tamari_check(base, n, "cor4.17")
-    cat = _catalan_check(base, n, "cor4.17")
+    tam = _catalan_subposet_check(base, n, "cor4.17", (1, 3, 2), orders.build_tamari)
+    cat = _catalan_subposet_check(
+        base, n, "cor4.17", (2, 1, 3), orders.build_catalan_distributive
+    )
     return _result("cor4.17", n, tam["ok"] and cat["ok"], tamari=tam["ok"], catalan=cat["ok"])
 
 
@@ -151,19 +143,18 @@ def check_cover_moves(n):
     """Every cover of the magog order, transported to boolean triangles,
     either swaps a one with the zero southeast of it or kills a bottom-row
     one."""
-    from .triangles import from_json
-
     t = orders.build_Tn(n)
+    booleans = [
+        bijections.magog_to_boolean(m)
+        for m in enumeration.generate(enumeration.FamilyId.MAGOG, n)
+    ]
+    pairs = t.cover_pairs()
     bad = None
-    for i, j in t.cover_pairs():
-        lower = bijections.magog_to_boolean(from_json(t.labels[i]))
-        upper = bijections.magog_to_boolean(from_json(t.labels[j]))
-        if not _boolean_move(lower, upper):
+    for i, j in pairs:
+        if not _boolean_move(booleans[i], booleans[j]):
             bad = (t.labels[i], t.labels[j])
             break
-    return _result(
-        "lemma4.8", n, bad is None, cover_count=len(t.cover_pairs()), witness=bad
-    )
+    return _result("lemma4.8", n, bad is None, cover_count=len(pairs), witness=bad)
 
 
 def check_lattice_thresholds(n):

@@ -232,6 +232,8 @@ def _cmd_dist(args, config):
 
 
 def _cmd_poset(args, config):
+    if args.n < 1:
+        raise CapExceeded(f"order must be >= 1, got {args.n}")
     p = _POSET_BUILDERS[args.name](args.n)
     if args.out == "dot":
         print(p.to_dot())

@@ -39,8 +39,8 @@ __all__ = [
 
 
 def _componentwise(labels, vectors, *, reverse=False, max_size=20_000):
-    """Poset from componentwise comparison of integer vectors; compared in
-    row blocks to keep the broadcast temporaries small."""
+    """Componentwise order on integer vectors; ``reverse`` compares them the
+    other way round (x <= y iff x >= y componentwise)."""
     if len(vectors) > max_size:
         from .poset import SizeCap
 
@@ -50,15 +50,7 @@ def _componentwise(labels, vectors, *, reverse=False, max_size=20_000):
     arr = np.array(vectors, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(len(vectors), 0)
-    if reverse:
-        arr = -arr
-    n = len(arr)
-    leq = np.empty((n, n), dtype=bool)
-    block = max(1, (1 << 22) // max(1, n * max(1, arr.shape[1])))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        leq[start:stop] = (arr[start:stop, None, :] <= arr[None, :, :]).all(axis=2)
-    return Poset(labels, leq, _certified=True)
+    return Poset.componentwise(labels, -arr if reverse else arr)
 
 
 def _coordinate_poset(n, cover_moves):
@@ -106,7 +98,8 @@ def build_An(n):
 
 
 def build_Tn(n):
-    """Componentwise order on magog triangles."""
+    """Componentwise order on magog triangles, listed in the order
+    ``enumeration.generate`` yields them."""
     triangles = list(enumeration.generate(enumeration.FamilyId.MAGOG, n))
     return _componentwise([to_json(t) for t in triangles], [_triangle_vector(t) for t in triangles])
 

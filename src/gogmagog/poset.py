@@ -3,10 +3,16 @@ lattice and distributivity reports, order-ideal lattices, induced subposets,
 isomorphism testing, and DOT/JSON export.
 
 A poset is an immutable tuple of labels plus a read-only boolean matrix
-``leq``; all heavy scans (closure, covers, meets/joins) are numpy matrix
-work.  Labels are opaque hashable values; the specific posets built elsewhere
-use canonical JSON strings (objects) or one-line notation (permutations) so
-that relation containment across posets is well defined.
+``leq``.  Closure and the generic transitive reduction are float32 BLAS
+products, exact while path counts stay below 2**24.  Componentwise orders on
+integer vectors (:meth:`Poset.componentwise`) skip both: ``leq`` is the AND
+of packed per-coordinate threshold bitsets, and the covers are the unit
+moves x -> x + e_c, used only when an exact certificate shows the order has
+no other covers (otherwise the generic reduction runs).  Meet and join tables
+are searched in column blocks.  Labels are opaque hashable values; the
+specific posets built elsewhere use canonical JSON strings (objects) or
+one-line notation (permutations) so that relation containment across posets
+is well defined.
 """
 
 from __future__ import annotations
@@ -51,10 +57,84 @@ class LatticeReport:
     distributivity_witness: tuple | None = None
 
 
+# Float32 holds every integer below this exactly, so a float32 product of
+# small nonnegative integers is exact while its sums stay below it.
+_FLOAT32_EXACT = 1 << 24
+# Elements of a temporary matrix handled at a time by the blocked scans.
+_BLOCK = 1 << 22
+# Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
+_BOUND_COLUMNS = 512
+
+
 def _bool_product(a, b):
-    """Boolean matrix product via BLAS; path counts stay below 2**24 under
-    the size caps, so float32 accumulation is exact."""
+    """Boolean matrix product via float32 BLAS.  A path count is at most the
+    inner dimension, so the product is exact while that stays below 2**24;
+    beyond, SizeCap is raised before anything is converted."""
+    if a.shape[1] >= _FLOAT32_EXACT:
+        raise SizeCap(
+            f"boolean product over {a.shape[1]} inner elements is not exact in float32"
+        )
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
+
+
+def _componentwise_leq(vectors):
+    """``leq[x, y]`` iff ``vectors[x] <= vectors[y]`` in every coordinate.
+
+    Row x is the AND over coordinates c of the packed set of rows whose entry
+    c is at least x_c; one such bitset is built per (c, value)."""
+    n, k = vectors.shape
+    words = -(-n // 64)
+    bits = np.full((n, words), np.uint64(2**64 - 1))
+    for c in range(k):
+        column = vectors[:, c]
+        values, rank = np.unique(column, return_inverse=True)
+        at_least = np.zeros((len(values), words * 8), dtype=np.uint8)
+        at_least[:, : -(-n // 8)] = np.packbits(
+            column >= values[:, None], axis=1, bitorder="little"
+        )
+        bits &= at_least.view(np.uint64)[rank]
+    return np.unpackbits(
+        bits.view(np.uint8), axis=1, count=n, bitorder="little"
+    ).view(bool)
+
+
+def _unit_move_covers(vectors, leq):
+    """Cover matrix of the componentwise order on distinct ``vectors``, read
+    off the unit moves (x, x + e_c), or None when that may miss a cover.
+
+    A unit move is always a cover.  They are all of the covers if every
+    strict x < y has a unit move c from x with x_c < y_c, since then
+    x < x + e_c <= y.  For x <= y that holds iff the sum over the unit moves
+    c of x of (y_c - x_c) is positive: an exact small-integer product."""
+    n, k = vectors.shape
+    index = {v: i for i, v in enumerate(map(tuple, vectors.tolist()))}
+    covers = np.zeros((n, n), dtype=bool)
+    up = np.zeros((n, k), dtype=np.float32)
+    for c in range(k):
+        moved = vectors.copy()
+        moved[:, c] += 1
+        hits = np.array(
+            [index.get(v, -1) for v in map(tuple, moved.tolist())], dtype=np.intp
+        )
+        found = np.flatnonzero(hits >= 0)
+        covers[found, hits[found]] = True
+        up[found, c] = 1
+    if n == 0 or k == 0:
+        return covers
+    shifted = vectors - vectors.min(axis=0)
+    if k * int(shifted.max()) >= _FLOAT32_EXACT:
+        return None
+    shifted = shifted.astype(np.float32)
+    base = (up * shifted).sum(axis=1)
+    rows = max(1, _BLOCK // n)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        gain = up[start:stop] @ shifted.T - base[start:stop, None]
+        # x <= x has gain 0 in every row; any other zero on a related pair
+        # is a strict x < y with no unit move towards y
+        if np.count_nonzero(leq[start:stop] & (gain < 0.5)) > stop - start:
+            return None
+    return covers
 
 
 def _closure(matrix):
@@ -70,7 +150,7 @@ def _closure(matrix):
 class Poset:
     """Finite partial order on labelled elements."""
 
-    __slots__ = ("labels", "_leq", "_index", "_covers")
+    __slots__ = ("labels", "_leq", "_index", "_covers", "_vectors")
 
     def __init__(self, labels, leq, *, _certified=False):
         labels = tuple(labels)
@@ -97,6 +177,17 @@ class Poset:
         self._leq = leq
         self._index = index
         self._covers = None
+        self._vectors = None
+
+    @classmethod
+    def componentwise(cls, labels, vectors):
+        """Componentwise order on distinct integer vectors (an ``(N, k)``
+        array): x <= y iff x_c <= y_c for every coordinate c.  The vectors
+        are kept so that the covers can be read off the unit moves."""
+        vectors = np.asarray(vectors, dtype=np.int64)
+        poset = cls(labels, _componentwise_leq(vectors), _certified=True)
+        poset._vectors = vectors
+        return poset
 
     @classmethod
     def from_comparisons(cls, elements, leq_predicate):
@@ -167,8 +258,12 @@ class Poset:
 
     def cover_matrix(self):
         if self._covers is None:
-            strict = self._leq & ~np.eye(self.size, dtype=bool)
-            reduced = strict & ~_bool_product(strict, strict)
+            reduced = None
+            if self._vectors is not None:
+                reduced = _unit_move_covers(self._vectors, self._leq)
+            if reduced is None:
+                strict = self._leq & ~np.eye(self.size, dtype=bool)
+                reduced = strict & ~_bool_product(strict, strict)
             reduced.setflags(write=False)
             self._covers = reduced
         return self._covers
@@ -244,25 +339,35 @@ class Poset:
     def _bound_table(self, lower):
         """Meet (lower=True) or join table, or an index-pair witness.
 
-        Returns (table, None) or (None, (x, y)).
+        Returns (table, None) or (None, (x, y)).  The witness is the first
+        x, and in its row the first y without a common bound if there is
+        one, else the first y whose bounds have no greatest element.  The
+        candidate for x /\\ y is the first common bound z with the most
+        elements below it; only the z below x are scored, ``_BOUND_COLUMNS``
+        values of y at a time.
         """
         n = self.size
         rel = self._leq if lower else self._leq.T
-        sizes = rel.sum(axis=0)
+        weights = (rel.sum(axis=0) + 1).astype(np.int32)
         table = np.zeros((n, n), dtype=np.int64)
         for x in range(n):
-            bounds = rel[:, x : x + 1] & rel
-            any_bound = bounds.any(axis=0)
-            if not any_bound.all():
-                y = int(np.nonzero(~any_bound)[0][0])
-                return None, (x, y)
-            scores = np.where(bounds, sizes[:, None] + 1, 0)
-            cand = scores.argmax(axis=0)
-            ok = (~bounds | rel[:, cand]).all(axis=0)
-            if not ok.all():
-                y = int(np.nonzero(~ok)[0][0])
-                return None, (x, y)
-            table[x] = cand
+            below = np.flatnonzero(rel[:, x])
+            no_greatest = None
+            for start in range(0, n, _BOUND_COLUMNS):
+                bounds = rel[below, start : start + _BOUND_COLUMNS]
+                missing = ~bounds.any(axis=0)
+                if missing.any():
+                    return None, (x, start + int(missing.argmax()))
+                if no_greatest is not None:
+                    continue
+                scores = np.where(bounds, weights[below, None], 0)
+                cand = below[scores.argmax(axis=0)]
+                bad = (bounds & ~rel[np.ix_(below, cand)]).any(axis=0)
+                if bad.any():
+                    no_greatest = start + int(bad.argmax())
+                table[x, start : start + _BOUND_COLUMNS] = cand
+            if no_greatest is not None:
+                return None, (x, no_greatest)
         return table, None
 
     def meet_table(self):

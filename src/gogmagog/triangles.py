@@ -489,10 +489,11 @@ class Permutation:
     @classmethod
     def from_one_line(cls, text):
         text = text.strip()
-        if "," in text:
-            values = tuple(int(part) for part in text.split(","))
-        else:
-            values = tuple(int(ch) for ch in text)
+        parts = text.split(",") if "," in text else text
+        try:
+            values = tuple(int(part) for part in parts)
+        except ValueError:
+            raise EntryError(f"permutation: {text!r} is not one-line notation") from None
         return cls(len(values), values)
 
     def to_json_dict(self):

@@ -175,3 +175,17 @@ def test_permutation_with_non_integer_values_is_a_usage_error(capsys):
         blob = '{"kind":"permutation","n":2,"sigma":%s}' % sigma
         code, out, err = run_cli(capsys, "convert", "--from", "permutation", "--to", "boolean", blob)
         assert code == 2 and out == "" and "not an integer" in err
+
+
+def test_permutation_one_line_that_is_not_digits_is_a_usage_error(capsys):
+    for text in ("abc", "-", "1,x"):
+        code, out, err = run_cli(capsys, "convert", "--from", "permutation", "--to", "boolean", text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: permutation:")
+
+
+def test_poset_order_below_one_is_a_usage_error(capsys):
+    for name, n in (("tamari", "0"), ("An", "-1"), ("chains", "0")):
+        code, out, err = run_cli(capsys, "poset", "--name", name, "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: order must be >= 1, got {n}\n"

@@ -265,3 +265,69 @@ def test_empty_poset():
     assert p.size == 0
     assert lattice_report(p).is_lattice
     assert isomorphic_to(p, p) == {}
+
+
+def reference_bound_table(p, lower):
+    """The full-matrix int64 meet/join search that the blocked one replaced."""
+    n = p.size
+    rel = p.leq_matrix() if lower else p.leq_matrix().T
+    sizes = rel.sum(axis=0)
+    table = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        bounds = rel[:, x : x + 1] & rel
+        any_bound = bounds.any(axis=0)
+        if not any_bound.all():
+            y = int(np.nonzero(~any_bound)[0][0])
+            return None, (x, y)
+        scores = np.where(bounds, sizes[:, None] + 1, 0)
+        cand = scores.argmax(axis=0)
+        ok = (~bounds | rel[:, cand]).all(axis=0)
+        if not ok.all():
+            y = int(np.nonzero(~ok)[0][0])
+            return None, (x, y)
+        table[x] = cand
+    return table, None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bound_table_matches_the_full_matrix_search(n):
+    from gogmagog.cli import _POSET_BUILDERS
+
+    for name, builder in sorted(_POSET_BUILDERS.items()):
+        p = builder(n)
+        for lower in (True, False):
+            table, witness = p._bound_table(lower)
+            expected_table, expected_witness = reference_bound_table(p, lower)
+            assert witness == expected_witness, (name, lower)
+            if expected_table is not None:
+                assert (table == expected_table).all(), (name, lower)
+
+
+def test_bound_table_witnesses_at_order_six():
+    # recorded with the full-matrix search at order six
+    from gogmagog import orders
+
+    for builder, meet_witness, join_witness in (
+        (orders.build_TBool, (1, 32), (34, 81)),
+        (orders.build_Tn_perm, (5, 8), (2, 3)),
+    ):
+        p = builder(6)
+        assert p._bound_table(lower=True) == (None, meet_witness)
+        assert p._bound_table(lower=False) == (None, join_witness)
+
+
+def test_bool_product_refuses_inexact_inner_dimensions_before_converting():
+    import tracemalloc
+
+    from gogmagog.poset import _bool_product
+
+    a = np.zeros((1, 2**24), dtype=bool)
+    b = np.zeros((2**24, 1), dtype=bool)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap):
+            _bool_product(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

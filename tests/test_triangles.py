@@ -428,6 +428,12 @@ def test_permutation_one_line():
     assert p.inverse().sigma == (5, 6, 3, 1, 4, 2)
 
 
+def test_permutation_one_line_rejects_non_digits():
+    for text in ("abc", "12x", "1,,2"):
+        with pytest.raises(EntryError):
+            Permutation.from_one_line(text)
+
+
 def test_permutation_rejects_non_integers_like_the_other_constructors():
     for sigma, position in (((1.7, 2.2), 1), ((True, 2), 1), ((1, 2.0), 2), ((2, False), 2)):
         with pytest.raises(EntryError) as err:
