@@ -45,6 +45,7 @@ from .triangles import (
     PlanePartition,
     ValidationError,
     _triangle_cells,
+    build_batch,
     expand_domains,
     expand_fundamental,
     fundamental_domain,
@@ -295,7 +296,8 @@ def _domains_from_booleans(n, a):
 def booleans_to_tsscpp(n, chunk):
     """Batch form of :func:`boolean_to_tsscpp`: the heights arrays, shape
     (len(chunk), 2n, 2n), of the TSSCPPs of a chunk of raw boolean triangles
-    of order n, in chunk order.
+    of order n (any chunk ``triangles.validate_batch`` takes), in chunk
+    order.
 
     Every check of the scalar path is made, batched: the triangles are
     validated with ``triangles.validate_batch`` and the closures with
@@ -307,7 +309,7 @@ def booleans_to_tsscpp(n, chunk):
     a = validate_batch(BooleanTriangle, n, chunk)
     heights = None if a is None else expand_domains(n, _domains_from_booleans(n, a))
     if heights is None:
-        rows = [boolean_to_tsscpp(BooleanTriangle(n, raw)).rows for raw in chunk]
+        rows = [boolean_to_tsscpp(b).rows for b in build_batch(BooleanTriangle, n, chunk)]
         heights = np.array(rows, dtype=np.int64).reshape(len(chunk), 2 * n, 2 * n)
     return heights
 

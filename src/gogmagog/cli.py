@@ -137,7 +137,11 @@ def convert_object(obj, target_kind):
 def _parse_value(kind, text):
     text = text.strip()
     if text.startswith("{"):
-        return from_json_dict(json.loads(text))
+        data = json.loads(text)
+        obj = from_json_dict(data)
+        if kind is not None and _KIND_ALIASES[kind] != data["kind"]:
+            raise ValidationError(f"expected a {kind} object, got kind {data['kind']!r}")
+        return obj
     if kind is None:
         raise ValidationError("non-JSON input needs an explicit kind")
     if _KIND_ALIASES[kind] == "permutation":

@@ -1,20 +1,23 @@
 """Exhaustive generators and counters for every family.
 
 Each family yields its objects exactly once, in lexicographic order on the
-row-major representation.  The search is backtracking with constraint
-propagation: boolean triangles prune on the diagonal partial sums row by row,
-matrices prune on row/column prefix sums, monotone and magog triangles grow
+row-major representation.  Boolean triangles and ASMs are searched row by row
+over a numpy frontier: every frontier state (the diagonal partial sums of a
+boolean triangle, the column-prefix 0/1 mask of an ASM) is extended by all
+admissible next rows at once, blocks of ``CHUNK`` states at a time, depth
+first, and the search yields int8 entry arrays.  The other families are
+backtracking searches yielding row tuples: monotone and magog triangles grow
 from the fixed bottom row (any partial tower extends, so no dead ends), and
 nests add one path at a time pruning on intersection with the previous path.
 TSSCPPs are the expansions of the boolean triangles.
 
-The search yields raw row tuples, which are validated in chunks of ``CHUNK``
-values at a time by ``triangles.validate_batch`` (TSSCPPs by
-``bijections.booleans_to_tsscpp``), with every check the constructors make.
-:func:`count` adds up the sizes of the validated chunks and builds no
-objects; :func:`generate` builds the objects of a validated chunk without
-checking each one again.  A chunk that fails a check goes through the
-validating constructors, which raise the first violation.
+The search output is validated in chunks of at most ``CHUNK`` values by
+``triangles.validate_batch`` (TSSCPPs by ``bijections.booleans_to_tsscpp``),
+with every check the constructors make.  :func:`count` adds up the sizes of
+the validated chunks and builds no objects; :func:`generate` builds the
+objects of a validated chunk without checking each one again.  A chunk that
+fails a check goes through the validating constructors, which raise the
+first violation.
 
 Orders are capped (``DEFAULT_CAPS``, overridable per call or via the
 ``TSSCPP_MAX_N`` environment variable) because the families grow too fast for
@@ -25,8 +28,10 @@ from __future__ import annotations
 
 import os
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, permutations, product
+
+import numpy as np
 
 from . import bijections
 from .triangles import (
@@ -44,8 +49,9 @@ from .triangles import (
 __all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count"]
 
 ENV_CAP = "TSSCPP_MAX_N"
-# Values validated at a time: large enough that the per-chunk numpy calls
-# cost little, small enough that a chunk's arrays stay a few MB.
+# Values validated, and frontier states expanded, at a time: large enough
+# that the per-chunk numpy calls cost little, small enough that a chunk's
+# arrays stay a few MB.
 CHUNK = 2048
 
 
@@ -90,36 +96,50 @@ def _cap(family, max_n):
     return DEFAULT_CAPS[family]
 
 
-def _iter_boolean_rows(n):
-    """Dense row tuples of all boolean triangles of order n, lex order."""
-    if n == 1:
-        yield ()
-        return
-    sums = [0] * n  # running sum of diagonal q, 1-based
-    rows = []
+def _blocked(step, depth, state, entries, level=0):
+    """Leaves of a row-by-row search, ``depth`` rows deep, as blocks of at
+    most ``CHUNK`` rows of entries.
 
-    def rec(r):
-        if r == n - 1:
-            yield tuple(rows)
-            return
-        low_q = n - 1 - r
-        for cand in product((0, 1), repeat=r + 1):
-            ok = True
-            for c, value in enumerate(cand):
-                sums[low_q + c] += value
-            for q in range(max(2, low_q), n):
-                if 1 + sums[q - 1] < sums[q]:
-                    ok = False
-                    break
-            if ok:
-                rows.append(cand)
-                yield from rec(r + 1)
-                rows.pop()
-            for c, value in enumerate(cand):
-                sums[low_q + c] -= value
+    ``step(level, state, entries)`` extends a block of frontier states, with
+    the entries chosen so far (one row per state), by every admissible next
+    row, state-major and candidate-minor, so a block in lexicographic order
+    stays in it.  The children are expanded depth first, ``CHUNK`` at a time,
+    so each level holds the children of one block at a time, never the whole
+    frontier."""
+    if level == depth:
+        yield entries
         return
+    state, entries = step(level, state, entries)
+    for start in range(0, len(entries), CHUNK):
+        block = slice(start, start + CHUNK)
+        yield from _blocked(step, depth, state[block], entries[block], level + 1)
 
-    yield from rec(0)
+
+@lru_cache(maxsize=None)
+def _boolean_candidates(n, r):
+    """All 0/1 rows of length r + 1 in lexicographic order, and the same rows
+    placed on their diagonals: row r of an order-n boolean triangle covers
+    diagonals n - 1 - r .. n - 1."""
+    rows = np.array(list(product((0, 1), repeat=r + 1)), dtype=np.int8)
+    placed = np.zeros((len(rows), n), dtype=np.int8)
+    placed[:, n - 1 - r :] = rows
+    return rows, placed
+
+
+def _boolean_step(n, r, sums, entries):
+    """The state is the diagonal partial sums, ``sums[:, q]`` for diagonal q;
+    a row is admissible when ``sums[q] <= 1 + sums[q - 1]`` for q >= 2."""
+    rows, placed = _boolean_candidates(n, r)
+    new = sums[:, None, :] + placed
+    state, cand = np.nonzero((new[:, :, 2:] <= new[:, :, 1:-1] + 1).all(axis=2))
+    return new[state, cand], np.concatenate((entries[state], rows[cand]), axis=1)
+
+
+def _boolean_chunks(n):
+    """Entry arrays (int8, row-major) of all boolean triangles of order n,
+    lexicographic order."""
+    start = np.zeros((1, n), dtype=np.int8), np.zeros((1, 0), dtype=np.int8)
+    return _blocked(partial(_boolean_step, n), n - 1, *start)
 
 
 def _iter_perm_boolean_rows(n):
@@ -177,43 +197,39 @@ def _magog_rows_above(row, n):
     return rec(0, 0)
 
 
-def _iter_asm_matrices(n):
-    """All alternating sign matrices, via row/column prefix-sum pruning."""
-    col = [0] * n
-    rows = []
-    out = []
+@lru_cache(maxsize=None)
+def _asm_table(n):
+    """The rows an ASM of order n can have, in lexicographic order, and for
+    each column-prefix mask (bit c set when column c sums to 1 so far) the
+    rows that keep every column prefix in {0, 1}, with the mask each leads
+    to: CSR offsets by mask, row indices and successor masks."""
+    rows = np.array(list(product((-1, 0, 1), repeat=n)), dtype=np.int8)
+    prefix = rows.cumsum(axis=1)
+    rows = rows[((prefix == 0) | (prefix == 1)).all(axis=1) & (prefix[:, -1] == 1)]
+    columns = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    after = columns[:, None, :] + rows
+    mask, row = np.nonzero(((after == 0) | (after == 1)).all(axis=2))
+    successor = (after[mask, row].astype(np.int64) << np.arange(n)).sum(axis=1)
+    offsets = np.searchsorted(mask, np.arange((1 << n) + 1))
+    return rows, offsets, row, successor
 
-    def row_rec(r):
-        if r == n:
-            out.append(tuple(rows))
-            return
-        last = r == n - 1
-        row = [0] * n
 
-        def entry(c, acc):
-            if c == n:
-                if acc == 1:
-                    rows.append(tuple(row))
-                    row_rec(r + 1)
-                    rows.pop()
-                return
-            for v in (-1, 0, 1):
-                new_col = col[c] + v
-                new_acc = acc + v
-                if new_col not in (0, 1) or new_acc not in (0, 1):
-                    continue
-                if last and new_col != 1:
-                    continue
-                col[c] = new_col
-                row[c] = v
-                entry(c + 1, new_acc)
-                col[c] = new_col - v
-                row[c] = 0
+def _asm_step(n, r, masks, entries):
+    """The state is the column-prefix mask.  The last row needs no check of
+    its own: n rows summing to 1 with every column prefix in {0, 1} leave
+    every column summing to 1."""
+    rows, offsets, row, successor = _asm_table(n)
+    first, sizes = offsets[masks], offsets[masks + 1] - offsets[masks]
+    state = np.repeat(np.arange(len(masks)), sizes)
+    pos = np.arange(len(state)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    return successor[pos], np.concatenate((entries[state], rows[row[pos]]), axis=1)
 
-        entry(0, 0)
 
-    row_rec(0)
-    return out
+def _asm_chunks(n):
+    """Entry arrays (int8, row-major) of all ASMs of order n, lexicographic
+    order."""
+    start = np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int8)
+    return _blocked(partial(_asm_step, n), n, *start)
 
 
 def _iter_nilp_paths(n):
@@ -251,48 +267,58 @@ def _iter_nilp_paths(n):
     yield from rec(1, frozenset())
 
 
-def _chunks(values):
-    values = iter(values)
-    while chunk := list(islice(values, CHUNK)):
-        yield chunk
+def _chunks(search):
+    """A search yielding raw values, turned into one yielding lists of
+    ``CHUNK`` values."""
+
+    def chunks(n):
+        values = iter(search(n))
+        while chunk := list(islice(values, CHUNK)):
+            yield chunk
+
+    return chunks
 
 
 def _sorted(search):
     return lambda n: sorted(search(n))
 
 
-# family -> (class, search yielding the raw values of order n in order)
+# family -> (class, search yielding the raw values of order n in order, in
+# chunks: int8 entry arrays or lists of row tuples)
 _SEARCH = {
-    FamilyId.BOOLEAN: (BooleanTriangle, _iter_boolean_rows),
-    FamilyId.PERMUTATION_BOOLEAN: (BooleanTriangle, _iter_perm_boolean_rows),
-    FamilyId.PERMUTATION: (Permutation, lambda n: permutations(range(1, n + 1))),
-    FamilyId.MONOTONE: (MonotoneTriangle, _sorted(lambda n: _monotone_towers(n, _monotone_rows_above))),
+    FamilyId.BOOLEAN: (BooleanTriangle, _boolean_chunks),
+    FamilyId.PERMUTATION_BOOLEAN: (BooleanTriangle, _chunks(_iter_perm_boolean_rows)),
+    FamilyId.PERMUTATION: (Permutation, _chunks(lambda n: permutations(range(1, n + 1)))),
+    FamilyId.MONOTONE: (
+        MonotoneTriangle,
+        _chunks(_sorted(lambda n: _monotone_towers(n, _monotone_rows_above))),
+    ),
     FamilyId.MAGOG: (
         MagogTriangle,
-        _sorted(lambda n: _monotone_towers(n, lambda row: _magog_rows_above(row, n))),
+        _chunks(_sorted(lambda n: _monotone_towers(n, lambda row: _magog_rows_above(row, n)))),
     ),
-    FamilyId.ASM: (Asm, _sorted(_iter_asm_matrices)),
-    FamilyId.NILP: (NilpNest, _sorted(_iter_nilp_paths)),
+    FamilyId.ASM: (Asm, _asm_chunks),
+    FamilyId.NILP: (NilpNest, _chunks(_sorted(_iter_nilp_paths))),
 }
 
 
 def _tsscpp_heights(n):
     """Validated heights arrays of the TSSCPPs of order n, chunk by chunk."""
-    for chunk in _chunks(_iter_boolean_rows(n)):
+    for chunk in _boolean_chunks(n):
         yield bijections.booleans_to_tsscpp(n, chunk)
+
+
+def _tsscpp_rows(n):
+    return (tuple(map(tuple, heights)) for chunk in _tsscpp_heights(n) for heights in chunk.tolist())
 
 
 @lru_cache(maxsize=32)
 def _elements(family, n):
     if family is FamilyId.TSSCPP:
-        rows = sorted(
-            tuple(map(tuple, heights)) for chunk in _tsscpp_heights(n) for heights in chunk.tolist()
-        )
-        cls = PlanePartition
+        cls, search = PlanePartition, _chunks(_sorted(_tsscpp_rows))
     else:
         cls, search = _SEARCH[family]
-        rows = search(n)
-    return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in _chunks(rows)))
+    return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in search(n)))
 
 
 def _checked(family, n, max_n):
@@ -321,9 +347,8 @@ def count(family, n, *, max_n=None) -> int:
         return sum(len(heights) for heights in _tsscpp_heights(n))
     cls, search = _SEARCH[family]
     total = 0
-    for chunk in _chunks(search(n)):
+    for chunk in search(n):
         if validate_batch(cls, n, chunk) is None:
-            for value in chunk:
-                cls(n, value)  # raises the first violation
+            build_batch(cls, n, chunk)  # the constructors raise the first violation
         total += len(chunk)
     return total

@@ -175,6 +175,11 @@ def _as_rows(raw, what):
     return tuple(tuple(int(entry) for entry in row) for row in rows)
 
 
+def _check_order(n, what):
+    if not _is_int(n) or n < 1:
+        raise ShapeError(f"{what}: order must be an integer >= 1, got {n!r}")
+
+
 def _check_triangular(rows, n, what):
     if len(rows) != n:
         raise ShapeError(f"{what}: expected {n} rows, got {len(rows)}")
@@ -197,11 +202,12 @@ class MonotoneTriangle:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_order(self.n, "monotone triangle")
         rows = _as_rows(self.rows, "monotone triangle")
         object.__setattr__(self, "rows", rows)
         _check_triangular(rows, self.n, "monotone triangle")
         n = self.n
-        if n >= 1 and rows[n - 1] != tuple(range(1, n + 1)):
+        if rows[n - 1] != tuple(range(1, n + 1)):
             raise BottomRowError(
                 f"monotone triangle: bottom row must be 1..{n}", row=n
             )
@@ -247,11 +253,12 @@ class MagogTriangle:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_order(self.n, "magog triangle")
         rows = _as_rows(self.rows, "magog triangle")
         object.__setattr__(self, "rows", rows)
         _check_triangular(rows, self.n, "magog triangle")
         n = self.n
-        if n >= 1 and rows[n - 1] != tuple(range(1, n + 1)):
+        if rows[n - 1] != tuple(range(1, n + 1)):
             raise BottomRowError(f"magog triangle: bottom row must be 1..{n}", row=n)
         for r, row in enumerate(rows):
             for c, entry in enumerate(row):
@@ -302,10 +309,9 @@ class BooleanTriangle:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_order(self.n, "boolean triangle")
         rows = _as_rows(self.rows, "boolean triangle")
         object.__setattr__(self, "rows", rows)
-        if self.n < 1:
-            raise ShapeError("boolean triangle: order must be >= 1")
         _check_triangular(rows, self.n - 1, "boolean triangle")
         n = self.n
         for r, row in enumerate(rows):
@@ -359,8 +365,7 @@ class NilpNest:
     paths: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ShapeError("nest: order must be >= 1")
+        _check_order(self.n, "nest")
         try:
             paths = tuple(tuple(step for step in path) for path in self.paths)
         except TypeError:
@@ -412,6 +417,7 @@ class Asm:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_order(self.n, "asm")
         rows = _as_rows(self.rows, "asm")
         object.__setattr__(self, "rows", rows)
         n = self.n
@@ -459,6 +465,7 @@ class Permutation:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
+        _check_order(self.n, "permutation")
         try:
             sigma = tuple(self.sigma)
         except TypeError:
@@ -512,6 +519,7 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_order(self.n, "plane partition")
         rows = _as_rows(self.rows, "plane partition")
         object.__setattr__(self, "rows", rows)
         side = 2 * self.n
@@ -571,6 +579,7 @@ class FundamentalDomain:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_order(self.n, "fundamental domain")
         rows = _as_rows(self.rows, "fundamental domain")
         object.__setattr__(self, "rows", rows)
         n = self.n
@@ -724,6 +733,10 @@ _BATCH = {
 }
 
 
+def _width(row_lengths, n):
+    return n if row_lengths is None else sum(row_lengths(n))
+
+
 def _flat_entries(chunk, n, row_lengths):
     """Entries of the chunk, row-major, or None when its shape is off."""
     if not set(map(type, chunk)) <= {tuple}:
@@ -741,20 +754,8 @@ def _flat_entries(chunk, n, row_lengths):
     return list(chain.from_iterable(rows))
 
 
-def validate_batch(cls, n, chunk):
-    """Check a chunk of raw values for ``cls`` of order ``n`` all at once.
-
-    ``chunk`` is a list of values for the constructor's second argument, in
-    the form the enumeration search yields them: tuples of ``int`` tuples
-    (``Permutation``: ``int`` tuples; ``NilpNest``: tuples of ``"V"``/``"D"``
-    tuples).  Returns the entries as an int array, one row per value, when
-    every value passes every check ``cls(n, value)`` makes; otherwise None,
-    and the constructor must decide.  Other forms the constructor accepts,
-    such as lists or numpy integers, are refused here too.
-    """
-    row_lengths, entry_type, ok = _BATCH[cls]
-    if n < 1:
-        return None
+def _tuple_entries(chunk, n, row_lengths, entry_type):
+    """The entries of a chunk of tuples as an int64 array, or None."""
     entries = _flat_entries(chunk, n, row_lengths)
     if entries is None or not set(map(type, entries)) <= {entry_type}:
         return None
@@ -766,15 +767,68 @@ def validate_batch(cls, n, chunk):
         a = np.array(entries, dtype=np.int64)
     except OverflowError:
         return None
-    a = a.reshape(len(chunk), len(entries) // len(chunk) if chunk else 0)
-    return a if ok(a, n) else None
+    return a.reshape(len(chunk), len(entries) // len(chunk) if chunk else 0)
+
+
+def _array_values(cls, n, a):
+    """The values of an entry array, one row per value, as nested tuples:
+    tuples of row tuples (``Permutation``: flat tuples) of Python scalars.
+    Equal rows within the chunk are one tuple object.  An array that is not
+    one row of the value's width per value raises ShapeError."""
+    row_lengths = _BATCH[cls][0]
+    width = _width(row_lengths, n)
+    if a.shape[1:] != (width,):
+        raise ShapeError(f"{cls.__name__}: expected values of {width} entries, got shape {a.shape}")
+    if row_lengths is None:
+        return list(map(tuple, a.tolist()))
+    bounds = np.cumsum([0, *row_lengths(n)])
+    columns = []
+    for start, stop in zip(bounds, bounds[1:]):
+        shared = {}
+        columns.append([shared.setdefault(row, row) for row in map(tuple, a[:, start:stop].tolist())])
+    # A value with no rows (a boolean triangle of order 1) is ().
+    return list(zip(*columns)) or [()] * len(a)
+
+
+def validate_batch(cls, n, chunk):
+    """Check a chunk of raw values for ``cls`` of order ``n`` all at once.
+
+    ``chunk`` is a list of values for the constructor's second argument, in
+    the form the enumeration search yields them: tuples of ``int`` tuples
+    (``Permutation``: ``int`` tuples; ``NilpNest``: tuples of ``"V"``/``"D"``
+    tuples), or an integer array with one row per value holding its entries
+    row-major.  Returns the entries as an int64 array, one row per value,
+    when every value passes every check ``cls(n, value)`` makes; otherwise
+    None, and the constructor must decide.  Other forms the constructor
+    accepts, such as lists or numpy integers in tuples, are refused here too,
+    and so are arrays of another dtype or width.
+    """
+    row_lengths, entry_type, ok = _BATCH[cls]
+    if n < 1:
+        return None
+    if not isinstance(chunk, np.ndarray):
+        a = _tuple_entries(chunk, n, row_lengths, entry_type)
+    elif (
+        entry_type is int
+        and chunk.dtype.kind in "iu"
+        and np.can_cast(chunk.dtype, np.int64)
+        and chunk.shape[1:] == (_width(row_lengths, n),)
+    ):
+        a = chunk.astype(np.int64)
+    else:
+        a = None
+    return a if a is not None and ok(a, n) else None
 
 
 def build_batch(cls, n, chunk):
     """``[cls(n, value) for value in chunk]``, without checking each object
     again when :func:`validate_batch` passes the whole chunk.  Otherwise the
-    constructor runs on every value and raises the first violation."""
-    if validate_batch(cls, n, chunk) is None:
+    constructor runs on every value and raises the first violation.  The
+    values of an array chunk are given to ``cls`` as nested tuples."""
+    valid = validate_batch(cls, n, chunk) is not None
+    if isinstance(chunk, np.ndarray):
+        chunk = _array_values(cls, n, chunk)
+    if not valid:
         return [cls(n, value) for value in chunk]
     name = fields(cls)[1].name
     new = object.__new__
@@ -937,15 +991,16 @@ def expand_domains(n, dom):
     return heights
 
 
+# kind -> (class, the JSON field holding the constructor's second argument)
 _KINDS = {
-    "monotone_triangle": lambda d: MonotoneTriangle(d["n"], _as_rows(d["rows"], "monotone triangle")),
-    "magog_triangle": lambda d: MagogTriangle(d["n"], _as_rows(d["rows"], "magog triangle")),
-    "boolean_triangle": lambda d: BooleanTriangle(d["n"], _as_rows(d["rows"], "boolean triangle")),
-    "asm": lambda d: Asm(d["n"], _as_rows(d["rows"], "asm")),
-    "permutation": lambda d: Permutation(d["n"], d["sigma"]),
-    "nilp_nest": lambda d: NilpNest(d["n"], tuple(tuple(p) for p in d["paths"])),
-    "plane_partition": lambda d: PlanePartition(d["n"], _as_rows(d["rows"], "plane partition")),
-    "fundamental_domain": lambda d: FundamentalDomain(d["n"], _as_rows(d["rows"], "fundamental domain")),
+    "monotone_triangle": (MonotoneTriangle, "rows"),
+    "magog_triangle": (MagogTriangle, "rows"),
+    "boolean_triangle": (BooleanTriangle, "rows"),
+    "asm": (Asm, "rows"),
+    "permutation": (Permutation, "sigma"),
+    "nilp_nest": (NilpNest, "paths"),
+    "plane_partition": (PlanePartition, "rows"),
+    "fundamental_domain": (FundamentalDomain, "rows"),
 }
 
 
@@ -958,9 +1013,13 @@ def from_json_dict(data):
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ShapeError("object JSON must carry a 'kind' field")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ShapeError(f"unknown object kind {kind!r}")
-    return _KINDS[kind](data)
+    cls, field = _KINDS[kind]
+    for name in ("n", field):
+        if name not in data:
+            raise ShapeError(f"{kind} JSON is missing the field {name!r}")
+    return cls(data["n"], data[field])
 
 
 def to_json(obj):

@@ -9,20 +9,24 @@ raises.
 
 import random
 
+import numpy as np
 import pytest
 
+import reference_search
 from gogmagog import bijections, enumeration
 from gogmagog.enumeration import FamilyId, count, generate
 from gogmagog.triangles import (
     AlternationError,
     Asm,
     BooleanTriangle,
+    EntryError,
     FundamentalDomain,
     MagogTriangle,
     MonotoneTriangle,
     NilpNest,
     Permutation,
     PlanePartition,
+    ShapeError,
     ValidationError,
     _padded_domain,
     build_batch,
@@ -33,17 +37,28 @@ from gogmagog.triangles import (
 )
 
 
+def raw_values(family, n):
+    """The raw values of the family in the enumeration's order: from the
+    recursive reference searches for boolean triangles and ASMs, from the
+    enumeration's own search for the other families."""
+    if family is FamilyId.BOOLEAN:
+        return list(reference_search.boolean_rows(n))
+    if family is FamilyId.ASM:
+        return reference_search.asm_matrices(n)
+    return [value for chunk in enumeration._SEARCH[family][1](n) for value in chunk]
+
+
 def scalar_objects(family, n):
-    """The family built by the validating constructors from the raw search
-    output, in the enumeration's order."""
+    """The family built by the validating constructors from the raw values,
+    in the enumeration's order."""
     if family is FamilyId.TSSCPP:
         partitions = [
             bijections.boolean_to_tsscpp(BooleanTriangle(n, rows))
-            for rows in enumeration._iter_boolean_rows(n)
+            for rows in reference_search.boolean_rows(n)
         ]
         return sorted(partitions, key=lambda p: p.rows)
-    cls, search = enumeration._SEARCH[family]
-    return [cls(n, value) for value in search(n)]
+    cls = enumeration._SEARCH[family][0]
+    return [cls(n, value) for value in raw_values(family, n)]
 
 
 def _forbidden(*args, **kwargs):
@@ -98,6 +113,18 @@ def _mutations(raw, n):
                 yield raw[:r] + (row[:c] + (new,) + row[c + 1 :],) + raw[r + 1 :]
 
 
+def _int8_chunk(values):
+    """The values as an int8 entry array, one row per value, row-major; None
+    when an entry is not a plain int (a bool, a float or a step letter)."""
+    entries = [
+        list(value) if value and not isinstance(value[0], tuple) else [e for row in value for e in row]
+        for value in values
+    ]
+    if any(type(entry) is not int for row in entries for entry in row):
+        return None
+    return np.array(entries, dtype=np.int8).reshape(len(values), -1)
+
+
 def _scalar_error(cls, n, raw):
     try:
         cls(n, raw)
@@ -125,26 +152,35 @@ def test_batch_check_rejects_exactly_what_the_constructor_rejects(cls, family, n
     objects = list(generate(family, n))
     sample = rng.sample(objects, min(12, len(objects)))
     valid = [_raw(obj) for obj in objects[:5]]
-    rejected = 0
+    rejected = arrays = 0
     for obj in sample:
         for raw in _mutations(_raw(obj), n):
             error = _scalar_error(cls, n, raw)
             assert (validate_batch(cls, n, [raw]) is None) == (error is not None), raw
+            # The same value as an int8 entry array, the search's form.
+            array = _int8_chunk([raw])
+            if array is not None:
+                arrays += 1
+                assert (validate_batch(cls, n, array) is None) == (error is not None), raw
             if error is None:
                 continue
             rejected += 1
             # In a chunk with valid values the whole chunk is refused, and
             # building it raises the constructor's exception.
-            chunk = valid + [raw]
-            assert validate_batch(cls, n, chunk) is None
-            with pytest.raises(type(error)) as raised:
-                build_batch(cls, n, chunk)
-            assert (str(raised.value), raised.value.row, raised.value.col) == (
-                str(error),
-                error.row,
-                error.col,
-            )
+            chunks = [valid + [raw]]
+            if array is not None:
+                chunks.append(_int8_chunk(valid + [raw]))
+            for chunk in chunks:
+                assert validate_batch(cls, n, chunk) is None
+                with pytest.raises(type(error)) as raised:
+                    build_batch(cls, n, chunk)
+                assert (str(raised.value), raised.value.row, raised.value.col) == (
+                    str(error),
+                    error.row,
+                    error.col,
+                )
     assert rejected > 0
+    assert arrays > 0 or cls is NilpNest
 
 
 def test_asm_batch_check_on_matrices_of_valid_rows():
@@ -203,3 +239,37 @@ def test_batch_check_refuses_other_representations():
     assert validate_batch(Permutation, 3, [(1, 2, 3)]) is not None
     assert validate_batch(Permutation, 3, [(1, 2, 2)]) is None
     assert validate_batch(Permutation, 3, [(1, 2)]) is None
+
+
+def test_batch_check_takes_integer_arrays_of_the_expected_width_only():
+    """An entry array passes only with an integer dtype that converts to
+    int64 exactly and one row of the value's width per value; otherwise the
+    constructors decide, on the array's values as nested tuples."""
+    rows = ((1,), (1, 0))
+    entries = [[1, 1, 0]]
+    for dtype in (np.int8, np.int64, np.uint8):
+        a = validate_batch(BooleanTriangle, 3, np.array(entries, dtype=dtype))
+        assert a.dtype == np.int64 and a.tolist() == entries
+    assert build_batch(BooleanTriangle, 3, np.array(entries, dtype=np.int8)) == [BooleanTriangle(3, rows)]
+    refused = [
+        np.array(entries, dtype=np.float64),
+        np.array(entries, dtype=bool),
+        np.array(entries, dtype=np.uint64),
+        np.array([[1, 1]], dtype=np.int8),
+        np.array([[1, 1, 0, 0]], dtype=np.int8),
+        np.array([1, 1, 0], dtype=np.int8),
+        np.array([entries], dtype=np.int8),
+    ]
+    for array in refused:
+        assert validate_batch(BooleanTriangle, 3, array) is None, array
+    with pytest.raises(EntryError):
+        build_batch(BooleanTriangle, 3, refused[0])
+    with pytest.raises(EntryError):
+        build_batch(BooleanTriangle, 3, refused[1])
+    # 2**64 - 1 would read as -1 in int64; the constructor sees the integer.
+    with pytest.raises(EntryError):
+        build_batch(Asm, 1, np.array([[2**64 - 1]], dtype=np.uint64))
+    for array in refused[3:]:
+        with pytest.raises(ShapeError):
+            build_batch(BooleanTriangle, 3, array)
+    assert validate_batch(NilpNest, 2, np.array([[1]], dtype=np.int8)) is None

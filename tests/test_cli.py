@@ -189,3 +189,33 @@ def test_poset_order_below_one_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "poset", "--name", name, "--n", n)
         assert code == 2 and out == ""
         assert err == f"error: order must be >= 1, got {n}\n"
+
+
+def test_empty_permutation_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "stats", "--kind", "permutation", "")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: permutation:")
+
+
+def test_json_with_a_missing_field_names_kind_and_field(capsys):
+    code, out, err = run_cli(capsys, "stats", "--kind", "asm", '{"kind":"asm"}')
+    assert code == 2 and out == ""
+    assert err == "error: asm JSON is missing the field 'n'\n"
+
+
+def test_json_of_another_kind_than_requested_is_a_usage_error(capsys):
+    asm = json.dumps({"kind": "asm", "n": 3, "rows": [list(r) for r in gold.ASMS_3[3]]})
+    for argv in (
+        ("convert", "--from", "permutation", "--to", "boolean", asm),
+        ("convert", "--from", "monotone", "--to", "asm", asm),
+        ("stats", "--kind", "boolean", asm),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "got kind 'asm'" in err
+    # Aliases name the same kind.
+    code, out, _ = run_cli(capsys, "convert", "--from", "permutation", "--to", "tsscpp", "231")
+    assert code == 0
+    for kind in ("tsscpp", "plane_partition"):
+        code, _, _ = run_cli(capsys, "convert", "--from", kind, "--to", "boolean", out)
+        assert code == 0

@@ -9,12 +9,16 @@ import pytest
 import golden_data as gold
 from gogmagog.triangles import (
     AlternationError,
+    Asm,
+    BooleanTriangle,
     BottomRowError,
     EntryError,
     FundamentalDomain,
     InconsistentDomain,
     InterlaceError,
     IntersectionError,
+    MagogTriangle,
+    MonotoneTriangle,
     MonotonicityError,
     NilpNest,
     NotTsscpp,
@@ -414,6 +418,41 @@ def test_json_round_trip(obj):
 def test_json_rejects_unknown_kind():
     with pytest.raises(ShapeError):
         from_json(json.dumps({"kind": "nonsense"}))
+
+
+@pytest.mark.parametrize(
+    "data,missing",
+    [
+        ({"kind": "asm"}, "n"),
+        ({"kind": "asm", "n": 3}, "rows"),
+        ({"kind": "permutation", "n": 2}, "sigma"),
+        ({"kind": "nilp_nest", "rows": []}, "n"),
+    ],
+)
+def test_json_missing_field_is_a_shape_error_naming_kind_and_field(data, missing):
+    with pytest.raises(ShapeError) as err:
+        from_json(json.dumps(data))
+    assert data["kind"] in str(err.value) and repr(missing) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "cls,raw",
+    [
+        (MonotoneTriangle, ()),
+        (MagogTriangle, ()),
+        (BooleanTriangle, ()),
+        (NilpNest, ()),
+        (Asm, ()),
+        (Permutation, ()),
+        (PlanePartition, ()),
+        (FundamentalDomain, ()),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_every_constructor_rejects_orders_below_one_and_non_integer_orders(cls, raw):
+    for n in (0, -1, "1", 1.0, True):
+        with pytest.raises(ShapeError):
+            cls(n, raw)
 
 
 # ------------------------------------------------------------ miscellany
