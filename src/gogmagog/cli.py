@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from . import bijections, claims, enumeration, orders, statistics
 from .enumeration import CapExceeded, FamilyId
 from .poset import SizeCap
 from .triangles import (
+    SCHEMA,
     Permutation,
     ValidationError,
     from_json_dict,
@@ -128,7 +130,7 @@ def _conversion_path(source, target):
 
 
 def convert_object(obj, target_kind):
-    source = obj.to_json_dict()["kind"]
+    source = SCHEMA[type(obj)][0]
     for func in _conversion_path(source, _KIND_ALIASES[target_kind]):
         obj = func(obj)
     return obj
@@ -168,7 +170,7 @@ _POSET_BUILDERS = {
 
 
 def _object_stats(obj):
-    kind = obj.to_json_dict()["kind"]
+    kind = SCHEMA[type(obj)][0]
     if kind == "asm":
         bundle = statistics.stat_bundle(obj)
         return {
@@ -203,8 +205,8 @@ def _cmd_enumerate(args, config):
     if args.count_only:
         print(enumeration.count(family, args.n, max_n=config.cap(family)))
         return 0
-    for obj in enumeration.generate(family, args.n, max_n=config.cap(family)):
-        print(to_json(obj))
+    for block in enumeration.jsonl(family, args.n, max_n=config.cap(family)):
+        sys.stdout.write(block)
     return 0
 
 
@@ -302,6 +304,8 @@ def _roundtrip_check(n):
 
 def _cmd_verify_all(args, config):
     n = args.n
+    if n < 1:
+        raise CapExceeded(f"order must be >= 1, got {n}")
     rows = []
     for k in range(1, n + 1):
         rows.append(_counts_check(k))
@@ -377,9 +381,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, Config.from_environment())
+        status = args.func(args, Config.from_environment())
+        sys.stdout.flush()
+        return status
     except (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader of stdout went away (as under ``| head``).  Point stdout
+        # at the null device, so that the flush at exit writes the rest of the
+        # buffer nowhere instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -9,15 +9,17 @@ first, and the search yields int8 entry arrays.  The other families are
 backtracking searches yielding row tuples: monotone and magog triangles grow
 from the fixed bottom row (any partial tower extends, so no dead ends), and
 nests add one path at a time pruning on intersection with the previous path.
-TSSCPPs are the expansions of the boolean triangles.
+TSSCPPs are the expansions of the boolean triangles, put in order by one
+``np.lexsort`` of their heights arrays.
 
 The search output is validated in chunks of at most ``CHUNK`` values by
 ``triangles.validate_batch`` (TSSCPPs by ``bijections.booleans_to_tsscpp``),
 with every check the constructors make.  :func:`count` adds up the sizes of
-the validated chunks and builds no objects; :func:`generate` builds the
-objects of a validated chunk without checking each one again.  A chunk that
-fails a check goes through the validating constructors, which raise the
-first violation.
+the validated chunks and :func:`jsonl` writes their JSON lines straight from
+the entry arrays (``triangles.format_batch``); neither builds an object.
+:func:`generate` builds the objects of a validated chunk without checking
+each one again, and keeps them in a cache.  A chunk that fails a check goes
+through the validating constructors, which raise the first violation.
 
 Orders are capped (``DEFAULT_CAPS``, overridable per call or via the
 ``TSSCPP_MAX_N`` environment variable) because the families grow too fast for
@@ -43,10 +45,11 @@ from .triangles import (
     Permutation,
     PlanePartition,
     build_batch,
+    format_batch,
     validate_batch,
 )
 
-__all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count"]
+__all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count", "jsonl"]
 
 ENV_CAP = "TSSCPP_MAX_N"
 # Values validated, and frontier states expanded, at a time: large enough
@@ -302,23 +305,50 @@ _SEARCH = {
 }
 
 
+def _validated(family, n):
+    """The search chunks of the family at order n as validated entry arrays
+    (see ``triangles.validate_batch``; TSSCPPs: flat heights arrays), in
+    search order.  A chunk that fails a check goes through the constructors,
+    which raise the first violation."""
+    if family is FamilyId.TSSCPP:
+        for chunk in _boolean_chunks(n):
+            yield bijections.booleans_to_tsscpp(n, chunk).reshape(len(chunk), -1)
+        return
+    cls, search = _SEARCH[family]
+    for chunk in search(n):
+        a = validate_batch(cls, n, chunk)
+        if a is None:
+            build_batch(cls, n, chunk)  # the constructors raise the first violation
+            raise AssertionError(f"{cls.__name__}: constructors accept a chunk the batch refused")
+        yield a
+
+
 def _tsscpp_heights(n):
-    """Validated heights arrays of the TSSCPPs of order n, chunk by chunk."""
-    for chunk in _boolean_chunks(n):
-        yield bijections.booleans_to_tsscpp(n, chunk)
+    """The flat heights arrays of the TSSCPPs of order n in lexicographic
+    order, in the narrowest dtype (heights are at most 2n)."""
+    dtype = np.min_scalar_type(2 * n)
+    heights = np.concatenate([chunk.astype(dtype) for chunk in _validated(FamilyId.TSSCPP, n)])
+    return heights[np.lexsort(heights.T[::-1])]
 
 
-def _tsscpp_rows(n):
-    return (tuple(map(tuple, heights)) for chunk in _tsscpp_heights(n) for heights in chunk.tolist())
+def _arrays(family, n):
+    """The class of the family, and its validated entry arrays of at most
+    ``CHUNK`` values each, in the order of :func:`generate`."""
+    if family is not FamilyId.TSSCPP:
+        return _SEARCH[family][0], _validated(family, n)
+    heights = _tsscpp_heights(n)
+    chunks = (heights[start : start + CHUNK] for start in range(0, len(heights), CHUNK))
+    return PlanePartition, chunks
 
 
 @lru_cache(maxsize=32)
 def _elements(family, n):
     if family is FamilyId.TSSCPP:
-        cls, search = PlanePartition, _chunks(_sorted(_tsscpp_rows))
+        cls, chunks = _arrays(family, n)
     else:
         cls, search = _SEARCH[family]
-    return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in search(n)))
+        chunks = search(n)
+    return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in chunks))
 
 
 def _checked(family, n, max_n):
@@ -343,12 +373,15 @@ def generate(family, n, *, max_n=None):
 def count(family, n, *, max_n=None) -> int:
     """Size of the family at order n; every value is validated, none built."""
     family = _checked(family, n, max_n)
-    if family is FamilyId.TSSCPP:
-        return sum(len(heights) for heights in _tsscpp_heights(n))
-    cls, search = _SEARCH[family]
-    total = 0
-    for chunk in search(n):
-        if validate_batch(cls, n, chunk) is None:
-            build_batch(cls, n, chunk)  # the constructors raise the first violation
-        total += len(chunk)
-    return total
+    return sum(len(a) for a in _validated(family, n))
+
+
+def jsonl(family, n, *, max_n=None):
+    """Yield the JSON lines of :func:`generate` (``triangles.to_json`` of each
+    object, newline-terminated) as one text block per chunk of at most
+    ``CHUNK`` values.  Every value is validated, none is built, and nothing
+    enters the cache of :func:`generate`."""
+    family = _checked(family, n, max_n)
+    cls, arrays = _arrays(family, n)
+    for a in arrays:
+        yield format_batch(cls, n, a)

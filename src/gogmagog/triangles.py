@@ -23,8 +23,9 @@ Conventions, fixed once for the whole package:
 All types are frozen dataclasses; construction validates every defining
 inequality and reports the first violation in row-major scan order.
 :func:`validate_batch` makes the same checks on a whole chunk of raw values
-at once, and :func:`build_batch` builds a chunk that passes them without
-checking each object again.
+at once, :func:`build_batch` builds a chunk that passes them without
+checking each object again, and :func:`format_batch` writes the JSON lines of
+such a chunk without building any object.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
     "expand_domains",
     "validate_batch",
     "build_batch",
+    "format_batch",
     "is_permutation_matrix",
     "to_json_dict",
     "from_json_dict",
@@ -842,6 +844,46 @@ def build_batch(cls, n, chunk):
     return objects
 
 
+# The JSON text of a nest step: entry 1 is a "D" step, 0 a "V" step.
+_STEP_TEXT = ('"V"', '"D"')
+
+
+def _row_texts(cls, block):
+    """The JSON array of each row of ``block`` (one slice of an entry array,
+    all rows of the same length), as a list of strings.  Each distinct row is
+    formatted once: rows are keyed by the bytes of a contiguous narrow copy,
+    which is exact for any entries."""
+    fits = ((block >= -128) & (block <= 127)).all()
+    narrow = np.ascontiguousarray(block, dtype=np.int8 if fits else np.int64)
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * narrow.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    word = _STEP_TEXT.__getitem__ if cls is NilpNest else str
+    return ["[" + ",".join(map(word, row)) + "]" for row in block[first].tolist()], inverse
+
+
+def format_batch(cls, n, a):
+    """``"".join(to_json(obj) + "\\n" for obj in build_batch(cls, n, a))`` for
+    an entry array ``a`` that :func:`validate_batch` passes (``NilpNest``: 1
+    for a "D" step, 0 for a "V" step), built from the entries alone: no
+    object, no dict and no ``json.dumps``."""
+    kind, field = SCHEMA[cls]
+    row_lengths = _BATCH[cls][0]
+    head = f'{{"kind":"{kind}","n":{n},"{field}":'
+    if row_lengths is None:  # a flat value: one row, no outer brackets
+        bounds, head, tail = [0, n], head, "}\n"
+    else:
+        bounds, head, tail = np.cumsum([0, *row_lengths(n)]), head + "[", "]}\n"
+    if len(bounds) == 1:  # no rows (a boolean triangle of order 1)
+        return (head + tail) * len(a)
+    columns = []
+    last = len(bounds) - 2
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        texts, inverse = _row_texts(cls, a[:, start:stop])
+        texts = [(head if i == 0 else "") + text + (tail if i == last else ",") for text in texts]
+        columns.append(map(texts.__getitem__, inverse.tolist()))
+    return "".join(chain.from_iterable(zip(*columns)))
+
+
 def validate_monotone(raw):
     rows = _as_rows(raw, "monotone triangle")
     return MonotoneTriangle(len(rows), rows)
@@ -1002,6 +1044,8 @@ _KINDS = {
     "plane_partition": (PlanePartition, "rows"),
     "fundamental_domain": (FundamentalDomain, "rows"),
 }
+# class -> (kind, JSON field)
+SCHEMA = {cls: (kind, field) for kind, (cls, field) in _KINDS.items()}
 
 
 def to_json_dict(obj):

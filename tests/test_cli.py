@@ -219,3 +219,48 @@ def test_json_of_another_kind_than_requested_is_a_usage_error(capsys):
     for kind in ("tsscpp", "plane_partition"):
         code, _, _ = run_cli(capsys, "convert", "--from", kind, "--to", "boolean", out)
         assert code == 0
+
+
+@pytest.mark.parametrize("n,lines_read", [("7", 1), ("3", 0)])
+def test_closed_stdout_pipe_exits_2_without_a_traceback(n, lines_read):
+    """As under `| head -1`, the reader goes away while blocks are still being
+    written; as under `| head -0`, before the first write, so that the output
+    is still buffered when the pipe turns out to be closed."""
+    import os
+    import subprocess
+    import sys
+
+    # Buffered, as stdout into a pipe is by default.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gogmagog", "enumerate", "--family", "boolean", "--n", n],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert all(line.startswith(b'{"kind":"boolean_triangle","n":7,') for line in lines)
+    assert err == b""
+
+
+def test_verify_all_order_below_one_is_a_usage_error(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify-all", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: order must be >= 1, got {n}\n"
+
+
+def test_kind_lookups_serialise_nothing(monkeypatch):
+    from gogmagog import cli
+    from gogmagog.triangles import SCHEMA
+
+    objects = [from_json(json.dumps({"kind": "permutation", "n": 3, "sigma": [2, 3, 1]}))]
+    objects += [cli.convert_object(objects[0], kind) for kind in ("asm", "boolean", "nilp", "fundamental")]
+    expected = [cli._object_stats(obj) for obj in objects]
+    for cls in SCHEMA:
+        monkeypatch.setattr(cls, "to_json_dict", None)
+    assert [cli._object_stats(obj) for obj in objects] == expected
+    assert cli.convert_object(objects[0], "tsscpp") == cli.convert_object(objects[1], "tsscpp")

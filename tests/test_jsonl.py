@@ -1,0 +1,152 @@
+"""The JSON-lines path: ``enumeration.jsonl`` and ``triangles.format_batch``.
+
+``jsonl`` writes the lines of ``generate`` straight from the validated entry
+arrays of the search, without building objects.  The oracle is ``to_json``
+of the objects ``generate`` builds.
+"""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+
+from gogmagog import enumeration
+from gogmagog.enumeration import FamilyId, generate, jsonl
+from gogmagog.triangles import (
+    BooleanTriangle,
+    MonotoneTriangle,
+    Permutation,
+    PlanePartition,
+    ValidationError,
+    build_batch,
+    format_batch,
+    to_json,
+    validate_batch,
+)
+
+
+def _expected(family, n):
+    return "".join(to_json(obj) + "\n" for obj in generate(family, n))
+
+
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+def test_jsonl_equals_to_json_of_generate(family):
+    for n in range(1, 7):
+        blocks = list(jsonl(family, n))
+        assert all(0 < block.count("\n") <= enumeration.CHUNK for block in blocks)
+        assert "".join(blocks) == _expected(family, n), n
+    enumeration._elements.cache_clear()
+
+
+@pytest.mark.parametrize("family", ["asm", "boolean"])
+def test_jsonl_equals_to_json_of_generate_at_order_seven(family):
+    try:
+        assert "".join(jsonl(family, 7)) == _expected(family, 7)
+    finally:
+        enumeration._elements.cache_clear()
+
+
+def _invalid_boolean_chunk(n):
+    """The first search chunk of order n with one value replaced by the
+    lexicographically first 0/1 triangle that is not a boolean triangle."""
+    chunk = next(enumeration._boolean_chunks(n)).copy()
+    valid = set(map(tuple, chunk.tolist()))
+    width = chunk.shape[1]
+    bad = next(e for e in product((0, 1), repeat=width) if e not in valid)
+    chunk[len(chunk) // 2] = bad
+    return chunk
+
+
+def _constructor_error(cls, n, chunk):
+    with pytest.raises(ValidationError) as caught:
+        build_batch(cls, n, chunk)
+    return caught.value
+
+
+def _assert_raises_like(expected, family, n):
+    with pytest.raises(type(expected)) as caught:
+        list(jsonl(family, n))
+    assert str(caught.value) == str(expected)
+
+
+@pytest.mark.parametrize("entry", [None, 2, -1])
+def test_an_invalid_search_value_raises_the_constructor_error(entry, monkeypatch):
+    n = 5
+    chunk = _invalid_boolean_chunk(n)
+    if entry is not None:
+        chunk[3, 4] = entry
+    expected = _constructor_error(BooleanTriangle, n, chunk)
+    monkeypatch.setitem(enumeration._SEARCH, FamilyId.BOOLEAN, (BooleanTriangle, lambda n: iter([chunk])))
+    _assert_raises_like(expected, "boolean", n)
+    # TSSCPPs come from the same search, through the batched expansion.
+    monkeypatch.setattr(enumeration, "_boolean_chunks", lambda n: iter([chunk]))
+    _assert_raises_like(expected, "tsscpp", n)
+
+
+def test_an_invalid_tuple_search_value_raises_the_constructor_error(monkeypatch):
+    n = 4
+    chunk = [value for chunk in enumeration._SEARCH[FamilyId.MONOTONE][1](n) for value in chunk]
+    chunk[5] = ((3,), (1, 2), (1, 2, 3), (1, 2, 3, 4))  # 3 does not interlace 1, 2
+    expected = _constructor_error(MonotoneTriangle, n, chunk)
+    monkeypatch.setitem(enumeration._SEARCH, FamilyId.MONOTONE, (MonotoneTriangle, lambda n: iter([chunk])))
+    _assert_raises_like(expected, "monotone", n)
+
+
+def _plane_partitions(rng, count, n, top):
+    """Random plane partitions of side 2n with entries 0..top: sorting the
+    rows and then the columns of any array keeps both weakly decreasing."""
+    a = rng.integers(0, top + 1, size=(count, 2 * n, 2 * n))
+    a = -np.sort(-a, axis=2)
+    return -np.sort(-a, axis=1)
+
+
+def test_format_batch_is_exact_on_wide_rows_with_large_entries():
+    """Order 8: rows of 16 entries up to 16, where a positional code in base
+    17 overflows int64."""
+    n, side = 8, 16
+    a = _plane_partitions(np.random.default_rng(8), 400, n, side)
+    # Values that differ in a single entry of a single row.
+    twins = a[:200].copy()
+    twins[:, side - 1, side - 1] = 0
+    twins[:, 0, 0] = side
+    a = np.concatenate((a, twins)).reshape(600, -1)
+    assert a.max() == side and a.min() == 0
+    assert validate_batch(PlanePartition, n, a) is not None
+    expected = "".join(to_json(PlanePartition(n, value.reshape(side, side).tolist())) + "\n" for value in a)
+    assert format_batch(PlanePartition, n, a) == expected
+
+
+def test_format_batch_keeps_apart_rows_equal_in_their_low_bytes():
+    """Entries 1 and 257 share their low byte, so int8 keys would merge the
+    two permutations."""
+    n = 300
+    identity = np.arange(1, n + 1)
+    swapped = identity.copy()
+    swapped[[0, 256]] = swapped[[256, 0]]
+    a = np.stack((identity, swapped))
+    assert validate_batch(Permutation, n, a) is not None
+    expected = "".join(to_json(Permutation(n, value)) + "\n" for value in a.tolist())
+    assert format_batch(Permutation, n, a) == expected
+
+
+# Held whole, the 218,348 boolean triangles of order 7 as objects take about
+# 57 MB of traced allocations; a chunk of text and arrays at a time peaks
+# at about 7 MB.
+PEAK_BYTES = 12_000_000
+
+
+def test_jsonl_streams_without_objects_or_the_cache():
+    enumeration._elements.cache_clear()
+    enumeration._boolean_candidates.cache_clear()
+    lines = 0
+    tracemalloc.start()
+    try:
+        for block in jsonl("boolean", 7):
+            lines += block.count("\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines == 218348
+    assert peak < PEAK_BYTES
+    assert enumeration._elements.cache_info().currsize == 0
