@@ -9,14 +9,13 @@ a product of chains wedged between the weak and strong Bruhat orders.
 
 from gogmagog import orders
 from gogmagog.claims import CLAIMS, run_claim
-from gogmagog.poset import isomorphic_to
 
 for n in (2, 3, 4):
     a = orders.build_An(n)
     ideals = orders.build_Pn(n).order_ideals()
     print(f"matrix order, n={n}: {a.size} elements,"
           f" ideal lattice of a {orders.build_Pn(n).size}-element poset:"
-          f" isomorphic={isomorphic_to(a, ideals) is not None}")
+          f" isomorphic={a.isomorphism_to(ideals) is not None}")
 
 print()
 tb4 = orders.build_TBool(4)
@@ -32,14 +31,14 @@ for n in (3, 4, 5):
     chains = orders.build_product_of_chains(n)
     weak = orders.build_weak_order(n)
     strong = orders.build_strong_bruhat(n)
-    print(f"  n={n}: iso to [2]x...x[{n}]: {isomorphic_to(bp, chains) is not None},"
-          f" weak within: {weak.relations_subset_of(bp)},"
-          f" within strong: {bp.relations_subset_of(strong)}")
+    print(f"  n={n}: iso to [2]x...x[{n}]: {bp.isomorphism_to(chains) is not None},"
+          f" weak within: {weak.relations_not_in(bp) is None},"
+          f" within strong: {bp.relations_not_in(strong) is None}")
 
 print()
 print("Tamari vs Catalan distributive at order 4: same size, different shape")
 tam, cat = orders.build_tamari(4), orders.build_catalan_distributive(4)
-print(f"  sizes {tam.size} and {cat.size}, isomorphic: {isomorphic_to(tam, cat) is not None}")
+print(f"  sizes {tam.size} and {cat.size}, isomorphic: {tam.isomorphism_to(cat) is not None}")
 print(f"  tamari ranked: {tam.is_ranked()}, catalan ranked: {cat.is_ranked()}")
 
 print()

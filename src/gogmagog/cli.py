@@ -35,8 +35,6 @@ class Config:
     """Resolved run configuration; the CLI is always deterministic."""
 
     max_n: dict = field(default_factory=dict)
-    output: str = "jsonl"
-    deterministic: bool = True
 
     @classmethod
     def from_environment(cls):
@@ -238,8 +236,6 @@ def _cmd_dist(args, config):
 
 
 def _cmd_poset(args, config):
-    if args.n < 1:
-        raise CapExceeded(f"order must be >= 1, got {args.n}")
     p = _POSET_BUILDERS[args.name](args.n)
     if args.out == "dot":
         print(p.to_dot())
@@ -258,63 +254,8 @@ def _cmd_poset_check(args, config):
     return 1
 
 
-def _counts_check(n):
-    asm = enumeration.count(FamilyId.ASM, n)
-    boolean = enumeration.count(FamilyId.BOOLEAN, n)
-    return {"claim": "counts", "n": n, "ok": asm == boolean, "asm": asm, "boolean": boolean}
-
-
-def _factorial_check(n):
-    total = enumeration.count(FamilyId.PERMUTATION_BOOLEAN, n)
-    expected = 1
-    for i in range(2, n + 1):
-        expected *= i
-    return {"claim": "factorial", "n": n, "ok": total == expected, "count": total}
-
-
-def _statistics_check(n):
-    from .statistics import boolean_stat_triple, perm_inversions
-
-    ok = True
-    for p in enumeration.generate(FamilyId.PERMUTATION, n):
-        b = bijections.permutation_to_boolean(p)
-        zeros, last_row, lowest = boolean_stat_triple(b)
-        expected_lowest = None if p.sigma.index(p.n) + 1 == 1 else p.sigma.index(p.n)
-        if zeros != perm_inversions(p) or last_row != n - p.sigma[-1] or lowest != expected_lowest:
-            ok = False
-            break
-    return {"claim": "statistics", "n": n, "ok": ok}
-
-
-def _roundtrip_check(n):
-    ok = True
-    for b in enumeration.generate(FamilyId.BOOLEAN, n):
-        d = bijections.fundamental_from_boolean(b)
-        if bijections.boolean_from_fundamental(d) != b:
-            ok = False
-        if bijections.nilp_to_boolean(bijections.boolean_to_nilp(b)) != b:
-            ok = False
-        if bijections.magog_to_boolean(bijections.boolean_to_magog(b)) != b:
-            ok = False
-    for a in enumeration.generate(FamilyId.ASM, n):
-        if bijections.monotone_to_asm(bijections.asm_to_monotone(a)) != a:
-            ok = False
-    return {"claim": "roundtrips", "n": n, "ok": ok}
-
-
 def _cmd_verify_all(args, config):
-    n = args.n
-    if n < 1:
-        raise CapExceeded(f"order must be >= 1, got {n}")
-    rows = []
-    for k in range(1, n + 1):
-        rows.append(_counts_check(k))
-        rows.append(_factorial_check(k))
-        rows.append(_statistics_check(k))
-        rows.append(_roundtrip_check(k))
-    for name in claims.claim_names():
-        for k in range(2, n + 1):
-            rows.append(claims.run_claim(name, k))
+    rows = claims.verify_all(args.n)
     width = max(len(r["claim"]) for r in rows)
     failures = 0
     for r in rows:
@@ -366,7 +307,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("poset-check", help="verify one structural claim")
-    p.add_argument("--claim", required=True, choices=sorted(claims.claim_names()))
+    p.add_argument("--claim", required=True, choices=sorted(claims.CLAIMS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_poset_check)
 

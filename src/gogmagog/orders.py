@@ -15,7 +15,8 @@ from itertools import product
 import numpy as np
 
 from . import bijections, enumeration
-from .poset import Poset
+from .enumeration import CapExceeded
+from .poset import Poset, SizeCap
 from .triangles import Permutation, to_json
 
 __all__ = [
@@ -42,8 +43,6 @@ def _componentwise(labels, vectors, *, reverse=False, max_size=20_000):
     """Componentwise order on integer vectors; ``reverse`` compares them the
     other way round (x <= y iff x >= y componentwise)."""
     if len(vectors) > max_size:
-        from .poset import SizeCap
-
         raise SizeCap(
             f"componentwise poset on {len(vectors)} elements exceeds {max_size}"
         )
@@ -53,12 +52,19 @@ def _componentwise(labels, vectors, *, reverse=False, max_size=20_000):
     return Poset.componentwise(labels, -arr if reverse else arr)
 
 
+def _check_order(n):
+    """The order check of :func:`enumeration.generate`, for the other builders."""
+    if n < 1:
+        raise CapExceeded(f"order must be >= 1, got {n}")
+
+
 def _coordinate_poset(n, cover_moves):
     """Poset on coordinates (i, j, k), 0 <= i, j <= n-2-i, k <= n-2-i-j,
     generated by the given cover moves and closed transitively."""
+    _check_order(n)
     elements = [
         (i, j, k)
-        for i in range(max(0, n - 1))
+        for i in range(n - 1)
         for j in range(n - 1 - i)
         for k in range(n - 1 - i - j)
     ]
@@ -208,18 +214,21 @@ def _vector_label(x):
 
 def build_tamari(n):
     """Bracket vectors under reverse componentwise comparison."""
+    _check_order(n)
     vectors = bracket_vectors(n)
     return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
 
 
 def build_catalan_distributive(n):
     """Weakly increasing sequences under reverse componentwise comparison."""
+    _check_order(n)
     vectors = catalan_sequences(n)
     return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
 
 
 def build_product_of_chains(n):
     """[2] x [3] x ... x [n]: tuples (c_1, ..., c_{n-1}) with 0 <= c_i <= i."""
+    _check_order(n)
     vectors = list(product(*(range(i + 1) for i in range(1, n))))
     return _componentwise([str(v) for v in vectors], vectors)
 

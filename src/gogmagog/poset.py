@@ -27,14 +27,6 @@ __all__ = [
     "SizeCap",
     "LatticeReport",
     "Poset",
-    "from_comparisons",
-    "covers",
-    "lattice_report",
-    "order_ideals",
-    "induced_subposet",
-    "isomorphic_to",
-    "relations_subset",
-    "is_ranked",
 ]
 
 
@@ -190,6 +182,16 @@ class Poset:
         return poset
 
     @classmethod
+    def _closed(cls, labels, matrix):
+        """Close ``matrix`` reflexively and transitively; refuse a cycle."""
+        closed = _closure(matrix)
+        bad = closed & closed.T & ~np.eye(len(labels), dtype=bool)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
+        return cls(labels, closed, _certified=True)
+
+    @classmethod
     def from_comparisons(cls, elements, leq_predicate):
         """Close the comparison predicate reflexively and transitively, then
         certify antisymmetry."""
@@ -200,12 +202,7 @@ class Poset:
             for j, y in enumerate(labels):
                 if leq_predicate(x, y):
                     matrix[i, j] = True
-        closed = _closure(matrix)
-        bad = closed & closed.T & ~np.eye(n, dtype=bool)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-        return cls(labels, closed, _certified=True)
+        return cls._closed(labels, matrix)
 
     @classmethod
     def from_covers(cls, labels, cover_pairs):
@@ -215,11 +212,7 @@ class Poset:
         matrix = np.zeros((n, n), dtype=bool)
         for x, y in cover_pairs:
             matrix[index[x], index[y]] = True
-        closed = _closure(matrix)
-        bad = closed & closed.T & ~np.eye(n, dtype=bool)
-        if bad.any():
-            raise PosetError("cover closure is not antisymmetric")
-        return cls(labels, closed, _certified=True)
+        return cls._closed(labels, matrix)
 
     # -- basic queries ----------------------------------------------------
 
@@ -286,8 +279,6 @@ class Poset:
             chosen = [i for i, label in enumerate(self.labels) if label in wanted]
         idx = np.array(chosen, dtype=int)
         labels = tuple(self.labels[i] for i in chosen)
-        if len(idx) == 0:
-            return Poset(labels, np.zeros((0, 0), dtype=bool), _certified=True)
         return Poset(labels, self._leq[np.ix_(idx, idx)], _certified=True)
 
     def order_ideals(self, *, max_size=30, max_ideals=1_000_000):
@@ -370,18 +361,6 @@ class Poset:
                 return None, (x, no_greatest)
         return table, None
 
-    def meet_table(self):
-        table, witness = self._bound_table(lower=True)
-        if table is None:
-            raise PosetError("not a meet-semilattice")
-        return table
-
-    def join_table(self):
-        table, witness = self._bound_table(lower=False)
-        if table is None:
-            raise PosetError("not a join-semilattice")
-        return table
-
     def join_irreducibles(self):
         """Elements with exactly one lower cover."""
         cov = self.cover_matrix()
@@ -416,8 +395,6 @@ class Poset:
         n = self.size
         if n > max_size:
             raise SizeCap(f"lattice_report capped at {max_size} elements, got {n}")
-        if n == 0:
-            return LatticeReport(True, None, True, None)
         meet, witness = self._bound_table(lower=True)
         if meet is None:
             x, y = witness
@@ -446,11 +423,6 @@ class Poset:
         return LatticeReport(True, None, irreducibles.count_ideals() == n, None)
 
     # -- comparisons across posets ------------------------------------------
-
-    def relations_subset_of(self, other):
-        """True iff every relation of self holds in other, matching labels."""
-        missing = self.relations_not_in(other)
-        return missing is None
 
     def relations_not_in(self, other):
         """First relation pair of self absent from other, or None."""
@@ -498,8 +470,6 @@ class Poset:
         if self.size > max_size:
             raise SizeCap(f"isomorphic_to capped at {max_size} elements")
         n = self.size
-        if n == 0:
-            return {}
         mine = self._refined_colors()
         theirs = other._refined_colors()
 
@@ -594,35 +564,3 @@ class Poset:
             lines.append(f"  {quote(self.labels[i])} -> {quote(self.labels[j])};")
         lines.append("}")
         return "\n".join(lines)
-
-
-def from_comparisons(elements, leq_predicate):
-    return Poset.from_comparisons(elements, leq_predicate)
-
-
-def covers(p: Poset):
-    return p.cover_label_pairs()
-
-
-def lattice_report(p: Poset, **kwargs):
-    return p.lattice_report(**kwargs)
-
-
-def order_ideals(p: Poset, **kwargs):
-    return p.order_ideals(**kwargs)
-
-
-def induced_subposet(p: Poset, keep):
-    return p.induced(keep)
-
-
-def isomorphic_to(p: Poset, q: Poset, **kwargs):
-    return p.isomorphism_to(q, **kwargs)
-
-
-def relations_subset(p: Poset, q: Poset):
-    return p.relations_subset_of(q)
-
-
-def is_ranked(p: Poset):
-    return p.is_ranked()

@@ -239,9 +239,6 @@ class MonotoneTriangle:
                             col=c + 1,
                         )
 
-    def to_json_dict(self):
-        return {"kind": "monotone_triangle", "n": self.n, "rows": [list(r) for r in self.rows]}
-
 
 @dataclass(frozen=True)
 class MagogTriangle:
@@ -293,9 +290,6 @@ class MagogTriangle:
                             row=r + 1,
                             col=c + 1,
                         )
-
-    def to_json_dict(self):
-        return {"kind": "magog_triangle", "n": self.n, "rows": [list(r) for r in self.rows]}
 
 
 @dataclass(frozen=True)
@@ -350,9 +344,6 @@ class BooleanTriangle:
             raise IndexError(f"diagonal {q} out of range 1..{self.n - 1}")
         return tuple(self.rows[r][r - (self.n - 1 - q)] for r in range(self.n - 1 - q, self.n - 1))
 
-    def to_json_dict(self):
-        return {"kind": "boolean_triangle", "n": self.n, "rows": [list(r) for r in self.rows]}
-
 
 @dataclass(frozen=True)
 class NilpNest:
@@ -404,9 +395,6 @@ class NilpNest:
     def endpoints(self):
         return tuple(self.points(i)[-1] for i in range(1, self.n))
 
-    def to_json_dict(self):
-        return {"kind": "nilp_nest", "n": self.n, "paths": [list(p) for p in self.paths]}
-
 
 @dataclass(frozen=True)
 class Asm:
@@ -455,9 +443,6 @@ class Asm:
             if col[c] != 1:
                 raise ColumnSumError(f"asm: column {c + 1} sums to {col[c]}, expected 1", col=c + 1)
 
-    def to_json_dict(self):
-        return {"kind": "asm", "n": self.n, "rows": [list(r) for r in self.rows]}
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -504,9 +489,6 @@ class Permutation:
         except ValueError:
             raise EntryError(f"permutation: {text!r} is not one-line notation") from None
         return cls(len(values), values)
-
-    def to_json_dict(self):
-        return {"kind": "permutation", "n": self.n, "sigma": list(self.sigma)}
 
 
 @dataclass(frozen=True)
@@ -559,15 +541,6 @@ class PlanePartition:
         k = np.arange(1, side + 1)
         return k[None, None, :] <= t[:, :, None]
 
-    def lattice_points(self):
-        return {
-            (i + 1, j + 1, k + 1)
-            for (i, j, k) in zip(*np.nonzero(self.cube()))
-        }
-
-    def to_json_dict(self):
-        return {"kind": "plane_partition", "n": self.n, "rows": [list(r) for r in self.rows]}
-
 
 @dataclass(frozen=True)
 class FundamentalDomain:
@@ -608,9 +581,6 @@ class FundamentalDomain:
                         row=r + 2,
                         col=c,
                     )
-
-    def to_json_dict(self):
-        return {"kind": "fundamental_domain", "n": self.n, "rows": [list(r) for r in self.rows]}
 
 
 @dataclass(frozen=True)
@@ -1049,7 +1019,13 @@ SCHEMA = {cls: (kind, field) for kind, (cls, field) in _KINDS.items()}
 
 
 def to_json_dict(obj):
-    return obj.to_json_dict()
+    """The JSON object of a value: its kind, its order and its ``SCHEMA``
+    field; a permutation's ``sigma`` is flat, every other field is a list
+    of rows."""
+    kind, field = SCHEMA[type(obj)]
+    value = getattr(obj, field)
+    entries = list(value) if field == "sigma" else [list(row) for row in value]
+    return {"kind": kind, "n": obj.n, field: entries}
 
 
 def from_json_dict(data):
@@ -1067,7 +1043,7 @@ def from_json_dict(data):
 
 
 def to_json(obj):
-    return json.dumps(obj.to_json_dict(), separators=(",", ":"))
+    return json.dumps(to_json_dict(obj), separators=(",", ":"))
 
 
 def from_json(text):

@@ -7,7 +7,8 @@ import pytest
 
 import golden_data as gold
 from gogmagog import claims, orders
-from gogmagog.poset import Poset, isomorphic_to
+from gogmagog.enumeration import CapExceeded
+from gogmagog.poset import Poset
 from gogmagog.statistics import avoids
 from gogmagog.triangles import Permutation
 
@@ -92,8 +93,8 @@ def test_TBool3_is_nondistributive_lattice():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_object_orders_are_ideal_lattices(n):
-    assert isomorphic_to(orders.build_An(n), orders.build_Pn(n).order_ideals()) is not None
-    assert isomorphic_to(orders.build_Tn(n), orders.build_Qn(n).order_ideals()) is not None
+    assert orders.build_An(n).isomorphism_to(orders.build_Pn(n).order_ideals()) is not None
+    assert orders.build_Tn(n).isomorphism_to(orders.build_Qn(n).order_ideals()) is not None
     for builder in (orders.build_An, orders.build_Tn):
         report = builder(n).lattice_report()
         assert report.is_lattice and report.is_distributive
@@ -101,8 +102,8 @@ def test_object_orders_are_ideal_lattices(n):
 
 def test_object_orders_are_ideal_lattices_order_five():
     # one order past the required range; 429-element isomorphisms
-    assert isomorphic_to(orders.build_An(5), orders.build_Pn(5).order_ideals()) is not None
-    assert isomorphic_to(orders.build_Tn(5), orders.build_Qn(5).order_ideals()) is not None
+    assert orders.build_An(5).isomorphism_to(orders.build_Pn(5).order_ideals()) is not None
+    assert orders.build_Tn(5).isomorphism_to(orders.build_Qn(5).order_ideals()) is not None
 
 
 # ----------------------------------------------------- permutation posets
@@ -124,7 +125,7 @@ def test_T3_perm_golden_covers_and_mirror_shape():
         sorted({x for pair in gold.T3PERM_MIRROR_COVERS for x in pair}),
         gold.T3PERM_MIRROR_COVERS,
     )
-    assert isomorphic_to(t3p, mirrored) is not None
+    assert t3p.isomorphism_to(mirrored) is not None
 
 
 def test_bruhat_orders_on_s3():
@@ -132,8 +133,8 @@ def test_bruhat_orders_on_s3():
     strong = orders.build_strong_bruhat(3)
     assert len(weak.cover_label_pairs()) == 6
     assert strong.cover_label_pairs() == gold.STRONG3_COVERS
-    assert weak.relations_subset_of(strong)
-    assert not strong.relations_subset_of(weak)
+    assert weak.relations_not_in(strong) is None
+    assert strong.relations_not_in(weak) is not None
 
 
 def test_bruhat_orders_tiny():
@@ -171,7 +172,7 @@ def test_tamari_and_catalan_golden_covers():
     cat = orders.build_catalan_distributive(3)
     assert tam.cover_label_pairs() == gold.TAM3_COVERS
     assert cat.cover_label_pairs() == gold.CAT3_COVERS
-    assert isomorphic_to(tam, cat) is None
+    assert tam.isomorphism_to(cat) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -181,7 +182,7 @@ def test_catalan_counts(n):
 
 
 def test_tamari_not_isomorphic_to_catalan_at_four():
-    assert isomorphic_to(orders.build_tamari(4), orders.build_catalan_distributive(4)) is None
+    assert orders.build_tamari(4).isomorphism_to(orders.build_catalan_distributive(4)) is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -235,3 +236,24 @@ def test_other_avoidance_classes_at_four_are_neither_ranked_nor_lattices():
         assert sub.size == 14
         assert not sub.is_ranked()
         assert not sub.lattice_report().is_lattice
+
+
+# ------------------------------------------------------------ input contract
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        orders.build_Pn,
+        orders.build_Qn,
+        orders.build_tamari,
+        orders.build_catalan_distributive,
+        orders.build_product_of_chains,
+        orders.build_An,
+        orders.build_weak_order,
+    ],
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_builders_refuse_orders_below_one(builder, n):
+    with pytest.raises(CapExceeded, match=f"^order must be >= 1, got {n}$"):
+        builder(n)
