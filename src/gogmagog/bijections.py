@@ -77,6 +77,8 @@ __all__ = [
     "tsscpp_to_boolean",
     "boolean_to_tsscpp",
     "booleans_to_tsscpp",
+    "magogs_to_booleans",
+    "booleans_to_magogs",
     "boolean_to_monotone_perm",
     "monotone_perm_to_boolean",
     "permutation_to_boolean",
@@ -312,6 +314,32 @@ def booleans_to_tsscpp(n, chunk):
         rows = [boolean_to_tsscpp(b).rows for b in build_batch(BooleanTriangle, n, chunk)]
         heights = np.array(rows, dtype=np.int64).reshape(len(chunk), 2 * n, 2 * n)
     return heights
+
+
+def magogs_to_booleans(n, a):
+    """Batch form of :func:`magog_to_boolean` on the validated magog entry
+    arrays of order n (``triangles.validate_batch``): int8 boolean entry
+    arrays.  Entry (r, c) less c + 1 is cell (r - c, c) of the domain, and a
+    domain row with l >= 1 cells of height at least L puts the zero at depth
+    n - L - l of diagonal n - L, which is in row n - 1 - l."""
+    r, c = _triangle_cells(n)
+    domain = np.zeros((len(a), n, n), dtype=np.int8)
+    domain[:, r - c, c] = a - (c + 1).astype(np.int8)
+    out = np.ones((len(a), n * (n - 1) // 2), dtype=np.int8)
+    for level in range(1, n):
+        lengths = (domain >= level).sum(axis=2)
+        triangle, _ = np.nonzero(lengths)
+        length = lengths[lengths > 0]
+        row = n - 1 - length
+        out[triangle, row * (row + 1) // 2 + n - level - length] = 0
+    return out
+
+
+def booleans_to_magogs(n, a):
+    """Batch form of :func:`boolean_to_magog` on validated boolean entry
+    arrays of order n: entry (r, c) is domain cell (r - c, c) plus c + 1."""
+    r, c = _triangle_cells(n)
+    return _domains_from_booleans(n, a)[:, n + 1 + r - c, n + 1 + r] + c + 1
 
 
 def is_permutation_boolean(b: BooleanTriangle) -> bool:

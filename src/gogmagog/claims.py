@@ -1,27 +1,36 @@
 """Machine checks: one registry for ``verify-all`` and ``poset-check``.
 
 ``verify-all`` runs the ``CHECKS`` (counts, n!, statistics, round trips) for
-k = 1..n, then each of the nine ``CLAIMS`` for k = 2..n.  Each check returns
-a dict with at least ``claim``, ``n`` and ``ok``; failures carry a witness.
+k = 1..n, then each of the nine ``CLAIMS`` for k = 2..n; a check that hits a
+cap gives a row with the reason under ``cap``.  Each check returns a dict
+with at least ``claim``, ``n`` and ``ok``; failures carry a witness.
 
 A claim with a known map is decided by one comparison of relation matrices
 through it: the identity on one-line labels (``thm4.4``), the bracket vector
 x_i = i + (row sum) (``thm4.9``, ``thm4.12``, ``cor4.17``), and the zero
 count of each boolean-triangle row, onto [2]x...x[n] (``cor4.16``, whose
 weak and strong containments compare the matrices on shared labels).
-``thm4.2`` and ``thm4.6`` have no map yet and search for an isomorphism.
+The other four check certificates on the entry arrays of
+``enumeration.entries`` and build no relation matrix on the triangles:
+``thm4.2`` and ``thm4.6`` the chain map onto the ideals (each non-bottom
+entry owns a chain of P_n or Q_n, as in Striker's tetrahedral poset, Adv.
+Appl. Math. 46, 2011), ``lemma4.8`` the unit moves that map makes the
+covers, and ``prop-nonlattice`` beyond n = 3 one pair without a meet.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import numpy as np
 
 from . import bijections, enumeration, orders
 from .enumeration import CapExceeded, FamilyId
+from .poset import SizeCap
 from .statistics import avoids, boolean_stat_triple, perm_inversions
-from .triangles import Permutation
+from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle, Permutation
+from .triangles import _triangle_cells, format_batch
 
 __all__ = ["CHECKS", "CLAIMS", "run_claim", "verify_all"]
 
@@ -92,20 +101,82 @@ def check_roundtrips(n):
     return _result("roundtrips", n, ok)
 
 
+def _chains(n, magog):
+    """The chain of P_n (monotone) or Q_n (magog) that each non-bottom entry
+    of a triangle of order n owns, row-major, bottom end first: entry j of
+    the row of length r owns {(j, t, n-1-r-t)} or {(i, j, r-1-j)}."""
+    return [
+        [(i, j, r - 1 - j) if magog else (j, i, n - 1 - r - i) for i in range(n - r - 1, -1, -1)]
+        for r in range(1, n)
+        for j in range(r)
+    ]
+
+
+def _label(cls, n, entries):
+    return format_batch(cls, n, entries[None]).rstrip("\n")
+
+
+def _chain_map(cls, coordinates, n):
+    """The triangles of order n (``cls``: monotone or magog) as entries, the
+    counts entry - j - 1 of their chain map into the ideals of
+    ``coordinates`` (P_n or Q_n), the mixed-radix keys of the counts with
+    their strides and sorting order, and a witness that the map is no
+    isomorphism onto the ideal lattice, or None.
+
+    Validation fixes the bottom row and puts each count in 0..chain length.
+    When the chains partition the coordinates, x <= y componentwise exactly
+    when ideal(x) lies in ideal(y).  The map is then an isomorphism when
+    every image is down-closed, no two keys (hence images) agree, and the
+    images are as many as the ideals."""
+    chains = _chains(n, cls is MagogTriangle)
+    radix = [len(chain) + 1 for chain in chains]
+    if prod(radix) >= 1 << 63:
+        raise SizeCap(f"chain counts of order {n} do not fit a 64-bit key")
+    a = enumeration.entries(FamilyId.MAGOG if cls is MagogTriangle else FamilyId.MONOTONE, n)
+    counts = a[:, : len(chains)] - np.array([j + 1 for r in range(1, n) for j in range(r)], a.dtype)
+    strides = np.array([prod(radix[c + 1 :]) for c in range(len(radix))], dtype=np.int64)
+    keys = counts @ strides
+    order = np.argsort(keys, kind="stable")
+
+    def witness():
+        owners = Counter(str(e) for chain in chains for e in chain)
+        owners.subtract(coordinates.labels)
+        for label, surplus in owners.items():
+            if surplus:
+                return ("chains do not partition", label)
+        owner = {str(e): (c, k) for c, chain in enumerate(chains) for k, e in enumerate(chain)}
+        for i, j in coordinates.cover_pairs():
+            low, high = coordinates.labels[i], coordinates.labels[j]
+            (cl, kl), (ch, kh) = owner[low], owner[high]
+            missing = (counts[:, ch] > kh) & (counts[:, cl] <= kl)  # holds high, not low
+            if missing.any():
+                return ("not down-closed", _label(cls, n, a[missing.argmax()]), high, low)
+        same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+        if len(same):
+            return ("same ideal", *(_label(cls, n, a[order[same[0] + k]]) for k in (0, 1)))
+        if len(a) != coordinates.count_ideals():
+            return ("ideal count", len(a), coordinates.count_ideals())
+        return None
+
+    return a, counts, keys, strides, order, witness()
+
+
+def _ideal_lattice_check(claim, cls, coordinates, n):
+    """The componentwise order is the ideal lattice of the coordinate poset
+    of join irreducibles, through the chain map."""
+    a, *_, witness = _chain_map(cls, coordinates, n)
+    if witness is None:
+        return _result(claim, n, True, size=len(a), ideal_count=len(a))
+    ideal_count = coordinates.count_ideals()
+    return _result(claim, n, False, size=len(a), ideal_count=ideal_count, witness=witness)
+
+
 def check_ideal_lattice_asm(n):
-    """The monotone-triangle order is the ideal lattice of its coordinate
-    poset of join irreducibles."""
-    a = orders.build_An(n)
-    ideals = orders.build_Pn(n).order_ideals()
-    iso = a.isomorphism_to(ideals)
-    return _result("thm4.2", n, iso is not None, size=a.size, ideal_count=ideals.size)
+    return _ideal_lattice_check("thm4.2", MonotoneTriangle, orders.build_Pn(n), n)
 
 
 def check_ideal_lattice_magog(n):
-    t = orders.build_Tn(n)
-    ideals = orders.build_Qn(n).order_ideals()
-    iso = t.isomorphism_to(ideals)
-    return _result("thm4.6", n, iso is not None, size=t.size, ideal_count=ideals.size)
+    return _ideal_lattice_check("thm4.6", MagogTriangle, orders.build_Qn(n), n)
 
 
 def check_strong_bruhat(n):
@@ -152,8 +223,8 @@ def check_bruhat_sandwich(n):
     triangle, and sits between the weak and strong orders."""
     boolperm = orders.build_TBool_perm(n)
     row_zeros = {
-        p.one_line(): str(tuple(row.count(0) for row in bijections.permutation_to_boolean(p).rows))
-        for p in enumeration.generate(FamilyId.PERMUTATION, n)
+        label: str(tuple(row.count(0) for row in b.rows))
+        for label, b in orders.permutation_booleans(n)
     }
     mapped = _pullback(orders.build_product_of_chains(n), [row_zeros[s] for s in boolperm.labels])
     chains = np.array_equal(mapped, boolperm.leq_matrix())
@@ -181,63 +252,101 @@ def check_tamcat_in_boolean_poset(n):
     return _result("cor4.17", n, tam["ok"] and cat["ok"], tamari=tam["ok"], catalan=cat["ok"])
 
 
-def _boolean_move(b_lower, b_upper):
-    """Classify the difference: diagonal swap of a one with the zero below it,
-    or a bottom-row one turning into a zero."""
-    n = b_lower.n
-    diffs = [
-        (r, c)
-        for r in range(n - 1)
-        for c in range(r + 1)
-        if b_lower.rows[r][c] != b_upper.rows[r][c]
-    ]
-    if len(diffs) == 1:
-        r, c = diffs[0]
-        return r == n - 2 and b_lower.rows[r][c] == 1 and b_upper.rows[r][c] == 0
-    if len(diffs) == 2:
-        (r1, c1), (r2, c2) = sorted(diffs)
-        return (
-            r2 == r1 + 1
-            and c2 == c1 + 1
-            and b_lower.rows[r1][c1] == 1
-            and b_lower.rows[r2][c2] == 0
-            and b_upper.rows[r1][c1] == 0
-            and b_upper.rows[r2][c2] == 1
-        )
-    return False
+def _boolean_moves(n, lower, upper):
+    """For each row pair of boolean entry arrays of order n: whether
+    ``upper`` turns a one of ``lower`` into a zero and, off the bottom row,
+    the zero southeast of it into a one, and changes nothing else."""
+    r, _ = _triangle_cells(n - 1)
+    moves = -np.eye(len(r), dtype=np.int8)
+    inner = np.flatnonzero(r < n - 2)
+    moves[inner, inner + r[inner] + 2] = 1
+    diff = upper - lower
+    return (diff == moves[(diff != 0).argmax(axis=1)]).all(axis=1)
+
+
+def _unit_moves(n, counts, keys, strides, order):
+    """Index pairs (x, x + e_c) inside a family under the chain map, chain
+    by chain: each count with room left moves up by one, and the moved key
+    is looked up among the sorted keys."""
+    ordered = keys[order]
+    room = [n - r for r in range(1, n) for _ in range(r)]
+    for c, stride in enumerate(strides):
+        x = np.flatnonzero(counts[:, c] < room[c])
+        moved = keys[x] + stride
+        at = np.minimum(np.searchsorted(ordered, moved), len(keys) - 1)
+        hit = ordered[at] == moved
+        yield x[hit], order[at[hit]]
 
 
 def check_cover_moves(n):
     """Every cover of the magog order, transported to boolean triangles,
     either swaps a one with the zero southeast of it or kills a bottom-row
-    one."""
-    t = orders.build_Tn(n)
-    booleans = [
-        bijections.magog_to_boolean(m)
-        for m in enumeration.generate(enumeration.FamilyId.MAGOG, n)
-    ]
-    pairs = t.cover_pairs()
-    bad = None
-    for i, j in pairs:
-        if not _boolean_move(booleans[i], booleans[j]):
-            bad = (t.labels[i], t.labels[j])
-            break
-    return _result("lemma4.8", n, bad is None, cover_count=len(pairs), witness=bad)
+    one.  Given the ``thm4.6`` certificate the covers are the unit moves."""
+    a, counts, keys, strides, order, witness = _chain_map(MagogTriangle, orders.build_Qn(n), n)
+    if witness is not None:
+        return _result("lemma4.8", n, False, cover_count=None, witness=witness)
+    booleans = bijections.magogs_to_booleans(n, a)
+    cover_count, bad = 0, []
+    for lower, upper in _unit_moves(n, counts, keys, strides, order):
+        cover_count += len(lower)
+        good = _boolean_moves(n, booleans[lower], booleans[upper])
+        bad += zip(lower[~good].tolist(), upper[~good].tolist())
+    witness = tuple(_label(MagogTriangle, n, a[i]) for i in min(bad)) if bad else None
+    return _result("lemma4.8", n, not bad, cover_count=cover_count, witness=witness)
+
+
+def _meetless(vectors, x, y):
+    """Whether x and y are rows of ``vectors`` with no meet in the
+    componentwise order on the rows: their lower bounds are the rows below
+    min(x, y), and the greatest, if any, is the componentwise maximum."""
+
+    def member(rows, v):
+        return bool((rows == v).all(axis=1).any())
+
+    lower = vectors[(vectors <= np.minimum(x, y)).all(axis=1)]
+    has_meet = len(lower) > 0 and member(lower, lower.max(axis=0))
+    return member(vectors, x) and member(vectors, y) and not has_meet
+
+
+def _nonlattice_pairs(n):
+    """n >= 4: name -> (the order's componentwise vectors, and a pair without
+    a meet as vectors and as labels).  Magog permutation order: 1..(n-4)
+    followed by 1432 and 2314 shifted by n - 4.  Boolean order (reverse
+    componentwise): one 1 at the end of the last row, or of the row above."""
+    heads = ((1, 4, 3, 2), (2, 3, 1, 4))
+    perms = [Permutation(n, (*range(1, n - 3), *(v + n - 4 for v in head))) for head in heads]
+    magogs = [bijections.boolean_to_magog(bijections.permutation_to_boolean(p)) for p in perms]
+    ones = np.zeros((2, n * (n - 1) // 2), dtype=np.int8)
+    ones[0, -1] = ones[1, (n - 2) * (n - 1) // 2 - 1] = 1
+    booleans = enumeration.entries(FamilyId.BOOLEAN, n)  # its cap is the lower one
+    return {
+        "magog_permutation_order": (
+            bijections.booleans_to_magogs(n, enumeration.entries(FamilyId.PERMUTATION_BOOLEAN, n)),
+            [np.concatenate(m.rows) for m in magogs],
+            [p.one_line() for p in perms],
+        ),
+        "boolean_order": (-booleans, -ones, [_label(BooleanTriangle, n, v) for v in ones]),
+    }
 
 
 def check_lattice_thresholds(n):
     """The magog permutation order and the boolean order are lattices exactly
-    up to order three; report the witness pair beyond."""
+    up to order three: the lattice report decides up to three, one explicit
+    pair without a meet beyond (``is_lattice`` is None if it has one)."""
     expected = n <= 3
-    results = {}
-    witnesses = {}
-    for name, poset in (
-        ("magog_permutation_order", orders.build_Tn_perm(n)),
-        ("boolean_order", orders.build_TBool(n)),
-    ):
-        report = poset.lattice_report()
-        results[name] = report.is_lattice
-        witnesses[name] = report.witness
+    if expected:
+        reports = {
+            "magog_permutation_order": orders.build_Tn_perm(n).lattice_report(),
+            "boolean_order": orders.build_TBool(n).lattice_report(),
+        }
+        results = {name: report.is_lattice for name, report in reports.items()}
+        witnesses = {name: report.witness for name, report in reports.items()}
+    else:
+        witnesses = {
+            name: ("meet", *labels) if _meetless(vectors, *pair) else None
+            for name, (vectors, pair, labels) in _nonlattice_pairs(n).items()
+        }
+        results = {name: False if witness else None for name, witness in witnesses.items()}
     ok = all(value == expected for value in results.values())
     return _result(
         "prop-nonlattice",
@@ -249,7 +358,12 @@ def check_lattice_thresholds(n):
     )
 
 
-CHECKS = (check_counts, check_factorial, check_statistics, check_roundtrips)
+CHECKS = {
+    "counts": check_counts,
+    "factorial": check_factorial,
+    "statistics": check_statistics,
+    "roundtrips": check_roundtrips,
+}
 
 CLAIMS = {
     "thm4.2": check_ideal_lattice_asm,
@@ -272,10 +386,21 @@ def run_claim(name, n):
     return check(n)
 
 
+def _capped(name, check, n):
+    """``check(n)``, or a failed row with the reason under ``cap`` when the
+    check hits a size or order cap."""
+    try:
+        return check(n)
+    except (CapExceeded, SizeCap) as exc:
+        return _result(name, n, False, cap=str(exc))
+
+
 def verify_all(n):
     """Every result of the registry up to order n: the ``CHECKS`` for
     k = 1..n, then each claim for k = 2..n."""
     if n < 1:
         raise CapExceeded(f"order must be >= 1, got {n}")
-    rows = [check(k) for k in range(1, n + 1) for check in CHECKS]
-    return rows + [run_claim(name, k) for name in CLAIMS for k in range(2, n + 1)]
+    rows = [_capped(name, check, k) for k in range(1, n + 1) for name, check in CHECKS.items()]
+    for name, check in CLAIMS.items():
+        rows += [_capped(name, check, k) for k in range(2, n + 1)]
+    return rows

@@ -49,7 +49,7 @@ from .triangles import (
     validate_batch,
 )
 
-__all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count", "jsonl"]
+__all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count", "jsonl", "entries"]
 
 ENV_CAP = "TSSCPP_MAX_N"
 # Values validated, and frontier states expanded, at a time: large enough
@@ -374,6 +374,16 @@ def count(family, n, *, max_n=None) -> int:
     """Size of the family at order n; every value is validated, none built."""
     family = _checked(family, n, max_n)
     return sum(len(a) for a in _validated(family, n))
+
+
+def entries(family, n):
+    """The entries of the objects of :func:`generate`, in its order, as one
+    array with a row per object (the rows of :func:`jsonl`'s entry arrays,
+    in the narrowest dtype that holds -1..2n).  Every value is validated,
+    none is built."""
+    family = _checked(family, n, None)
+    dtype = np.min_scalar_type(-2 * n)
+    return np.concatenate([a.astype(dtype) for a in _arrays(family, n)[1]])
 
 
 def jsonl(family, n, *, max_n=None):

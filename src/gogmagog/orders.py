@@ -10,7 +10,9 @@ different orders.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from math import factorial
 
 import numpy as np
 
@@ -33,19 +35,26 @@ __all__ = [
     "build_tamari",
     "build_catalan_distributive",
     "build_product_of_chains",
+    "permutation_booleans",
     "bracket_vectors",
     "catalan_sequences",
     "bracket_label_map",
 ]
 
 
-def _componentwise(labels, vectors, *, reverse=False, max_size=20_000):
+# The most elements a componentwise order is built on.
+_MAX_COMPONENTWISE = 20_000
+
+
+def _check_size(size, max_size=_MAX_COMPONENTWISE):
+    if size > max_size:
+        raise SizeCap(f"componentwise poset on {size} elements exceeds {max_size}")
+
+
+def _componentwise(labels, vectors, *, reverse=False, max_size=_MAX_COMPONENTWISE):
     """Componentwise order on integer vectors; ``reverse`` compares them the
     other way round (x <= y iff x >= y componentwise)."""
-    if len(vectors) > max_size:
-        raise SizeCap(
-            f"componentwise poset on {len(vectors)} elements exceeds {max_size}"
-        )
+    _check_size(len(vectors), max_size)
     arr = np.array(vectors, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(len(vectors), 0)
@@ -120,10 +129,31 @@ def build_TBool(n):
     )
 
 
+def _permutations(n):
+    """The permutations of order n, after the order and size checks of the
+    componentwise order on them, so that a refused order converts nothing."""
+    _check_order(n)
+    _check_size(factorial(n))
+    return list(enumeration.generate(enumeration.FamilyId.PERMUTATION, n))
+
+
+def permutation_booleans(n):
+    """(one-line label, boolean triangle) of each permutation of order n, in
+    the order of ``enumeration.generate``.  The checks run on every call,
+    the conversions once per order."""
+    _permutations(n)
+    return _permutation_booleans(n)
+
+
+@lru_cache(maxsize=8)
+def _permutation_booleans(n):
+    return tuple((p.one_line(), bijections.permutation_to_boolean(p)) for p in _permutations(n))
+
+
 def build_An_perm(n):
     """Permutation subposet of the monotone-triangle order, labelled by
     one-line notation."""
-    perms = list(enumeration.generate(enumeration.FamilyId.PERMUTATION, n))
+    perms = _permutations(n)
     vectors = [_triangle_vector(bijections.permutation_to_monotone(p)) for p in perms]
     return _componentwise([p.one_line() for p in perms], vectors)
 
@@ -131,20 +161,17 @@ def build_An_perm(n):
 def build_Tn_perm(n):
     """Permutation subposet of the magog order (componentwise on the magog
     triangles of permutations), labelled by one-line notation."""
-    perms = list(enumeration.generate(enumeration.FamilyId.PERMUTATION, n))
-    vectors = [
-        _triangle_vector(bijections.boolean_to_magog(bijections.permutation_to_boolean(p)))
-        for p in perms
-    ]
-    return _componentwise([p.one_line() for p in perms], vectors)
+    pairs = permutation_booleans(n)
+    vectors = [_triangle_vector(bijections.boolean_to_magog(b)) for _, b in pairs]
+    return _componentwise([label for label, _ in pairs], vectors)
 
 
 def build_TBool_perm(n):
     """Permutation subposet of the boolean order (reverse componentwise),
     labelled by one-line notation."""
-    perms = list(enumeration.generate(enumeration.FamilyId.PERMUTATION, n))
-    vectors = [_triangle_vector(bijections.permutation_to_boolean(p)) for p in perms]
-    return _componentwise([p.one_line() for p in perms], vectors, reverse=True)
+    pairs = permutation_booleans(n)
+    vectors = [_triangle_vector(b) for _, b in pairs]
+    return _componentwise([label for label, _ in pairs], vectors, reverse=True)
 
 
 def _value_swap_covers(n, adjacent_only):
@@ -237,8 +264,5 @@ def bracket_label_map(n):
     """one-line notation -> label of the sequence x with x_i = i + (sum of
     boolean-triangle row n-i).  On 132-avoiders the image lands in the
     bracket vectors, on 213-avoiders in the weakly increasing sequences."""
-    out = {}
-    for p in enumeration.generate(enumeration.FamilyId.PERMUTATION, n):
-        b = bijections.permutation_to_boolean(p)
-        out[p.one_line()] = _vector_label(bijections.bracket_vector(b))
-    return out
+    pairs = permutation_booleans(n)
+    return {label: _vector_label(bijections.bracket_vector(b)) for label, b in pairs}

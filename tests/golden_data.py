@@ -230,3 +230,63 @@ STRONG3_COVERS = {
 
 def short_triangle(rows):
     return ";".join(",".join(str(v) for v in row) for row in rows)
+
+
+# json.dumps(claims.run_claim(claim, n)) from the dense decision procedures
+# (ideal lattices, isomorphism search, cover matrices, full lattice
+# reports), for every claim and n = 1..6 at which they pass; thm4.2 and
+# thm4.6 stopped at a size cap at n = 6.
+CLAIM_RESULTS = {
+    ('thm4.2', 1): '{"claim": "thm4.2", "n": 1, "ok": true, "size": 1, "ideal_count": 1}',
+    ('thm4.2', 2): '{"claim": "thm4.2", "n": 2, "ok": true, "size": 2, "ideal_count": 2}',
+    ('thm4.2', 3): '{"claim": "thm4.2", "n": 3, "ok": true, "size": 7, "ideal_count": 7}',
+    ('thm4.2', 4): '{"claim": "thm4.2", "n": 4, "ok": true, "size": 42, "ideal_count": 42}',
+    ('thm4.2', 5): '{"claim": "thm4.2", "n": 5, "ok": true, "size": 429, "ideal_count": 429}',
+    ('thm4.4', 1): '{"claim": "thm4.4", "n": 1, "ok": true, "size": 1}',
+    ('thm4.4', 2): '{"claim": "thm4.4", "n": 2, "ok": true, "size": 2}',
+    ('thm4.4', 3): '{"claim": "thm4.4", "n": 3, "ok": true, "size": 6}',
+    ('thm4.4', 4): '{"claim": "thm4.4", "n": 4, "ok": true, "size": 24}',
+    ('thm4.4', 5): '{"claim": "thm4.4", "n": 5, "ok": true, "size": 120}',
+    ('thm4.4', 6): '{"claim": "thm4.4", "n": 6, "ok": true, "size": 720}',
+    ('thm4.6', 1): '{"claim": "thm4.6", "n": 1, "ok": true, "size": 1, "ideal_count": 1}',
+    ('thm4.6', 2): '{"claim": "thm4.6", "n": 2, "ok": true, "size": 2, "ideal_count": 2}',
+    ('thm4.6', 3): '{"claim": "thm4.6", "n": 3, "ok": true, "size": 7, "ideal_count": 7}',
+    ('thm4.6', 4): '{"claim": "thm4.6", "n": 4, "ok": true, "size": 42, "ideal_count": 42}',
+    ('thm4.6', 5): '{"claim": "thm4.6", "n": 5, "ok": true, "size": 429, "ideal_count": 429}',
+    ('thm4.9', 1): '{"claim": "thm4.9", "n": 1, "ok": true, "size": 1}',
+    ('thm4.9', 2): '{"claim": "thm4.9", "n": 2, "ok": true, "size": 2}',
+    ('thm4.9', 3): '{"claim": "thm4.9", "n": 3, "ok": true, "size": 5}',
+    ('thm4.9', 4): '{"claim": "thm4.9", "n": 4, "ok": true, "size": 14}',
+    ('thm4.9', 5): '{"claim": "thm4.9", "n": 5, "ok": true, "size": 42}',
+    ('thm4.9', 6): '{"claim": "thm4.9", "n": 6, "ok": true, "size": 132}',
+    ('thm4.12', 1): '{"claim": "thm4.12", "n": 1, "ok": true, "size": 1}',
+    ('thm4.12', 2): '{"claim": "thm4.12", "n": 2, "ok": true, "size": 2}',
+    ('thm4.12', 3): '{"claim": "thm4.12", "n": 3, "ok": true, "size": 5}',
+    ('thm4.12', 4): '{"claim": "thm4.12", "n": 4, "ok": true, "size": 14}',
+    ('thm4.12', 5): '{"claim": "thm4.12", "n": 5, "ok": true, "size": 42}',
+    ('thm4.12', 6): '{"claim": "thm4.12", "n": 6, "ok": true, "size": 132}',
+    ('cor4.16', 1): '{"claim": "cor4.16", "n": 1, "ok": true, "weak_relation_missing": null, "strong_relation_missing": null, "product_of_chains": true}',
+    ('cor4.16', 2): '{"claim": "cor4.16", "n": 2, "ok": true, "weak_relation_missing": null, "strong_relation_missing": null, "product_of_chains": true}',
+    ('cor4.16', 3): '{"claim": "cor4.16", "n": 3, "ok": true, "weak_relation_missing": null, "strong_relation_missing": null, "product_of_chains": true}',
+    ('cor4.16', 4): '{"claim": "cor4.16", "n": 4, "ok": true, "weak_relation_missing": null, "strong_relation_missing": null, "product_of_chains": true}',
+    ('cor4.16', 5): '{"claim": "cor4.16", "n": 5, "ok": true, "weak_relation_missing": null, "strong_relation_missing": null, "product_of_chains": true}',
+    ('cor4.16', 6): '{"claim": "cor4.16", "n": 6, "ok": true, "weak_relation_missing": null, "strong_relation_missing": null, "product_of_chains": true}',
+    ('cor4.17', 1): '{"claim": "cor4.17", "n": 1, "ok": true, "tamari": true, "catalan": true}',
+    ('cor4.17', 2): '{"claim": "cor4.17", "n": 2, "ok": true, "tamari": true, "catalan": true}',
+    ('cor4.17', 3): '{"claim": "cor4.17", "n": 3, "ok": true, "tamari": true, "catalan": true}',
+    ('cor4.17', 4): '{"claim": "cor4.17", "n": 4, "ok": true, "tamari": true, "catalan": true}',
+    ('cor4.17', 5): '{"claim": "cor4.17", "n": 5, "ok": true, "tamari": true, "catalan": true}',
+    ('cor4.17', 6): '{"claim": "cor4.17", "n": 6, "ok": true, "tamari": true, "catalan": true}',
+    ('lemma4.8', 1): '{"claim": "lemma4.8", "n": 1, "ok": true, "cover_count": 0, "witness": null}',
+    ('lemma4.8', 2): '{"claim": "lemma4.8", "n": 2, "ok": true, "cover_count": 1, "witness": null}',
+    ('lemma4.8', 3): '{"claim": "lemma4.8", "n": 3, "ok": true, "cover_count": 8, "witness": null}',
+    ('lemma4.8', 4): '{"claim": "lemma4.8", "n": 4, "ok": true, "cover_count": 84, "witness": null}',
+    ('lemma4.8', 5): '{"claim": "lemma4.8", "n": 5, "ok": true, "cover_count": 1323, "witness": null}',
+    ('lemma4.8', 6): '{"claim": "lemma4.8", "n": 6, "ok": true, "cover_count": 32683, "witness": null}',
+    ('prop-nonlattice', 1): '{"claim": "prop-nonlattice", "n": 1, "ok": true, "expected_lattice": true, "is_lattice": {"magog_permutation_order": true, "boolean_order": true}, "witnesses": {}}',
+    ('prop-nonlattice', 2): '{"claim": "prop-nonlattice", "n": 2, "ok": true, "expected_lattice": true, "is_lattice": {"magog_permutation_order": true, "boolean_order": true}, "witnesses": {}}',
+    ('prop-nonlattice', 3): '{"claim": "prop-nonlattice", "n": 3, "ok": true, "expected_lattice": true, "is_lattice": {"magog_permutation_order": true, "boolean_order": true}, "witnesses": {}}',
+    ('prop-nonlattice', 4): '{"claim": "prop-nonlattice", "n": 4, "ok": true, "expected_lattice": false, "is_lattice": {"magog_permutation_order": false, "boolean_order": false}, "witnesses": {"magog_permutation_order": ["meet", "1432", "2314"], "boolean_order": ["meet", "{\\"kind\\":\\"boolean_triangle\\",\\"n\\":4,\\"rows\\":[[0],[0,0],[0,0,1]]}", "{\\"kind\\":\\"boolean_triangle\\",\\"n\\":4,\\"rows\\":[[0],[0,1],[0,0,0]]}"]}}',
+    ('prop-nonlattice', 5): '{"claim": "prop-nonlattice", "n": 5, "ok": true, "expected_lattice": false, "is_lattice": {"magog_permutation_order": false, "boolean_order": false}, "witnesses": {"magog_permutation_order": ["meet", "12543", "13425"], "boolean_order": ["meet", "{\\"kind\\":\\"boolean_triangle\\",\\"n\\":5,\\"rows\\":[[0],[0,0],[0,0,0],[0,0,0,1]]}", "{\\"kind\\":\\"boolean_triangle\\",\\"n\\":5,\\"rows\\":[[0],[0,0],[0,0,1],[0,0,0,0]]}"]}}',
+    ('prop-nonlattice', 6): '{"claim": "prop-nonlattice", "n": 6, "ok": true, "expected_lattice": false, "is_lattice": {"magog_permutation_order": false, "boolean_order": false}, "witnesses": {"magog_permutation_order": ["meet", "123654", "124536"], "boolean_order": ["meet", "{\\"kind\\":\\"boolean_triangle\\",\\"n\\":6,\\"rows\\":[[0],[0,0],[0,0,0],[0,0,0,0],[0,0,0,0,1]]}", "{\\"kind\\":\\"boolean_triangle\\",\\"n\\":6,\\"rows\\":[[0],[0,0],[0,0,0],[0,0,0,1],[0,0,0,0,0]]}"]}}',
+}

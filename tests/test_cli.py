@@ -121,6 +121,19 @@ def test_verify_all(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_prints_capped_rows_and_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("TSSCPP_MAX_N", "3")
+    code, out, err = run_cli(capsys, "verify-all", "--n", "4")
+    lines = out.splitlines()
+    assert code == 2 and lines[-1] == "30/43 checks passed"
+    assert len(lines) == 44 and sum(line.endswith("n=4  CAP") for line in lines) == 13
+    assert "FAIL" not in out
+    assert err.splitlines()[0] == (
+        "counts n=4: order 4 exceeds the cap 3 for asm (raise it with max_n or TSSCPP_MAX_N)"
+    )
+    assert len(err.splitlines()) == 13
+
+
 def test_determinism(capsys):
     first = run_cli(capsys, "enumerate", "--family", "asm", "--n", "4")
     second = run_cli(capsys, "enumerate", "--family", "asm", "--n", "4")
