@@ -16,6 +16,10 @@ the below-left neighbour over a one and the below-right neighbour over a
 zero.  That map sends zeros to inversions and is the statistic-preserving
 permutation bijection.
 
+The maps the claims read in bulk also have batch forms on validated entry
+arrays (``permutations_to_booleans`` and the like); the scalar maps are
+their oracles.
+
 Layer profiles
 --------------
 ``boolean_from_fundamental`` encodes domain heights by levels.  For each
@@ -44,7 +48,9 @@ from .triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
+    _nest_ok,
     _triangle_cells,
+    _triangle_neighbours,
     build_batch,
     expand_domains,
     expand_fundamental,
@@ -77,6 +83,15 @@ __all__ = [
     "tsscpp_to_boolean",
     "boolean_to_tsscpp",
     "booleans_to_tsscpp",
+    "permutations_to_monotones",
+    "permutations_to_booleans",
+    "asms_to_monotones",
+    "monotones_to_asms",
+    "booleans_to_nests",
+    "nests_to_booleans",
+    "booleans_to_domains",
+    "domains_to_booleans",
+    "domains_to_magogs",
     "magogs_to_booleans",
     "booleans_to_magogs",
     "boolean_to_monotone_perm",
@@ -316,15 +331,106 @@ def booleans_to_tsscpp(n, chunk):
     return heights
 
 
-def magogs_to_booleans(n, a):
-    """Batch form of :func:`magog_to_boolean` on the validated magog entry
-    arrays of order n (``triangles.validate_batch``): int8 boolean entry
-    arrays.  Entry (r, c) less c + 1 is cell (r - c, c) of the domain, and a
-    domain row with l >= 1 cells of height at least L puts the zero at depth
-    n - L - l of diagonal n - L, which is in row n - 1 - l."""
+# The batched maps below take validated entry arrays of order n (one row per
+# value, see ``triangles.validate_batch``) and check each block of
+# ``_CHECK_ROWS`` values they return.
+_CHECK_ROWS = 1024
+
+
+def _checked(cls, n, a):
+    """``a``, once its values pass the batch check of ``cls`` (nests, 1 for a
+    "D" step: 0/1 entries and ``NilpNest``'s array check)."""
+    for block in np.split(a, range(_CHECK_ROWS, len(a), _CHECK_ROWS)):
+        if cls is NilpNest:
+            ok = bool(((block == 0) | (block == 1)).all()) and _nest_ok(block, n)
+        else:
+            ok = validate_batch(cls, n, block) is not None
+        if not ok:
+            raise ValidationError(f"a batched map gave a value that is no {cls.__name__} of order {n}")
+    return a
+
+
+def permutations_to_monotones(n, a):
+    """Batch form of :func:`permutation_to_monotone`."""
+    rows = [np.sort(a[:, : r + 1], axis=1) for r in range(n)]
+    return _checked(MonotoneTriangle, n, np.concatenate(rows, axis=1))
+
+
+def permutations_to_booleans(n, a):
+    """Batch form of :func:`permutation_to_boolean`: entry (r, c) is 1 iff
+    the sorted prefixes of lengths r + 1 and r + 2 agree at c."""
+    _, above, below_left = _triangle_neighbours(n)
+    monotones = permutations_to_monotones(n, a)
+    agree = monotones[:, above] == monotones[:, below_left]
+    return _checked(BooleanTriangle, n, agree.astype(np.int8))
+
+
+def asms_to_monotones(n, a):
+    """Batch form of :func:`asm_to_monotone`: the columns whose prefix sum
+    through row k is 1, sorted, and n + 1 in the other columns."""
+    ones = a.reshape(len(a), n, n).cumsum(axis=1, dtype=np.int8) == 1
+    columns = np.sort(np.where(ones, np.arange(1, n + 1, dtype=np.int8), np.int8(n + 1)), axis=2)
     r, c = _triangle_cells(n)
+    return _checked(MonotoneTriangle, n, columns[:, r, c])
+
+
+def monotones_to_asms(n, a):
+    """Batch form of :func:`monotone_to_asm`: the indicator of each monotone
+    row less that of the row above."""
+    rows = np.zeros((len(a), n + 1, n + 1), dtype=np.int8)
+    rows[np.arange(len(a))[:, None], _triangle_cells(n)[0] + 1, a] = 1
+    return _checked(Asm, n, np.diff(rows, axis=1)[:, :, 1:].reshape(len(a), n * n))
+
+
+def _nest_cells(n):
+    """The boolean entry, row-major, under each nest step, row-major: step s
+    of path q is depth s of diagonal q, in row n - q + s - 2."""
+    path, step = _triangle_cells(n - 1)
+    row = n - 2 - path + step
+    return row * (row + 1) // 2 + step
+
+
+def booleans_to_nests(n, a):
+    """Batch form of :func:`boolean_to_nilp`, 1 for a "D" step."""
+    return _checked(NilpNest, n, 1 - a[:, _nest_cells(n)])
+
+
+def nests_to_booleans(n, a):
+    """Batch form of :func:`nilp_to_boolean`, 1 for a "D" step."""
+    return _checked(BooleanTriangle, n, 1 - a[:, np.argsort(_nest_cells(n))])
+
+
+@lru_cache(maxsize=None)
+def _domain_cells(n):
+    """Row and column of each entry of a fundamental domain, row-major (row i
+    has n - i entries), and the position there of magog entry (r, c), which
+    is cell (r - c, c)."""
+    i = np.repeat(np.arange(n), np.arange(n, 0, -1))
+    r, c = _triangle_cells(n)
+    return i, np.arange(len(i)) - i * (2 * n + 1 - i) // 2, (r - c) * (2 * n + 1 - r + c) // 2 + c
+
+
+def booleans_to_domains(n, a):
+    """Batch form of :func:`fundamental_from_boolean`: the domain entries,
+    row-major, checked with ``triangles.expand_domains``."""
+    i, c, _ = _domain_cells(n)
+    out = np.empty((len(a), len(i)), dtype=np.int8)
+    for start in range(0, len(a), _CHECK_ROWS):
+        padded = _domains_from_booleans(n, a[start : start + _CHECK_ROWS])
+        if expand_domains(n, padded) is None:
+            raise ValidationError(f"a batched map gave a domain of order {n} that is no TSSCPP's")
+        out[start : start + _CHECK_ROWS] = padded[:, n + 1 + i, n + 1 + i + c]
+    return out
+
+
+def domains_to_booleans(n, a):
+    """Batch form of :func:`boolean_from_fundamental` on the domain entries of
+    :func:`booleans_to_domains`: a domain row with l >= 1 cells of height at
+    least L puts the zero at depth n - L - l of diagonal n - L, in row
+    n - 1 - l."""
+    i, c, _ = _domain_cells(n)
     domain = np.zeros((len(a), n, n), dtype=np.int8)
-    domain[:, r - c, c] = a - (c + 1).astype(np.int8)
+    domain[:, i, c] = a
     out = np.ones((len(a), n * (n - 1) // 2), dtype=np.int8)
     for level in range(1, n):
         lengths = (domain >= level).sum(axis=2)
@@ -332,14 +438,25 @@ def magogs_to_booleans(n, a):
         length = lengths[lengths > 0]
         row = n - 1 - length
         out[triangle, row * (row + 1) // 2 + n - level - length] = 0
-    return out
+    return _checked(BooleanTriangle, n, out)
+
+
+def domains_to_magogs(n, a):
+    """Batch form of :func:`magog_from_fundamental`."""
+    _, c = _triangle_cells(n)
+    return _checked(MagogTriangle, n, a[:, _domain_cells(n)[2]] + (c + 1).astype(a.dtype))
+
+
+def magogs_to_booleans(n, a):
+    """Batch form of :func:`magog_to_boolean`."""
+    _, c = _triangle_cells(n)
+    domains = a - (c + 1).astype(a.dtype)
+    return domains_to_booleans(n, domains[:, np.argsort(_domain_cells(n)[2])])
 
 
 def booleans_to_magogs(n, a):
-    """Batch form of :func:`boolean_to_magog` on validated boolean entry
-    arrays of order n: entry (r, c) is domain cell (r - c, c) plus c + 1."""
-    r, c = _triangle_cells(n)
-    return _domains_from_booleans(n, a)[:, n + 1 + r - c, n + 1 + r] + c + 1
+    """Batch form of :func:`boolean_to_magog`."""
+    return domains_to_magogs(n, booleans_to_domains(n, a))
 
 
 def is_permutation_boolean(b: BooleanTriangle) -> bool:

@@ -16,6 +16,8 @@ The other four check certificates on the entry arrays of
 entry owns a chain of P_n or Q_n, as in Striker's tetrahedral poset, Adv.
 Appl. Math. 46, 2011), ``lemma4.8`` the unit moves that map makes the
 covers, and ``prop-nonlattice`` beyond n = 3 one pair without a meet.
+The statistics and round-trip checks and the permutation orders read entry
+arrays through the batched maps of ``bijections``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from . import bijections, enumeration, orders
 from .enumeration import CapExceeded, FamilyId
 from .poset import SizeCap
-from .statistics import avoids, boolean_stat_triple, perm_inversions
-from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle, Permutation
+from .statistics import avoiding
+from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle
 from .triangles import _triangle_cells, format_batch
 
 __all__ = ["CHECKS", "CLAIMS", "run_claim", "verify_all"]
@@ -75,29 +77,41 @@ def check_factorial(n):
 
 def check_statistics(n):
     """A permutation's boolean triangle has its inversions as zeros, n - sigma(n)
-    last-row zeros, and the lowest one of its last diagonal at n's position."""
-    for p in enumeration.generate(FamilyId.PERMUTATION, n):
-        position = p.sigma.index(p.n)
-        expected = (perm_inversions(p), n - p.sigma[-1], position or None)
-        if boolean_stat_triple(bijections.permutation_to_boolean(p)) != expected:
-            return _result("statistics", n, False)
-    return _result("statistics", n, True)
+    last-row zeros, and the lowest one of its last diagonal (row r + 1 of
+    entry (r, r); 0 if none) at n's 0-based position."""
+    perms = enumeration.entries(FamilyId.PERMUTATION, n)
+    booleans = bijections.permutations_to_booleans(n, perms)
+    later = np.triu(np.ones((n, n), dtype=bool))
+    inversions = (perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2), where=later)
+    last_row = booleans[:, booleans.shape[1] - (n - 1) :]
+    r, c = _triangle_cells(n - 1)
+    diagonal = np.pad(booleans[:, r == c], ((0, 0), (1, 0)), constant_values=1)
+    lowest = n - 1 - diagonal[:, ::-1].argmax(axis=1)
+    ok = (
+        np.array_equal((booleans == 0).sum(axis=1), inversions)
+        and np.array_equal((last_row == 0).sum(axis=1), n - perms[:, -1])
+        and np.array_equal(lowest, (perms == n).argmax(axis=1))
+    )
+    return _result("statistics", n, ok)
 
 
 def check_roundtrips(n):
-    """The maps out of boolean triangles and ASMs invert."""
-    ok = True
-    for b in enumeration.generate(FamilyId.BOOLEAN, n):
-        d = bijections.fundamental_from_boolean(b)
-        if bijections.boolean_from_fundamental(d) != b:
-            ok = False
-        if bijections.nilp_to_boolean(bijections.boolean_to_nilp(b)) != b:
-            ok = False
-        if bijections.magog_to_boolean(bijections.boolean_to_magog(b)) != b:
-            ok = False
-    for a in enumeration.generate(FamilyId.ASM, n):
-        if bijections.monotone_to_asm(bijections.asm_to_monotone(a)) != a:
-            ok = False
+    """The maps out of boolean triangles and ASMs invert, on entry arrays:
+    boolean -> domain -> boolean, boolean -> nest -> boolean, boolean ->
+    domain -> magog -> boolean (the composition ``booleans_to_magogs`` is)
+    and ASM -> monotone -> ASM."""
+    booleans = enumeration.entries(FamilyId.BOOLEAN, n)
+    asms = enumeration.entries(FamilyId.ASM, n)
+    domains = bijections.booleans_to_domains(n, booleans)
+    nests = bijections.booleans_to_nests(n, booleans)
+    magogs = bijections.domains_to_magogs(n, domains)
+    monotones = bijections.asms_to_monotones(n, asms)
+    ok = (
+        np.array_equal(bijections.domains_to_booleans(n, domains), booleans)
+        and np.array_equal(bijections.nests_to_booleans(n, nests), booleans)
+        and np.array_equal(bijections.magogs_to_booleans(n, magogs), booleans)
+        and np.array_equal(bijections.monotones_to_asms(n, monotones), asms)
+    )
     return _result("roundtrips", n, ok)
 
 
@@ -188,12 +202,16 @@ def check_strong_bruhat(n):
     return _result("thm4.4", n, ok, size=a.size)
 
 
+def _avoiders(n, pattern):
+    """One-line labels of the permutations of order n that avoid ``pattern``."""
+    perms = enumeration.entries(FamilyId.PERMUTATION, n)
+    return set(orders._one_line(perms[avoiding(perms, pattern)]))
+
+
 def _catalan_subposet_check(base_poset, n, claim, pattern, build_target):
     """The ``pattern`` avoiders of ``base_poset``, relabelled by
     :func:`orders.bracket_label_map`, are exactly the order ``build_target(n)``."""
-    avoiders = base_poset.induced(
-        lambda s: avoids(Permutation.from_one_line(s), pattern)
-    )
+    avoiders = base_poset.induced(_avoiders(n, pattern))
     target = build_target(n)
     label_map = orders.bracket_label_map(n)
     mapped = _pullback(target, [label_map[s] for s in avoiders.labels])
@@ -222,10 +240,7 @@ def check_bruhat_sandwich(n):
     whose label of a permutation is the zero count of each row of its boolean
     triangle, and sits between the weak and strong orders."""
     boolperm = orders.build_TBool_perm(n)
-    row_zeros = {
-        label: str(tuple(row.count(0) for row in b.rows))
-        for label, b in orders.permutation_booleans(n)
-    }
+    row_zeros = orders.chain_label_map(n)
     mapped = _pullback(orders.build_product_of_chains(n), [row_zeros[s] for s in boolperm.labels])
     chains = np.array_equal(mapped, boolperm.leq_matrix())
     missing_weak = _missing_relation(orders.build_weak_order(n), boolperm)
@@ -313,17 +328,16 @@ def _nonlattice_pairs(n):
     a meet as vectors and as labels).  Magog permutation order: 1..(n-4)
     followed by 1432 and 2314 shifted by n - 4.  Boolean order (reverse
     componentwise): one 1 at the end of the last row, or of the row above."""
+    booleans = enumeration.entries(FamilyId.BOOLEAN, n)  # its cap is the lower one
     heads = ((1, 4, 3, 2), (2, 3, 1, 4))
-    perms = [Permutation(n, (*range(1, n - 3), *(v + n - 4 for v in head))) for head in heads]
-    magogs = [bijections.boolean_to_magog(bijections.permutation_to_boolean(p)) for p in perms]
+    perms = np.array([(*range(1, n - 3), *(v + n - 4 for v in head)) for head in heads])
     ones = np.zeros((2, n * (n - 1) // 2), dtype=np.int8)
     ones[0, -1] = ones[1, (n - 2) * (n - 1) // 2 - 1] = 1
-    booleans = enumeration.entries(FamilyId.BOOLEAN, n)  # its cap is the lower one
     return {
         "magog_permutation_order": (
             bijections.booleans_to_magogs(n, enumeration.entries(FamilyId.PERMUTATION_BOOLEAN, n)),
-            [np.concatenate(m.rows) for m in magogs],
-            [p.one_line() for p in perms],
+            bijections.booleans_to_magogs(n, bijections.permutations_to_booleans(n, perms)),
+            orders._one_line(perms),
         ),
         "boolean_order": (-booleans, -ones, [_label(BooleanTriangle, n, v) for v in ones]),
     }

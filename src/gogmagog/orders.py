@@ -10,16 +10,16 @@ different orders.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from . import bijections, enumeration
-from .enumeration import CapExceeded
+from .enumeration import CapExceeded, FamilyId
 from .poset import Poset, SizeCap
-from .triangles import Permutation, to_json
+from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle, format_batch
+from .triangles import _triangle_cells
 
 __all__ = [
     "build_Pn",
@@ -35,10 +35,10 @@ __all__ = [
     "build_tamari",
     "build_catalan_distributive",
     "build_product_of_chains",
-    "permutation_booleans",
     "bracket_vectors",
     "catalan_sequences",
     "bracket_label_map",
+    "chain_label_map",
 ]
 
 
@@ -71,6 +71,7 @@ def _coordinate_poset(n, cover_moves):
     """Poset on coordinates (i, j, k), 0 <= i, j <= n-2-i, k <= n-2-i-j,
     generated by the given cover moves and closed transitively."""
     _check_order(n)
+    _check_size(comb(n + 1, 3))
     elements = [
         (i, j, k)
         for i in range(n - 1)
@@ -102,103 +103,93 @@ def build_Qn(n):
     return _coordinate_poset(n, ((1, -1, 0), (0, 1, -1), (1, 0, 0)))
 
 
-def _triangle_vector(t):
-    return [entry for row in t.rows for entry in row]
+def _object_order(family, cls, n, *, reverse=False):
+    """Componentwise order on the entry arrays of a family, labelled by the
+    JSON of each object and listed in the order of ``enumeration.generate``."""
+    a = enumeration.entries(family, n)
+    return _componentwise(format_batch(cls, n, a).splitlines(), a, reverse=reverse)
 
 
 def build_An(n):
     """Componentwise order on monotone triangles."""
-    triangles = list(enumeration.generate(enumeration.FamilyId.MONOTONE, n))
-    return _componentwise([to_json(t) for t in triangles], [_triangle_vector(t) for t in triangles])
+    return _object_order(FamilyId.MONOTONE, MonotoneTriangle, n)
 
 
 def build_Tn(n):
-    """Componentwise order on magog triangles, listed in the order
-    ``enumeration.generate`` yields them."""
-    triangles = list(enumeration.generate(enumeration.FamilyId.MAGOG, n))
-    return _componentwise([to_json(t) for t in triangles], [_triangle_vector(t) for t in triangles])
+    """Componentwise order on magog triangles."""
+    return _object_order(FamilyId.MAGOG, MagogTriangle, n)
 
 
 def build_TBool(n):
     """Reverse componentwise order on boolean triangles."""
-    triangles = list(enumeration.generate(enumeration.FamilyId.BOOLEAN, n))
-    return _componentwise(
-        [to_json(t) for t in triangles],
-        [_triangle_vector(t) for t in triangles],
-        reverse=True,
-    )
+    return _object_order(FamilyId.BOOLEAN, BooleanTriangle, n, reverse=True)
 
 
 def _permutations(n):
-    """The permutations of order n, after the order and size checks of the
-    componentwise order on them, so that a refused order converts nothing."""
+    """The permutation entry array of order n, one row per permutation in the
+    order of ``enumeration.generate``, after the order check and the size
+    check of an order on them, so that a refused order enumerates nothing."""
     _check_order(n)
     _check_size(factorial(n))
-    return list(enumeration.generate(enumeration.FamilyId.PERMUTATION, n))
+    return enumeration.entries(FamilyId.PERMUTATION, n)
 
 
-def permutation_booleans(n):
-    """(one-line label, boolean triangle) of each permutation of order n, in
-    the order of ``enumeration.generate``.  The checks run on every call,
-    the conversions once per order."""
-    _permutations(n)
-    return _permutation_booleans(n)
+def _one_line(perms):
+    """One-line labels of the rows of a permutation entry array."""
+    return list(map(_vector_label, perms.tolist()))
 
 
-@lru_cache(maxsize=8)
 def _permutation_booleans(n):
-    return tuple((p.one_line(), bijections.permutation_to_boolean(p)) for p in _permutations(n))
+    """One-line labels and boolean entry arrays of the permutations of order n."""
+    perms = _permutations(n)
+    return _one_line(perms), bijections.permutations_to_booleans(n, perms)
 
 
 def build_An_perm(n):
     """Permutation subposet of the monotone-triangle order, labelled by
     one-line notation."""
     perms = _permutations(n)
-    vectors = [_triangle_vector(bijections.permutation_to_monotone(p)) for p in perms]
-    return _componentwise([p.one_line() for p in perms], vectors)
+    return _componentwise(_one_line(perms), bijections.permutations_to_monotones(n, perms))
 
 
 def build_Tn_perm(n):
     """Permutation subposet of the magog order (componentwise on the magog
     triangles of permutations), labelled by one-line notation."""
-    pairs = permutation_booleans(n)
-    vectors = [_triangle_vector(bijections.boolean_to_magog(b)) for _, b in pairs]
-    return _componentwise([label for label, _ in pairs], vectors)
+    labels, booleans = _permutation_booleans(n)
+    return _componentwise(labels, bijections.booleans_to_magogs(n, booleans))
 
 
 def build_TBool_perm(n):
     """Permutation subposet of the boolean order (reverse componentwise),
     labelled by one-line notation."""
-    pairs = permutation_booleans(n)
-    vectors = [_triangle_vector(b) for _, b in pairs]
-    return _componentwise([label for label, _ in pairs], vectors, reverse=True)
+    labels, booleans = _permutation_booleans(n)
+    return _componentwise(labels, booleans, reverse=True)
 
 
 def _value_swap_covers(n, adjacent_only):
-    """Cover pairs (sigma, tau) where tau swaps values v < w of sigma, v
-    appearing first, creating exactly one new inversion.  Adjacent values
-    only for the weak order; otherwise any values with nothing in between
-    positionwise smaller."""
-    perms = list(enumeration.generate(enumeration.FamilyId.PERMUTATION, n))
+    """One-line labels and cover pairs (sigma, tau) where tau swaps values
+    v < w of sigma at positions i < j, creating exactly one new inversion: no
+    value between v and w sits between positions i and j.  Adjacent values
+    only for the weak order.  tau is found by its base-n key."""
+    perms = _permutations(n).astype(np.int64)
+    labels = _one_line(perms)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = (perms - 1) @ weights
+    order = np.argsort(keys)
     pairs = []
-    for p in perms:
-        sigma = p.sigma
-        pos = {v: i for i, v in enumerate(sigma)}
-        for v in range(1, n + 1):
-            for w in (range(v + 1, v + 2) if adjacent_only else range(v + 1, n + 1)):
-                if w > n or pos[v] > pos[w]:
-                    continue
-                # swapping v and w adds the inversion (v, w) plus two for
-                # every value strictly between them positioned between them
-                between = sum(
-                    1 for u in range(v + 1, w) if pos[v] < pos[u] < pos[w]
-                )
-                if between:
-                    continue
-                tau = list(sigma)
-                tau[pos[v]], tau[pos[w]] = w, v
-                pairs.append((p.one_line(), Permutation(n, tuple(tau)).one_line()))
-    return [p.one_line() for p in perms], pairs
+    for i in range(n):
+        for j in range(i + 1, n):
+            v, w = perms[:, i, None], perms[:, j, None]
+            between = perms[:, i + 1 : j]
+            if adjacent_only:
+                swap = w == v + 1
+            else:
+                swap = (v < w) & ~((v < between) & (between < w)).any(axis=1, keepdims=True)
+            sigma = np.flatnonzero(swap)
+            moved = keys[sigma] + (w - v)[sigma, 0] * (weights[i] - weights[j])
+            tau = order[np.searchsorted(keys, moved, sorter=order)]
+            pairs += zip(sigma.tolist(), tau.tolist())
+    return labels, [(labels[x], labels[y]) for x, y in pairs]
 
 
 def build_weak_order(n):
@@ -242,6 +233,7 @@ def _vector_label(x):
 def build_tamari(n):
     """Bracket vectors under reverse componentwise comparison."""
     _check_order(n)
+    _check_size(comb(2 * n, n) // (n + 1))
     vectors = bracket_vectors(n)
     return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
 
@@ -249,6 +241,7 @@ def build_tamari(n):
 def build_catalan_distributive(n):
     """Weakly increasing sequences under reverse componentwise comparison."""
     _check_order(n)
+    _check_size(comb(2 * n, n) // (n + 1))
     vectors = catalan_sequences(n)
     return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
 
@@ -260,9 +253,24 @@ def build_product_of_chains(n):
     return _componentwise([str(v) for v in vectors], vectors)
 
 
+def _row_sums(n, booleans):
+    """The sum of each row of boolean entry arrays of order n."""
+    r, _ = _triangle_cells(n - 1)
+    return booleans @ np.eye(n - 1, dtype=np.int64)[r]
+
+
 def bracket_label_map(n):
     """one-line notation -> label of the sequence x with x_i = i + (sum of
     boolean-triangle row n-i).  On 132-avoiders the image lands in the
     bracket vectors, on 213-avoiders in the weakly increasing sequences."""
-    pairs = permutation_booleans(n)
-    return {label: _vector_label(bijections.bracket_vector(b)) for label, b in pairs}
+    labels, booleans = _permutation_booleans(n)
+    x = np.arange(1, n + 1) + np.pad(_row_sums(n, booleans)[:, ::-1], ((0, 0), (0, 1)))
+    return dict(zip(labels, map(_vector_label, x.tolist())))
+
+
+def chain_label_map(n):
+    """one-line notation -> label in :func:`build_product_of_chains` of the
+    zero count of each boolean-triangle row."""
+    labels, booleans = _permutation_booleans(n)
+    zeros = np.arange(1, n) - _row_sums(n, booleans)
+    return dict(zip(labels, map(str, map(tuple, zeros.tolist()))))

@@ -3,8 +3,11 @@ lattice and distributivity reports, order-ideal lattices, induced subposets,
 isomorphism testing, and DOT/JSON export.
 
 A poset is an immutable tuple of labels plus a read-only boolean matrix
-``leq``.  Closure and the generic transitive reduction are float32 BLAS
-products, exact while path counts stay below 2**24.  Componentwise orders on
+``leq``.  An order given by its covers (:meth:`Poset.from_covers`) is closed
+on packed uint64 reach bitsets, level by level from the sinks up, and the
+same pass keeps its transitive reduction.  Closure of a comparison predicate
+and the generic transitive reduction are float32 BLAS products, exact while
+path counts stay below 2**24.  Componentwise orders on
 integer vectors (:meth:`Poset.componentwise`) skip both: ``leq`` is the AND
 of packed per-coordinate threshold bitsets, and the covers are the unit
 moves x -> x + e_c, used only when an exact certificate shows the order has
@@ -129,6 +132,30 @@ def _unit_move_covers(vectors, leq):
     return covers
 
 
+def _reach(n, lower, upper):
+    """Packed reach bitsets (bit y of uint64 row x set iff x <= y) of the
+    order generated by the edges ``lower[e] < upper[e]``, whether each edge is
+    a cover, and the nodes left over when the edges have a cycle.  Nodes are
+    taken a level at a time from the sinks up, each row ORing in the rows of
+    its successors; x -> y is a cover iff y is in no successor's strict reach."""
+    words = max(1, -(-n // 64))
+    nodes = np.arange(n)
+    own = np.zeros((n, words), dtype=np.uint64)
+    own[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    reach, above = own.copy(), np.zeros_like(own)
+    cover = np.zeros(len(lower), dtype=bool)
+    waiting = np.bincount(lower, minlength=n)  # successors not yet taken
+    while (level := waiting == 0).any():
+        edges = np.flatnonzero(level[lower])
+        x, y = lower[edges], upper[edges]
+        np.bitwise_or.at(above, x, reach[y] & ~own[y])
+        np.bitwise_or.at(reach, x, reach[y])
+        cover[edges] = (above[x, y >> 6] & own[y, y >> 6]) == 0
+        waiting[level] = -1
+        waiting -= np.bincount(lower[level[upper]], minlength=n)
+    return reach, cover, waiting >= 0
+
+
 def _closure(matrix):
     reach = matrix.copy()
     np.fill_diagonal(reach, True)
@@ -142,7 +169,7 @@ def _closure(matrix):
 class Poset:
     """Finite partial order on labelled elements."""
 
-    __slots__ = ("labels", "_leq", "_index", "_covers", "_vectors")
+    __slots__ = ("labels", "_leq", "_index", "_covers", "_cover_pairs", "_vectors")
 
     def __init__(self, labels, leq, *, _certified=False):
         labels = tuple(labels)
@@ -169,6 +196,7 @@ class Poset:
         self._leq = leq
         self._index = index
         self._covers = None
+        self._cover_pairs = None
         self._vectors = None
 
     @classmethod
@@ -182,16 +210,6 @@ class Poset:
         return poset
 
     @classmethod
-    def _closed(cls, labels, matrix):
-        """Close ``matrix`` reflexively and transitively; refuse a cycle."""
-        closed = _closure(matrix)
-        bad = closed & closed.T & ~np.eye(len(labels), dtype=bool)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-        return cls(labels, closed, _certified=True)
-
-    @classmethod
     def from_comparisons(cls, elements, leq_predicate):
         """Close the comparison predicate reflexively and transitively, then
         certify antisymmetry."""
@@ -202,17 +220,40 @@ class Poset:
             for j, y in enumerate(labels):
                 if leq_predicate(x, y):
                     matrix[i, j] = True
-        return cls._closed(labels, matrix)
+        closed = _closure(matrix)
+        bad = closed & closed.T & ~np.eye(n, dtype=bool)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
+        return cls(labels, closed, _certified=True)
 
     @classmethod
     def from_covers(cls, labels, cover_pairs):
+        """The order generated by the label pairs (x, y), x < y, closed on
+        packed reach bitsets.  Its covers are the input pairs that no path
+        of two or more pairs implies; a cycle raises PosetError."""
         labels = tuple(labels)
         index = {label: i for i, label in enumerate(labels)}
         n = len(labels)
-        matrix = np.zeros((n, n), dtype=bool)
-        for x, y in cover_pairs:
-            matrix[index[x], index[y]] = True
-        return cls._closed(labels, matrix)
+        pairs = np.array([(index[x], index[y]) for x, y in cover_pairs], dtype=np.intp)
+        lower, upper = pairs.reshape(-1, 2).T
+        lower, upper = lower[lower != upper], upper[lower != upper]
+        reach, cover, left = _reach(n, lower, upper)
+        if left.any():
+            # each node left has a successor left, so n steps end on a cycle
+            successor = dict(zip(lower[left[upper]].tolist(), upper[left[upper]].tolist()))
+            x = int(left.argmax())
+            for _ in range(n):
+                x = successor[x]
+            i, j = sorted((x, successor[x]))
+            raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
+        leq = np.unpackbits(reach.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+        poset = cls(labels, leq, _certified=True)
+        covers = np.zeros((n, n), dtype=bool)
+        covers[lower[cover], upper[cover]] = True
+        covers.setflags(write=False)
+        poset._covers = covers
+        return poset
 
     # -- basic queries ----------------------------------------------------
 
@@ -245,9 +286,8 @@ class Poset:
     def relation_pairs(self):
         """All strict related label pairs (x, y) with x < y."""
         strict = self._leq & ~np.eye(self.size, dtype=bool)
-        return frozenset(
-            (self.labels[i], self.labels[j]) for i, j in np.argwhere(strict)
-        )
+        labels = self.labels
+        return frozenset((labels[i], labels[j]) for i, j in np.argwhere(strict).tolist())
 
     def cover_matrix(self):
         if self._covers is None:
@@ -262,8 +302,11 @@ class Poset:
         return self._covers
 
     def cover_pairs(self):
-        """Transitive reduction as sorted index pairs (lower, upper)."""
-        return tuple((int(i), int(j)) for i, j in np.argwhere(self.cover_matrix()))
+        """Transitive reduction as sorted index pairs (lower, upper), built
+        once."""
+        if self._cover_pairs is None:
+            self._cover_pairs = tuple(map(tuple, np.argwhere(self.cover_matrix()).tolist()))
+        return self._cover_pairs
 
     def cover_label_pairs(self):
         return frozenset((self.labels[i], self.labels[j]) for i, j in self.cover_pairs())

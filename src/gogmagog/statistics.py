@@ -28,6 +28,7 @@ __all__ = [
     "boolean_stat_triple",
     "zero_then_one_count",
     "avoids",
+    "avoiding",
     "stat_bundle",
     "distribution",
     "STATISTICS",
@@ -131,6 +132,18 @@ def avoids(p: Permutation, pattern) -> bool:
         if tuple(sorted(range(k), key=lambda i: values[i])) == order:
             return False
     return True
+
+
+def avoiding(perms, pattern):
+    """Batch form of :func:`avoids` on a permutation entry array (one row per
+    permutation) and a pattern tuple: the mask of the rows with no
+    subsequence order-isomorphic to the pattern, by one test over every
+    choice of positions."""
+    pattern = np.array(pattern)
+    positions = np.array(list(combinations(range(perms.shape[1]), len(pattern))), dtype=np.intp)
+    values = perms[:, positions.reshape(-1, len(pattern))]
+    order = pattern[:, None] < pattern
+    return ~((values[..., :, None] < values[..., None, :]) == order).all(axis=(2, 3)).any(axis=1)
 
 
 def _one_position(values) -> int:

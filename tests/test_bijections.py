@@ -3,16 +3,18 @@ three equivalent characterizations of permutation objects."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 import golden_data as gold
 from gogmagog import bijections as bij
-from gogmagog.enumeration import FamilyId, generate
+from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import avoids
 from gogmagog.triangles import (
     FundamentalDomain,
     Permutation,
     PlanePartition,
+    ValidationError,
     validate_asm,
     validate_boolean,
     validate_magog,
@@ -246,3 +248,56 @@ def test_permutation_tsscpp_golden_values():
     for i, rows in enumerate(gold.TSSCPP_3):
         if i != gold.NON_PERMUTATION_INDEX:
             assert bij.is_permutation_tsscpp(PlanePartition(3, rows))
+
+
+# ------------------------------------------------------------ batched maps
+
+
+def entries_of(obj):
+    """The entries of an object's rows (a nest's paths: 1 for a "D" step),
+    row-major."""
+    if hasattr(obj, "paths"):
+        return tuple(int(step == "D") for path in obj.paths for step in path)
+    return tuple(entry for row in obj.rows for entry in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_batched_permutation_maps_equal_the_scalar_maps(n):
+    perms = entries(FamilyId.PERMUTATION, n)
+    monotones = bij.permutations_to_monotones(n, perms).tolist()
+    booleans = bij.permutations_to_booleans(n, perms).tolist()
+    for p, m, b in zip(generate(FamilyId.PERMUTATION, n), monotones, booleans, strict=True):
+        assert entries_of(bij.permutation_to_monotone(p)) == tuple(m)
+        assert entries_of(bij.permutation_to_boolean(p)) == tuple(b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_batched_asm_and_boolean_maps_equal_the_scalar_maps(n):
+    asms = entries(FamilyId.ASM, n)
+    monotones = bij.asms_to_monotones(n, asms)
+    assert (bij.monotones_to_asms(n, monotones) == asms).all()
+    for a, m in zip(generate(FamilyId.ASM, n), monotones.tolist(), strict=True):
+        assert entries_of(bij.asm_to_monotone(a)) == tuple(m)
+    booleans = entries(FamilyId.BOOLEAN, n)
+    nests, domains = bij.booleans_to_nests(n, booleans), bij.booleans_to_domains(n, booleans)
+    magogs = bij.domains_to_magogs(n, domains)
+    assert (bij.nests_to_booleans(n, nests) == booleans).all()
+    assert (bij.domains_to_booleans(n, domains) == booleans).all()
+    for b, nest, d, m in zip(
+        generate(FamilyId.BOOLEAN, n), nests.tolist(), domains.tolist(), magogs.tolist(), strict=True
+    ):
+        assert entries_of(bij.boolean_to_nilp(b)) == tuple(nest)
+        assert entries_of(bij.fundamental_from_boolean(b)) == tuple(d)
+        assert entries_of(bij.boolean_to_magog(b)) == tuple(m)
+
+
+def test_batched_maps_refuse_values_that_fail_their_checks(monkeypatch):
+    with pytest.raises(ValidationError, match="no MonotoneTriangle of order 3"):
+        bij.permutations_to_monotones(3, np.array([[1, 1, 2]]))
+    with pytest.raises(ValidationError, match="no BooleanTriangle of order 3"):
+        bij.nests_to_booleans(3, np.array([[0, 2, 0]]))
+    with pytest.raises(ValidationError, match="no NilpNest of order 3"):
+        bij.booleans_to_nests(3, np.array([[1, 1, 3]]))
+    monkeypatch.setattr(bij, "expand_domains", lambda n, dom: None)
+    with pytest.raises(ValidationError, match="domain of order 3"):
+        bij.booleans_to_domains(3, np.array([[1, 1, 1]]))

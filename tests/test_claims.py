@@ -240,3 +240,35 @@ def test_verify_all_marks_capped_rows(monkeypatch):
     assert capped == [(name, 4) for name in claims.CHECKS] + [(name, 4) for name in claims.CLAIMS]
     assert all(r["ok"] for r in rows if "cap" not in r)
     assert all(not r["ok"] and "exceeds the cap 3" in r["cap"] for r in rows if "cap" in r)
+
+
+def test_removed_strong_cover_fails_thm44(monkeypatch):
+    swap_covers = orders._value_swap_covers
+
+    def one_cover_less(n, adjacent_only):
+        labels, pairs = swap_covers(n, adjacent_only)
+        return labels, pairs if adjacent_only else pairs[1:]
+
+    monkeypatch.setattr(orders, "_value_swap_covers", one_cover_less)
+    assert [claims.run_claim("thm4.4", n)["ok"] for n in (3, 4, 5)] == [False] * 3
+
+
+def test_flipped_boolean_entry_fails_statistics(monkeypatch):
+    to_booleans = bijections.permutations_to_booleans
+
+    def flipped(n, a):
+        out = to_booleans(n, a).copy()
+        out[len(out) // 2, 0] ^= 1
+        return out
+
+    monkeypatch.setattr(bijections, "permutations_to_booleans", flipped)
+    assert [claims.check_statistics(n)["ok"] for n in (2, 3, 4, 5)] == [False] * 4
+
+
+@pytest.mark.parametrize(
+    "name", ["domains_to_booleans", "nests_to_booleans", "magogs_to_booleans", "monotones_to_asms"]
+)
+def test_round_trip_map_off_by_one_fails_roundtrips(monkeypatch, name):
+    back = getattr(bijections, name)
+    monkeypatch.setattr(bijections, name, lambda n, a: np.roll(back(n, a), 1, axis=0))
+    assert [claims.check_roundtrips(n)["ok"] for n in (2, 3, 4)] == [False] * 3

@@ -275,3 +275,12 @@ def test_kind_lookups_serialise_nothing(monkeypatch):
     monkeypatch.setattr(cli, "to_json_dict", None)
     assert [cli._object_stats(obj) for obj in objects] == expected
     assert cli.convert_object(objects[0], "tsscpp") == cli.convert_object(objects[1], "tsscpp")
+
+
+@pytest.mark.parametrize(
+    "name, n", [("weak", 8), ("strong", 8), ("Pn", 50), ("Qn", 50), ("tamari", 11), ("catalan", 11)]
+)
+def test_poset_over_the_size_cap_is_a_usage_error(capsys, name, n):
+    code, out, err = run_cli(capsys, "poset", "--name", name, "--n", str(n), "--out", "json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: componentwise poset on ")

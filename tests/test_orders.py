@@ -257,3 +257,37 @@ def test_other_avoidance_classes_at_four_are_neither_ranked_nor_lattices():
 def test_builders_refuse_orders_below_one(builder, n):
     with pytest.raises(CapExceeded, match=f"^order must be >= 1, got {n}$"):
         builder(n)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("allocated past a size guard")
+
+
+@pytest.mark.parametrize("builder", [orders.build_weak_order, orders.build_strong_bruhat])
+def test_bruhat_orders_refuse_order_eight_before_enumerating(monkeypatch, builder):
+    from gogmagog import enumeration
+    from gogmagog.poset import SizeCap
+
+    monkeypatch.setattr(enumeration, "entries", refuse)
+    monkeypatch.setattr(enumeration, "generate", refuse)
+    with pytest.raises(SizeCap, match="^componentwise poset on 40320 elements exceeds 20000$"):
+        builder(8)
+
+
+@pytest.mark.parametrize("builder", [orders.build_Pn, orders.build_Qn])
+def test_coordinate_posets_refuse_too_many_coordinates_before_building(monkeypatch, builder):
+    from gogmagog.poset import SizeCap
+
+    monkeypatch.setattr(Poset, "from_covers", refuse)
+    with pytest.raises(SizeCap, match="^componentwise poset on 20825 elements exceeds 20000$"):
+        builder(50)
+
+
+@pytest.mark.parametrize("builder", [orders.build_tamari, orders.build_catalan_distributive])
+def test_catalan_orders_refuse_order_eleven_before_the_product_loop(monkeypatch, builder):
+    from gogmagog.poset import SizeCap
+
+    monkeypatch.setattr(orders, "product", refuse)
+    assert catalan(11) == 58786
+    with pytest.raises(SizeCap, match="^componentwise poset on 58786 elements exceeds 20000$"):
+        builder(11)

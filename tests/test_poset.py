@@ -319,3 +319,79 @@ def test_bool_product_refuses_inexact_inner_dimensions_before_converting():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -------------------------------------------------- closure of cover pairs
+
+
+def dense_from_covers(labels, pairs):
+    """The float32 closure and reduction of the cover pairs: the oracle."""
+    from gogmagog.poset import _bool_product, _closure
+
+    index = {label: i for i, label in enumerate(labels)}
+    matrix = np.zeros((len(labels), len(labels)), dtype=bool)
+    for x, y in pairs:
+        matrix[index[x], index[y]] = True
+    leq = _closure(matrix)
+    strict = leq & ~np.eye(len(labels), dtype=bool)
+    return leq, strict & ~_bool_product(strict, strict)
+
+
+def random_dag_edges(rng, k, density):
+    """Edges x -> y of a random DAG on a shuffled order of range(k), some
+    listed twice."""
+    ranks = list(range(k))
+    rng.shuffle(ranks)
+    edges = [(ranks[a], ranks[b]) for a in range(k) for b in range(a + 1, k) if rng.random() < density]
+    return edges + edges[: len(edges) // 4]
+
+
+def test_bitset_closure_equals_the_dense_closure_on_random_dags():
+    rng = random.Random(11)
+    for k in (0, 1, 2, 5, 30, 63, 64, 65, 130):
+        for density in (0.03, 0.2, 0.6):
+            edges = random_dag_edges(rng, k, density)
+            p = Poset.from_covers(range(k), edges)
+            leq, covers = dense_from_covers(range(k), edges)
+            assert (p.leq_matrix() == leq).all() and (p.cover_matrix() == covers).all()
+
+
+def test_bitset_closure_equals_the_dense_closure_on_the_cover_built_orders(monkeypatch):
+    from gogmagog import orders
+
+    inputs = []
+    from_covers = Poset.from_covers.__func__
+
+    def recorded(cls, labels, cover_pairs):
+        inputs.append((tuple(labels), list(cover_pairs)))
+        return from_covers(cls, *inputs[-1])
+
+    monkeypatch.setattr(Poset, "from_covers", classmethod(recorded))
+    for build in (orders.build_Pn, orders.build_Qn, orders.build_weak_order, orders.build_strong_bruhat):
+        for n in range(1, 7):
+            p = build(n)
+            leq, covers = dense_from_covers(*inputs[-1])
+            assert (p.leq_matrix() == leq).all() and (p.cover_matrix() == covers).all()
+
+
+def test_from_covers_drops_redundant_edges_and_loops():
+    p = Poset.from_covers("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "c"), ("a", "d"), ("a", "d")])
+    assert p.cover_label_pairs() == frozenset({("a", "b"), ("b", "c"), ("a", "d")})
+    assert p.relation_pairs() == frozenset({("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")})
+
+
+@pytest.mark.parametrize(
+    "edges, pair",
+    [
+        ([("a", "b"), ("b", "a")], "'a' <=> 'b'"),
+        ([("d", "a"), ("a", "b"), ("b", "c"), ("c", "b")], "'b' <=> 'c'"),
+    ],
+)
+def test_from_covers_refuses_a_cycle(edges, pair):
+    with pytest.raises(PosetError, match=f"^closure is not antisymmetric: {pair}$"):
+        Poset.from_covers("abcd", edges)
+
+
+def test_cover_pairs_are_built_once():
+    p = chain(4)
+    assert p.cover_pairs() is p.cover_pairs() == ((0, 1), (1, 2), (2, 3))

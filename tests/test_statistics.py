@@ -6,8 +6,9 @@ import pytest
 
 import golden_data as gold
 from gogmagog import bijections as bij
-from gogmagog.enumeration import FamilyId, generate
+from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import (
+    avoiding,
     avoids,
     boolean_lowest_one_last_diagonal,
     boolean_stat_triple,
@@ -145,6 +146,15 @@ def test_avoids_matches_oracle(pattern):
     for n in (1, 2, 3, 4, 5):
         for p in generate(FamilyId.PERMUTATION, n):
             assert avoids(p, pattern) == avoids_oracle(p, pattern)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_batched_avoidance_equals_avoids(n):
+    perms = entries(FamilyId.PERMUTATION, n)
+    objects = list(generate(FamilyId.PERMUTATION, n))
+    for k in (1, 2, 3, 4):
+        for pattern in itertools.permutations(range(1, k + 1)):
+            assert avoiding(perms, pattern).tolist() == [avoids(p, pattern) for p in objects]
 
 
 def test_stat_bundle_positions():
