@@ -1,25 +1,27 @@
 """Exhaustive generators and counters for every family.
 
 Each family yields its objects exactly once, in lexicographic order on the
-row-major representation.  Boolean triangles and ASMs are searched row by row
-over a numpy frontier: every frontier state (the diagonal partial sums of a
-boolean triangle, the column-prefix 0/1 mask of an ASM) is extended by all
-admissible next rows at once, blocks of ``CHUNK`` states at a time, depth
-first, and the search yields int8 entry arrays.  The other families are
-backtracking searches yielding row tuples: monotone and magog triangles grow
-from the fixed bottom row (any partial tower extends, so no dead ends), and
-nests add one path at a time pruning on intersection with the previous path.
-TSSCPPs are the expansions of the boolean triangles, put in order by one
-``np.lexsort`` of their heights arrays.
+row-major representation.  Three searches yield int8 entry arrays: boolean
+triangles and ASMs are searched row by row over a numpy frontier (every
+frontier state, the diagonal partial sums of a boolean triangle or the
+column-prefix 0/1 mask of an ASM, is extended by all admissible next rows
+at once, blocks of ``CHUNK`` states at a time, depth first), and
+permutations come from ``itertools.permutations``.  Every other family is
+the image of one of them under a batched bijection (``_DERIVED``):
+monotone triangles of ASMs, magog triangles, nests and TSSCPPs of boolean
+triangles, permutation boolean triangles of permutations.  An image is put
+in order by one ``np.lexsort``; equal neighbours after the sort would mean
+the map is not injective, and raise.
 
 The search output is validated in chunks of at most ``CHUNK`` values by
-``triangles.validate_batch`` (TSSCPPs by ``bijections.booleans_to_tsscpp``),
-with every check the constructors make.  :func:`count` adds up the sizes of
-the validated chunks and :func:`jsonl` writes their JSON lines straight from
-the entry arrays (``triangles.format_batch``); neither builds an object.
-:func:`generate` builds the objects of a validated chunk without checking
-each one again, and keeps them in a cache.  A chunk that fails a check goes
-through the validating constructors, which raise the first violation.
+``triangles.validate_batch``, with every check the constructors make, and
+each batched map checks its own output the same way.  :func:`count` adds up
+the sizes of the validated chunks, unsorted, and :func:`jsonl` writes their
+JSON lines straight from the entry arrays (``triangles.format_batch``);
+neither builds an object.  :func:`generate` builds the objects of a
+validated chunk without checking each one again, and keeps them in a cache.
+A search chunk that fails a check goes through the validating constructors,
+which raise the first violation.
 
 Orders are capped (``DEFAULT_CAPS``, overridable per call or via the
 ``TSSCPP_MAX_N`` environment variable) because the families grow too fast for
@@ -44,6 +46,7 @@ from .triangles import (
     NilpNest,
     Permutation,
     PlanePartition,
+    ValidationError,
     build_batch,
     format_batch,
     validate_batch,
@@ -145,61 +148,6 @@ def _boolean_chunks(n):
     return _blocked(partial(_boolean_step, n), n - 1, *start)
 
 
-def _iter_perm_boolean_rows(n):
-    choices = [
-        [(1,) * ones + (0,) * (r + 1 - ones) for ones in range(r + 2)]
-        for r in range(n - 1)
-    ]
-    for row in choices:
-        row.sort()
-    for rows in product(*choices):
-        yield rows
-
-
-def _monotone_towers(n, rows_above):
-    """All triangles grown upward from the fixed bottom row."""
-    stack = [(tuple(range(1, n + 1)),)]
-    out = []
-    while stack:
-        tower = stack.pop()
-        if len(tower) == n:
-            out.append(tower)
-            continue
-        for row in rows_above(tower[0]):
-            stack.append((row,) + tower)
-    return out
-
-
-def _monotone_rows_above(row):
-    k = len(row) - 1
-
-    def rec(c, prev):
-        if c == k:
-            yield ()
-            return
-        for v in range(max(row[c], prev + 1), row[c + 1] + 1):
-            for rest in rec(c + 1, v):
-                yield (v,) + rest
-
-    return rec(0, 0)
-
-
-def _magog_rows_above(row, n):
-    k = len(row) - 1
-
-    def rec(c, prev):
-        if c == k:
-            yield ()
-            return
-        low = max(row[c], row[c + 1] - 1, prev + 1)
-        # leave room for a strict tail within 1..n
-        for v in range(low, n - (k - 1 - c) + 1):
-            for rest in rec(c + 1, v):
-                yield (v,) + rest
-
-    return rec(0, 0)
-
-
 @lru_cache(maxsize=None)
 def _asm_table(n):
     """The rows an ASM of order n can have, in lexicographic order, and for
@@ -235,84 +183,44 @@ def _asm_chunks(n):
     return _blocked(partial(_asm_step, n), n, *start)
 
 
-def _iter_nilp_paths(n):
-    """Step tuples for all nests, path by path, pruning on intersection with
-    the previous path (sufficient: adjacent non-crossing orders all paths)."""
-    paths = []
-
-    def rec(q, prev_points):
-        if q == n:
-            yield tuple(paths)
-            return
-        path = []
-
-        def step(s, x, y, points):
-            if s == q:
-                paths.append(tuple(path))
-                yield from rec(q + 1, frozenset(points))
-                paths.pop()
-                return
-            for move in ("D", "V"):
-                nx = x + 1 if move == "D" else x
-                ny = y - 1
-                if (nx, ny) in prev_points:
-                    continue
-                path.append(move)
-                points.append((nx, ny))
-                yield from step(s + 1, nx, ny, points)
-                points.pop()
-                path.pop()
-
-        if (q, q) in prev_points:
-            return
-        yield from step(0, q, q, [(q, q)])
-
-    yield from rec(1, frozenset())
+def _permutation_chunks(n):
+    """Entry arrays of all permutations of order n, lexicographic order."""
+    values = permutations(range(1, n + 1))
+    while chunk := list(islice(values, CHUNK)):
+        yield np.array(chunk, dtype=np.min_scalar_type(-n))
 
 
-def _chunks(search):
-    """A search yielding raw values, turned into one yielding lists of
-    ``CHUNK`` values."""
-
-    def chunks(n):
-        values = iter(search(n))
-        while chunk := list(islice(values, CHUNK)):
-            yield chunk
-
-    return chunks
-
-
-def _sorted(search):
-    return lambda n: sorted(search(n))
-
-
-# family -> (class, search yielding the raw values of order n in order, in
-# chunks: int8 entry arrays or lists of row tuples)
+# family -> (class, search yielding the entry arrays of order n in order, in
+# chunks of at most CHUNK values)
 _SEARCH = {
     FamilyId.BOOLEAN: (BooleanTriangle, _boolean_chunks),
-    FamilyId.PERMUTATION_BOOLEAN: (BooleanTriangle, _chunks(_iter_perm_boolean_rows)),
-    FamilyId.PERMUTATION: (Permutation, _chunks(lambda n: permutations(range(1, n + 1)))),
-    FamilyId.MONOTONE: (
-        MonotoneTriangle,
-        _chunks(_sorted(lambda n: _monotone_towers(n, _monotone_rows_above))),
-    ),
-    FamilyId.MAGOG: (
-        MagogTriangle,
-        _chunks(_sorted(lambda n: _monotone_towers(n, lambda row: _magog_rows_above(row, n)))),
-    ),
     FamilyId.ASM: (Asm, _asm_chunks),
-    FamilyId.NILP: (NilpNest, _chunks(_sorted(_iter_nilp_paths))),
+    FamilyId.PERMUTATION: (Permutation, _permutation_chunks),
+}
+
+# family -> (class, source family, batched map from the source's validated
+# entry arrays to the family's): every other family is the image of a
+# searched one.
+_DERIVED = {
+    FamilyId.MONOTONE: (MonotoneTriangle, FamilyId.ASM, bijections.asms_to_monotones),
+    FamilyId.MAGOG: (MagogTriangle, FamilyId.BOOLEAN, bijections.booleans_to_magogs),
+    FamilyId.NILP: (NilpNest, FamilyId.BOOLEAN, bijections.booleans_to_nests),
+    FamilyId.PERMUTATION_BOOLEAN: (BooleanTriangle, FamilyId.PERMUTATION, bijections.permutations_to_booleans),
+    FamilyId.TSSCPP: (PlanePartition, FamilyId.BOOLEAN, bijections.booleans_to_tsscpp),
 }
 
 
 def _validated(family, n):
-    """The search chunks of the family at order n as validated entry arrays
-    (see ``triangles.validate_batch``; TSSCPPs: flat heights arrays), in
-    search order.  A chunk that fails a check goes through the constructors,
-    which raise the first violation."""
-    if family is FamilyId.TSSCPP:
-        for chunk in _boolean_chunks(n):
-            yield bijections.booleans_to_tsscpp(n, chunk).reshape(len(chunk), -1)
+    """The validated entry arrays of the family at order n (see
+    ``triangles.validate_batch``; TSSCPPs: flat heights arrays), a chunk at
+    a time: in search order, or for a derived family in the order of its
+    source.  A search chunk that fails a check goes through the
+    constructors, which raise the first violation; the batched maps check
+    their own output."""
+    if family in _DERIVED:
+        _, source, image = _DERIVED[family]
+        for a in _validated(source, n):
+            yield image(n, a).reshape(len(a), -1)
         return
     cls, search = _SEARCH[family]
     for chunk in search(n):
@@ -323,31 +231,34 @@ def _validated(family, n):
         yield a
 
 
-def _tsscpp_heights(n):
-    """The flat heights arrays of the TSSCPPs of order n in lexicographic
-    order, in the narrowest dtype (heights are at most 2n)."""
-    dtype = np.min_scalar_type(2 * n)
-    heights = np.concatenate([chunk.astype(dtype) for chunk in _validated(FamilyId.TSSCPP, n)])
-    return heights[np.lexsort(heights.T[::-1])]
+def _sorted_image(family, n):
+    """The entry arrays of a derived family at order n in lexicographic
+    order, in the narrowest dtype that holds -1..2n, as one array.  Nests
+    sort by the negated entries, as "D" (stored as 1) sorts before "V".
+    Two equal values mean the map is not injective, and raise."""
+    dtype = np.min_scalar_type(-2 * n)
+    a = np.concatenate([chunk.astype(dtype) for chunk in _validated(family, n)])
+    key = -a if _DERIVED[family][0] is NilpNest else a
+    if a.shape[1]:  # a value with no entries is alone in its family
+        a = a[np.lexsort(key.T[::-1])]
+        rows = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+        if (rows[1:] == rows[:-1]).any():
+            raise ValidationError(f"{family.value}: the batched map gave one value twice at order {n}")
+    return a
 
 
 def _arrays(family, n):
     """The class of the family, and its validated entry arrays of at most
     ``CHUNK`` values each, in the order of :func:`generate`."""
-    if family is not FamilyId.TSSCPP:
+    if family in _SEARCH:
         return _SEARCH[family][0], _validated(family, n)
-    heights = _tsscpp_heights(n)
-    chunks = (heights[start : start + CHUNK] for start in range(0, len(heights), CHUNK))
-    return PlanePartition, chunks
+    a = _sorted_image(family, n)
+    return _DERIVED[family][0], (a[start : start + CHUNK] for start in range(0, len(a), CHUNK))
 
 
 @lru_cache(maxsize=32)
 def _elements(family, n):
-    if family is FamilyId.TSSCPP:
-        cls, chunks = _arrays(family, n)
-    else:
-        cls, search = _SEARCH[family]
-        chunks = search(n)
+    cls, chunks = _arrays(family, n)
     return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in chunks))
 
 

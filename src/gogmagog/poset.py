@@ -55,6 +55,9 @@ class LatticeReport:
 # Float32 holds every integer below this exactly, so a float32 product of
 # small nonnegative integers is exact while its sums stay below it.
 _FLOAT32_EXACT = 1 << 24
+# The float32 entries (1 GiB) a boolean product may hold in its operands and
+# result together.
+_FLOAT32_ENTRIES = 1 << 28
 # Elements of a temporary matrix handled at a time by the blocked scans.
 _BLOCK = 1 << 22
 # Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
@@ -64,11 +67,15 @@ _BOUND_COLUMNS = 512
 def _bool_product(a, b):
     """Boolean matrix product via float32 BLAS.  A path count is at most the
     inner dimension, so the product is exact while that stays below 2**24;
-    beyond, SizeCap is raised before anything is converted."""
+    beyond, or when the float32 operands and result would exceed 2**28
+    entries, SizeCap is raised before anything is converted."""
     if a.shape[1] >= _FLOAT32_EXACT:
         raise SizeCap(
             f"boolean product over {a.shape[1]} inner elements is not exact in float32"
         )
+    entries = a.size + b.size + a.shape[0] * b.shape[1]
+    if entries > _FLOAT32_ENTRIES:
+        raise SizeCap(f"boolean product of {a.shape} by {b.shape} needs {entries} float32 entries, over 2**28")
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 

@@ -672,6 +672,8 @@ def _nest_steps(n):
 def _nest_ok(a, n):
     """``a`` is 1 for a "D" step and 0 for a "V" step.  Every lattice point
     of a nest gets the code x * n + y; no code may repeat."""
+    if not ((a == 0) | (a == 1)).all():
+        return False
     path, start, y = _nest_steps(n)
     moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
     np.cumsum(a, axis=1, out=moved[:, 1:])
@@ -703,6 +705,11 @@ _BATCH = {
     NilpNest: (lambda n: range(1, n), str, _nest_ok),
     PlanePartition: (lambda n: [2 * n] * (2 * n), int, _plane_partition_ok),
 }
+
+
+# A nest step in an entry array: 1 is a "D" step, 0 a "V" step.
+_STEP = {0: "V", 1: "D"}
+_STEP_TEXT = ('"V"', '"D"')
 
 
 def _width(row_lengths, n):
@@ -756,8 +763,11 @@ def _array_values(cls, n, a):
     bounds = np.cumsum([0, *row_lengths(n)])
     columns = []
     for start, stop in zip(bounds, bounds[1:]):
-        shared = {}
-        columns.append([shared.setdefault(row, row) for row in map(tuple, a[:, start:stop].tolist())])
+        rows = list(map(tuple, a[:, start:stop].tolist()))
+        shared = dict(zip(rows, rows))
+        if cls is NilpNest:  # steps "V"/"D"; other entries are the constructor's to refuse
+            shared = {row: tuple(_STEP.get(e, e) for e in row) for row in shared}
+        columns.append(list(map(shared.__getitem__, rows)))
     # A value with no rows (a boolean triangle of order 1) is ().
     return list(zip(*columns)) or [()] * len(a)
 
@@ -766,14 +776,15 @@ def validate_batch(cls, n, chunk):
     """Check a chunk of raw values for ``cls`` of order ``n`` all at once.
 
     ``chunk`` is a list of values for the constructor's second argument, in
-    the form the enumeration search yields them: tuples of ``int`` tuples
+    the form the constructor takes them: tuples of ``int`` tuples
     (``Permutation``: ``int`` tuples; ``NilpNest``: tuples of ``"V"``/``"D"``
     tuples), or an integer array with one row per value holding its entries
-    row-major.  Returns the entries as an int64 array, one row per value,
-    when every value passes every check ``cls(n, value)`` makes; otherwise
-    None, and the constructor must decide.  Other forms the constructor
-    accepts, such as lists or numpy integers in tuples, are refused here too,
-    and so are arrays of another dtype or width.
+    row-major (``NilpNest``: 1 for a "D" step, 0 for a "V" step).  Returns
+    the entries as an int64 array, one row per value, when every value
+    passes every check ``cls(n, value)`` makes; otherwise None, and the
+    constructor must decide.  Other forms the constructor accepts, such as
+    lists or numpy integers in tuples, are refused here too, and so are
+    arrays of another dtype or width.
     """
     row_lengths, entry_type, ok = _BATCH[cls]
     if n < 1:
@@ -781,8 +792,7 @@ def validate_batch(cls, n, chunk):
     if not isinstance(chunk, np.ndarray):
         a = _tuple_entries(chunk, n, row_lengths, entry_type)
     elif (
-        entry_type is int
-        and chunk.dtype.kind in "iu"
+        chunk.dtype.kind in "iu"
         and np.can_cast(chunk.dtype, np.int64)
         and chunk.shape[1:] == (_width(row_lengths, n),)
     ):
@@ -812,10 +822,6 @@ def build_batch(cls, n, chunk):
         attributes[name] = value
         objects.append(obj)
     return objects
-
-
-# The JSON text of a nest step: entry 1 is a "D" step, 0 a "V" step.
-_STEP_TEXT = ('"V"', '"D"')
 
 
 def _row_texts(cls, block):

@@ -1,10 +1,11 @@
 """Differential tests of the batch path against the validating constructors.
 
-The enumeration validates its search output in chunks (``validate_batch``,
-``booleans_to_tsscpp``) and builds objects without re-validating them.  Here
-the constructors are the oracle: the batch path must build the same objects
-in the same order, and must reject a value exactly when the constructor
-raises.
+The enumeration validates its search output and the images of the batched
+bijections in chunks (``validate_batch``, ``booleans_to_tsscpp``) and builds
+objects without re-validating them.  Here the constructors, on the values of
+the recursive reference searches, are the oracle: the batch path must build
+the same objects in the same order, and must reject a value exactly when the
+constructor raises.
 """
 
 import random
@@ -37,28 +38,17 @@ from gogmagog.triangles import (
 )
 
 
-def raw_values(family, n):
-    """The raw values of the family in the enumeration's order: from the
-    recursive reference searches for boolean triangles and ASMs, from the
-    enumeration's own search for the other families."""
-    if family is FamilyId.BOOLEAN:
-        return list(reference_search.boolean_rows(n))
-    if family is FamilyId.ASM:
-        return reference_search.asm_matrices(n)
-    return [value for chunk in enumeration._SEARCH[family][1](n) for value in chunk]
-
-
 def scalar_objects(family, n):
-    """The family built by the validating constructors from the raw values,
-    in the enumeration's order."""
+    """The family built by the validating constructors from the values of
+    the recursive reference searches, in the enumeration's order."""
     if family is FamilyId.TSSCPP:
         partitions = [
             bijections.boolean_to_tsscpp(BooleanTriangle(n, rows))
             for rows in reference_search.boolean_rows(n)
         ]
         return sorted(partitions, key=lambda p: p.rows)
-    cls = enumeration._SEARCH[family][0]
-    return [cls(n, value) for value in raw_values(family, n)]
+    cls = reference_search.SEARCH[family][0]
+    return [cls(n, value) for value in reference_search.values(family, n)]
 
 
 def _forbidden(*args, **kwargs):
@@ -272,4 +262,14 @@ def test_batch_check_takes_integer_arrays_of_the_expected_width_only():
     for array in refused[3:]:
         with pytest.raises(ShapeError):
             build_batch(BooleanTriangle, 3, array)
-    assert validate_batch(NilpNest, 2, np.array([[1]], dtype=np.int8)) is None
+    # A nest array holds 1 for a "D" step and 0 for a "V" step.
+    nest = NilpNest(3, (("V",), ("D", "V")))
+    array = np.array([[0, 1, 0]], dtype=np.int8)
+    assert validate_batch(NilpNest, 3, array).tolist() == validate_batch(NilpNest, 3, [nest.paths]).tolist()
+    assert build_batch(NilpNest, 3, array) == [nest]
+    for array in (np.array([[0, 2, 0]], dtype=np.int8), np.array([[0, 1]], dtype=np.int8)):
+        assert validate_batch(NilpNest, 3, array) is None, array
+    with pytest.raises(EntryError):
+        build_batch(NilpNest, 3, np.array([[0, 2, 0]], dtype=np.int8))
+    with pytest.raises(ShapeError):
+        build_batch(NilpNest, 3, np.array([[0, 1]], dtype=np.int8))

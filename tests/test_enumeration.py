@@ -10,7 +10,7 @@ import reference_search
 from gogmagog import bijections as bij
 from gogmagog import enumeration
 from gogmagog.enumeration import CapExceeded, DEFAULT_CAPS, FamilyId, count, generate
-from gogmagog.triangles import validate_tsscpp
+from gogmagog.triangles import ValidationError, validate_tsscpp
 
 ASM_COUNTS = [1, 2, 7, 42, 429]  # continues 7436 at order six
 
@@ -29,8 +29,9 @@ def test_asm_sequence(n):
 
 
 def test_four_generators_agree_at_order_six():
-    """Matrix, boolean, monotone, and magog backtracking are independent
-    algorithms; all four must land on the same count."""
+    """The ASM and boolean searches are independent algorithms, and the
+    monotone and magog triangles their images; all four must land on the
+    same count."""
     counts = {
         family: count(family, 6)
         for family in (FamilyId.ASM, FamilyId.BOOLEAN, FamilyId.MONOTONE, FamilyId.MAGOG)
@@ -115,22 +116,51 @@ def test_family_from_string():
     assert count("permutation-boolean", 3) == 6
 
 
-@pytest.mark.parametrize(
-    "search,reference",
-    [
-        (enumeration._boolean_chunks, reference_search.boolean_rows),
-        (enumeration._asm_chunks, reference_search.asm_matrices),
-    ],
-    ids=["boolean", "asm"],
-)
-def test_frontier_search_equals_the_recursive_reference(search, reference):
-    """Same values in the same order, in int8 chunks of at most CHUNK rows."""
-    for n in range(1, 8):
-        chunks = list(search(n))
-        assert all(c.dtype == np.int8 and len(c) <= enumeration.CHUNK for c in chunks)
-        got = np.concatenate(chunks).tolist()
-        expected = [[entry for row in value for entry in row] for value in reference(n)]
-        assert got == expected, n
+def _flat_entries(value):
+    """The entries of a raw value row-major, 1 for a "D" nest step and 0
+    for a "V" step."""
+    if value and not isinstance(value[0], tuple):  # a permutation
+        return list(value)
+    steps = {"V": 0, "D": 1}
+    return [steps.get(entry, entry) for row in value for entry in row]
+
+
+# The largest order at which each family is compared with its reference.
+REFERENCE_TOP = {
+    "boolean": 7,
+    "asm": 7,
+    "monotone": 7,
+    "magog": 7,
+    "nilp": 7,
+    "permutation": 8,
+    "permutation-boolean": 8,
+}
+
+
+@pytest.mark.parametrize("family", list(REFERENCE_TOP))
+def test_frontier_search_equals_the_recursive_reference(family):
+    """The searches, and the sorted images of the batched bijections, give
+    the values of the backtracking searches in the same order; the searches
+    in int8 chunks of at most CHUNK rows."""
+    for n in range(1, REFERENCE_TOP[family] + 1):
+        if FamilyId(family) in enumeration._SEARCH:
+            chunks = list(enumeration._SEARCH[FamilyId(family)][1](n))
+            assert all(c.dtype == np.int8 and len(c) <= enumeration.CHUNK for c in chunks)
+        expected = [_flat_entries(value) for value in reference_search.values(family, n)]
+        assert enumeration.entries(family, n).tolist() == expected, (family, n)
+
+
+def test_a_derived_map_that_repeats_a_value_raises(monkeypatch):
+    cls, source, image = enumeration._DERIVED[FamilyId.MONOTONE]
+
+    def repeating(n, a):
+        out = image(n, a)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setitem(enumeration._DERIVED, FamilyId.MONOTONE, (cls, source, repeating))
+    with pytest.raises(ValidationError, match="^monotone: the batched map gave one value twice at order 4$"):
+        enumeration.entries("monotone", 4)
 
 
 # A frontier held whole at n = 7 peaks at 190 MB (boolean) and 300 MB (asm)

@@ -14,8 +14,8 @@ import pytest
 from gogmagog import enumeration
 from gogmagog.enumeration import FamilyId, generate, jsonl
 from gogmagog.triangles import (
+    Asm,
     BooleanTriangle,
-    MonotoneTriangle,
     Permutation,
     PlanePartition,
     ValidationError,
@@ -80,16 +80,17 @@ def test_an_invalid_search_value_raises_the_constructor_error(entry, monkeypatch
     monkeypatch.setitem(enumeration._SEARCH, FamilyId.BOOLEAN, (BooleanTriangle, lambda n: iter([chunk])))
     _assert_raises_like(expected, "boolean", n)
     # TSSCPPs come from the same search, through the batched expansion.
-    monkeypatch.setattr(enumeration, "_boolean_chunks", lambda n: iter([chunk]))
     _assert_raises_like(expected, "tsscpp", n)
 
 
-def test_an_invalid_tuple_search_value_raises_the_constructor_error(monkeypatch):
+def test_an_invalid_asm_search_value_raises_the_constructor_error(monkeypatch):
+    """Monotone triangles are the images of the ASM search: an invalid ASM
+    stops them with the ASM constructor's error."""
     n = 4
-    chunk = [value for chunk in enumeration._SEARCH[FamilyId.MONOTONE][1](n) for value in chunk]
-    chunk[5] = ((3,), (1, 2), (1, 2, 3), (1, 2, 3, 4))  # 3 does not interlace 1, 2
-    expected = _constructor_error(MonotoneTriangle, n, chunk)
-    monkeypatch.setitem(enumeration._SEARCH, FamilyId.MONOTONE, (MonotoneTriangle, lambda n: iter([chunk])))
+    chunk = next(enumeration._asm_chunks(n)).copy()
+    chunk[5, :n] = (0, 1, -1, 1)  # a -1 in the first row, with no 1 above it
+    expected = _constructor_error(Asm, n, chunk)
+    monkeypatch.setitem(enumeration._SEARCH, FamilyId.ASM, (Asm, lambda n: iter([chunk])))
     _assert_raises_like(expected, "monotone", n)
 
 

@@ -321,6 +321,24 @@ def test_bool_product_refuses_inexact_inner_dimensions_before_converting():
     assert peak < 2**20
 
 
+def test_bool_product_refuses_more_than_a_gibibyte_of_float32_before_converting():
+    """Operands and result of 16,796 elements, tamari 10's size, would take
+    3.4 GB as float32; the operands here are broadcast and take no memory."""
+    import tracemalloc
+
+    from gogmagog.poset import _bool_product
+
+    a = np.broadcast_to(np.zeros(1, dtype=bool), (16796, 16796))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap, match=r"needs 846316848 float32 entries, over 2\*\*28$"):
+            _bool_product(a, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # -------------------------------------------------- closure of cover pairs
 
 
