@@ -1,34 +1,19 @@
 """Conversion maps between the object families, each total on its stated
 domain and invertible.
 
-The conversion graph has two hubs:
+Every map is one batched algorithm on validated entry arrays of order n
+(one row per value, see ``triangles.validate_batch``) and checks what it
+returns the same way.  An object map runs it on the object's entries as a
+batch of one, as :func:`convert` does along the conversion graph
+``_EDGES``.  The scalar algorithms these maps replaced are the test oracle
+(``tests/reference_maps.py``).
 
-* ``MonotoneTriangle`` for the matrix side (``Asm`` <-> monotone triangle via
-  column partial sums; permutations <-> monotone triangles via sorted
-  prefixes).
-* ``FundamentalDomain`` for the plane-partition side (magog triangles via the
-  rotate-and-shift formula; boolean triangles via layer profiles, see below;
-  nests of paths via the boolean encoding).
-
-The two sides meet only on permutation objects: a boolean triangle with
-weakly decreasing rows maps to a monotone triangle by copying, in each row,
-the below-left neighbour over a one and the below-right neighbour over a
+The matrix side (ASMs, monotone triangles, permutations) and the
+plane-partition side meet only on permutation objects: a boolean triangle
+with weakly decreasing rows maps to a monotone triangle by copying, in each
+row, the below-left neighbour over a one and the below-right one over a
 zero.  That map sends zeros to inversions and is the statistic-preserving
 permutation bijection.
-
-The maps the claims read in bulk also have batch forms on validated entry
-arrays (``permutations_to_booleans`` and the like); the scalar maps are
-their oracles.
-
-Layer profiles
---------------
-``boolean_from_fundamental`` encodes domain heights by levels.  For each
-``q = 1 .. n-1`` consider the cells of the domain with height at least
-``n - q`` (a shifted, strictly-row-decreasing shape confined to the first
-``q`` columns).  A layer row of length ``r`` puts a zero at depth
-``q - r + 1`` of diagonal ``q`` of the boolean triangle; all other entries
-are ones.  The inverse reads the zero depths of each diagonal back into
-nested layers and sums them.
 """
 
 from __future__ import annotations
@@ -38,22 +23,25 @@ from functools import lru_cache
 import numpy as np
 
 from .triangles import (
+    SCHEMA,
     Asm,
     BooleanTriangle,
     FundamentalDomain,
-    InconsistentDomain,
     MagogTriangle,
     MonotoneTriangle,
     NilpNest,
     Permutation,
     PlanePartition,
     ValidationError,
+    _domain_cells,
     _triangle_cells,
     _triangle_neighbours,
+    build_batch,
+    domains_to_tsscpps,
+    entry_row,
     expand_domains,
-    expand_fundamental,
-    fundamental_domain,
     is_permutation_matrix,
+    tsscpps_to_domains,
     validate_batch,
 )
 
@@ -62,6 +50,7 @@ __all__ = [
     "NotPermutationMonotone",
     "NotPermutationMatrix",
     "ResultNotMagog",
+    "convert",
     "asm_to_monotone",
     "monotone_to_asm",
     "asm_to_permutation",
@@ -81,8 +70,14 @@ __all__ = [
     "tsscpp_to_boolean",
     "boolean_to_tsscpp",
     "booleans_to_tsscpp",
+    "permutations_to_asms",
+    "asms_to_permutations",
     "permutations_to_monotones",
+    "monotones_to_permutations",
+    "monotones_to_booleans",
     "permutations_to_booleans",
+    "perm_booleans_to_monotones",
+    "booleans_to_permutations",
     "asms_to_monotones",
     "monotones_to_asms",
     "booleans_to_nests",
@@ -90,8 +85,11 @@ __all__ = [
     "booleans_to_domains",
     "domains_to_booleans",
     "domains_to_magogs",
+    "magogs_to_domains",
     "magogs_to_booleans",
     "booleans_to_magogs",
+    "booleans_to_brackets",
+    "brackets_to_booleans",
     "boolean_to_monotone_perm",
     "monotone_perm_to_boolean",
     "permutation_to_boolean",
@@ -120,165 +118,6 @@ class ResultNotMagog(ValidationError):
     pass
 
 
-def asm_to_monotone(a: Asm) -> MonotoneTriangle:
-    """Row i lists, in increasing order, the columns whose top-i partial sum
-    is one."""
-    n = a.n
-    rows = []
-    col = [0] * n
-    for r in range(n):
-        for c in range(n):
-            col[c] += a.rows[r][c]
-        rows.append(tuple(c + 1 for c in range(n) if col[c] == 1))
-    return MonotoneTriangle(n, tuple(rows))
-
-
-def monotone_to_asm(m: MonotoneTriangle) -> Asm:
-    n = m.n
-    rows = []
-    prev = frozenset()
-    for r in range(n):
-        cur = frozenset(m.rows[r])
-        rows.append(tuple((1 if c in cur else 0) - (1 if c in prev else 0) for c in range(1, n + 1)))
-        prev = cur
-    return Asm(n, tuple(rows))
-
-
-def permutation_matrix(p: Permutation) -> Asm:
-    n = p.n
-    return Asm(n, tuple(tuple(1 if p.sigma[r] == c else 0 for c in range(1, n + 1)) for r in range(n)))
-
-
-def asm_to_permutation(a: Asm) -> Permutation:
-    if not is_permutation_matrix(a):
-        raise NotPermutationMatrix("matrix has a -1 entry")
-    return Permutation(a.n, tuple(row.index(1) + 1 for row in a.rows))
-
-
-def permutation_to_monotone(p: Permutation) -> MonotoneTriangle:
-    """Row i is the sorted prefix sigma(1..i)."""
-    return MonotoneTriangle(p.n, tuple(tuple(sorted(p.sigma[: r + 1])) for r in range(p.n)))
-
-
-def monotone_to_permutation(m: MonotoneTriangle) -> Permutation:
-    """sigma(i) is the unique new value in row i; defined exactly on the
-    monotone triangles of permutation matrices."""
-    sigma = []
-    prev = frozenset()
-    for row in m.rows:
-        new = frozenset(row) - prev
-        if len(new) != 1:
-            raise NotPermutationMonotone("monotone triangle rows are not nested prefixes")
-        sigma.append(next(iter(new)))
-        prev = frozenset(row)
-    return Permutation(m.n, tuple(sigma))
-
-
-def magog_from_fundamental(d: FundamentalDomain) -> MagogTriangle:
-    """Rotate the domain and add 1, 2, ..., n along the diagonals:
-    triangle row i, dense position i-j+1 equals t[n+j][n+i] + i - j + 1."""
-    n = d.n
-    rows = [[0] * (i + 1) for i in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            rows[i - 1][i - j] = d.rows[j - 1][i - j] + i - j + 1
-    try:
-        return MagogTriangle(n, tuple(tuple(row) for row in rows))
-    except ValidationError as exc:
-        raise ResultNotMagog(f"domain does not yield a magog triangle: {exc}") from exc
-
-
-def fundamental_from_magog(m: MagogTriangle) -> FundamentalDomain:
-    n = m.n
-    rows = [[0] * (n - i) for i in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            rows[j - 1][i - j] = m.rows[i - 1][i - j] - (i - j + 1)
-    return FundamentalDomain(n, tuple(tuple(row) for row in rows))
-
-
-def _layer_row_lengths(d: FundamentalDomain, level):
-    """Row lengths of the domain cells with height >= level (strictly
-    decreasing; rows weakly decrease so each run starts on the diagonal)."""
-    lengths = []
-    for row in d.rows:
-        r = 0
-        while r < len(row) and row[r] >= level:
-            r += 1
-        if r == 0:
-            break
-        lengths.append(r)
-    return lengths
-
-
-def boolean_from_fundamental(d: FundamentalDomain) -> BooleanTriangle:
-    n = d.n
-    rows = [[1] * (r + 1) for r in range(n - 1)]
-    for q in range(1, n):
-        for r in _layer_row_lengths(d, n - q):
-            depth = q - r + 1
-            if depth < 1 or rows[n - q + depth - 2][depth - 1] == 0:
-                raise InconsistentDomain(
-                    f"level {n - q} of the domain has an impossible row of length {r}"
-                )
-            rows[n - q + depth - 2][depth - 1] = 0
-    return BooleanTriangle(n, tuple(tuple(row) for row in rows))
-
-
-def fundamental_from_boolean(b: BooleanTriangle) -> FundamentalDomain:
-    n = b.n
-    rows = [[0] * (n - i) for i in range(n)]
-    for q in range(1, n):
-        depths = [s for s, value in enumerate(b.diagonal(q), start=1) if value == 0]
-        lengths = sorted((q - s + 1 for s in depths), reverse=True)
-        for i, r in enumerate(lengths):
-            for c in range(r):
-                rows[i][c] += 1
-    return FundamentalDomain(n, tuple(tuple(row) for row in rows))
-
-
-def boolean_to_nilp(b: BooleanTriangle) -> NilpNest:
-    """Diagonal q, top to bottom, is path q: one = vertical step,
-    zero = southeast diagonal step."""
-    paths = tuple(
-        tuple("V" if value else "D" for value in b.diagonal(q)) for q in range(1, b.n)
-    )
-    return NilpNest(b.n, paths)
-
-
-def nilp_to_boolean(nest: NilpNest) -> BooleanTriangle:
-    n = nest.n
-    rows = [[0] * (r + 1) for r in range(n - 1)]
-    for q, path in enumerate(nest.paths, start=1):
-        for s, step in enumerate(path, start=1):
-            rows[n - q + s - 2][s - 1] = 1 if step == "V" else 0
-    return BooleanTriangle(n, tuple(tuple(row) for row in rows))
-
-
-def nilp_from_fundamental(d: FundamentalDomain) -> NilpNest:
-    return boolean_to_nilp(boolean_from_fundamental(d))
-
-
-def fundamental_from_nilp(nest: NilpNest) -> FundamentalDomain:
-    return fundamental_from_boolean(nilp_to_boolean(nest))
-
-
-def magog_to_boolean(m: MagogTriangle) -> BooleanTriangle:
-    return boolean_from_fundamental(fundamental_from_magog(m))
-
-
-def boolean_to_magog(b: BooleanTriangle) -> MagogTriangle:
-    return magog_from_fundamental(fundamental_from_boolean(b))
-
-
-def tsscpp_to_boolean(p: PlanePartition) -> BooleanTriangle:
-    return boolean_from_fundamental(fundamental_domain(p))
-
-
-def boolean_to_tsscpp(b: BooleanTriangle) -> PlanePartition:
-    return expand_fundamental(fundamental_from_boolean(b))
-
-
 @lru_cache(maxsize=None)
 def _layer_cells(n):
     """For each entry (r, c) of a boolean triangle of order n, row-major: its
@@ -292,11 +131,12 @@ def _layer_cells(n):
 
 
 def _domains_from_booleans(n, a):
-    """Batch form of :func:`fundamental_from_boolean` on the boolean
-    triangles in the rows of ``a`` (see ``triangles.validate_batch``), as the
-    padded domain arrays :func:`triangles.expand_domains` takes.  A zero at
-    depth c of diagonal q with i zeros above it is a layer row of length
-    q - c in domain row i."""
+    """The domains of the boolean triangles in the rows of ``a``, as the
+    padded arrays :func:`triangles.expand_domains` takes.  The cells of
+    height at least n - q form rows of strictly decreasing lengths, each
+    row of length l a zero at depth q - l of diagonal q: a zero at depth c
+    of diagonal q with i zeros above it is a row of length q - c in domain
+    row i."""
     q, depth, covers = _layer_cells(n)
     zeros = a == 0
     grid = np.zeros((len(a), n, n), dtype=np.int64)
@@ -337,33 +177,93 @@ def _checked(cls, n, a):
     return a
 
 
+def permutations_to_asms(n, a):
+    """The permutation matrices: the one of row r in column sigma(r)."""
+    return _checked(Asm, n, (a[:, :, None] == np.arange(1, n + 1)).astype(np.int8).reshape(len(a), n * n))
+
+
+def asms_to_permutations(n, a):
+    """The column of the one in each row, defined on permutation matrices."""
+    if (a < 0).any():
+        raise NotPermutationMatrix("matrix has a -1 entry")
+    return _checked(Permutation, n, a.reshape(len(a), n, n).argmax(axis=2) + 1)
+
+
 def permutations_to_monotones(n, a):
-    """Batch form of :func:`permutation_to_monotone`."""
+    """Row r is the sorted prefix sigma(1..r)."""
     rows = [np.sort(a[:, : r + 1], axis=1) for r in range(n)]
     return _checked(MonotoneTriangle, n, np.concatenate(rows, axis=1))
 
 
-def permutations_to_booleans(n, a):
-    """Batch form of :func:`permutation_to_boolean`: entry (r, c) is 1 iff
-    the sorted prefixes of lengths r + 1 and r + 2 agree at c."""
+def _agreement(n, a):
+    """Whether each monotone entry above the bottom row equals its below-left
+    neighbour, and whether it equals either one below (if neither: a -1)."""
     _, above, below_left = _triangle_neighbours(n)
-    monotones = permutations_to_monotones(n, a)
-    agree = monotones[:, above] == monotones[:, below_left]
-    return _checked(BooleanTriangle, n, agree.astype(np.int8))
+    left = a[:, above] == a[:, below_left]
+    return left, left | (a[:, above] == a[:, below_left + 1])
+
+
+def monotones_to_permutations(n, a):
+    """sigma(r) is the new value in row r, its sum less that of row r - 1;
+    defined exactly on the triangles of permutation matrices, whose rows nest."""
+    if not _agreement(n, a)[1].all():
+        raise NotPermutationMonotone("monotone triangle rows are not nested prefixes")
+    r = np.arange(n)
+    sums = np.add.reduceat(a, r * (r + 1) // 2, axis=1, dtype=np.int64)
+    return _checked(Permutation, n, np.diff(sums, axis=1, prepend=0))
+
+
+def monotones_to_booleans(n, a):
+    """The inverse of :func:`perm_booleans_to_monotones`: entry (r, c) is 1
+    where monotone entry (r, c) equals its below-left neighbour and 0 where
+    it equals its below-right one."""
+    left, either = _agreement(n, a)
+    if not either.all():
+        entry = _triangle_neighbours(n)[1][np.argwhere(~either)[0, 1]]
+        r, c = (int(cells[entry]) + 1 for cells in _triangle_cells(n))
+        raise NotPermutationMonotone(f"entry at ({r},{c}) matches neither neighbour below")
+    return _checked(BooleanTriangle, n, left.astype(np.int8))
+
+
+def permutations_to_booleans(n, a):
+    return monotones_to_booleans(n, permutations_to_monotones(n, a))
+
+
+def _check_permutation_booleans(n, a):
+    """Refuse boolean triangles with a row that increases."""
+    right, _, _ = _triangle_neighbours(n - 1)
+    if (a[:, right] < a[:, right + 1]).any():
+        raise NotPermutationBoolean("a row of the boolean triangle increases")
+
+
+def perm_booleans_to_monotones(n, a):
+    """The statistic-preserving permutation bijection, boolean side to matrix
+    side: bottom row 1..n, then every entry copies its below-left neighbour
+    over a one and its below-right neighbour over a zero."""
+    _check_permutation_booleans(n, a)
+    rows = [np.broadcast_to(np.arange(1, n + 1, dtype=np.int64), (len(a), n))]
+    for r in range(n - 2, -1, -1):
+        ones = a[:, r * (r + 1) // 2 : (r + 1) * (r + 2) // 2] == 1
+        rows.insert(0, np.where(ones, rows[0][:, :-1], rows[0][:, 1:]))
+    return _checked(MonotoneTriangle, n, np.concatenate(rows, axis=1))
+
+
+def booleans_to_permutations(n, a):
+    return monotones_to_permutations(n, perm_booleans_to_monotones(n, a))
 
 
 def asms_to_monotones(n, a):
-    """Batch form of :func:`asm_to_monotone`: the columns whose prefix sum
-    through row k is 1, sorted, and n + 1 in the other columns."""
+    """Row k lists the columns whose prefix sum through row k is 1, sorted,
+    and n + 1 in the other columns."""
     ones = a.reshape(len(a), n, n).cumsum(axis=1, dtype=np.int8) == 1
-    columns = np.sort(np.where(ones, np.arange(1, n + 1, dtype=np.int8), np.int8(n + 1)), axis=2)
+    dtype = np.min_scalar_type(-2 * n)  # int8 up to n = 64
+    columns = np.sort(np.where(ones, np.arange(1, n + 1, dtype=dtype), dtype.type(n + 1)), axis=2)
     r, c = _triangle_cells(n)
     return _checked(MonotoneTriangle, n, columns[:, r, c])
 
 
 def monotones_to_asms(n, a):
-    """Batch form of :func:`monotone_to_asm`: the indicator of each monotone
-    row less that of the row above."""
+    """The indicator of each monotone row less that of the row above."""
     rows = np.zeros((len(a), n + 1, n + 1), dtype=np.int8)
     rows[np.arange(len(a))[:, None], _triangle_cells(n)[0] + 1, a] = 1
     return _checked(Asm, n, np.diff(rows, axis=1)[:, :, 1:].reshape(len(a), n * n))
@@ -378,29 +278,28 @@ def _nest_cells(n):
 
 
 def booleans_to_nests(n, a):
-    """Batch form of :func:`boolean_to_nilp`, 1 for a "D" step."""
+    """Diagonal q, top to bottom, is path q: one = vertical step, zero =
+    southeast diagonal step (1 for a "D" step in the nest's entries)."""
     return _checked(NilpNest, n, 1 - a[:, _nest_cells(n)])
 
 
 def nests_to_booleans(n, a):
-    """Batch form of :func:`nilp_to_boolean`, 1 for a "D" step."""
+    """The inverse of :func:`booleans_to_nests`."""
     return _checked(BooleanTriangle, n, 1 - a[:, np.argsort(_nest_cells(n))])
 
 
 @lru_cache(maxsize=None)
-def _domain_cells(n):
-    """Row and column of each entry of a fundamental domain, row-major (row i
-    has n - i entries), and the position there of magog entry (r, c), which
-    is cell (r - c, c)."""
-    i = np.repeat(np.arange(n), np.arange(n, 0, -1))
+def _magog_cells(n):
+    """The position in a fundamental domain's entries of magog entry (r, c),
+    row-major: domain cell (r - c, c)."""
     r, c = _triangle_cells(n)
-    return i, np.arange(len(i)) - i * (2 * n + 1 - i) // 2, (r - c) * (2 * n + 1 - r + c) // 2 + c
+    return (r - c) * (2 * n + 1 - r + c) // 2 + c
 
 
 def booleans_to_domains(n, a):
-    """Batch form of :func:`fundamental_from_boolean`: the domain entries,
-    row-major, checked with ``triangles.expand_domains``."""
-    i, c, _ = _domain_cells(n)
+    """The domain entries, row-major, checked with
+    ``triangles.expand_domains``."""
+    i, c = _domain_cells(n)
     out = np.empty((len(a), len(i)), dtype=np.int8)
     for start in range(0, len(a), _CHECK_ROWS):
         out[start : start + _CHECK_ROWS] = booleans_to_tsscpp(n, a[start : start + _CHECK_ROWS])[:, n + i, n + i + c]
@@ -408,12 +307,11 @@ def booleans_to_domains(n, a):
 
 
 def domains_to_booleans(n, a):
-    """Batch form of :func:`boolean_from_fundamental` on the domain entries of
-    :func:`booleans_to_domains`: a domain row with l >= 1 cells of height at
-    least L puts the zero at depth n - L - l of diagonal n - L, in row
-    n - 1 - l."""
-    i, c, _ = _domain_cells(n)
-    domain = np.zeros((len(a), n, n), dtype=np.int8)
+    """The inverse of :func:`booleans_to_domains`: a domain row with l >= 1
+    cells of height at least L puts the zero at depth n - L - l of diagonal
+    n - L, in row n - 1 - l."""
+    i, c = _domain_cells(n)
+    domain = np.zeros((len(a), n, n), dtype=a.dtype)
     domain[:, i, c] = a
     out = np.ones((len(a), n * (n - 1) // 2), dtype=np.int8)
     for level in range(1, n):
@@ -426,21 +324,145 @@ def domains_to_booleans(n, a):
 
 
 def domains_to_magogs(n, a):
-    """Batch form of :func:`magog_from_fundamental`."""
+    """Rotate the domain and add 1, 2, ..., n along the diagonals: magog
+    entry (r, c) is domain cell (r - c, c) plus c + 1."""
     _, c = _triangle_cells(n)
-    return _checked(MagogTriangle, n, a[:, _domain_cells(n)[2]] + (c + 1).astype(a.dtype))
+    return _checked(MagogTriangle, n, a[:, _magog_cells(n)] + (c + 1).astype(a.dtype))
+
+
+def magogs_to_domains(n, a):
+    """The inverse of :func:`domains_to_magogs`."""
+    _, c = _triangle_cells(n)
+    domains = a - (c + 1).astype(a.dtype)
+    return _checked(FundamentalDomain, n, domains[:, np.argsort(_magog_cells(n))])
 
 
 def magogs_to_booleans(n, a):
-    """Batch form of :func:`magog_to_boolean`."""
-    _, c = _triangle_cells(n)
-    domains = a - (c + 1).astype(a.dtype)
-    return domains_to_booleans(n, domains[:, np.argsort(_domain_cells(n)[2])])
+    return domains_to_booleans(n, magogs_to_domains(n, a))
 
 
 def booleans_to_magogs(n, a):
-    """Batch form of :func:`boolean_to_magog`."""
     return domains_to_magogs(n, booleans_to_domains(n, a))
+
+
+def booleans_to_brackets(n, a):
+    """x_i = i + (sum of row n - i), the empty row counting as zero; a
+    bijection from permutation boolean triangles onto sequences with
+    i <= x_i <= n."""
+    _check_permutation_booleans(n, a)
+    sums = a @ np.eye(n - 1, dtype=np.int64)[_triangle_cells(n - 1)[0]]
+    return np.arange(1, n + 1) + np.pad(sums[:, ::-1], ((0, 0), (0, 1)))
+
+
+def brackets_to_booleans(n, x):
+    """The inverse of :func:`booleans_to_brackets`: row r holds
+    x_{n-r} - (n - r) ones, then zeros."""
+    i = np.arange(1, n + 1)
+    outside = (x < i) | (x > n)
+    if outside.any():
+        t, p = np.argwhere(outside)[0]
+        raise ValidationError(f"entry {x[t, p]} at position {p + 1} outside {p + 1}..{n}")
+    r, c = _triangle_cells(n - 1)
+    return _checked(BooleanTriangle, n, (c < x[:, n - 2 - r] - (n - 1 - r)).astype(np.int8))
+
+
+# Conversion graph: (kind, kind, batched maps applied in turn).  The maps
+# between the two sides are total only on permutation objects.
+_EDGES = (
+    ("asm", "monotone_triangle", asms_to_monotones),
+    ("asm", "permutation", asms_to_permutations),
+    ("monotone_triangle", "asm", monotones_to_asms),
+    ("monotone_triangle", "permutation", monotones_to_permutations),
+    ("permutation", "asm", permutations_to_asms),
+    ("permutation", "monotone_triangle", permutations_to_monotones),
+    ("permutation", "boolean_triangle", permutations_to_booleans),
+    ("boolean_triangle", "permutation", booleans_to_permutations),
+    ("boolean_triangle", "fundamental_domain", booleans_to_domains),
+    ("boolean_triangle", "nilp_nest", booleans_to_nests),
+    ("boolean_triangle", "magog_triangle", booleans_to_magogs),
+    ("boolean_triangle", "plane_partition", booleans_to_tsscpp),
+    ("magog_triangle", "fundamental_domain", magogs_to_domains),
+    ("magog_triangle", "boolean_triangle", magogs_to_booleans),
+    ("fundamental_domain", "magog_triangle", domains_to_magogs),
+    ("fundamental_domain", "boolean_triangle", domains_to_booleans),
+    ("fundamental_domain", "nilp_nest", domains_to_booleans, booleans_to_nests),
+    ("fundamental_domain", "plane_partition", domains_to_tsscpps),
+    ("nilp_nest", "boolean_triangle", nests_to_booleans),
+    ("nilp_nest", "fundamental_domain", nests_to_booleans, booleans_to_domains),
+    ("plane_partition", "fundamental_domain", tsscpps_to_domains),
+    ("plane_partition", "boolean_triangle", tsscpps_to_domains, domains_to_booleans),
+)
+_CLASSES = {kind: cls for cls, (kind, _) in SCHEMA.items()}
+
+
+def _conversion_path(source, target):
+    """The maps of the shortest kind path, BFS in fixed edge order (the loop
+    also visits what it appends to ``queue``)."""
+    queue, seen = [(source, ())], {source}
+    for kind, path in queue:
+        if kind == target:
+            return path
+        for start, other, *maps in _EDGES:
+            if start == kind and other not in seen:
+                seen.add(other)
+                queue.append((other, path + tuple(maps)))
+    raise ValidationError(f"no conversion from {source} to {target}")
+
+
+def convert(obj, kind):
+    """``obj`` as an object of ``kind`` (a JSON kind, see
+    ``triangles.SCHEMA``): the batched maps of the shortest path on its
+    entries.  A fundamental domain must be some TSSCPP's."""
+    n, a = obj.n, entry_row(obj)
+    if isinstance(obj, FundamentalDomain):
+        domains_to_tsscpps(n, a)
+    for step in _conversion_path(SCHEMA[type(obj)][0], kind):
+        a = step(n, a)
+    return build_batch(_CLASSES[kind], n, a.reshape(1, -1))[0]
+
+
+def _object_map(kind):
+    """The map of objects into ``kind`` by :func:`convert`."""
+    return lambda obj: convert(obj, kind)
+
+
+asm_to_monotone = _object_map("monotone_triangle")
+monotone_to_asm = _object_map("asm")
+permutation_matrix = _object_map("asm")
+asm_to_permutation = _object_map("permutation")
+permutation_to_monotone = _object_map("monotone_triangle")
+monotone_to_permutation = _object_map("permutation")
+magog_from_fundamental = _object_map("magog_triangle")
+fundamental_from_magog = _object_map("fundamental_domain")
+boolean_from_fundamental = _object_map("boolean_triangle")
+fundamental_from_boolean = _object_map("fundamental_domain")
+boolean_to_nilp = _object_map("nilp_nest")
+nilp_to_boolean = _object_map("boolean_triangle")
+nilp_from_fundamental = _object_map("nilp_nest")
+fundamental_from_nilp = _object_map("fundamental_domain")
+magog_to_boolean = _object_map("boolean_triangle")
+boolean_to_magog = _object_map("magog_triangle")
+tsscpp_to_boolean = _object_map("boolean_triangle")
+boolean_to_tsscpp = _object_map("plane_partition")
+permutation_to_boolean = _object_map("boolean_triangle")
+boolean_to_permutation = _object_map("permutation")
+
+
+def boolean_to_monotone_perm(b: BooleanTriangle) -> MonotoneTriangle:
+    return build_batch(MonotoneTriangle, b.n, perm_booleans_to_monotones(b.n, entry_row(b)))[0]
+
+
+def monotone_perm_to_boolean(m: MonotoneTriangle) -> BooleanTriangle:
+    return build_batch(BooleanTriangle, m.n, monotones_to_booleans(m.n, entry_row(m)))[0]
+
+
+def bracket_vector(b: BooleanTriangle) -> tuple[int, ...]:
+    return tuple(booleans_to_brackets(b.n, entry_row(b))[0].tolist())
+
+
+def bracket_vector_to_boolean(x) -> BooleanTriangle:
+    x = np.array([tuple(x)], dtype=np.int64)
+    return build_batch(BooleanTriangle, x.shape[1], brackets_to_booleans(x.shape[1], x))[0]
 
 
 def is_permutation_boolean(b: BooleanTriangle) -> bool:
@@ -485,71 +507,3 @@ def is_permutation_tsscpp(p: PlanePartition) -> bool:
                         return False
                     k += 1
     return True
-
-
-def boolean_to_monotone_perm(b: BooleanTriangle) -> MonotoneTriangle:
-    """The statistic-preserving permutation bijection, boolean side to matrix
-    side: bottom row 1..n, then every entry copies its below-left neighbour
-    over a one and its below-right neighbour over a zero."""
-    if not is_permutation_boolean(b):
-        raise NotPermutationBoolean("a row of the boolean triangle increases")
-    n = b.n
-    rows = [tuple(range(1, n + 1))]
-    for r in range(n - 2, -1, -1):
-        below = rows[0]
-        rows.insert(0, tuple(below[c] if b.rows[r][c] else below[c + 1] for c in range(r + 1)))
-    return MonotoneTriangle(n, tuple(rows))
-
-
-def monotone_perm_to_boolean(m: MonotoneTriangle) -> BooleanTriangle:
-    """Inverse of :func:`boolean_to_monotone_perm`, defined on monotone
-    triangles of permutation matrices.  Rows are strict, so at most one of the
-    two neighbour equalities can hold; if neither does the triangle has a
-    strict-diagonal entry, i.e. a -1 in its matrix."""
-    n = m.n
-    rows = []
-    for r in range(n - 1):
-        below = m.rows[r + 1]
-        row = []
-        for c, entry in enumerate(m.rows[r]):
-            if entry == below[c]:
-                row.append(1)
-            elif entry == below[c + 1]:
-                row.append(0)
-            else:
-                raise NotPermutationMonotone(
-                    f"entry at ({r + 1},{c + 1}) matches neither neighbour below"
-                )
-        rows.append(tuple(row))
-    return BooleanTriangle(n, tuple(rows))
-
-
-def permutation_to_boolean(p: Permutation) -> BooleanTriangle:
-    return monotone_perm_to_boolean(permutation_to_monotone(p))
-
-
-def boolean_to_permutation(b: BooleanTriangle) -> Permutation:
-    return monotone_to_permutation(boolean_to_monotone_perm(b))
-
-
-def bracket_vector(b: BooleanTriangle) -> tuple[int, ...]:
-    """x_i = i + (sum of row n - i), the empty row counting as zero; a
-    bijection from permutation boolean triangles onto sequences with
-    i <= x_i <= n."""
-    if not is_permutation_boolean(b):
-        raise NotPermutationBoolean("a row of the boolean triangle increases")
-    n = b.n
-    return tuple(i + (sum(b.rows[n - i - 1]) if i < n else 0) for i in range(1, n + 1))
-
-
-def bracket_vector_to_boolean(x) -> BooleanTriangle:
-    x = tuple(x)
-    n = len(x)
-    for i, v in enumerate(x, start=1):
-        if not i <= v <= n:
-            raise ValidationError(f"entry {v} at position {i} outside {i}..{n}")
-    rows = []
-    for r in range(1, n):
-        ones = x[n - r - 1] - (n - r)
-        rows.append((1,) * ones + (0,) * (r - ones))
-    return BooleanTriangle(n, tuple(rows))

@@ -61,79 +61,6 @@ _KIND_ALIASES = {
     "permutation": "permutation",
 }
 
-# Conversion graph: kind -> [(kind, map)].  The permutation bridge between
-# the matrix side and the plane-partition side is only total on permutation
-# objects; elsewhere it raises.
-_EDGES = {
-    "asm": [
-        ("monotone_triangle", bijections.asm_to_monotone),
-        ("permutation", bijections.asm_to_permutation),
-    ],
-    "monotone_triangle": [
-        ("asm", bijections.monotone_to_asm),
-        ("permutation", bijections.monotone_to_permutation),
-    ],
-    "permutation": [
-        ("asm", bijections.permutation_matrix),
-        ("monotone_triangle", bijections.permutation_to_monotone),
-        ("boolean_triangle", bijections.permutation_to_boolean),
-    ],
-    "boolean_triangle": [
-        ("permutation", bijections.boolean_to_permutation),
-        ("fundamental_domain", bijections.fundamental_from_boolean),
-        ("nilp_nest", bijections.boolean_to_nilp),
-        ("magog_triangle", bijections.boolean_to_magog),
-        ("plane_partition", bijections.boolean_to_tsscpp),
-    ],
-    "magog_triangle": [
-        ("fundamental_domain", bijections.fundamental_from_magog),
-        ("boolean_triangle", bijections.magog_to_boolean),
-    ],
-    "fundamental_domain": [
-        ("magog_triangle", bijections.magog_from_fundamental),
-        ("boolean_triangle", bijections.boolean_from_fundamental),
-        ("nilp_nest", bijections.nilp_from_fundamental),
-        ("plane_partition", bijections.expand_fundamental),
-    ],
-    "nilp_nest": [
-        ("boolean_triangle", bijections.nilp_to_boolean),
-        ("fundamental_domain", bijections.fundamental_from_nilp),
-    ],
-    "plane_partition": [
-        ("fundamental_domain", bijections.fundamental_domain),
-        ("boolean_triangle", bijections.tsscpp_to_boolean),
-    ],
-}
-
-
-def _conversion_path(source, target):
-    """Shortest kind path, BFS in fixed edge order for determinism."""
-    if source == target:
-        return []
-    frontier = [(source, [])]
-    seen = {source}
-    while frontier:
-        nxt = []
-        for kind, path in frontier:
-            for other, func in _EDGES.get(kind, ()):
-                if other in seen:
-                    continue
-                step = path + [func]
-                if other == target:
-                    return step
-                seen.add(other)
-                nxt.append((other, step))
-        frontier = nxt
-    raise ValidationError(f"no conversion from {source} to {target}")
-
-
-def convert_object(obj, target_kind):
-    source = SCHEMA[type(obj)][0]
-    for func in _conversion_path(source, _KIND_ALIASES[target_kind]):
-        obj = func(obj)
-    return obj
-
-
 def _parse_value(kind, text):
     text = text.strip()
     if text.startswith("{"):
@@ -195,7 +122,7 @@ def _object_stats(obj):
     if kind == "plane_partition":
         return {"is_permutation": bijections.is_permutation_tsscpp(obj)}
     # fall back to the boolean encoding
-    return _object_stats(convert_object(obj, "boolean"))
+    return _object_stats(bijections.convert(obj, "boolean_triangle"))
 
 
 def _cmd_enumerate(args, config):
@@ -210,7 +137,7 @@ def _cmd_enumerate(args, config):
 
 def _cmd_convert(args, config):
     obj = _parse_value(args.source, args.value)
-    print(to_json(convert_object(obj, args.target)))
+    print(to_json(bijections.convert(obj, _KIND_ALIASES[args.target])))
     return 0
 
 

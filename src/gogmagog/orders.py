@@ -17,9 +17,8 @@ import numpy as np
 
 from . import bijections, enumeration
 from .enumeration import CapExceeded, FamilyId
-from .poset import Poset, SizeCap
+from .poset import Poset, SizeCap, _check_bool_product
 from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle, format_batch
-from .triangles import _triangle_cells
 
 __all__ = [
     "build_Pn",
@@ -231,9 +230,12 @@ def _vector_label(x):
 
 
 def build_tamari(n):
-    """Bracket vectors under reverse componentwise comparison."""
+    """Bracket vectors under reverse componentwise comparison.  The covers
+    are not all unit moves: the dense reduction's product is checked first."""
     _check_order(n)
-    _check_size(comb(2 * n, n) // (n + 1))
+    size = comb(2 * n, n) // (n + 1)
+    _check_size(size)
+    _check_bool_product((size, size), (size, size))
     vectors = bracket_vectors(n)
     return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
 
@@ -253,24 +255,19 @@ def build_product_of_chains(n):
     return _componentwise([str(v) for v in vectors], vectors)
 
 
-def _row_sums(n, booleans):
-    """The sum of each row of boolean entry arrays of order n."""
-    r, _ = _triangle_cells(n - 1)
-    return booleans @ np.eye(n - 1, dtype=np.int64)[r]
-
-
 def bracket_label_map(n):
-    """one-line notation -> label of the sequence x with x_i = i + (sum of
-    boolean-triangle row n-i).  On 132-avoiders the image lands in the
-    bracket vectors, on 213-avoiders in the weakly increasing sequences."""
+    """one-line notation -> label of the bracket vector of its boolean
+    triangle (``bijections.booleans_to_brackets``).  On 132-avoiders the
+    image lands in the bracket vectors, on 213-avoiders in the weakly
+    increasing sequences."""
     labels, booleans = _permutation_booleans(n)
-    x = np.arange(1, n + 1) + np.pad(_row_sums(n, booleans)[:, ::-1], ((0, 0), (0, 1)))
-    return dict(zip(labels, map(_vector_label, x.tolist())))
+    return dict(zip(labels, map(_vector_label, bijections.booleans_to_brackets(n, booleans).tolist())))
 
 
 def chain_label_map(n):
     """one-line notation -> label in :func:`build_product_of_chains` of the
     zero count of each boolean-triangle row."""
     labels, booleans = _permutation_booleans(n)
-    zeros = np.arange(1, n) - _row_sums(n, booleans)
+    # Row r has r entries, and its sum is x_{n-r} - (n - r).
+    zeros = n - bijections.booleans_to_brackets(n, booleans)[:, : n - 1][:, ::-1]
     return dict(zip(labels, map(str, map(tuple, zeros.tolist()))))

@@ -64,18 +64,22 @@ _BLOCK = 1 << 22
 _BOUND_COLUMNS = 512
 
 
-def _bool_product(a, b):
-    """Boolean matrix product via float32 BLAS.  A path count is at most the
-    inner dimension, so the product is exact while that stays below 2**24;
-    beyond, or when the float32 operands and result would exceed 2**28
-    entries, SizeCap is raised before anything is converted."""
-    if a.shape[1] >= _FLOAT32_EXACT:
+def _check_bool_product(a_shape, b_shape):
+    """Raise SizeCap unless a float32 product of matrices of these shapes
+    is exact (a path count is at most the inner dimension, below 2**24) and
+    its operands and result hold at most 2**28 entries."""
+    if a_shape[1] >= _FLOAT32_EXACT:
         raise SizeCap(
-            f"boolean product over {a.shape[1]} inner elements is not exact in float32"
+            f"boolean product over {a_shape[1]} inner elements is not exact in float32"
         )
-    entries = a.size + b.size + a.shape[0] * b.shape[1]
+    entries = a_shape[0] * a_shape[1] + b_shape[0] * b_shape[1] + a_shape[0] * b_shape[1]
     if entries > _FLOAT32_ENTRIES:
-        raise SizeCap(f"boolean product of {a.shape} by {b.shape} needs {entries} float32 entries, over 2**28")
+        raise SizeCap(f"boolean product of {a_shape} by {b_shape} needs {entries} float32 entries, over 2**28")
+
+
+def _bool_product(a, b):
+    """Boolean matrix product via float32 BLAS, checked before conversion."""
+    _check_bool_product(a.shape, b.shape)
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 

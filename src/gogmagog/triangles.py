@@ -70,6 +70,9 @@ __all__ = [
     "fundamental_domain",
     "expand_fundamental",
     "expand_domains",
+    "domains_to_tsscpps",
+    "tsscpps_to_domains",
+    "entry_row",
     "validate_batch",
     "build_batch",
     "format_batch",
@@ -163,9 +166,11 @@ def _is_int(entry):
 def _as_rows(raw, what):
     """Normalize a nested sequence to a tuple of int tuples."""
     try:
-        rows = tuple(tuple(entry for entry in row) for row in raw)
+        rows = tuple(map(tuple, raw))
     except TypeError:
         raise ShapeError(f"{what}: expected a sequence of rows")
+    if all(type(entry) is int for row in rows for entry in row):
+        return rows
     for r, row in enumerate(rows):
         for c, entry in enumerate(row):
             if not _is_int(entry):
@@ -547,7 +552,8 @@ class FundamentalDomain:
     """Triangular corner of a TSSCPP array: entries t[i][j] for
     n+1 <= i <= j <= 2n, stored as rows[i'][c] = t[n+1+i'][n+1+i'+c]
     (0-based ``i'``).  Construction checks weak decrease and nonnegativity;
-    full consistency is certified by :func:`expand_fundamental`.
+    full consistency is certified by :func:`expand_fundamental`
+    (:func:`domains_to_tsscpps` on entry arrays).
     """
 
     n: int
@@ -694,6 +700,24 @@ def _plane_partition_ok(a, n):
     )
 
 
+@lru_cache(maxsize=None)
+def _domain_cells(n):
+    """Row and column of each entry of a fundamental domain, row-major (row i
+    has n - i entries)."""
+    i = np.repeat(np.arange(n), np.arange(n, 0, -1))
+    return i, np.arange(len(i)) - i * (2 * n + 1 - i) // 2
+
+
+def _domain_ok(a, n):
+    """Nonnegative entries, and no entry below the next one in its row or
+    the one under it, (i + 1, c - 1), n - i - 1 entries further on."""
+    i, c = _domain_cells(n)
+    p = np.arange(len(i))
+    right, under = p[c < n - 1 - i], p[c >= 1]
+    below = under + n - 1 - i[under]
+    return bool((a >= 0).all() and (a[:, right + 1] <= a[:, right]).all() and (a[:, below] <= a[:, under]).all())
+
+
 # class -> (row lengths at order n, or None for a flat value of n entries;
 # entry type; array check).  Every value is a tuple, and so is every row.
 _BATCH = {
@@ -704,6 +728,7 @@ _BATCH = {
     Permutation: (None, int, _permutation_ok),
     NilpNest: (lambda n: range(1, n), str, _nest_ok),
     PlanePartition: (lambda n: [2 * n] * (2 * n), int, _plane_partition_ok),
+    FundamentalDomain: (lambda n: range(n, 0, -1), int, _domain_ok),
 }
 
 
@@ -898,19 +923,6 @@ def validate_tsscpp(p: PlanePartition):
     return SymmetryReport(symmetric, cyclic, self_comp)
 
 
-def _corner(p: PlanePartition):
-    n = p.n
-    return tuple(tuple(p.rows[n + i][n + j] for j in range(i, n)) for i in range(n))
-
-
-def fundamental_domain(p: PlanePartition):
-    """Extract the triangular corner t[i][j], n+1 <= i <= j <= 2n."""
-    report = validate_tsscpp(p)
-    if not report.all_true:
-        raise NotTsscpp(f"array is not a TSSCPP: {report}")
-    return FundamentalDomain(p.n, _corner(p))
-
-
 @lru_cache(maxsize=None)
 def _closure_cells(n):
     """For every cell of the (2n)^3 cube, row-major: the flat index into the
@@ -943,49 +955,15 @@ def _closure(n, dom):
     return member.reshape(len(dom), side, side, side)
 
 
-def _padded_domain(d: FundamentalDomain):
-    n = d.n
-    dom = np.zeros((1, 2 * n + 1, 2 * n + 1), dtype=np.int64)
-    for i, row in enumerate(d.rows):
-        for c, entry in enumerate(row):
-            dom[0, n + 1 + i, n + 1 + i + c] = entry
-    return dom
-
-
-def expand_fundamental(d: FundamentalDomain):
-    """The unique TSSCPP with fundamental domain ``d``.
-
-    The closure of the domain (see :func:`_closure`) is fully re-validated;
-    failures mean the domain is inconsistent.
-    """
-    n = d.n
-    side = 2 * n
-    m = _closure(n, _padded_domain(d))[0]
-    heights = m.sum(axis=2)
-    k = np.arange(1, side + 1)
-    if not (m == (k[None, None, :] <= heights[:, :, None])).all():
-        raise InconsistentDomain("closure is not column-contiguous")
-    try:
-        p = PlanePartition(n, tuple(tuple(int(v) for v in row) for row in heights))
-    except ValidationError as exc:
-        raise InconsistentDomain(f"closure is not a plane partition: {exc}") from exc
-    if not validate_tsscpp(p).all_true:
-        raise InconsistentDomain("closure is not totally symmetric self-complementary")
-    if _corner(p) != d.rows:
-        raise InconsistentDomain("closure does not reproduce the domain")
-    return p
-
-
 def expand_domains(n, dom):
-    """Batch form of :func:`expand_fundamental`, with every check it makes.
+    """The TSSCPPs of a batch of fundamental domains, every closure checked.
 
     ``dom`` holds fundamental domains of order ``n`` as padded arrays of
     shape (m, 2n+1, 2n+1): ``dom[:, n+1+i, n+1+i+c]`` is entry ``(i, c)``
     (0-based) of a domain, every other entry is zero.  Returns the heights
     arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure is column
     contiguous, a plane partition, totally symmetric and self-complementary,
-    and reproduces its domain; otherwise None, and :func:`expand_fundamental`
-    must decide (it raises the first failure).
+    and reproduces its domain; otherwise None.
     """
     side = 2 * n
     m = _closure(n, dom)
@@ -1007,6 +985,64 @@ def expand_domains(n, dom):
     if not (heights[:, n:, n:] == dom[:, n + 1 :, n + 1 :]).all(where=corner):
         return None
     return heights
+
+
+def _inconsistent(n):
+    return InconsistentDomain(f"fundamental domain: a domain of order {n} is the corner of no TSSCPP")
+
+
+def _padded_domains(n, a):
+    """The arrays :func:`expand_domains` takes, of domain entry arrays."""
+    i, c = _domain_cells(n)
+    dom = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.int64)
+    dom[:, n + 1 + i, n + 1 + i + c] = a
+    return dom
+
+
+def domains_to_tsscpps(n, a):
+    """The heights arrays, shape (m, 2n, 2n), of the TSSCPPs whose
+    fundamental domains are the rows of a domain entry array; a row that is
+    no TSSCPP's domain raises InconsistentDomain."""
+    heights = expand_domains(n, _padded_domains(n, a))
+    if heights is None:
+        raise _inconsistent(n)
+    return heights
+
+
+def tsscpps_to_domains(n, a):
+    """The corners t[i][j], n+1 <= i <= j <= 2n, of the plane partitions in
+    the rows of an entry array, as domain entry arrays.  A plane partition
+    is a TSSCPP iff its corner expands back to it; the first that is not
+    raises NotTsscpp with its symmetry report."""
+    i, c = _domain_cells(n)
+    t = a.reshape(len(a), 2 * n, 2 * n)
+    corners = t[:, n + i, n + i + c]
+    heights = expand_domains(n, _padded_domains(n, corners))
+    if heights is None or (heights != t).any():
+        for rows in t.tolist():
+            report = validate_tsscpp(PlanePartition(n, rows))
+            if not report.all_true:
+                raise NotTsscpp(f"array is not a TSSCPP: {report}")
+    return corners
+
+
+def entry_row(obj):
+    """The entries of a valid object as a one-row int64 entry array; only a
+    domain can hold entries beyond int64, and it is no TSSCPP's."""
+    a = validate_batch(type(obj), obj.n, [getattr(obj, fields(obj)[1].name)])
+    if a is None:
+        raise _inconsistent(obj.n)
+    return a
+
+
+def fundamental_domain(p: PlanePartition):
+    """The triangular corner t[i][j], n+1 <= i <= j <= 2n, of a TSSCPP."""
+    return build_batch(FundamentalDomain, p.n, tsscpps_to_domains(p.n, entry_row(p)))[0]
+
+
+def expand_fundamental(d: FundamentalDomain):
+    """The unique TSSCPP with fundamental domain ``d``."""
+    return build_batch(PlanePartition, d.n, domains_to_tsscpps(d.n, entry_row(d)).reshape(1, -1))[0]
 
 
 # kind -> (class, the JSON field holding the constructor's second argument)

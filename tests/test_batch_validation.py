@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+import reference_maps
 import reference_search
 from gogmagog import bijections, enumeration
 from gogmagog.enumeration import FamilyId, count, generate
@@ -29,10 +30,9 @@ from gogmagog.triangles import (
     PlanePartition,
     ShapeError,
     ValidationError,
-    _padded_domain,
     build_batch,
     expand_domains,
-    expand_fundamental,
+    fundamental_domain,
     to_json,
     validate_batch,
 )
@@ -43,7 +43,7 @@ def scalar_objects(family, n):
     the recursive reference searches, in the enumeration's order."""
     if family is FamilyId.TSSCPP:
         partitions = [
-            bijections.boolean_to_tsscpp(BooleanTriangle(n, rows))
+            reference_maps.boolean_to_tsscpp(BooleanTriangle(n, rows))
             for rows in reference_search.boolean_rows(n)
         ]
         return sorted(partitions, key=lambda p: p.rows)
@@ -133,6 +133,7 @@ SAMPLED = [
     (NilpNest, FamilyId.NILP, 5),
     (Permutation, FamilyId.PERMUTATION, 5),
     (PlanePartition, FamilyId.TSSCPP, 3),
+    (FundamentalDomain, FamilyId.TSSCPP, 4),
 ]
 
 
@@ -140,6 +141,8 @@ SAMPLED = [
 def test_batch_check_rejects_exactly_what_the_constructor_rejects(cls, family, n):
     rng = random.Random(2015)
     objects = list(generate(family, n))
+    if cls is FundamentalDomain:
+        objects = [fundamental_domain(p) for p in objects]
     sample = rng.sample(objects, min(12, len(objects)))
     valid = [_raw(obj) for obj in objects[:5]]
     rejected = arrays = 0
@@ -193,7 +196,7 @@ def test_batch_expansion_rejects_exactly_the_inconsistent_domains():
     domain constructor: the batch expansion refuses exactly those the scalar
     expansion raises on."""
     n = 4
-    domains = [bijections.fundamental_from_boolean(b) for b in generate(FamilyId.BOOLEAN, n)]
+    domains = [reference_maps.fundamental_from_boolean(b) for b in generate(FamilyId.BOOLEAN, n)]
     consistent = inconsistent = 0
     for d in domains[::3]:
         for raw in _mutations(d.rows, n):
@@ -202,10 +205,10 @@ def test_batch_expansion_rejects_exactly_the_inconsistent_domains():
             except ValidationError:
                 continue
             try:
-                expected = expand_fundamental(mutated).rows
+                expected = reference_maps.expand_fundamental(mutated).rows
             except ValidationError:
                 expected = None
-            heights = expand_domains(n, _padded_domain(mutated))
+            heights = expand_domains(n, reference_maps._padded_domain(mutated))
             if expected is None:
                 inconsistent += 1
                 assert heights is None, raw

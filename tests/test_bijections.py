@@ -1,20 +1,26 @@
 """Golden pairings, the worked permutation example, round trips, and the
 three equivalent characterizations of permutation objects."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 import golden_data as gold
+import reference_maps as ref
 from gogmagog import bijections as bij
 from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import avoids
 from gogmagog.triangles import (
+    SCHEMA,
     FundamentalDomain,
+    InconsistentDomain,
     Permutation,
     PlanePartition,
     ValidationError,
+    build_batch,
+    validate_batch,
     validate_asm,
     validate_boolean,
     validate_magog,
@@ -54,9 +60,9 @@ def test_all_zero_domain_gives_smallest_magog():
 
 
 def test_domain_magog_round_trip_is_validated():
-    with pytest.raises(bij.ResultNotMagog):
+    with pytest.raises(ref.ResultNotMagog):
         # entries too large for any magog triangle of order 3
-        bij.magog_from_fundamental(FundamentalDomain(3, ((4, 4, 4), (4, 4), (4,))))
+        ref.magog_from_fundamental(FundamentalDomain(3, ((4, 4, 4), (4, 4), (4,))))
 
 
 def test_boolean_nilp_golden_examples():
@@ -72,8 +78,8 @@ def test_boolean_nilp_golden_examples():
 def test_boolean_nilp_mutually_inverse(n):
     nests = set()
     for b in generate(FamilyId.BOOLEAN, n):
-        nest = bij.boolean_to_nilp(b)
-        assert bij.nilp_to_boolean(nest) == b
+        nest = ref.boolean_to_nilp(b)
+        assert ref.nilp_to_boolean(nest) == b
         nests.add(nest)
     assert len(nests) == len(list(generate(FamilyId.BOOLEAN, n)))
     assert nests == set(generate(FamilyId.NILP, n))
@@ -133,28 +139,28 @@ def test_non_permutation_monotone_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_round_trips_tsscpp_side(n):
-    for b in generate(FamilyId.BOOLEAN, n):
-        d = bij.fundamental_from_boolean(b)
-        assert bij.boolean_from_fundamental(d) == b
-        m = bij.boolean_to_magog(b)
-        assert bij.magog_to_boolean(m) == b
-        assert bij.fundamental_from_magog(m) == d
+    booleans = entries(FamilyId.BOOLEAN, n)
+    d = bij.booleans_to_domains(n, booleans)
+    assert np.array_equal(bij.domains_to_booleans(n, d), booleans)
+    m = bij.booleans_to_magogs(n, booleans)
+    assert np.array_equal(bij.magogs_to_booleans(n, m), booleans)
+    assert np.array_equal(bij.magogs_to_domains(n, m), d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_round_trips_matrix_side(n):
     for a in generate(FamilyId.ASM, n):
-        assert bij.monotone_to_asm(bij.asm_to_monotone(a)) == a
+        assert ref.monotone_to_asm(ref.asm_to_monotone(a)) == a
     for m in generate(FamilyId.MONOTONE, n):
-        assert bij.asm_to_monotone(bij.monotone_to_asm(m)) == m
+        assert ref.asm_to_monotone(ref.monotone_to_asm(m)) == m
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_round_trips_permutation_side(n):
     for p in generate(FamilyId.PERMUTATION, n):
-        b = bij.permutation_to_boolean(p)
-        assert bij.boolean_to_permutation(b) == p
-        assert bij.bracket_vector_to_boolean(bij.bracket_vector(b)) == b
+        b = ref.permutation_to_boolean(p)
+        assert ref.boolean_to_permutation(b) == p
+        assert ref.bracket_vector_to_boolean(ref.bracket_vector(b)) == b
 
 
 def test_permutation_matrices_map_onto_strict_entry_free_triangles():
@@ -162,7 +168,7 @@ def test_permutation_matrices_map_onto_strict_entry_free_triangles():
 
     for n in (2, 3, 4):
         image = {
-            bij.asm_to_monotone(a)
+            ref.asm_to_monotone(a)
             for a in generate(FamilyId.ASM, n)
             if bij.is_permutation_matrix(a)
         }
@@ -176,13 +182,13 @@ def test_bijection_images_cover_targets():
     for n in (2, 3, 4):
         asms = set(generate(FamilyId.ASM, n))
         monotones = set(generate(FamilyId.MONOTONE, n))
-        assert {bij.asm_to_monotone(a) for a in asms} == monotones
+        assert {ref.asm_to_monotone(a) for a in asms} == monotones
         booleans = set(generate(FamilyId.BOOLEAN, n))
         magogs = set(generate(FamilyId.MAGOG, n))
-        assert {bij.boolean_to_magog(b) for b in booleans} == magogs
+        assert {ref.boolean_to_magog(b) for b in booleans} == magogs
         perm_booleans = set(generate(FamilyId.PERMUTATION_BOOLEAN, n))
         perms = set(generate(FamilyId.PERMUTATION, n))
-        assert {bij.permutation_to_boolean(p) for p in perms} == perm_booleans
+        assert {ref.permutation_to_boolean(p) for p in perms} == perm_booleans
 
 
 def test_bracket_vector_values():
@@ -204,7 +210,7 @@ def bracket_condition(x):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_bracket_vector_of_132_avoiders_satisfies_bracket_condition(n):
     for p in generate(FamilyId.PERMUTATION, n):
-        x = bij.bracket_vector(bij.permutation_to_boolean(p))
+        x = ref.bracket_vector(ref.permutation_to_boolean(p))
         assert all(i + 1 <= x[i] <= n for i in range(n))
         if avoids(p, (1, 3, 2)):
             assert bracket_condition(x), (p, x)
@@ -220,7 +226,7 @@ def zeros_per_row_oracle(p):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_boolean_rows_count_inversions_by_position(n):
     for p in generate(FamilyId.PERMUTATION, n):
-        b = bij.permutation_to_boolean(p)
+        b = ref.permutation_to_boolean(p)
         assert tuple(row.count(0) for row in b.rows) == zeros_per_row_oracle(p)
 
 
@@ -228,8 +234,8 @@ def test_boolean_rows_count_inversions_by_position(n):
 def test_permutation_characterizations_agree(n):
     booleans = list(generate(FamilyId.BOOLEAN, n))
     by_boolean = {b for b in booleans if bij.is_permutation_boolean(b)}
-    by_magog = {b for b in booleans if bij.is_permutation_magog(bij.boolean_to_magog(b))}
-    by_array = {b for b in booleans if bij.is_permutation_tsscpp(bij.boolean_to_tsscpp(b))}
+    by_magog = {b for b in booleans if bij.is_permutation_magog(ref.boolean_to_magog(b))}
+    by_array = {b for b in booleans if bij.is_permutation_tsscpp(ref.boolean_to_tsscpp(b))}
     assert by_boolean == by_magog == by_array
     assert len(by_boolean) == len(list(generate(FamilyId.PERMUTATION, n)))
 
@@ -267,8 +273,8 @@ def test_batched_permutation_maps_equal_the_scalar_maps(n):
     monotones = bij.permutations_to_monotones(n, perms).tolist()
     booleans = bij.permutations_to_booleans(n, perms).tolist()
     for p, m, b in zip(generate(FamilyId.PERMUTATION, n), monotones, booleans, strict=True):
-        assert entries_of(bij.permutation_to_monotone(p)) == tuple(m)
-        assert entries_of(bij.permutation_to_boolean(p)) == tuple(b)
+        assert entries_of(ref.permutation_to_monotone(p)) == tuple(m)
+        assert entries_of(ref.permutation_to_boolean(p)) == tuple(b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -277,7 +283,7 @@ def test_batched_asm_and_boolean_maps_equal_the_scalar_maps(n):
     monotones = bij.asms_to_monotones(n, asms)
     assert (bij.monotones_to_asms(n, monotones) == asms).all()
     for a, m in zip(generate(FamilyId.ASM, n), monotones.tolist(), strict=True):
-        assert entries_of(bij.asm_to_monotone(a)) == tuple(m)
+        assert entries_of(ref.asm_to_monotone(a)) == tuple(m)
     booleans = entries(FamilyId.BOOLEAN, n)
     nests, domains = bij.booleans_to_nests(n, booleans), bij.booleans_to_domains(n, booleans)
     magogs = bij.domains_to_magogs(n, domains)
@@ -286,9 +292,9 @@ def test_batched_asm_and_boolean_maps_equal_the_scalar_maps(n):
     for b, nest, d, m in zip(
         generate(FamilyId.BOOLEAN, n), nests.tolist(), domains.tolist(), magogs.tolist(), strict=True
     ):
-        assert entries_of(bij.boolean_to_nilp(b)) == tuple(nest)
-        assert entries_of(bij.fundamental_from_boolean(b)) == tuple(d)
-        assert entries_of(bij.boolean_to_magog(b)) == tuple(m)
+        assert entries_of(ref.boolean_to_nilp(b)) == tuple(nest)
+        assert entries_of(ref.fundamental_from_boolean(b)) == tuple(d)
+        assert entries_of(ref.boolean_to_magog(b)) == tuple(m)
 
 
 def test_batched_maps_refuse_values_that_fail_their_checks(monkeypatch):
@@ -301,3 +307,134 @@ def test_batched_maps_refuse_values_that_fail_their_checks(monkeypatch):
     monkeypatch.setattr(bij, "expand_domains", lambda n, dom: None)
     with pytest.raises(ValidationError, match="domain of order 3"):
         bij.booleans_to_domains(3, np.array([[1, 1, 1]]))
+
+
+# -------------------------------------------- differential tests, the oracle
+
+FAMILY_OF_KIND = {
+    "asm": FamilyId.ASM,
+    "monotone_triangle": FamilyId.MONOTONE,
+    "magog_triangle": FamilyId.MAGOG,
+    "boolean_triangle": FamilyId.BOOLEAN,
+    "nilp_nest": FamilyId.NILP,
+    "plane_partition": FamilyId.TSSCPP,
+    "permutation": FamilyId.PERMUTATION,
+}
+
+
+@functools.cache
+def objects_of_kind(kind, n):
+    """Every object of a kind at order n; the fundamental domains are the
+    oracle's corners of the TSSCPPs."""
+    if kind == "fundamental_domain":
+        return [ref.fundamental_domain(p) for p in generate(FamilyId.TSSCPP, n)]
+    return list(generate(FAMILY_OF_KIND[kind], n))
+
+
+@pytest.fixture(autouse=True, scope="module")
+def release_objects():
+    """Drop the cached objects when the module is done: held through later
+    modules, they slow every garbage collection there."""
+    yield
+    objects_of_kind.cache_clear()
+
+
+def batched(maps, objects, n):
+    """The objects through a composition of batched maps, as objects."""
+    cls = type(objects[0])
+    a = validate_batch(cls, n, [getattr(obj, SCHEMA[cls][1]) for obj in objects])
+    for step in maps:
+        a = step(n, a)
+    return a.reshape(len(a), -1)
+
+
+def oracle_edges():
+    """(source kind, target kind, batched maps, scalar oracle map) for every
+    edge of the conversion graph, in its order."""
+    for source, target, *maps in bij._EDGES:
+        yield source, target, maps, dict(ref._EDGES[source])[target]
+
+
+EDGES = list(oracle_edges())
+
+
+@pytest.mark.parametrize("source, target, maps, oracle", EDGES, ids=[f"{s}-{t}" for s, t, _, _ in EDGES])
+def test_every_edge_equals_the_oracle(source, target, maps, oracle):
+    """On every object the oracle maps, at n <= 6 (permutations: n <= 7)."""
+    for n in range(1, 8 if source == "permutation" else 7):
+        pairs = []
+        for obj in objects_of_kind(source, n):
+            try:
+                pairs.append((obj, oracle(obj)))
+            except ValidationError:
+                continue
+        if not pairs:
+            continue
+        objects, expected = zip(*pairs)
+        cls = type(expected[0])
+        assert build_batch(cls, n, batched(maps, objects, n)) == list(expected), (source, target, n)
+
+
+def refusals():
+    """(kind, batched map, oracle map) for each map that refuses the
+    non-permutation objects of a kind."""
+    return [
+        ("asm", bij.asms_to_permutations, ref.asm_to_permutation),
+        ("monotone_triangle", bij.monotones_to_permutations, ref.monotone_to_permutation),
+        ("monotone_triangle", bij.monotones_to_booleans, ref.monotone_perm_to_boolean),
+        ("boolean_triangle", bij.booleans_to_permutations, ref.boolean_to_permutation),
+        ("boolean_triangle", bij.perm_booleans_to_monotones, ref.boolean_to_monotone_perm),
+        ("boolean_triangle", bij.booleans_to_brackets, ref.bracket_vector),
+    ]
+
+
+@pytest.mark.parametrize("kind, batch, oracle", refusals(), ids=lambda v: getattr(v, "__name__", v))
+def test_every_refusal_equals_the_oracle(kind, batch, oracle):
+    """Same exception class and message on every non-permutation object at
+    n <= 4, alone and as the first refused row of a batch."""
+    refused = 0
+    for n in range(1, 5):
+        objects = objects_of_kind(kind, n)
+        for i, obj in enumerate(objects):
+            try:
+                oracle(obj)
+                continue
+            except ValidationError as exc:
+                expected = (type(exc), str(exc))
+            refused += 1
+            for chunk in ([obj], objects[i:]):
+                with pytest.raises(ValidationError) as raised:
+                    batch(n, batched((), chunk, n))
+                assert (type(raised.value), str(raised.value)) == expected, (obj, len(chunk))
+    assert refused
+
+
+@pytest.mark.parametrize("source", sorted(ref._EDGES))
+def test_convert_equals_the_oracles_composed_path(source):
+    """For every target kind and every object at n <= 4: the same object, or
+    the same exception class and message."""
+    for n in range(1, 5):
+        for obj in objects_of_kind(source, n):
+            for target in sorted(ref._EDGES):
+                try:
+                    expected = ref.convert_object(obj, target)
+                except ValidationError as exc:
+                    expected = (type(exc), str(exc))
+                try:
+                    got = bij.convert(obj, target)
+                except ValidationError as exc:
+                    got = (type(exc), str(exc))
+                assert got == expected, (obj, target)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((2, 0), (0,)), ((3, 1, 0), (0, 0), (0,)), ((1, 1, 1), (1, 1), (1,)), ((4, 4, 4), (4, 4), (4,))],
+)
+def test_inconsistent_domains_convert_to_nothing(rows):
+    d = FundamentalDomain(len(rows), rows)
+    with pytest.raises(ValidationError):
+        ref.expand_fundamental(d)
+    for kind in sorted(ref._EDGES):
+        with pytest.raises(InconsistentDomain, match="is the corner of no TSSCPP$"):
+            bij.convert(d, kind)

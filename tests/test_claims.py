@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import golden_data as gold
+import reference_maps
 from gogmagog import bijections, claims, enumeration, orders
 from gogmagog.enumeration import FamilyId
 from gogmagog.poset import SizeCap
@@ -112,12 +113,12 @@ def test_batched_magog_boolean_maps_equal_the_scalar_maps(n):
     magogs = enumeration.entries(FamilyId.MAGOG, n)
     booleans = bijections.magogs_to_booleans(n, magogs)
     for m, b in zip(enumeration.generate(FamilyId.MAGOG, n), booleans.tolist()):
-        assert sum(bijections.magog_to_boolean(m).rows, ()) == tuple(b)
+        assert sum(reference_maps.magog_to_boolean(m).rows, ()) == tuple(b)
     for b, m in zip(
         enumeration.generate(FamilyId.BOOLEAN, n),
         bijections.booleans_to_magogs(n, enumeration.entries(FamilyId.BOOLEAN, n)).tolist(),
     ):
-        assert sum(bijections.boolean_to_magog(b).rows, ()) == tuple(m)
+        assert sum(reference_maps.boolean_to_magog(b).rows, ()) == tuple(m)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

