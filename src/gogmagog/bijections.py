@@ -118,33 +118,27 @@ class ResultNotMagog(ValidationError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _layer_cells(n):
-    """For each entry (r, c) of a boolean triangle of order n, row-major: its
-    diagonal q = n - 1 - r + c, its depth c (0-based), and which cells (i, j)
-    of an n x n grid a layer row starting at (i, i) covers, i <= j < i + q - c
-    (the row's length q - c is n - 1 - r)."""
-    r, c = _triangle_cells(n - 1)
-    i, j = np.arange(n)[:, None], np.arange(n)
-    covers = (i <= j) & (j < i + (n - 1 - r)[:, None, None])
-    return n - 1 - r + c, c, covers.astype(np.int64)
-
-
 def _domains_from_booleans(n, a):
     """The domains of the boolean triangles in the rows of ``a``, as the
     padded arrays :func:`triangles.expand_domains` takes.  The cells of
     height at least n - q form rows of strictly decreasing lengths, each
     row of length l a zero at depth q - l of diagonal q: a zero at depth c
     of diagonal q with i zeros above it is a row of length q - c in domain
-    row i."""
-    q, depth, covers = _layer_cells(n)
+    row i.  Every such row starts on the diagonal, so domain entry (i, j)
+    counts the rows of domain row i longer than j."""
+    r, c = _triangle_cells(n - 1)
+    q = n - 1 - r + c
     zeros = a == 0
-    grid = np.zeros((len(a), n, n), dtype=np.int64)
-    grid[:, q, depth] = zeros
-    above = grid.cumsum(axis=2)[:, q, depth] - zeros
-    rows = (zeros[:, :, None] & (above[:, :, None] == np.arange(n))).astype(np.int64)
+    grid = np.zeros((len(a), n, n), dtype=np.int16)
+    grid[:, q, c] = zeros
+    above = grid.cumsum(axis=2, dtype=np.int16)[:, q, c] - zeros
+    value, entry = np.nonzero(zeros)
+    # bin (value, domain row, l - 1) for a row of length l = q - c
+    lengths = np.bincount((value * n + above[value, entry]) * n + n - 2 - r[entry], minlength=len(a) * n * n)
+    longer = lengths.reshape(len(a), n, n)[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
+    i, j = _domain_cells(n)
     padded = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.int16)
-    padded[:, n + 1 :, n + 1 :] = np.einsum("mpi,pij->mij", rows, covers)
+    padded[:, n + 1 + i, n + 1 + i + j] = longer[:, i, j]
     return padded
 
 

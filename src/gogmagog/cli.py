@@ -120,6 +120,7 @@ def _object_stats(obj):
     if kind == "magog_triangle":
         return {"is_permutation": bijections.is_permutation_magog(obj)}
     if kind == "plane_partition":
+        bijections.convert(obj, "fundamental_domain")  # refuses a plane partition that is no TSSCPP
         return {"is_permutation": bijections.is_permutation_tsscpp(obj)}
     # fall back to the boolean encoding
     return _object_stats(bijections.convert(obj, "boolean_triangle"))

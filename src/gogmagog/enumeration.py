@@ -20,8 +20,8 @@ the sizes of the validated chunks, unsorted, and :func:`jsonl` writes their
 JSON lines straight from the entry arrays (``triangles.format_batch``);
 neither builds an object.  :func:`generate` builds the objects of a
 validated chunk without checking each one again, and keeps them in a cache.
-A search chunk that fails a check goes through the validating constructors,
-which raise the first violation.
+A search chunk that fails a check goes to ``triangles.build_batch``, which
+raises the first violation of its first bad value.
 
 Orders are capped (``DEFAULT_CAPS``, overridable per call or via the
 ``TSSCPP_MAX_N`` environment variable) because the families grow too fast for
@@ -214,9 +214,9 @@ def _validated(family, n):
     """The validated entry arrays of the family at order n (see
     ``triangles.validate_batch``; TSSCPPs: flat heights arrays), a chunk at
     a time: in search order, or for a derived family in the order of its
-    source.  A search chunk that fails a check goes through the
-    constructors, which raise the first violation; the batched maps check
-    their own output."""
+    source.  A search chunk that fails a check goes to ``build_batch``,
+    which raises the first violation; the batched maps check their own
+    output."""
     if family in _DERIVED:
         _, source, image = _DERIVED[family]
         for a in _validated(source, n):
@@ -226,8 +226,8 @@ def _validated(family, n):
     for chunk in search(n):
         a = validate_batch(cls, n, chunk)
         if a is None:
-            build_batch(cls, n, chunk)  # the constructors raise the first violation
-            raise AssertionError(f"{cls.__name__}: constructors accept a chunk the batch refused")
+            build_batch(cls, n, chunk)  # raises the first violation of the first bad value
+            raise AssertionError(f"{cls.__name__}: build_batch accepts a chunk the batch check refused")
         yield a
 
 

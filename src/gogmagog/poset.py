@@ -167,16 +167,6 @@ def _reach(n, lower, upper):
     return reach, cover, waiting >= 0
 
 
-def _closure(matrix):
-    reach = matrix.copy()
-    np.fill_diagonal(reach, True)
-    while True:
-        nxt = reach | _bool_product(reach, reach)
-        if (nxt == reach).all():
-            return nxt
-        reach = nxt
-
-
 class Poset:
     """Finite partial order on labelled elements."""
 
@@ -219,24 +209,6 @@ class Poset:
         poset = cls(labels, _componentwise_leq(vectors), _certified=True)
         poset._vectors = vectors
         return poset
-
-    @classmethod
-    def from_comparisons(cls, elements, leq_predicate):
-        """Close the comparison predicate reflexively and transitively, then
-        certify antisymmetry."""
-        labels = tuple(elements)
-        n = len(labels)
-        matrix = np.zeros((n, n), dtype=bool)
-        for i, x in enumerate(labels):
-            for j, y in enumerate(labels):
-                if leq_predicate(x, y):
-                    matrix[i, j] = True
-        closed = _closure(matrix)
-        bad = closed & closed.T & ~np.eye(n, dtype=bool)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-        return cls(labels, closed, _certified=True)
 
     @classmethod
     def from_covers(cls, labels, cover_pairs):

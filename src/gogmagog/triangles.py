@@ -20,12 +20,13 @@ Conventions, fixed once for the whole package:
   0 = diagonal step.
 * Plane partitions store the full, zero-completed square array.
 
-All types are frozen dataclasses; construction validates every defining
-inequality and reports the first violation in row-major scan order.
-:func:`validate_batch` makes the same checks on a whole chunk of raw values
-at once, :func:`build_batch` builds a chunk that passes them without
-checking each object again, and :func:`format_batch` writes the JSON lines of
-such a chunk without building any object.
+All types are frozen dataclasses.  A family's defining inequalities are one
+rule table per order (``_BATCH``).  :func:`validate_batch` asks whether any
+value of a chunk breaks a rule, a constructor normalises its input and
+raises the rule broken first in row-major scan order, :func:`build_batch`
+builds a chunk that passes without checking each object again, and
+:func:`format_batch` writes the JSON lines of such a chunk without building
+any object.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,36 +215,7 @@ class MonotoneTriangle:
         rows = _as_rows(self.rows, "monotone triangle")
         object.__setattr__(self, "rows", rows)
         _check_triangular(rows, self.n, "monotone triangle")
-        n = self.n
-        if rows[n - 1] != tuple(range(1, n + 1)):
-            raise BottomRowError(
-                f"monotone triangle: bottom row must be 1..{n}", row=n
-            )
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                if not 1 <= entry <= n:
-                    raise EntryError(
-                        f"monotone triangle: entry {entry} at ({r + 1},{c + 1}) "
-                        f"outside 1..{n}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if c + 1 < len(row) and not entry < row[c + 1]:
-                    raise RowStrictError(
-                        f"monotone triangle: row {r + 1} not strictly increasing "
-                        f"at position {c + 1}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if r + 1 < n:
-                    below = rows[r + 1]
-                    if not below[c] <= entry <= below[c + 1]:
-                        raise InterlaceError(
-                            f"monotone triangle: entry {entry} at ({r + 1},{c + 1}) "
-                            f"does not interlace {below[c]}, {below[c + 1]} below",
-                            row=r + 1,
-                            col=c + 1,
-                        )
+        _check(MonotoneTriangle, self.n, chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -261,40 +234,7 @@ class MagogTriangle:
         rows = _as_rows(self.rows, "magog triangle")
         object.__setattr__(self, "rows", rows)
         _check_triangular(rows, self.n, "magog triangle")
-        n = self.n
-        if rows[n - 1] != tuple(range(1, n + 1)):
-            raise BottomRowError(f"magog triangle: bottom row must be 1..{n}", row=n)
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                if not 1 <= entry <= n:
-                    raise EntryError(
-                        f"magog triangle: entry {entry} at ({r + 1},{c + 1}) outside 1..{n}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if c + 1 < len(row) and not entry < row[c + 1]:
-                    raise RowStrictError(
-                        f"magog triangle: row {r + 1} not strictly increasing at "
-                        f"position {c + 1}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if r + 1 < n:
-                    below = rows[r + 1]
-                    if not below[c] <= entry:
-                        raise InterlaceError(
-                            f"magog triangle: entry {entry} at ({r + 1},{c + 1}) "
-                            f"smaller than {below[c]} below-left",
-                            row=r + 1,
-                            col=c + 1,
-                        )
-                    if not below[c + 1] <= entry + 1:
-                        raise InterlaceError(
-                            f"magog triangle: entry {entry} at ({r + 1},{c + 1}) "
-                            f"more than one below {below[c + 1]} below-right",
-                            row=r + 1,
-                            col=c + 1,
-                        )
+        _check(MagogTriangle, self.n, chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -314,34 +254,7 @@ class BooleanTriangle:
         rows = _as_rows(self.rows, "boolean triangle")
         object.__setattr__(self, "rows", rows)
         _check_triangular(rows, self.n - 1, "boolean triangle")
-        n = self.n
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise EntryError(
-                        f"boolean triangle: entry {entry} at ({r + 1},{c + 1}) not 0/1",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-        # Running sums per diagonal q = 1..n-1; rows[r][c] lies on diagonal
-        # q = n - 1 - r + c.  Check, entry by entry in row-major order, the
-        # inequality 1 + sum(diagonal q-1) >= sum(diagonal q) at this depth.
-        sums = [0] * (n + 1)
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                q = n - 1 - r + c
-                sums[q] += entry
-            for c in range(len(row)):
-                q = n - 1 - r + c
-                if q >= 2 and not 1 + sums[q - 1] >= sums[q]:
-                    raise PartialSumError(
-                        f"boolean triangle: partial sums of diagonals {q - 1},{q} "
-                        f"cross at depth {r + 1}",
-                        j=n - q,
-                        i_prime=r + 1,
-                        row=r + 1,
-                        col=c + 1,
-                    )
+        _check(BooleanTriangle, self.n, chain.from_iterable(rows))
 
     def diagonal(self, q):
         """Entries of diagonal ``q`` (1-based), top to bottom."""
@@ -377,14 +290,7 @@ class NilpNest:
             for step in path:
                 if step not in ("V", "D"):
                     raise EntryError(f"nest: path {i} has step {step!r}, expected 'V'/'D'")
-        seen = {}
-        for i, path in enumerate(paths, start=1):
-            for point in self.points(i):
-                if point in seen:
-                    raise IntersectionError(
-                        f"nest: paths {seen[point]} and {i} share the point {point}"
-                    )
-                seen[point] = i
+        _check(NilpNest, self.n, (int(step == "D") for step in chain.from_iterable(paths)))
 
     def points(self, i):
         """Lattice points visited by path ``i``, start and endpoint included."""
@@ -418,35 +324,7 @@ class Asm:
         n = self.n
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeError(f"asm: expected a {n}x{n} matrix")
-        col = [0] * n
-        for r, row in enumerate(rows):
-            acc = 0
-            for c, entry in enumerate(row):
-                if entry not in (-1, 0, 1):
-                    raise EntryError(
-                        f"asm: entry {entry} at ({r + 1},{c + 1}) not in -1/0/1",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                acc += entry
-                col[c] += entry
-                if acc not in (0, 1):
-                    raise AlternationError(
-                        f"asm: row {r + 1} prefix sum {acc} at column {c + 1}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if col[c] not in (0, 1):
-                    raise AlternationError(
-                        f"asm: column {c + 1} prefix sum {col[c]} at row {r + 1}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-            if acc != 1:
-                raise RowSumError(f"asm: row {r + 1} sums to {acc}, expected 1", row=r + 1)
-        for c in range(n):
-            if col[c] != 1:
-                raise ColumnSumError(f"asm: column {c + 1} sums to {col[c]}, expected 1", col=c + 1)
+        _check(Asm, n, chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -467,8 +345,9 @@ class Permutation:
                 raise EntryError(f"permutation: value at position {i} is not an integer", col=i)
         sigma = tuple(int(v) for v in sigma)
         object.__setattr__(self, "sigma", sigma)
-        if len(sigma) != self.n or sorted(sigma) != list(range(1, self.n + 1)):
+        if len(sigma) != self.n:
             raise ValidationError(f"permutation: {sigma} is not a bijection on 1..{self.n}")
+        _check(Permutation, self.n, sigma)
 
     def __call__(self, i):
         return self.sigma[i - 1]
@@ -514,26 +393,7 @@ class PlanePartition:
         side = 2 * self.n
         if len(rows) != side or any(len(row) != side for row in rows):
             raise ShapeError(f"plane partition: expected a {side}x{side} array")
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                if not 0 <= entry <= side:
-                    raise EntryError(
-                        f"plane partition: entry {entry} at ({r + 1},{c + 1}) outside 0..{side}",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if c + 1 < side and row[c + 1] > entry:
-                    raise MonotonicityError(
-                        f"plane partition: row {r + 1} increases at column {c + 2}",
-                        row=r + 1,
-                        col=c + 2,
-                    )
-                if r + 1 < side and rows[r + 1][c] > entry:
-                    raise MonotonicityError(
-                        f"plane partition: column {c + 1} increases at row {r + 2}",
-                        row=r + 2,
-                        col=c + 1,
-                    )
+        _check(PlanePartition, self.n, chain.from_iterable(rows))
 
     @property
     def side(self):
@@ -566,27 +426,7 @@ class FundamentalDomain:
         n = self.n
         if len(rows) != n or any(len(row) != n - i for i, row in enumerate(rows)):
             raise ShapeError(f"fundamental domain: expected rows of lengths {n}..1")
-        for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                if entry < 0:
-                    raise EntryError(
-                        f"fundamental domain: negative entry at ({r + 1},{c + 1})",
-                        row=r + 1,
-                        col=c + 1,
-                    )
-                if c + 1 < len(row) and row[c + 1] > entry:
-                    raise MonotonicityError(
-                        f"fundamental domain: row {r + 1} increases at position {c + 2}",
-                        row=r + 1,
-                        col=c + 2,
-                    )
-                # Same absolute column in the next row sits one slot left.
-                if r + 1 < n and c >= 1 and rows[r + 1][c - 1] > entry:
-                    raise MonotonicityError(
-                        f"fundamental domain: column under ({r + 1},{c + 1}) increases",
-                        row=r + 2,
-                        col=c,
-                    )
+        _check(FundamentalDomain, n, chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -600,11 +440,89 @@ class SymmetryReport:
         return self.symmetric and self.cyclically_symmetric and self.self_complementary
 
 
-# -- batch validation --------------------------------------------------------
+# -- the rule tables ---------------------------------------------------------
 #
-# A batch is an int array with one row per object: its entries flattened in
-# row-major order.  Each ``_..._ok(a, n)`` below makes every check of one
-# family's constructor on all rows at once.
+# A batch is an int array with one row per value: its entries, row-major.  A
+# family's defining inequalities at order n are one table, built once: each
+# constraint holds when x[a] - x[b] <= bound on the nodes x of a value (its
+# entries, the sums its family adds, then a zero, so that a constraint with
+# the zero node bounds one node), sorted by the key (stage, row, column,
+# check) of the constructor's scan, with its error class, message template
+# and reported position.  ``violated`` tells whether values of a batch
+# violate a constraint, and ``first`` gives the error of one value's violated
+# constraint with the smallest key: what the constructor raises.
+# Permutations (a sort) and nests (a repeated lattice-point code) have one
+# vectorised predicate each, with the same two methods.
+
+_ZERO = -1  # the zero node, the last of a value's nodes
+
+
+def _rule(error, template, key, a, b=_ZERO, *, low=None, high=None, shown=(), **fields):
+    """``low <= x[a] - x[b] <= high`` at every place of the arrays, as one
+    rule per given side: the error, template and key, the constraint, the
+    nodes whose values the template shows as {0}, {1}, ..., and its other
+    fields, the reported ``row`` and ``col`` among them."""
+    sides = ([] if high is None else [(a, b, high)]) + ([] if low is None else [(b, a, -np.asarray(low))])
+    return [(error, template, key, i, j, bound, shown, fields) for i, j, bound in sides]
+
+
+class _Table:
+    """One family's rules at order n, sorted by key into the constraint
+    arrays ``a``, ``b`` and ``bound``."""
+
+    def __init__(self, what, n, nodes, derive, rules):
+        self.what, self.n, self.derive, self._rules, columns = what, n, derive, [], []
+        for error, template, key, a, b, bound, shown, fields in rules:
+            a, b, bound, *rest = np.broadcast_arrays(a, b, bound, *key, *shown, *fields.values())
+            self._rules.append((error, template, rest[4 : 4 + len(shown)], dict(zip(fields, rest[4 + len(shown) :]))))
+            columns.append((a, b, bound, np.full(len(a), len(columns)), np.arange(len(a)), *rest[:4]))
+        a, b, bound, rule, place, *key = map(np.concatenate, zip(*columns))
+        order = np.lexsort(key[::-1])
+        self.a, self.b, self.bound, self._rule, self._place = (v[order] for v in (a, b, bound, rule, place))
+        # The batch check reads the bounds as one interval per node, then the
+        # constraints between two nodes.
+        upper, lower = self.b == _ZERO, self.a == _ZERO
+        self._low, self._high = np.full(nodes, np.iinfo(np.int64).min), np.full(nodes, np.iinfo(np.int64).max)
+        np.minimum.at(self._high, self.a[upper], self.bound[upper])
+        np.maximum.at(self._low, self.b[lower], -self.bound[lower])
+        self._pairs = self.a[~upper & ~lower], self.b[~upper & ~lower], self.bound[~upper & ~lower]
+
+    def _nodes(self, a, width):
+        """The nodes of the values in the rows of ``a``, ``width`` columns:
+        the entries, the sums ``derive`` writes after them, then zeros;
+        signed and at least 16 bits wide."""
+        x = np.empty((len(a), width), dtype=np.promote_types(a.dtype, np.int16))
+        x[:, : a.shape[1]], x[:, len(self._low) :] = a, 0
+        self.derive(self.n, a, x[:, a.shape[1] : len(self._low)])
+        return x
+
+    def violated(self, a, axis=None):
+        """Whether the values in the rows of an integer entry array violate a
+        constraint: any of them, or each (``axis=1``).  A value within the
+        bounds of its entries has sums and differences far from the limits
+        of its nodes' dtype, so nothing computed for it overflows."""
+        wide = np.promote_types(a.dtype, np.int16)
+        x = a.astype(wide, copy=False) if self.derive is None else self._nodes(a, len(self._low))
+        i, j, bound = self._pairs
+        return ((x < self._low) | (x > self._high)).any(axis=axis) | (x[:, i] - x[:, j] > bound).any(axis=axis)
+
+    def first(self, entries):
+        """The error of the first constraint, by key, that one value's
+        entries violate, or None.  Entries beyond 2**31 are compared as
+        Python integers, so the answer is exact for entries of any size."""
+        dtype = object if entries and not -(2**31) < min(entries) <= max(entries) < 2**31 else np.int64
+        if self.derive is None:
+            x = np.array(entries + [0], dtype=dtype)
+        else:
+            x = self._nodes(np.array([entries], dtype=dtype), len(self._low) + 1)[0]
+        violated = np.flatnonzero(x[self.a] - x[self.b] > self.bound)
+        if not len(violated):
+            return None
+        error, template, shown, fields = self._rules[self._rule[violated[0]]]
+        place = self._place[violated[0]]
+        fields = {name: int(field[place]) for name, field in fields.items()}
+        message = template.format(*(x[node[place]] for node in shown), what=self.what, n=self.n, **fields)
+        return error(message, **{name: fields[name] for name in ("row", "col", "j", "i_prime") if name in fields})
 
 
 @lru_cache(maxsize=None)
@@ -624,82 +542,6 @@ def _triangle_neighbours(n):
     return p[c < r], above, above + r[above] + 1
 
 
-def _interlacing_ok(a, n, magog):
-    right, above, below_left = _triangle_neighbours(n)
-    entry, left, right_below = a[:, above], a[:, below_left], a[:, below_left + 1]
-    return bool(
-        ((a >= 1) & (a <= n)).all()
-        and (a[:, a.shape[1] - n :] == np.arange(1, n + 1)).all()
-        and (a[:, right] < a[:, right + 1]).all()
-        and (left <= entry).all()
-        and ((right_below <= entry + 1) if magog else (entry <= right_below)).all()
-    )
-
-
-def _boolean_ok(a, n):
-    """0/1 entries and the diagonal partial sums: with ``sums[r, q]`` the sum
-    of diagonal q over rows 1..r+1, ``sums[r, q] <= 1 + sums[r, q - 1]`` for
-    q >= 2 (trivially so above the top of diagonal q, where it is zero)."""
-    if not ((a == 0) | (a == 1)).all():
-        return False
-    r, c = _triangle_cells(n - 1)
-    sums = np.zeros((len(a), n - 1, n), dtype=a.dtype)
-    sums[:, r, n - 1 - r + c] = a
-    sums = sums.cumsum(axis=1, dtype=a.dtype)
-    return bool((sums[:, :, 2:] <= sums[:, :, 1:-1] + 1).all())
-
-
-def _asm_ok(a, n):
-    """Entries -1/0/1, row and column prefix sums 0/1, line sums 1."""
-    if not ((a >= -1) & (a <= 1)).all():
-        return False
-    a = a.reshape(len(a), n, n)
-    rows, cols = a.cumsum(axis=2, dtype=a.dtype), a.cumsum(axis=1, dtype=a.dtype)
-    return bool(
-        ((rows == 0) | (rows == 1)).all()
-        and ((cols == 0) | (cols == 1)).all()
-        and (rows[:, :, -1] == 1).all()
-        and (cols[:, -1, :] == 1).all()
-    )
-
-
-def _permutation_ok(a, n):
-    return bool((np.sort(a, axis=1) == np.arange(1, n + 1)).all())
-
-
-@lru_cache(maxsize=None)
-def _nest_steps(n):
-    """For each step of a nest, row-major over the paths: its path i, where
-    the path's steps start, and the y-coordinate after the step."""
-    r, c = _triangle_cells(n - 1)
-    return r + 1, r * (r + 1) // 2, r - c
-
-
-def _nest_ok(a, n):
-    """``a`` is 1 for a "D" step and 0 for a "V" step.  Every lattice point
-    of a nest gets the code x * n + y; no code may repeat."""
-    if not ((a == 0) | (a == 1)).all():
-        return False
-    path, start, y = _nest_steps(n)
-    moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
-    np.cumsum(a, axis=1, out=moved[:, 1:])
-    x = path + moved[:, 1:] - moved[:, start]
-    starts = np.arange(1, n) * (n + 1)
-    codes = np.concatenate((np.broadcast_to(starts, (len(a), n - 1)), x * n + y), axis=1)
-    codes.sort(axis=1)
-    return bool((codes[:, 1:] != codes[:, :-1]).all())
-
-
-def _plane_partition_ok(a, n):
-    side = 2 * n
-    a = a.reshape(len(a), side, side)
-    return bool(
-        ((a >= 0) & (a <= side)).all()
-        and (a[:, :, 1:] <= a[:, :, :-1]).all()
-        and (a[:, 1:, :] <= a[:, :-1, :]).all()
-    )
-
-
 @lru_cache(maxsize=None)
 def _domain_cells(n):
     """Row and column of each entry of a fundamental domain, row-major (row i
@@ -708,28 +550,217 @@ def _domain_cells(n):
     return i, np.arange(len(i)) - i * (2 * n + 1 - i) // 2
 
 
-def _domain_ok(a, n):
-    """Nonnegative entries, and no entry below the next one in its row or
-    the one under it, (i + 1, c - 1), n - i - 1 entries further on."""
+def _at(r, c, check, stage=0, down=0, across=0):
+    """The key of a rule checked at the 0-based cells (r, c), and the
+    1-based position it reports, ``down`` rows and ``across`` columns on."""
+    return dict(key=(stage, r, c, check), row=r + 1 + down, col=c + 1 + across)
+
+
+@lru_cache(maxsize=None)
+def _interlacing_table(magog, n):
+    """The bottom row 1..n; then entry by entry, row-major: in 1..n, below
+    the next entry of its row, and the diagonal conditions with the entries
+    below-left (``left``) and below-right of it."""
+    r, c = _triangle_cells(n)
+    p = np.arange(len(r))
+    bottom, (right, above, left) = p[r == n - 1], _triangle_neighbours(n)
+    entry, under = "{what}: entry {0} at ({row},{col})", _at(r[above], c[above], 2, stage=1)
+    if magog:
+        diagonals = [
+            *_rule(InterlaceError, entry + " smaller than {1} below-left", a=left, b=above, high=0,
+                   shown=(above, left), **under),
+            *_rule(InterlaceError, entry + " more than one below {1} below-right", a=left + 1, b=above, high=1,
+                   shown=(above, left + 1), **_at(r[above], c[above], 3, stage=1)),
+        ]
+    else:
+        between, shown = entry + " does not interlace {1}, {2} below", (above, left, left + 1)
+        diagonals = [
+            *_rule(InterlaceError, between, a=above, b=left, low=0, shown=shown, **under),
+            *_rule(InterlaceError, between, a=left + 1, b=above, low=0, shown=shown, **under),
+        ]
+    return _Table("magog triangle" if magog else "monotone triangle", n, len(p), None, [
+        *_rule(BottomRowError, "{what}: bottom row must be 1..{n}", (0, 0, 0, 0), bottom,
+               low=c[bottom] + 1, high=c[bottom] + 1, row=n),
+        *_rule(EntryError, entry + " outside 1..{n}", a=p, low=1, high=n, shown=(p,), **_at(r, c, 0, stage=1)),
+        *_rule(RowStrictError, "{what}: row {row} not strictly increasing at position {col}", a=right, b=right + 1,
+               high=-1, **_at(r[right], c[right], 1, stage=1)),
+        *diagonals,
+    ])
+
+
+def _diagonal_sums(n, a, out):
+    """Write the sum of each diagonal q of boolean triangles down to each
+    row r, row-major over (r, q)."""
+    r, c = _triangle_cells(n - 1)
+    sums = np.zeros((len(a), n - 1, n), dtype=a.dtype)
+    sums[:, r, n - 1 - r + c] = a
+    np.cumsum(sums, axis=1, out=out.reshape(len(a), n - 1, n))
+
+
+@lru_cache(maxsize=None)
+def _boolean_table(n):
+    """Every entry 0/1 first; then row by row, entry by entry, the partial
+    sums: S[r, q] <= 1 + S[r, q - 1] for diagonal q >= 2 of the entry."""
+    r, c = _triangle_cells(n - 1)
+    p, q = np.arange(len(r)), n - 1 - r + c
+    s = p[q >= 2]
+    sums = len(p) + r[s] * n + q[s]  # the node of S[r, q]
+    return _Table("boolean triangle", n, len(p) + (n - 1) * n, _diagonal_sums, [
+        *_rule(EntryError, "{what}: entry {0} at ({row},{col}) not 0/1", a=p, low=0, high=1, shown=(p,),
+               **_at(r, c, 0)),
+        *_rule(PartialSumError, "{what}: partial sums of diagonals {left},{right} cross at depth {row}", a=sums,
+               b=sums - 1, high=1, left=q[s] - 1, right=q[s], j=n - q[s], i_prime=r[s] + 1,
+               **_at(r[s], c[s], 0, stage=1)),
+    ])
+
+
+def _prefix_sums(n, a, out):
+    """Write the prefix sums of ASMs along each row, then down each column,
+    row-major."""
+    m = a.reshape(len(a), n, n)
+    np.cumsum(m, axis=2, out=out[:, : n * n].reshape(len(a), n, n))
+    np.cumsum(m, axis=1, out=out[:, n * n :].reshape(len(a), n, n))
+
+
+@lru_cache(maxsize=None)
+def _asm_table(n):
+    """Entry by entry, row-major: -1/0/1, then the prefix sums along its row
+    and down its column 0/1; each row sums to 1 after its last entry, and
+    each column after the last row."""
+    p, line = np.arange(n * n), np.arange(n)
+    r, c = p // n, p % n
+    rows, cols = n * n + p, 2 * n * n + p  # the nodes of the prefix sums
+    last_row, last_col = rows[c == n - 1], cols[r == n - 1]
+    return _Table("asm", n, 3 * n * n, _prefix_sums, [
+        *_rule(EntryError, "{what}: entry {0} at ({row},{col}) not in -1/0/1", a=p, low=-1, high=1, shown=(p,),
+               **_at(r, c, 0)),
+        *_rule(AlternationError, "{what}: row {row} prefix sum {0} at column {col}", a=rows, low=0, high=1,
+               shown=(rows,), **_at(r, c, 1)),
+        *_rule(AlternationError, "{what}: column {col} prefix sum {0} at row {row}", a=cols, low=0, high=1,
+               shown=(cols,), **_at(r, c, 2)),
+        *_rule(RowSumError, "{what}: row {row} sums to {0}, expected 1", (0, line, n, 0), last_row, low=1, high=1,
+               shown=(last_row,), row=line + 1),
+        *_rule(ColumnSumError, "{what}: column {col} sums to {0}, expected 1", (1, 0, line, 0), last_col, low=1,
+               high=1, shown=(last_col,), col=line + 1),
+    ])
+
+
+@lru_cache(maxsize=None)
+def _plane_partition_table(n):
+    """Entry by entry, row-major: in 0..2n, and no smaller than the entries
+    right of it and under it."""
+    side, p = 2 * n, np.arange(4 * n * n)
+    r, c = p // side, p % side
+    right, down = p[c < side - 1], p[r < side - 1]
+    return _Table("plane partition", n, side * side, None, [
+        *_rule(EntryError, "{what}: entry {0} at ({row},{col}) outside 0..{side}", a=p, low=0, high=side, shown=(p,),
+               side=side, **_at(r, c, 0)),
+        *_rule(MonotonicityError, "{what}: row {row} increases at column {col}", a=right + 1, b=right, high=0,
+               **_at(r[right], c[right], 1, across=1)),
+        *_rule(MonotonicityError, "{what}: column {col} increases at row {row}", a=down + side, b=down, high=0,
+               **_at(r[down], c[down], 2, down=1)),
+    ])
+
+
+@lru_cache(maxsize=None)
+def _domain_table(n):
+    """Entry by entry, row-major: nonnegative, and no smaller than the next
+    entry of its row or the one under it, (i + 1, c - 1), n - i - 1 entries
+    further on."""
     i, c = _domain_cells(n)
     p = np.arange(len(i))
     right, under = p[c < n - 1 - i], p[c >= 1]
-    below = under + n - 1 - i[under]
-    return bool((a >= 0).all() and (a[:, right + 1] <= a[:, right]).all() and (a[:, below] <= a[:, under]).all())
+    return _Table("fundamental domain", n, len(p), None, [
+        *_rule(EntryError, "{what}: negative entry at ({row},{col})", a=p, low=0, **_at(i, c, 0)),
+        *_rule(MonotonicityError, "{what}: row {row} increases at position {col}", a=right + 1, b=right, high=0,
+               **_at(i[right], c[right], 1, across=1)),
+        *_rule(MonotonicityError, "{what}: column under ({i},{c}) increases", a=under + n - 1 - i[under], b=under,
+               high=0, i=i[under] + 1, c=c[under] + 1, **_at(i[under], c[under], 2, down=1, across=-1)),
+    ])
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(n):
+    """A permutation's one check: sorted, its values are 1..n."""
+    values = np.arange(1, n + 1)
+
+    def violated(a, axis=None):
+        return (np.sort(a, axis=1) != values).any(axis=axis)
+
+    def first(entries):
+        bad = not -(2**31) < min(entries) <= max(entries) < 2**31 or violated(np.array([entries]))
+        return ValidationError(f"permutation: {tuple(entries)} is not a bijection on 1..{n}") if bad else None
+
+    return SimpleNamespace(violated=violated, first=first)
+
+
+@lru_cache(maxsize=None)
+def _nest_points(n):
+    """Each lattice point of a nest in visiting order, path i from (i, i)
+    then after each of its i steps: its path, its code x * n + y if every
+    step were "V", and the number of entries before its step and before its
+    path's first step."""
+    points = np.arange(2, n + 1)
+    path = np.repeat(np.arange(1, n), points)
+    steps = np.arange(len(path)) - np.repeat(np.cumsum(points) - points, points)
+    start = path * (path - 1) // 2
+    return path, path * n + path - steps, start + steps, start
+
+
+def _nest_codes(n, a):
+    """The code x * n + y of every lattice point of the nests in the rows
+    of ``a`` (1 for a "D" step), in visiting order."""
+    _, codes, after, start = _nest_points(n)
+    moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
+    np.cumsum(a, axis=1, out=moved[:, 1:])
+    return codes + n * (moved[:, after] - moved[:, start])
+
+
+@lru_cache(maxsize=None)
+def _nest_table(n):
+    """A nest's one check: its entries are 0/1 and no two of its lattice
+    points have the same code.  The first point whose code repeats is
+    reported with the path that visited it first."""
+
+    def violated(a, axis=None):
+        codes = np.sort(_nest_codes(n, a), axis=1)
+        return ((a < 0) | (a > 1)).any(axis=axis) | (codes[:, 1:] == codes[:, :-1]).any(axis=axis)
+
+    def first(entries):
+        codes = _nest_codes(n, np.array([entries]))[0]
+        ordered = np.sort(codes)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return None
+        _, seen, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        k = (seen[inverse] != np.arange(len(codes))).argmax()
+        path = _nest_points(n)[0]
+        point = divmod(int(codes[k]), n)
+        return IntersectionError(f"nest: paths {path[seen[inverse[k]]]} and {path[k]} share the point {point}")
+
+    return SimpleNamespace(violated=violated, first=first)
 
 
 # class -> (row lengths at order n, or None for a flat value of n entries;
-# entry type; array check).  Every value is a tuple, and so is every row.
+# entry type; the rules at order n).  Every value is a tuple, and so is every
+# row.
 _BATCH = {
-    MonotoneTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_ok, magog=False)),
-    MagogTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_ok, magog=True)),
-    BooleanTriangle: (lambda n: range(1, n), int, _boolean_ok),
-    Asm: (lambda n: [n] * n, int, _asm_ok),
-    Permutation: (None, int, _permutation_ok),
-    NilpNest: (lambda n: range(1, n), str, _nest_ok),
-    PlanePartition: (lambda n: [2 * n] * (2 * n), int, _plane_partition_ok),
-    FundamentalDomain: (lambda n: range(n, 0, -1), int, _domain_ok),
+    MonotoneTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_table, False)),
+    MagogTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_table, True)),
+    BooleanTriangle: (lambda n: range(1, n), int, _boolean_table),
+    Asm: (lambda n: [n] * n, int, _asm_table),
+    Permutation: (None, int, _permutation_table),
+    NilpNest: (lambda n: range(1, n), str, _nest_table),
+    PlanePartition: (lambda n: [2 * n] * (2 * n), int, _plane_partition_table),
+    FundamentalDomain: (lambda n: range(n, 0, -1), int, _domain_table),
 }
+
+
+def _check(cls, n, entries):
+    """Raise what the first violated rule of ``cls`` at order ``n`` reports
+    on one value's entries, row-major (nests: 1 for a "D" step)."""
+    error = _BATCH[cls][2](n).first(list(entries))
+    if error is not None:
+        raise error
 
 
 # A nest step in an entry array: 1 is a "D" step, 0 a "V" step.
@@ -758,22 +789,6 @@ def _flat_entries(chunk, n, row_lengths):
     return list(chain.from_iterable(rows))
 
 
-def _tuple_entries(chunk, n, row_lengths, entry_type):
-    """The entries of a chunk of tuples as an int64 array, or None."""
-    entries = _flat_entries(chunk, n, row_lengths)
-    if entries is None or not set(map(type, entries)) <= {entry_type}:
-        return None
-    if entry_type is str:
-        if not set(entries) <= {"V", "D"}:
-            return None
-        entries = list(map("D".__eq__, entries))
-    try:
-        a = np.array(entries, dtype=np.int64)
-    except OverflowError:
-        return None
-    return a.reshape(len(chunk), len(entries) // len(chunk) if chunk else 0)
-
-
 def _array_values(cls, n, a):
     """The values of an entry array, one row per value, as nested tuples:
     tuples of row tuples (``Permutation``: flat tuples) of Python scalars.
@@ -797,6 +812,28 @@ def _array_values(cls, n, a):
     return list(zip(*columns)) or [()] * len(a)
 
 
+def _entry_array(cls, n, chunk):
+    """The entries of a chunk in a form :func:`validate_batch` takes, as an
+    integer array (an array chunk itself), or None."""
+    row_lengths, entry_type, _ = _BATCH[cls]
+    if n < 1:
+        return None
+    if isinstance(chunk, np.ndarray):
+        fits = chunk.dtype.kind in "iu" and np.can_cast(chunk.dtype, np.int64)
+        return chunk if fits and chunk.shape[1:] == (_width(row_lengths, n),) else None
+    entries = _flat_entries(chunk, n, row_lengths)
+    if entries is None or not set(map(type, entries)) <= {entry_type}:
+        return None
+    if entry_type is str:
+        if not set(entries) <= {"V", "D"}:
+            return None
+        entries = list(map("D".__eq__, entries))
+    try:
+        return np.array(entries, dtype=np.int64).reshape(len(chunk), len(entries) // len(chunk) if chunk else 0)
+    except OverflowError:
+        return None
+
+
 def validate_batch(cls, n, chunk):
     """Check a chunk of raw values for ``cls`` of order ``n`` all at once.
 
@@ -805,38 +842,31 @@ def validate_batch(cls, n, chunk):
     (``Permutation``: ``int`` tuples; ``NilpNest``: tuples of ``"V"``/``"D"``
     tuples), or an integer array with one row per value holding its entries
     row-major (``NilpNest``: 1 for a "D" step, 0 for a "V" step).  Returns
-    the entries as an int64 array, one row per value, when every value
-    passes every check ``cls(n, value)`` makes; otherwise None, and the
-    constructor must decide.  Other forms the constructor accepts, such as
-    lists or numpy integers in tuples, are refused here too, and so are
-    arrays of another dtype or width.
+    the entries as an int64 array, one row per value, when no value breaks
+    a rule of the family's table; otherwise None, and the constructor must
+    decide.  Other forms the constructor accepts, such as lists or numpy
+    integers in tuples, are refused too, and so are arrays of another dtype
+    or width.
     """
-    row_lengths, entry_type, ok = _BATCH[cls]
-    if n < 1:
-        return None
-    if not isinstance(chunk, np.ndarray):
-        a = _tuple_entries(chunk, n, row_lengths, entry_type)
-    elif (
-        chunk.dtype.kind in "iu"
-        and np.can_cast(chunk.dtype, np.int64)
-        and chunk.shape[1:] == (_width(row_lengths, n),)
-    ):
-        a = chunk.astype(np.int64)
-    else:
-        a = None
-    return a if a is not None and ok(a, n) else None
+    a = _entry_array(cls, n, chunk)
+    return a.astype(np.int64) if a is not None and not _BATCH[cls][2](n).violated(a) else None
 
 
 def build_batch(cls, n, chunk):
-    """``[cls(n, value) for value in chunk]``, without checking each object
-    again when :func:`validate_batch` passes the whole chunk.  Otherwise the
-    constructor runs on every value and raises the first violation.  The
-    values of an array chunk are given to ``cls`` as nested tuples."""
-    valid = validate_batch(cls, n, chunk) is not None
+    """``[cls(n, value) for value in chunk]``.  A chunk in a form
+    :func:`validate_batch` takes is checked at once: if every value passes,
+    the objects are built without checking each one again; otherwise the
+    first bad value goes to the constructor, which raises its first
+    violation.  Values in another form go through the constructor, which
+    normalises them.  The values of an array chunk are given to ``cls`` as
+    nested tuples."""
+    a = _entry_array(cls, n, chunk)
     if isinstance(chunk, np.ndarray):
         chunk = _array_values(cls, n, chunk)
-    if not valid:
+    if a is None:
         return [cls(n, value) for value in chunk]
+    if _BATCH[cls][2](n).violated(a):
+        cls(n, chunk[_BATCH[cls][2](n).violated(a, axis=1).argmax()])
     name = fields(cls)[1].name
     new = object.__new__
     objects = []
@@ -931,12 +961,11 @@ def _closure_cells(n):
     middle coordinate exceeds n) or through its complement cell.  Built on
     first use and shared by every domain of order n."""
     side = 2 * n
-    idx = np.arange(1, side + 1)
-    grid = np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1)
-    low, mid, high = np.sort(grid, axis=0)
+    idx = np.arange(1, side + 1, dtype=np.int16)
+    low, mid, high = np.sort(np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1), axis=0)
     inside = mid >= n + 1
-    flat = np.where(inside, mid * (side + 1) + high, (side + 1 - mid) * (side + 1) + side + 1 - low)
-    threshold = np.where(inside, low, side + 1 - high).astype(np.int16)
+    threshold = np.where(inside, low, side + 1 - high)
+    flat = np.where(inside, mid, side + 1 - mid) * np.int64(side + 1) + np.where(inside, high, side + 1 - low)
     return flat, threshold, inside
 
 
@@ -972,7 +1001,7 @@ def expand_domains(n, dom):
     if not (m[..., 1:] <= m[..., :-1]).all():
         return None
     heights = m.sum(axis=3, dtype=np.int16)
-    if not _plane_partition_ok(heights.reshape(len(dom), -1), n):
+    if _plane_partition_table(n).violated(heights.reshape(len(dom), -1)):
         return None
     # The cube of a contiguous closure is the cube of its heights.
     if not (

@@ -1,11 +1,14 @@
-"""Differential tests of the batch path against the validating constructors.
+"""Differential tests of the rule tables against the scalar scans.
 
 The enumeration validates its search output and the images of the batched
 bijections in chunks (``validate_batch``, ``booleans_to_tsscpp``) and builds
-objects without re-validating them.  Here the constructors, on the values of
-the recursive reference searches, are the oracle: the batch path must build
-the same objects in the same order, and must reject a value exactly when the
-constructor raises.
+objects without re-validating them; the constructors check one value on the
+same rule tables.  Here the scalar inequality scans of
+``reference_checks``, on the values of the recursive reference searches
+and their mutations, are the oracle: the batch path must build the same
+objects in the same order and reject a value exactly when the scan raises,
+and the constructors and ``build_batch`` must raise the scan's first
+violation, with the same class, message and position.
 """
 
 import random
@@ -13,9 +16,10 @@ import random
 import numpy as np
 import pytest
 
+import reference_checks
 import reference_maps
 import reference_search
-from gogmagog import bijections, enumeration
+from gogmagog import bijections, enumeration, triangles
 from gogmagog.enumeration import FamilyId, count, generate
 from gogmagog.triangles import (
     AlternationError,
@@ -48,7 +52,9 @@ def scalar_objects(family, n):
         ]
         return sorted(partitions, key=lambda p: p.rows)
     cls = reference_search.SEARCH[family][0]
-    return [cls(n, value) for value in reference_search.values(family, n)]
+    values = list(reference_search.values(family, n))
+    assert not any(reference_checks.first_violation(cls, n, value) for value in values)
+    return [cls(n, value) for value in values]
 
 
 def _forbidden(*args, **kwargs):
@@ -60,10 +66,10 @@ def test_batch_path_builds_what_the_constructors_build(family, monkeypatch):
     for n in range(1, 7):
         expected = scalar_objects(family, n)
         with monkeypatch.context() as m:
-            # Every chunk must pass the batch checks: no object may go
-            # through a validating constructor or the scalar expansion.
-            for cls in (Asm, BooleanTriangle, MagogTriangle, MonotoneTriangle, NilpNest, Permutation, PlanePartition):
-                m.setattr(cls, "__post_init__", _forbidden)
+            # Every chunk must pass the batch checks: no first-violation
+            # search may run (nor, so, any validating constructor), and no
+            # scalar expansion.
+            m.setattr(triangles, "_check", _forbidden)
             m.setattr(bijections, "boolean_to_tsscpp", _forbidden)
             enumeration._elements.cache_clear()
             got = list(generate(family, n))
@@ -115,12 +121,28 @@ def _int8_chunk(values):
     return np.array(entries, dtype=np.int8).reshape(len(values), -1)
 
 
-def _scalar_error(cls, n, raw):
+def _report(error):
+    """What a refusal tells: class, message, position, and the diagonal pair
+    and depth of a partial-sum crossing."""
+    return type(error), str(error), error.row, error.col, getattr(error, "j", None), getattr(error, "i_prime", None)
+
+
+def _assert_constructor_agrees(cls, n, raw, expected):
+    """The constructor refuses ``raw`` with ``expected``'s report, or
+    accepts it when ``expected`` is None."""
     try:
         cls(n, raw)
-    except ValidationError as exc:
-        return exc
-    return None
+    except ValidationError as error:
+        assert expected is not None and _report(error) == _report(expected), raw
+    else:
+        assert expected is None, raw
+
+
+def _assert_refused_like(cls, n, chunk, expected):
+    """Building the chunk raises ``expected``'s report."""
+    with pytest.raises(ValidationError) as raised:
+        build_batch(cls, n, chunk)
+    assert _report(raised.value) == _report(expected)
 
 
 SAMPLED = [
@@ -148,7 +170,8 @@ def test_batch_check_rejects_exactly_what_the_constructor_rejects(cls, family, n
     rejected = arrays = 0
     for obj in sample:
         for raw in _mutations(_raw(obj), n):
-            error = _scalar_error(cls, n, raw)
+            error = reference_checks.first_violation(cls, n, raw)
+            _assert_constructor_agrees(cls, n, raw, error)
             assert (validate_batch(cls, n, [raw]) is None) == (error is not None), raw
             # The same value as an int8 entry array, the search's form.
             array = _int8_chunk([raw])
@@ -165,13 +188,7 @@ def test_batch_check_rejects_exactly_what_the_constructor_rejects(cls, family, n
                 chunks.append(_int8_chunk(valid + [raw]))
             for chunk in chunks:
                 assert validate_batch(cls, n, chunk) is None
-                with pytest.raises(type(error)) as raised:
-                    build_batch(cls, n, chunk)
-                assert (str(raised.value), raised.value.row, raised.value.col) == (
-                    str(error),
-                    error.row,
-                    error.col,
-                )
+                _assert_refused_like(cls, n, chunk, error)
     assert rejected > 0
     assert arrays > 0 or cls is NilpNest
 
@@ -185,7 +202,7 @@ def test_asm_batch_check_on_matrices_of_valid_rows():
     verdicts = set()
     for _ in range(3000):
         raw = tuple(rng.choice(rows) for _ in range(n))
-        error = _scalar_error(Asm, n, raw)
+        error = reference_checks.first_violation(Asm, n, raw)
         assert (validate_batch(Asm, n, [raw]) is None) == (error is not None), raw
         verdicts.add(type(error))
     assert verdicts >= {type(None), AlternationError}
@@ -276,3 +293,81 @@ def test_batch_check_takes_integer_arrays_of_the_expected_width_only():
         build_batch(NilpNest, 3, np.array([[0, 2, 0]], dtype=np.int8))
     with pytest.raises(ShapeError):
         build_batch(NilpNest, 3, np.array([[0, 1]], dtype=np.int8))
+
+
+# -- first violations ---------------------------------------------------------
+
+# Values that break several rules at once; the oracle's scan decides which
+# one is reported first.
+SEVERAL = [
+    (PlanePartition, 1, ((5, 0), (1, 2))),  # an entry out of range, then an increase
+    (PlanePartition, 2, ((4, 4, 3, 1), (4, 5, 2, 1), (2, 2, 2, 0), (1, 0, 0, 0))),  # an increase, then an entry out of range
+    (Asm, 3, ((0, 1, 1), (1, 2, 0), (0, 0, 0))),  # an alternation, then an entry of 2
+    (Asm, 3, ((1, 0, 0), (0, 0, 0), (0, 1, 1))),  # a row sum, then a column prefix sum
+    (Asm, 2, ((1, 0), (1, 0))),  # a column prefix sum past 1
+    (Asm, 2, ((0, 1), (0, 1))),  # a column prefix sum past 1 in the last column
+    (BooleanTriangle, 4, ((1,), (0, 1), (0, 1, 2))),  # partial sums cross, then an entry of 2
+    (BooleanTriangle, 5, ((1,), (1, 1), (1, 1, 1), (0, 0, 1, 1))),
+    (MonotoneTriangle, 3, ((2,), (2, 5), (1, 2, 3))),
+    (MonotoneTriangle, 3, ((4,), (2, 2), (1, 2, 3))),
+    (MonotoneTriangle, 3, ((3,), (1, 2), (1, 3, 3))),  # the bottom row comes first
+    (MagogTriangle, 3, ((3,), (1, 1), (1, 2, 3))),
+    (MagogTriangle, 3, ((1,), (3, 3), (1, 2, 3))),
+    (FundamentalDomain, 2, ((1, 2), (-1,))),  # an increase, then a negative entry
+    (FundamentalDomain, 3, ((3, 3, 4), (4, 1), (-2,))),
+    (FundamentalDomain, 2, ((10**30, 1), (3,))),  # an entry beyond int64
+    (MonotoneTriangle, 3, ((2**63,), (1, 2), (1, 2, 3))),
+    (PlanePartition, 1, ((2, 2), (-(2**63), 0))),  # differences that overflow int64
+    (NilpNest, 4, (("D",), ("D", "D"), ("V", "V", "V"))),
+    (NilpNest, 5, (("D",), ("V", "V"), ("V", "V", "D"), ("V", "V", "V", "V"))),
+    (Permutation, 4, (2, 2, 5, 1)),
+    (Permutation, 2, (2**70, 1)),
+]
+
+
+@pytest.mark.parametrize("cls,n,raw", SEVERAL, ids=lambda v: getattr(v, "__name__", None))
+def test_several_violations_report_the_first_in_scan_order(cls, n, raw):
+    error = reference_checks.first_violation(cls, n, raw)
+    assert error is not None
+    _assert_constructor_agrees(cls, n, raw, error)
+    _assert_refused_like(cls, n, [raw], error)
+
+
+def _mutated(rng, raw, n, count):
+    """``raw`` with ``count`` random entries replaced by random integers of
+    -1..2n+1 (nests: steps flipped)."""
+    flat = isinstance(raw[0], int)
+    rows = [list(raw)] if flat else [list(row) for row in raw]
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    for r, c in rng.sample(cells, min(count, len(cells))):
+        value = rows[r][c]
+        rows[r][c] = ("D" if value == "V" else "V") if isinstance(value, str) else rng.randint(-1, 2 * n + 1)
+    return tuple(rows[0]) if flat else tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("cls,family,n", SAMPLED, ids=lambda v: getattr(v, "__name__", str(v)))
+def test_first_violation_of_several_mutations_and_of_a_later_bad_row(cls, family, n):
+    """Values with two or three mutated entries: the constructor reports the
+    scan's first violation, and so does building a chunk (tuples, and int8
+    entries) in which the value is the first bad one but not the first."""
+    rng = random.Random(1991)
+    objects = list(generate(family, n))
+    if cls is FundamentalDomain:
+        objects = [fundamental_domain(p) for p in objects]
+    valid = [_raw(obj) for obj in objects]
+    refused = 0
+    for _ in range(150):
+        raw = _mutated(rng, rng.choice(valid), n, rng.randint(2, 3))
+        error = reference_checks.first_violation(cls, n, raw)
+        _assert_constructor_agrees(cls, n, raw, error)
+        if error is None:
+            continue
+        refused += 1
+        later = _mutated(rng, rng.choice(valid), n, 1)
+        chunk = rng.sample(valid, 3) + [raw] + rng.sample(valid, 2) + [later]
+        _assert_refused_like(cls, n, chunk, error)
+        array = _int8_chunk(chunk)
+        if array is not None:
+            assert validate_batch(cls, n, array) is None
+            _assert_refused_like(cls, n, array, error)
+    assert refused > 50

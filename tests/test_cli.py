@@ -302,6 +302,19 @@ def test_inconsistent_domains_are_refused(capsys, domain):
         assert err.count("\n") == 1 and err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize(
+    "partition",
+    ['{"kind":"plane_partition","n":1,"rows":[[2,2],[2,2]]}', '{"kind":"plane_partition","n":2,"rows":[[2,1,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]]}'],
+)
+def test_stats_refuses_a_plane_partition_that_is_no_tsscpp_like_convert(capsys, partition):
+    """`stats` on a plane partition that is no TSSCPP exits 2 with the line
+    `convert --from tsscpp` prints."""
+    code, out, err = run_cli(capsys, "stats", "--kind", "tsscpp", partition)
+    assert code == 2 and out == ""
+    assert err.startswith("error: array is not a TSSCPP: SymmetryReport(") and err.count("\n") == 1
+    assert (code, out, err) == run_cli(capsys, "convert", "--from", "tsscpp", "--to", "boolean", partition)
+
+
 def test_tamari_ten_is_refused_before_enumerating(capsys, monkeypatch):
     from gogmagog import orders
 

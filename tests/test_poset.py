@@ -7,19 +7,49 @@ import random
 import numpy as np
 import pytest
 
-from gogmagog.poset import Poset, PosetError, SizeCap
+from gogmagog.poset import Poset, PosetError, SizeCap, _bool_product
+
+
+def _closure(matrix):
+    """The reflexive and transitive closure of a boolean matrix by repeated
+    dense squaring: the oracle of the packed closure of ``from_covers``."""
+    reach = matrix.copy()
+    np.fill_diagonal(reach, True)
+    while True:
+        nxt = reach | _bool_product(reach, reach)
+        if (nxt == reach).all():
+            return nxt
+        reach = nxt
+
+
+def from_comparisons(elements, leq_predicate):
+    """The poset of the comparison predicate, closed reflexively and
+    transitively, with antisymmetry certified."""
+    labels = tuple(elements)
+    n = len(labels)
+    matrix = np.zeros((n, n), dtype=bool)
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            if leq_predicate(x, y):
+                matrix[i, j] = True
+    closed = _closure(matrix)
+    bad = closed & closed.T & ~np.eye(n, dtype=bool)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
+    return Poset(labels, closed, _certified=True)
 
 
 def chain(k):
-    return Poset.from_comparisons(range(k), lambda x, y: x <= y)
+    return from_comparisons(range(k), lambda x, y: x <= y)
 
 
 def antichain(k):
-    return Poset.from_comparisons(range(k), lambda x, y: x == y)
+    return from_comparisons(range(k), lambda x, y: x == y)
 
 
 def divisibility(k):
-    return Poset.from_comparisons(range(1, k + 1), lambda x, y: y % x == 0)
+    return from_comparisons(range(1, k + 1), lambda x, y: y % x == 0)
 
 
 def random_poset(rng, k):
@@ -31,7 +61,7 @@ def random_poset(rng, k):
         for b in elements
         if a < b and rng.random() < 0.4
     }
-    return Poset.from_comparisons(elements, lambda x, y: x == y or (x, y) in edges)
+    return from_comparisons(elements, lambda x, y: x == y or (x, y) in edges)
 
 
 def test_from_comparisons_chain_and_antichain():
@@ -45,13 +75,13 @@ def test_from_comparisons_chain_and_antichain():
 
 def test_from_comparisons_closes_transitively():
     # generator relation a<b, b<c only; closure must add a<c
-    p = Poset.from_comparisons("abc", lambda x, y: x == y or (x, y) in {("a", "b"), ("b", "c")})
+    p = from_comparisons("abc", lambda x, y: x == y or (x, y) in {("a", "b"), ("b", "c")})
     assert p.leq("a", "c")
 
 
 def test_antisymmetry_violation_raises():
     with pytest.raises(PosetError):
-        Poset.from_comparisons("ab", lambda x, y: True)
+        from_comparisons("ab", lambda x, y: True)
 
 
 def test_duplicate_labels_raise():
@@ -117,7 +147,7 @@ def test_lattice_report_chain_and_diamond():
     assert chain(5).lattice_report() == chain(5).lattice_report()
     report = chain(5).lattice_report()
     assert report.is_lattice and report.is_distributive
-    diamond = Poset.from_comparisons(
+    diamond = from_comparisons(
         "0ab1", lambda x, y: x == y or x == "0" or y == "1"
     )
     report = diamond.lattice_report()
@@ -125,7 +155,7 @@ def test_lattice_report_chain_and_diamond():
 
 
 def test_lattice_report_m3_and_n5_not_distributive():
-    m3 = Poset.from_comparisons(
+    m3 = from_comparisons(
         "0abc1", lambda x, y: x == y or x == "0" or y == "1"
     )
     report = m3.lattice_report()
@@ -133,7 +163,7 @@ def test_lattice_report_m3_and_n5_not_distributive():
     assert report.distributivity_witness is not None
     x, y, z = report.distributivity_witness
     assert {x, y, z} <= {"a", "b", "c"}
-    n5 = Poset.from_comparisons(
+    n5 = from_comparisons(
         "0abc1",
         lambda x, y: x == y or x == "0" or y == "1" or (x, y) == ("a", "b"),
     )
@@ -143,7 +173,7 @@ def test_lattice_report_m3_and_n5_not_distributive():
 
 def test_lattice_report_non_lattice_witness():
     # two minima below two maxima: no meets, no joins
-    bowtie = Poset.from_comparisons(
+    bowtie = from_comparisons(
         "abxy", lambda p, q: p == q or (p in "ab" and q in "xy")
     )
     report = bowtie.lattice_report()
@@ -160,7 +190,7 @@ def test_lattice_report_birkhoff_fallback_agrees():
     via_count = ideals.lattice_report(distributive_scan_max=1)
     assert via_scan.is_lattice == via_count.is_lattice == True
     assert via_scan.is_distributive == via_count.is_distributive == True
-    m3 = Poset.from_comparisons("0abc1", lambda x, y: x == y or x == "0" or y == "1")
+    m3 = from_comparisons("0abc1", lambda x, y: x == y or x == "0" or y == "1")
     assert m3.lattice_report(distributive_scan_max=1).is_distributive is False
 
 
@@ -179,7 +209,7 @@ def test_induced_subposet():
 
 
 def test_isomorphic_chains_and_non_isomorphic():
-    mapping = chain(4).isomorphism_to(Poset.from_comparisons("wxyz", lambda a, b: a <= b))
+    mapping = chain(4).isomorphism_to(from_comparisons("wxyz", lambda a, b: a <= b))
     assert mapping == {0: "w", 1: "x", 2: "y", 3: "z"}
     assert chain(3).isomorphism_to(antichain(3)) is None
     assert chain(3).isomorphism_to(chain(4)) is None
@@ -223,8 +253,8 @@ def test_isomorphism_cap():
 
 
 def test_relations_subset():
-    weakish = Poset.from_comparisons("abc", lambda x, y: x == y or (x, y) == ("a", "b"))
-    strongish = Poset.from_comparisons("abc", lambda x, y: x == y or x == "a")
+    weakish = from_comparisons("abc", lambda x, y: x == y or (x, y) == ("a", "b"))
+    strongish = from_comparisons("abc", lambda x, y: x == y or x == "a")
     assert weakish.relations_not_in(strongish) is None
     assert strongish.relations_not_in(weakish) is not None
     assert strongish.relations_not_in(strongish) is None
@@ -249,7 +279,7 @@ def test_export():
 
 
 def test_empty_poset():
-    p = Poset.from_comparisons((), lambda x, y: True)
+    p = from_comparisons((), lambda x, y: True)
     assert p.size == 0
     assert p.lattice_report().is_lattice
     assert p.isomorphism_to(p) == {}
@@ -344,8 +374,6 @@ def test_bool_product_refuses_more_than_a_gibibyte_of_float32_before_converting(
 
 def dense_from_covers(labels, pairs):
     """The float32 closure and reduction of the cover pairs: the oracle."""
-    from gogmagog.poset import _bool_product, _closure
-
     index = {label: i for i, label in enumerate(labels)}
     matrix = np.zeros((len(labels), len(labels)), dtype=bool)
     for x, y in pairs:
