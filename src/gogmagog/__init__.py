@@ -9,9 +9,6 @@ from .bijections import (
     boolean_to_monotone_perm,
     boolean_to_permutation,
     bracket_vector,
-    is_permutation_boolean,
-    is_permutation_magog,
-    is_permutation_tsscpp,
     monotone_perm_to_boolean,
     monotone_to_asm,
     permutation_to_boolean,
@@ -23,6 +20,10 @@ from .statistics import (
     avoids,
     distribution,
     inversion_number,
+    is_permutation_boolean,
+    is_permutation_magog,
+    is_permutation_matrix,
+    is_permutation_tsscpp,
     perm_inversions,
     stat_bundle,
 )
@@ -38,7 +39,6 @@ from .triangles import (
     expand_fundamental,
     fundamental_domain,
     from_json,
-    is_permutation_matrix,
     to_json,
     validate_asm,
     validate_boolean,

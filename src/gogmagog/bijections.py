@@ -13,7 +13,9 @@ plane-partition side meet only on permutation objects: a boolean triangle
 with weakly decreasing rows maps to a monotone triangle by copying, in each
 row, the below-left neighbour over a one and the below-right one over a
 zero.  That map sends zeros to inversions and is the statistic-preserving
-permutation bijection.
+permutation bijection.  Its domain is :func:`permutation_booleans` (no row
+increases), and that of the maps out of matrices :func:`permutation_asms`
+(no -1); ``statistics`` lists both with the statistics.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .triangles import (
     MonotoneTriangle,
     NilpNest,
     Permutation,
-    PlanePartition,
     ValidationError,
     _domain_cells,
     _triangle_cells,
@@ -40,7 +41,6 @@ from .triangles import (
     domains_to_tsscpps,
     entry_row,
     expand_domains,
-    is_permutation_matrix,
     tsscpps_to_domains,
     validate_batch,
 )
@@ -96,9 +96,8 @@ __all__ = [
     "boolean_to_permutation",
     "bracket_vector",
     "bracket_vector_to_boolean",
-    "is_permutation_boolean",
-    "is_permutation_magog",
-    "is_permutation_tsscpp",
+    "permutation_asms",
+    "permutation_booleans",
 ]
 
 
@@ -142,20 +141,10 @@ def _domains_from_booleans(n, a):
     return padded
 
 
-def booleans_to_tsscpp(n, a):
-    """Batch form of :func:`boolean_to_tsscpp` on validated boolean entry
-    arrays of order n: the heights arrays, shape (len(a), 2n, 2n), checked
-    with ``triangles.expand_domains`` (a domain that round-trips is the
-    corner of a valid plane partition)."""
-    heights = expand_domains(n, _domains_from_booleans(n, a))
-    if heights is None:
-        raise ValidationError(f"a batched map gave a domain of order {n} that is no TSSCPP's")
-    return heights
-
-
 # The batched maps below take validated entry arrays of order n (one row per
 # value, see ``triangles.validate_batch``) and check each block of
-# ``_CHECK_ROWS`` values they return.  Small blocks, because
+# ``_CHECK_ROWS`` values they return; :func:`booleans_to_tsscpp` also maps a
+# block at a time.  Small blocks, because
 # ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n) closure cubes per
 # block: with blocks of 1,024 rows ``poset-check --claim lemma4.8 --n 6``
 # peaks at 38.6 MiB against 34.2 MiB, and counting the magog triangles of
@@ -171,14 +160,33 @@ def _checked(cls, n, a):
     return a
 
 
+def booleans_to_tsscpp(n, a):
+    """Batch form of :func:`boolean_to_tsscpp` on validated boolean entry
+    arrays of order n: the heights arrays, shape (len(a), 2n, 2n), checked
+    with ``triangles.expand_domains`` (a domain that round-trips is the
+    corner of a valid plane partition)."""
+    heights = np.empty((len(a), 2 * n, 2 * n), dtype=np.int16)
+    for start in range(0, len(a), _CHECK_ROWS):
+        block = expand_domains(n, _domains_from_booleans(n, a[start : start + _CHECK_ROWS]))
+        if block is None:
+            raise ValidationError(f"a batched map gave a domain of order {n} that is no TSSCPP's")
+        heights[start : start + _CHECK_ROWS] = block
+    return heights
+
+
 def permutations_to_asms(n, a):
     """The permutation matrices: the one of row r in column sigma(r)."""
     return _checked(Asm, n, (a[:, :, None] == np.arange(1, n + 1)).astype(np.int8).reshape(len(a), n * n))
 
 
+def permutation_asms(n, a):
+    """Which rows are permutation matrices: those with no -1."""
+    return (a >= 0).all(axis=1)
+
+
 def asms_to_permutations(n, a):
     """The column of the one in each row, defined on permutation matrices."""
-    if (a < 0).any():
+    if not permutation_asms(n, a).all():
         raise NotPermutationMatrix("matrix has a -1 entry")
     return _checked(Permutation, n, a.reshape(len(a), n, n).argmax(axis=2) + 1)
 
@@ -223,10 +231,16 @@ def permutations_to_booleans(n, a):
     return monotones_to_booleans(n, permutations_to_monotones(n, a))
 
 
+def permutation_booleans(n, a):
+    """Which boolean triangles are those of permutations, the domain of the
+    permutation bijection: the ones with no increasing row."""
+    right, _, _ = _triangle_neighbours(n - 1)
+    return ~(a[:, right] < a[:, right + 1]).any(axis=1)
+
+
 def _check_permutation_booleans(n, a):
     """Refuse boolean triangles with a row that increases."""
-    right, _, _ = _triangle_neighbours(n - 1)
-    if (a[:, right] < a[:, right + 1]).any():
+    if not permutation_booleans(n, a).all():
         raise NotPermutationBoolean("a row of the boolean triangle increases")
 
 
@@ -294,10 +308,7 @@ def booleans_to_domains(n, a):
     """The domain entries, row-major, checked with
     ``triangles.expand_domains``."""
     i, c = _domain_cells(n)
-    out = np.empty((len(a), len(i)), dtype=np.int8)
-    for start in range(0, len(a), _CHECK_ROWS):
-        out[start : start + _CHECK_ROWS] = booleans_to_tsscpp(n, a[start : start + _CHECK_ROWS])[:, n + i, n + i + c]
-    return out
+    return booleans_to_tsscpp(n, a)[:, n + i, n + i + c].astype(np.int8)
 
 
 def domains_to_booleans(n, a):
@@ -457,47 +468,3 @@ def bracket_vector(b: BooleanTriangle) -> tuple[int, ...]:
 def bracket_vector_to_boolean(x) -> BooleanTriangle:
     x = np.array([tuple(x)], dtype=np.int64)
     return build_batch(BooleanTriangle, x.shape[1], brackets_to_booleans(x.shape[1], x))[0]
-
-
-def is_permutation_boolean(b: BooleanTriangle) -> bool:
-    """Rows weakly decreasing, i.e. the ones of every row are left-justified."""
-    return all(row[c] >= row[c + 1] for row in b.rows for c in range(len(row) - 1))
-
-
-def is_permutation_magog(m: MagogTriangle) -> bool:
-    """No entry x at (r, c) with, for some k >= 0, the pattern
-
-        x >= rows[r+1][c+1] == rows[r+k+1][c+1] > rows[r+k+1][c] + 1
-
-    (dense 0-based indices; values down a dense column weakly decrease, so
-    the equality run is a prefix)."""
-    rows = m.rows
-    for r in range(m.n - 1):
-        for c in range(r + 1):
-            v = rows[r + 1][c + 1]
-            if rows[r][c] >= v:
-                for rr in range(r + 1, m.n):
-                    if rows[rr][c + 1] != v:
-                        break
-                    if v > rows[rr][c] + 1:
-                        return False
-    return True
-
-
-def is_permutation_tsscpp(p: PlanePartition) -> bool:
-    """No k >= 0 and fundamental-domain position (i, j), n+1 <= i <= j <= 2n-1,
-    with t[i][j] > t[i][j+1] == t[i+k][j+k+1] > t[i+k+1][j+k+1]."""
-    n = p.n
-    t = p.rows
-    for i in range(n + 1, 2 * n):
-        for j in range(i, 2 * n):
-            if t[i - 1][j - 1] > t[i - 1][j]:
-                v = t[i - 1][j]
-                k = 0
-                while i + k + 1 <= 2 * n and j + k + 1 <= 2 * n:
-                    if t[i + k - 1][j + k] != v:
-                        break
-                    if v > t[i + k][j + k]:
-                        return False
-                    k += 1
-    return True

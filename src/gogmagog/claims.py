@@ -27,10 +27,9 @@ from math import factorial, prod
 
 import numpy as np
 
-from . import bijections, enumeration, orders
+from . import bijections, enumeration, orders, statistics
 from .enumeration import CapExceeded, FamilyId
 from .poset import SizeCap
-from .statistics import avoiding
 from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle
 from .triangles import _triangle_cells, format_batch
 
@@ -76,21 +75,19 @@ def check_factorial(n):
 
 
 def check_statistics(n):
-    """A permutation's boolean triangle has its inversions as zeros, n - sigma(n)
-    last-row zeros, and the lowest one of its last diagonal (row r + 1 of
-    entry (r, r); 0 if none) at n's 0-based position."""
+    """A permutation matrix's inversions are the zeros of its boolean
+    triangle, the one of its last row in column k gives n - k last-row
+    zeros, and the one of its last column in row l puts the lowest one of
+    the last diagonal in row l - 1 (0: none)."""
     perms = enumeration.entries(FamilyId.PERMUTATION, n)
     booleans = bijections.permutations_to_booleans(n, perms)
-    later = np.triu(np.ones((n, n), dtype=bool))
-    inversions = (perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2), where=later)
-    last_row = booleans[:, booleans.shape[1] - (n - 1) :]
-    r, c = _triangle_cells(n - 1)
-    diagonal = np.pad(booleans[:, r == c], ((0, 0), (1, 0)), constant_values=1)
-    lowest = n - 1 - diagonal[:, ::-1].argmax(axis=1)
+    matrices = bijections.permutations_to_asms(n, perms)
+    boolean, matrix = statistics.KINDS["boolean_triangle"], statistics.KINDS["asm"]
+    lowest = boolean["lowest_one_last_diagonal"](n, booleans)
     ok = (
-        np.array_equal((booleans == 0).sum(axis=1), inversions)
-        and np.array_equal((last_row == 0).sum(axis=1), n - perms[:, -1])
-        and np.array_equal(lowest, (perms == n).argmax(axis=1))
+        np.array_equal(boolean["zeros"](n, booleans), matrix["inversions"](n, matrices))
+        and np.array_equal(boolean["last_row_zeros"](n, booleans), n - matrix["last_row_one_col"](n, matrices))
+        and np.array_equal(lowest, matrix["last_col_one_row"](n, matrices) - 1)
     )
     return _result("statistics", n, ok)
 
@@ -205,7 +202,7 @@ def check_strong_bruhat(n):
 def _avoiders(n, pattern):
     """One-line labels of the permutations of order n that avoid ``pattern``."""
     perms = enumeration.entries(FamilyId.PERMUTATION, n)
-    return set(orders._one_line(perms[avoiding(perms, pattern)]))
+    return set(orders._one_line(perms[statistics.avoiding(perms, pattern)]))
 
 
 def _catalan_subposet_check(base_poset, n, claim, pattern, build_target):

@@ -19,7 +19,6 @@ from . import bijections, claims, enumeration, orders, statistics
 from .enumeration import CapExceeded, FamilyId
 from .poset import SizeCap
 from .triangles import (
-    SCHEMA,
     Permutation,
     ValidationError,
     from_json_dict,
@@ -94,38 +93,6 @@ _POSET_BUILDERS = {
 }
 
 
-def _object_stats(obj):
-    kind = SCHEMA[type(obj)][0]
-    if kind == "asm":
-        bundle = statistics.stat_bundle(obj)
-        return {
-            "inversions": bundle.inversion_number,
-            "negative_ones": bundle.negative_ones,
-            "last_row_one_col": bundle.last_row_one_col,
-            "last_col_one_row": bundle.last_col_one_row,
-            "is_permutation": bijections.is_permutation_matrix(obj),
-        }
-    if kind == "permutation":
-        return {"inversions": statistics.perm_inversions(obj)}
-    if kind == "monotone_triangle":
-        return {"strict_diagonal_entries": statistics.strict_diagonal_entries(obj)}
-    if kind == "boolean_triangle":
-        return {
-            "zeros": statistics.boolean_zero_count(obj),
-            "last_row_zeros": statistics.boolean_last_row_zeros(obj),
-            "lowest_one_last_diagonal": statistics.boolean_lowest_one_last_diagonal(obj),
-            "zero_then_one": statistics.zero_then_one_count(obj),
-            "is_permutation": bijections.is_permutation_boolean(obj),
-        }
-    if kind == "magog_triangle":
-        return {"is_permutation": bijections.is_permutation_magog(obj)}
-    if kind == "plane_partition":
-        bijections.convert(obj, "fundamental_domain")  # refuses a plane partition that is no TSSCPP
-        return {"is_permutation": bijections.is_permutation_tsscpp(obj)}
-    # fall back to the boolean encoding
-    return _object_stats(bijections.convert(obj, "boolean_triangle"))
-
-
 def _cmd_enumerate(args, config):
     family = FamilyId(args.family)
     if args.count_only:
@@ -144,7 +111,7 @@ def _cmd_convert(args, config):
 
 def _cmd_stats(args, config):
     obj = _parse_value(args.kind, args.value)
-    print(json.dumps({"object": to_json_dict(obj), "stats": _object_stats(obj)}))
+    print(json.dumps({"object": to_json_dict(obj), "stats": statistics.object_statistics(obj)}))
     return 0
 
 

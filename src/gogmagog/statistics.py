@@ -4,35 +4,168 @@ The bundle preserved by the permutation bijection: inversion number <-> zero
 count, position of the one in the last matrix row <-> zero count of the last
 triangle row, position of the one in the last matrix column <-> lowest one of
 the last triangle diagonal.
+
+Every statistic and permutation predicate is one batched function on
+validated entry arrays of order n (one row per value, the layout of
+``triangles.validate_batch`` and ``enumeration``), listed by kind in
+``KINDS``.  :func:`distribution` (behind ``gogmagog dist``) runs one of them
+over the validated chunks of ``enumeration`` and builds no object; an
+object's statistics (:func:`object_statistics`, behind ``gogmagog stats``,
+and the object functions such as :func:`inversion_number`) are the same
+functions on its entries as a batch of one.  The scalar scans these replaced
+are the test oracle (``tests/reference_stats.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .triangles import Asm, BooleanTriangle, MonotoneTriangle, Permutation
+from . import bijections, enumeration
+from .triangles import SCHEMA, Permutation, _triangle_cells, _triangle_neighbours, entry_row
 
 __all__ = [
+    "KINDS",
+    "STATISTICS",
     "StatBundle",
+    "object_statistics",
     "inversion_number",
     "perm_inversions",
-    "count_negative_ones",
-    "strict_diagonal_entries",
     "boolean_zero_count",
-    "boolean_last_row_zeros",
-    "boolean_lowest_one_last_diagonal",
     "boolean_stat_triple",
-    "zero_then_one_count",
+    "stat_bundle",
+    "is_permutation_matrix",
+    "is_permutation_boolean",
+    "is_permutation_magog",
+    "is_permutation_tsscpp",
     "avoids",
     "avoiding",
-    "stat_bundle",
     "distribution",
-    "STATISTICS",
 ]
+
+
+def _asm_inversions(n, a):
+    """The sum of A[i,j] * A[k,l] over all pairs with i > k and j < l: each
+    entry times the sum of the entries strictly above and right of it."""
+    m = a.reshape(len(a), n, n).astype(np.int64)
+    above = m.cumsum(axis=1) - m
+    above_right = above[:, :, ::-1].cumsum(axis=2)[:, :, ::-1] - above
+    return (m * above_right).sum(axis=(1, 2))
+
+
+def _permutation_inversions(n, a):
+    """Pairs i < j with sigma(j) < sigma(i), counted one position j at a
+    time, so that a row of order n takes O(n) memory, not n * n."""
+    total = np.zeros(len(a), dtype=np.int64)
+    for j in range(1, n):
+        total += (a[:, :j] > a[:, j : j + 1]).sum(axis=1)
+    return total
+
+
+def _strict_diagonal_entries(n, a):
+    """Monotone entries strictly between both diagonal neighbours below;
+    these match the -1 entries of the corresponding matrix."""
+    _, above, below_left = _triangle_neighbours(n)
+    return ((a[:, below_left] < a[:, above]) & (a[:, above] < a[:, below_left + 1])).sum(axis=1)
+
+
+def _lowest_one_last_diagonal(n, a):
+    """The row (1-based) of the lowest one of diagonal n - 1, whose entry in
+    row r + 1 is (r, r); 0 when the diagonal has no ones."""
+    r, c = _triangle_cells(n - 1)
+    diagonal = np.pad(a[:, r == c], ((0, 0), (1, 0)), constant_values=1)
+    return n - 1 - diagonal[:, ::-1].argmax(axis=1)
+
+
+def _zero_then_one(n, a):
+    """Adjacent (0, 1) pairs read across the rows of a boolean triangle."""
+    right, _, _ = _triangle_neighbours(n - 1)
+    return ((a[:, right] == 0) & (a[:, right + 1] == 1)).sum(axis=1)
+
+
+def _permutation_tsscpps(n, a):
+    """A plane partition that is no TSSCPP raises NotTsscpp."""
+    booleans = bijections.domains_to_booleans(n, bijections.tsscpps_to_domains(n, a))
+    return bijections.permutation_booleans(n, booleans)
+
+
+# kind -> {statistic: batched function}, in the order ``gogmagog stats``
+# prints them.  Nests and fundamental domains have none of their own.  The
+# first and last rows and columns of an ASM hold a single nonzero entry, a
+# one.
+KINDS = {
+    "asm": {
+        "inversions": _asm_inversions,
+        "negative_ones": lambda n, a: (a < 0).sum(axis=1),
+        "last_row_one_col": lambda n, a: a[:, n * (n - 1) :].argmax(axis=1) + 1,
+        "last_col_one_row": lambda n, a: a[:, n - 1 :: n].argmax(axis=1) + 1,
+        "is_permutation": bijections.permutation_asms,
+    },
+    "permutation": {"inversions": _permutation_inversions},
+    "monotone_triangle": {"strict_diagonal_entries": _strict_diagonal_entries},
+    "boolean_triangle": {
+        "zeros": lambda n, a: (a == 0).sum(axis=1),
+        "last_row_zeros": lambda n, a: (a[:, a.shape[1] - (n - 1) :] == 0).sum(axis=1),
+        "lowest_one_last_diagonal": _lowest_one_last_diagonal,
+        "zero_then_one": _zero_then_one,
+        "is_permutation": bijections.permutation_booleans,
+    },
+    "magog_triangle": {
+        "is_permutation": lambda n, a: bijections.permutation_booleans(n, bijections.magogs_to_booleans(n, a))
+    },
+    "plane_partition": {"is_permutation": _permutation_tsscpps},
+}
+
+# The statistics ``distribution`` counts: name -> {family value: the function
+# of ``KINDS`` for the kind of the family's objects}.
+_FAMILY_KINDS = {
+    "asm": "asm",
+    "monotone": "monotone_triangle",
+    "boolean": "boolean_triangle",
+    "permutation": "permutation",
+    "permutation-boolean": "boolean_triangle",
+}
+STATISTICS = {
+    name: {family: KINDS[kind][name] for family, kind in _FAMILY_KINDS.items() if name in KINDS[kind]}
+    for name in ("inversions", "negative_ones", "zeros", "last_row_zeros", "zero_then_one", "strict_diagonal_entries")
+}
+
+
+def object_statistics(obj):
+    """The statistics of the object's kind in ``KINDS``, by name, each on its
+    entries as a batch of one (a nest's or a domain's: its boolean
+    triangle's).  An empty last diagonal has no lowest one (None)."""
+    kind = SCHEMA[type(obj)][0]
+    if kind not in KINDS:
+        return object_statistics(bijections.convert(obj, "boolean_triangle"))
+    a = entry_row(obj)
+    stats = {name: func(obj.n, a)[0].item() for name, func in KINDS[kind].items()}
+    if "lowest_one_last_diagonal" in stats:
+        stats["lowest_one_last_diagonal"] = stats["lowest_one_last_diagonal"] or None
+    return stats
+
+
+def _object_statistic(name):
+    """The statistic ``name`` of an object: its function in ``KINDS`` on the
+    object's entries as a batch of one."""
+    return lambda obj: KINDS[SCHEMA[type(obj)][0]][name](obj.n, entry_row(obj))[0].item()
+
+
+inversion_number = _object_statistic("inversions")
+perm_inversions = _object_statistic("inversions")
+boolean_zero_count = _object_statistic("zeros")
+is_permutation_matrix = _object_statistic("is_permutation")
+is_permutation_boolean = _object_statistic("is_permutation")
+is_permutation_magog = _object_statistic("is_permutation")
+is_permutation_tsscpp = _object_statistic("is_permutation")
+
+
+def boolean_stat_triple(b):
+    stats = object_statistics(b)
+    return stats["zeros"], stats["last_row_zeros"], stats["lowest_one_last_diagonal"]
 
 
 @dataclass(frozen=True)
@@ -45,162 +178,52 @@ class StatBundle:
     last_col_one_row: int
 
 
-def inversion_number(a: Asm) -> int:
-    """Sum of A[i,j] * A[k,l] over all pairs with i > k and j < l.
-
-    Computed as sum over entries of (entry times the total strictly
-    above-right of it); identical to the definitional quadruple sum.
-    """
-    m = np.array(a.rows, dtype=np.int64)
-    above = np.zeros_like(m)
-    above[1:, :] = np.cumsum(m, axis=0)[:-1, :]
-    above_right = np.zeros_like(m)
-    above_right[:, :-1] = np.cumsum(above[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    return int((m * above_right).sum())
+def stat_bundle(a) -> StatBundle:
+    s = object_statistics(a)
+    return StatBundle(s["inversions"], s["negative_ones"], s["last_row_one_col"], s["last_col_one_row"])
 
 
-def perm_inversions(p: Permutation) -> int:
-    """Number of pairs i < j with sigma(j) < sigma(i)."""
-    s = p.sigma
-    return sum(1 for i, j in combinations(range(p.n), 2) if s[j] < s[i])
-
-
-def count_negative_ones(a: Asm) -> int:
-    return sum(1 for row in a.rows for entry in row if entry == -1)
-
-
-def strict_diagonal_entries(m: MonotoneTriangle) -> int:
-    """Entries strictly between both diagonal neighbours below; these match
-    the -1 entries of the corresponding matrix."""
-    total = 0
-    for r in range(m.n - 1):
-        below = m.rows[r + 1]
-        total += sum(1 for c, v in enumerate(m.rows[r]) if below[c] < v < below[c + 1])
-    return total
-
-
-def boolean_zero_count(b: BooleanTriangle) -> int:
-    return sum(1 for row in b.rows for entry in row if entry == 0)
-
-
-def boolean_last_row_zeros(b: BooleanTriangle) -> int:
-    if b.n == 1:
-        return 0
-    return sum(1 for entry in b.rows[-1] if entry == 0)
-
-
-def boolean_lowest_one_last_diagonal(b: BooleanTriangle):
-    """Row index (1-based) of the lowest one in diagonal n-1, or None when
-    the diagonal has no ones (the order-1 triangle included)."""
-    if b.n == 1:
-        return None
-    lowest = None
-    for r, value in enumerate(b.diagonal(b.n - 1), start=1):
-        if value == 1:
-            lowest = r
-    return lowest
-
-
-def boolean_stat_triple(b: BooleanTriangle):
-    return (
-        boolean_zero_count(b),
-        boolean_last_row_zeros(b),
-        boolean_lowest_one_last_diagonal(b),
-    )
-
-
-def zero_then_one_count(b: BooleanTriangle) -> int:
-    """Adjacent (0, 1) pairs read across the rows."""
-    return sum(
-        1
-        for row in b.rows
-        for c in range(len(row) - 1)
-        if row[c] == 0 and row[c + 1] == 1
-    )
-
-
-def avoids(p: Permutation, pattern) -> bool:
-    """True iff no subsequence of p is order-isomorphic to the pattern."""
-    pat = tuple(pattern.sigma) if isinstance(pattern, Permutation) else tuple(pattern)
-    k = len(pat)
-    if k > p.n:
-        return True
-    order = tuple(sorted(range(k), key=lambda i: pat[i]))
-    s = p.sigma
-    for positions in combinations(range(p.n), k):
-        values = [s[i] for i in positions]
-        if tuple(sorted(range(k), key=lambda i: values[i])) == order:
-            return False
-    return True
+# Pattern comparisons ``avoiding`` makes at a time: rows times choices of
+# positions times pattern cells.
+_AVOID_CELLS = 1 << 20
 
 
 def avoiding(perms, pattern):
-    """Batch form of :func:`avoids` on a permutation entry array (one row per
-    permutation) and a pattern tuple: the mask of the rows with no
-    subsequence order-isomorphic to the pattern, by one test over every
-    choice of positions."""
-    pattern = np.array(pattern)
-    positions = np.array(list(combinations(range(perms.shape[1]), len(pattern))), dtype=np.intp)
-    values = perms[:, positions.reshape(-1, len(pattern))]
+    """The mask of the rows of a permutation entry array (one row per
+    permutation) with no subsequence order-isomorphic to the pattern tuple,
+    testing the choices of positions a block at a time.  Every permutation
+    contains the empty pattern, and none a pattern longer than itself."""
+    pattern = np.array(pattern, dtype=np.int64)
+    k = len(pattern)
     order = pattern[:, None] < pattern
-    return ~((values[..., :, None] < values[..., None, :]) == order).all(axis=(2, 3)).any(axis=1)
+    positions = combinations(range(perms.shape[1]), k)
+    step = max(1, _AVOID_CELLS // max(1, len(perms) * k * k))
+    contains = np.zeros(len(perms), dtype=bool)
+    while block := list(islice(positions, step)):
+        values = perms[:, np.array(block, dtype=np.intp).reshape(len(block), k)]
+        contains |= ((values[..., :, None] < values[..., None, :]) == order).all(axis=(2, 3)).any(axis=1)
+    return ~contains
 
 
-def _one_position(values) -> int:
-    return values.index(1) + 1
-
-
-def stat_bundle(a: Asm) -> StatBundle:
-    """First and last rows/columns of any alternating sign matrix contain a
-    single nonzero entry, a one, so the boundary positions are well defined.
-    """
-    last_col = [row[a.n - 1] for row in a.rows]
-    return StatBundle(
-        inversion_number=inversion_number(a),
-        negative_ones=count_negative_ones(a),
-        last_row_one_col=_one_position(list(a.rows[a.n - 1])),
-        last_col_one_row=_one_position(last_col),
-    )
-
-
-# Statistic registry: name -> {family value: function}.  Family values are the
-# FamilyId strings; see gogmagog.enumeration.
-STATISTICS = {
-    "inversions": {
-        "asm": inversion_number,
-        "permutation": perm_inversions,
-    },
-    "negative_ones": {"asm": count_negative_ones},
-    "zeros": {
-        "boolean": boolean_zero_count,
-        "permutation-boolean": boolean_zero_count,
-    },
-    "last_row_zeros": {
-        "boolean": boolean_last_row_zeros,
-        "permutation-boolean": boolean_last_row_zeros,
-    },
-    "zero_then_one": {
-        "boolean": zero_then_one_count,
-        "permutation-boolean": zero_then_one_count,
-    },
-    "strict_diagonal_entries": {"monotone": strict_diagonal_entries},
-}
+def avoids(p, pattern) -> bool:
+    """True iff no subsequence of p is order-isomorphic to the pattern (a
+    tuple or a Permutation)."""
+    pattern = pattern.sigma if isinstance(pattern, Permutation) else tuple(pattern)
+    return bool(avoiding(entry_row(p), pattern)[0])
 
 
 def distribution(family, n, statistic, *, max_n=None):
-    """Counts of objects in the family by statistic value.
-
-    ``statistic`` is a registry name or any callable on the family's objects.
-    """
-    from . import enumeration
-
+    """Counts of the family's values at order n by the value of the
+    registered ``statistic``: its batched function over the validated
+    chunks of ``enumeration``, unsorted, as ``enumeration.count`` reads
+    them.  No object is built."""
     family = enumeration.FamilyId(family)
-    if callable(statistic):
-        func = statistic
-    else:
-        try:
-            func = STATISTICS[statistic][family.value]
-        except KeyError:
-            raise KeyError(f"statistic {statistic!r} is not defined for {family.value}")
-    counts = Counter(func(obj) for obj in enumeration.generate(family, n, max_n=max_n))
+    try:
+        func = STATISTICS[statistic][family.value]
+    except KeyError:
+        raise KeyError(f"statistic {statistic!r} is not defined for {family.value}")
+    counts = Counter()
+    for a in enumeration._validated(enumeration._checked(family, n, max_n), n):
+        values, sizes = np.unique(func(n, a), return_counts=True)
+        counts.update(dict(zip(values.tolist(), sizes.tolist())))
     return dict(sorted(counts.items()))

@@ -78,7 +78,6 @@ __all__ = [
     "validate_batch",
     "build_batch",
     "format_batch",
-    "is_permutation_matrix",
     "to_json_dict",
     "from_json_dict",
     "to_json",
@@ -938,10 +937,6 @@ def validate_nilp(paths, n=None):
 def validate_asm(raw):
     rows = _as_rows(raw, "asm")
     return Asm(len(rows), rows)
-
-
-def is_permutation_matrix(a: Asm):
-    return all(entry >= 0 for row in a.rows for entry in row)
 
 
 def validate_tsscpp(p: PlanePartition):

@@ -18,12 +18,12 @@ nested layers and sums them.
 
 import numpy as np
 
+from reference_stats import is_permutation_boolean, is_permutation_matrix
 from gogmagog.bijections import (
     NotPermutationBoolean,
     NotPermutationMatrix,
     NotPermutationMonotone,
     ResultNotMagog,
-    is_permutation_boolean,
 )
 from gogmagog.triangles import (
     SCHEMA,
@@ -39,7 +39,6 @@ from gogmagog.triangles import (
     PlanePartition,
     ValidationError,
     _closure,
-    is_permutation_matrix,
     validate_tsscpp,
 )
 

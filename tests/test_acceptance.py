@@ -14,17 +14,18 @@ import pytest
 
 import golden_data as gold
 import reference_maps as ref
+import reference_stats as ref_stats
 from gogmagog import bijections as bij
 from gogmagog import claims
 from gogmagog.cli import main
 from gogmagog.enumeration import FamilyId, _elements, count, entries, generate
 from gogmagog.statistics import (
     boolean_stat_triple,
-    count_negative_ones,
     distribution,
     inversion_number,
+    is_permutation_boolean,
+    object_statistics,
     perm_inversions,
-    strict_diagonal_entries,
 )
 from gogmagog.triangles import (
     BooleanTriangle,
@@ -106,7 +107,8 @@ def test_criterion_4_golden_example():
 def test_criterion_5_negative_ones():
     for n in range(1, 6):
         for a in generate(FamilyId.ASM, n):
-            assert count_negative_ones(a) == strict_diagonal_entries(ref.asm_to_monotone(a))
+            strict = object_statistics(ref.asm_to_monotone(a))["strict_diagonal_entries"]
+            assert object_statistics(a)["negative_ones"] == strict
     print("ACCEPTANCE 5 PASS: -1 count equals strict-diagonal-entry count, n = 1..5")
 
 
@@ -121,11 +123,11 @@ def test_criterion_6_permutation_characterizations(n):
     booleans = bij.domains_to_booleans(n, bij.tsscpps_to_domains(n, tsscpps))
     magogs = build_batch(MagogTriangle, n, bij.booleans_to_magogs(n, booleans))
     for p, b, m in zip(generate(FamilyId.TSSCPP, n), build_batch(BooleanTriangle, n, booleans), magogs, strict=True):
-        if bij.is_permutation_boolean(b):
+        if is_permutation_boolean(b):
             by_boolean.add(p)
-        if bij.is_permutation_tsscpp(p):
+        if ref_stats.is_permutation_tsscpp(p):
             by_array.add(p)
-        if bij.is_permutation_magog(m):
+        if ref_stats.is_permutation_magog(m):
             by_magog.add(p)
     assert by_boolean == by_array == by_magog
     assert len(by_boolean) == factorial(n)

@@ -9,13 +9,17 @@ import pytest
 
 import golden_data as gold
 import reference_maps as ref
+import reference_stats as ref_stats
 from gogmagog import bijections as bij
+from gogmagog import statistics as stats
 from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import avoids
 from gogmagog.triangles import (
     SCHEMA,
+    BooleanTriangle,
     FundamentalDomain,
     InconsistentDomain,
+    MagogTriangle,
     Permutation,
     PlanePartition,
     ValidationError,
@@ -120,7 +124,7 @@ def test_permutation_bijection_matches_golden_order():
     for rows_b, one_line in zip(gold.BOOLEAN_3, gold.PERMS_3):
         b = validate_boolean(rows_b)
         if one_line is None:
-            assert not bij.is_permutation_boolean(b)
+            assert not stats.is_permutation_boolean(b)
             with pytest.raises(bij.NotPermutationBoolean):
                 bij.boolean_to_monotone_perm(b)
         else:
@@ -164,16 +168,14 @@ def test_round_trips_permutation_side(n):
 
 
 def test_permutation_matrices_map_onto_strict_entry_free_triangles():
-    from gogmagog.statistics import strict_diagonal_entries
-
     for n in (2, 3, 4):
         image = {
             ref.asm_to_monotone(a)
             for a in generate(FamilyId.ASM, n)
-            if bij.is_permutation_matrix(a)
+            if stats.is_permutation_matrix(a)
         }
         expected = {
-            m for m in generate(FamilyId.MONOTONE, n) if strict_diagonal_entries(m) == 0
+            m for m in generate(FamilyId.MONOTONE, n) if stats.object_statistics(m)["strict_diagonal_entries"] == 0
         }
         assert image == expected
 
@@ -230,30 +232,37 @@ def test_boolean_rows_count_inversions_by_position(n):
         assert tuple(row.count(0) for row in b.rows) == zeros_per_row_oracle(p)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_permutation_characterizations_agree(n):
-    booleans = list(generate(FamilyId.BOOLEAN, n))
-    by_boolean = {b for b in booleans if bij.is_permutation_boolean(b)}
-    by_magog = {b for b in booleans if bij.is_permutation_magog(ref.boolean_to_magog(b))}
-    by_array = {b for b in booleans if bij.is_permutation_tsscpp(ref.boolean_to_tsscpp(b))}
-    assert by_boolean == by_magog == by_array
-    assert len(by_boolean) == len(list(generate(FamilyId.PERMUTATION, n)))
+    """The batched predicate on the boolean, magog and plane-partition
+    encodings selects the same n! values as the paper's characterisations,
+    the row and pattern scans of ``reference_stats`` on each object."""
+    booleans = entries(FamilyId.BOOLEAN, n)
+    magogs = bij.booleans_to_magogs(n, booleans)
+    tsscpps = bij.booleans_to_tsscpp(n, booleans).reshape(len(booleans), -1)
+    mask = bij.permutation_booleans(n, booleans)
+    assert np.array_equal(stats.KINDS["magog_triangle"]["is_permutation"](n, magogs), mask)
+    assert np.array_equal(stats.KINDS["plane_partition"]["is_permutation"](n, tsscpps), mask)
+    assert mask.tolist() == [ref_stats.is_permutation_boolean(b) for b in build_batch(BooleanTriangle, n, booleans)]
+    assert mask.tolist() == [ref_stats.is_permutation_magog(m) for m in build_batch(MagogTriangle, n, magogs)]
+    assert mask.tolist() == [ref_stats.is_permutation_tsscpp(p) for p in build_batch(PlanePartition, n, tsscpps)]
+    assert mask.sum() == len(list(generate(FamilyId.PERMUTATION, n)))
 
 
 def test_permutation_magog_golden_values():
     non_perm = validate_magog(gold.MAGOG_3[gold.NON_PERMUTATION_INDEX])
-    assert not bij.is_permutation_magog(non_perm)
+    assert not stats.is_permutation_magog(non_perm)
     for i, rows in enumerate(gold.MAGOG_3):
         if i != gold.NON_PERMUTATION_INDEX:
-            assert bij.is_permutation_magog(validate_magog(rows))
+            assert stats.is_permutation_magog(validate_magog(rows))
 
 
 def test_permutation_tsscpp_golden_values():
     non_perm = PlanePartition(3, gold.TSSCPP_3[gold.NON_PERMUTATION_INDEX])
-    assert not bij.is_permutation_tsscpp(non_perm)
+    assert not stats.is_permutation_tsscpp(non_perm)
     for i, rows in enumerate(gold.TSSCPP_3):
         if i != gold.NON_PERMUTATION_INDEX:
-            assert bij.is_permutation_tsscpp(PlanePartition(3, rows))
+            assert stats.is_permutation_tsscpp(PlanePartition(3, rows))
 
 
 # ------------------------------------------------------------ batched maps

@@ -266,15 +266,15 @@ def test_verify_all_order_below_one_is_a_usage_error(capsys):
 
 
 def test_kind_lookups_serialise_nothing(monkeypatch):
-    from gogmagog import bijections, cli, triangles
+    from gogmagog import bijections, cli, statistics, triangles
 
     objects = [from_json(json.dumps({"kind": "permutation", "n": 3, "sigma": [2, 3, 1]}))]
     kinds = ("asm", "boolean_triangle", "nilp_nest", "fundamental_domain")
     objects += [bijections.convert(objects[0], kind) for kind in kinds]
-    expected = [cli._object_stats(obj) for obj in objects]
+    expected = [statistics.object_statistics(obj) for obj in objects]
     monkeypatch.setattr(triangles, "to_json_dict", None)
     monkeypatch.setattr(cli, "to_json_dict", None)
-    assert [cli._object_stats(obj) for obj in objects] == expected
+    assert [statistics.object_statistics(obj) for obj in objects] == expected
     assert bijections.convert(objects[0], "plane_partition") == bijections.convert(objects[1], "plane_partition")
 
 

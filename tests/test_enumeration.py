@@ -10,6 +10,7 @@ import reference_maps as ref
 import reference_search
 from gogmagog import bijections as bij
 from gogmagog import enumeration
+from gogmagog.statistics import is_permutation_boolean
 from gogmagog.enumeration import CapExceeded, DEFAULT_CAPS, FamilyId, count, generate
 from gogmagog.triangles import ValidationError, validate_tsscpp
 
@@ -90,7 +91,7 @@ def test_generator_counts_match_bijection_images():
         assert {ref.boolean_to_nilp(b) for b in generate(FamilyId.BOOLEAN, n)} == nests
         perm_booleans = set(generate(FamilyId.PERMUTATION_BOOLEAN, n))
         booleans = set(generate(FamilyId.BOOLEAN, n))
-        assert perm_booleans == {b for b in booleans if bij.is_permutation_boolean(b)}
+        assert perm_booleans == {b for b in booleans if is_permutation_boolean(b)}
 
 
 def test_caps():

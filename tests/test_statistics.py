@@ -1,26 +1,34 @@
-"""Statistics against definitional brute-force oracles and frozen values."""
+"""Statistics against definitional brute-force oracles and frozen values.
+
+The batched statistics of ``gogmagog.statistics`` are compared row by row
+with the scalar scans of ``reference_stats``; the frozen values go through
+the one-row path that ``gogmagog stats`` takes."""
 
 import itertools
+import json
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import golden_data as gold
 import reference_maps as ref
+import reference_stats as oracle
 from gogmagog import bijections as bij
-from gogmagog.enumeration import FamilyId, entries, generate
+from gogmagog import enumeration, statistics, triangles
+from gogmagog.enumeration import CapExceeded, FamilyId, count, entries, generate
 from gogmagog.statistics import (
+    KINDS,
+    STATISTICS,
     avoiding,
     avoids,
-    boolean_lowest_one_last_diagonal,
     boolean_stat_triple,
-    boolean_zero_count,
-    count_negative_ones,
     distribution,
     inversion_number,
+    object_statistics,
     perm_inversions,
     stat_bundle,
-    strict_diagonal_entries,
-    zero_then_one_count,
 )
 from gogmagog.triangles import (
     Permutation,
@@ -72,10 +80,18 @@ def test_inversion_number_extends_permutation_inversions(n):
         assert inversion_number(ref.permutation_matrix(p)) == perm_inversions(p)
 
 
+def negative_ones(a):
+    return object_statistics(a)["negative_ones"]
+
+
+def strict_diagonal_entries(m):
+    return object_statistics(m)["strict_diagonal_entries"]
+
+
 def test_negative_ones_matches_strict_diagonal_entries_on_golden_pairs():
     bold_asm = validate_asm(gold.ASMS_3[3])
     bold_mono = validate_monotone(gold.MONOTONE_3[3])
-    assert count_negative_ones(bold_asm) == strict_diagonal_entries(bold_mono) == 1
+    assert negative_ones(bold_asm) == strict_diagonal_entries(bold_mono) == 1
     for rows in gold.MONOTONE_3[:3]:
         assert strict_diagonal_entries(validate_monotone(rows)) == 0
 
@@ -83,7 +99,7 @@ def test_negative_ones_matches_strict_diagonal_entries_on_golden_pairs():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_negative_ones_equal_strict_diagonal_entries(n):
     for a in generate(FamilyId.ASM, n):
-        assert count_negative_ones(a) == strict_diagonal_entries(ref.asm_to_monotone(a))
+        assert negative_ones(a) == strict_diagonal_entries(ref.asm_to_monotone(a))
 
 
 def test_boolean_statistics_on_golden_example():
@@ -98,8 +114,8 @@ def test_boolean_statistics_all_ones():
 
 
 def test_lowest_one_none_when_diagonal_empty():
-    assert boolean_lowest_one_last_diagonal(validate_boolean([[0], [0, 0]])) is None
-    assert boolean_lowest_one_last_diagonal(validate_boolean([], n=1)) is None
+    assert object_statistics(validate_boolean([[0], [0, 0]]))["lowest_one_last_diagonal"] is None
+    assert object_statistics(validate_boolean([], n=1))["lowest_one_last_diagonal"] is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -116,9 +132,12 @@ def test_statistic_preservation(n):
 
 
 def test_zero_then_one_count():
-    assert zero_then_one_count(validate_boolean([[0], [0, 1]])) == 1
-    assert zero_then_one_count(validate_boolean([[1], [1, 1]])) == 0
-    assert zero_then_one_count(validate_boolean([[0], [0, 0], [1, 0, 1]])) == 1
+    def zero_then_one(rows):
+        return object_statistics(validate_boolean(rows))["zero_then_one"]
+
+    assert zero_then_one([[0], [0, 1]]) == 1
+    assert zero_then_one([[1], [1, 1]]) == 0
+    assert zero_then_one([[0], [0, 0], [1, 0, 1]]) == 1
 
 
 def avoids_oracle(p, pattern):
@@ -155,7 +174,28 @@ def test_batched_avoidance_equals_avoids(n):
     objects = list(generate(FamilyId.PERMUTATION, n))
     for k in (1, 2, 3, 4):
         for pattern in itertools.permutations(range(1, k + 1)):
-            assert avoiding(perms, pattern).tolist() == [avoids(p, pattern) for p in objects]
+            assert avoiding(perms, pattern).tolist() == [oracle.avoids(p, pattern) for p in objects]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_avoiding_the_empty_pattern_and_longer_patterns_matches_oracle(n):
+    """Every permutation contains the empty pattern and avoids any longer
+    than itself."""
+    perms = entries(FamilyId.PERMUTATION, n)
+    objects = list(generate(FamilyId.PERMUTATION, n))
+    for pattern in [(), *itertools.permutations(range(1, n + 2)), tuple(range(n + 3, 0, -1))]:
+        expected = [avoids_oracle(p, pattern) for p in objects]
+        assert avoiding(perms, pattern).tolist() == expected
+        assert [avoids(p, pattern) for p in objects] == expected
+    assert not avoiding(perms, ()).any()
+
+
+def test_avoiding_in_blocks_of_one_choice_of_positions(monkeypatch):
+    perms = entries(FamilyId.PERMUTATION, 6)
+    whole = {pattern: avoiding(perms, pattern) for pattern in itertools.permutations(range(1, 4))}
+    monkeypatch.setattr(statistics, "_AVOID_CELLS", 1)
+    for pattern, mask in whole.items():
+        assert np.array_equal(avoiding(perms, pattern), mask)
 
 
 def test_stat_bundle_positions():
@@ -201,11 +241,77 @@ def test_zero_then_one_comparison_at_five_is_reported():
     print(f"order 5: zero-then-one {lhs} vs negative ones {rhs} -> {verdict}")
 
 
-def test_distribution_accepts_callable():
-    counts = distribution(FamilyId.BOOLEAN, 3, boolean_zero_count)
-    assert sum(counts.values()) == 7
-
-
 def test_distribution_unknown_statistic():
     with pytest.raises(KeyError):
         distribution(FamilyId.ASM, 3, "zeros")
+
+
+def test_distribution_refuses_an_unregistered_pair_before_the_order():
+    for n in (0, 8):
+        with pytest.raises(KeyError, match="not defined for asm"):
+            distribution(FamilyId.ASM, n, "zeros")
+        with pytest.raises(CapExceeded):
+            distribution(FamilyId.ASM, n, "inversions")
+
+
+PAIRS = [
+    (statistic, family, n)
+    for statistic, families in STATISTICS.items()
+    for family in families
+    for n in range(1, 8 if family.startswith("permutation") else 7)
+]
+
+
+@pytest.mark.parametrize("statistic,family,n", PAIRS)
+def test_batched_statistic_equals_oracle(statistic, family, n):
+    values = STATISTICS[statistic][family](n, entries(family, n))
+    scan = oracle.STATISTICS[statistic][family]
+    assert values.tolist() == [scan(obj) for obj in generate(family, n)]
+
+
+@pytest.mark.parametrize("statistic,family,n", PAIRS)
+def test_distribution_equals_counter_of_oracle(statistic, family, n):
+    counts = distribution(family, n, statistic)
+    scan = oracle.STATISTICS[statistic][family]
+    assert counts == dict(sorted(Counter(scan(obj) for obj in generate(family, n)).items()))
+    assert list(counts) == sorted(counts)
+    assert all(type(k) is int and type(v) is int for k, v in counts.items())
+
+
+def test_distribution_builds_no_object(monkeypatch):
+    expected = {(statistic, family): distribution(family, 4, statistic) for statistic, family, _ in PAIRS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("distribution built an object")
+
+    monkeypatch.setattr(enumeration, "_elements", refuse)
+    monkeypatch.setattr(enumeration, "build_batch", refuse)
+    monkeypatch.setattr(triangles, "_check", refuse)  # every constructor calls it
+    for (statistic, family), counts in expected.items():
+        assert distribution(family, 4, statistic) == counts
+        assert sum(counts.values()) == count(family, 4)
+
+
+@pytest.mark.parametrize("family", ["asm", "monotone", "magog", "boolean", "tsscpp", "permutation"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_object_statistics_equal_oracle(family, n):
+    """What ``gogmagog stats`` prints, key order and JSON types included."""
+    for obj in generate(family, n):
+        assert list(object_statistics(obj)) == list(KINDS[triangles.SCHEMA[type(obj)][0]])
+        assert json.dumps(object_statistics(obj)) == json.dumps(oracle.object_statistics(obj))
+
+
+def test_inversions_of_an_order_10000_permutation_take_linear_memory():
+    """``stats --kind permutation`` takes a permutation of any order; a
+    (rows, n, n) comparison would take 100 MB here."""
+    n = 10_000
+    p = Permutation(n, tuple(range(n, 0, -1)))
+    tracemalloc.start()
+    try:
+        inversions = perm_inversions(p)
+        printed = object_statistics(p)["inversions"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inversions == printed == n * (n - 1) // 2
+    assert peak < 16 * 2**20

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import golden_data as gold
+from gogmagog.statistics import is_permutation_matrix
 from gogmagog.triangles import (
     AlternationError,
     Asm,
@@ -31,7 +32,6 @@ from gogmagog.triangles import (
     expand_fundamental,
     from_json,
     fundamental_domain,
-    is_permutation_matrix,
     to_json,
     validate_asm,
     validate_boolean,
