@@ -49,7 +49,6 @@ __all__ = [
     "NotPermutationBoolean",
     "NotPermutationMonotone",
     "NotPermutationMatrix",
-    "ResultNotMagog",
     "convert",
     "asm_to_monotone",
     "monotone_to_asm",
@@ -110,10 +109,6 @@ class NotPermutationMonotone(ValidationError):
 
 
 class NotPermutationMatrix(ValidationError):
-    pass
-
-
-class ResultNotMagog(ValidationError):
     pass
 
 

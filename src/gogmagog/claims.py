@@ -51,16 +51,6 @@ def _pullback(target, labels):
     return target.leq_matrix()[np.ix_(index, index)]
 
 
-def _missing_relation(lower, upper):
-    """The first relation x <= y of ``lower``, row by row, that ``upper``
-    lacks, or None."""
-    gap = lower.leq_matrix() & ~_pullback(upper, lower.labels)
-    if not gap.any():
-        return None
-    i, j = np.unravel_index(gap.argmax(), gap.shape)
-    return lower.labels[i], lower.labels[j]
-
-
 def check_counts(n):
     """ASMs and boolean triangles are equinumerous."""
     asm = enumeration.count(FamilyId.ASM, n)
@@ -240,8 +230,8 @@ def check_bruhat_sandwich(n):
     row_zeros = orders.chain_label_map(n)
     mapped = _pullback(orders.build_product_of_chains(n), [row_zeros[s] for s in boolperm.labels])
     chains = np.array_equal(mapped, boolperm.leq_matrix())
-    missing_weak = _missing_relation(orders.build_weak_order(n), boolperm)
-    missing_strong = _missing_relation(boolperm, orders.build_strong_bruhat(n))
+    missing_weak = orders.build_weak_order(n).relations_not_in(boolperm)
+    missing_strong = boolperm.relations_not_in(orders.build_strong_bruhat(n))
     ok = missing_weak is None and missing_strong is None and chains
     return _result(
         "cor4.16",
@@ -409,8 +399,7 @@ def _capped(name, check, n):
 def verify_all(n):
     """Every result of the registry up to order n: the ``CHECKS`` for
     k = 1..n, then each claim for k = 2..n."""
-    if n < 1:
-        raise CapExceeded(f"order must be >= 1, got {n}")
+    enumeration._check_order(n)
     rows = [_capped(name, check, k) for k in range(1, n + 1) for name, check in CHECKS.items()]
     for name, check in CLAIMS.items():
         rows += [_capped(name, check, k) for k in range(2, n + 1)]

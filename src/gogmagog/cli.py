@@ -4,7 +4,7 @@ Subcommands: ``enumerate``, ``convert``, ``stats``, ``dist``, ``poset``,
 ``poset-check`` and ``verify-all``.  Data goes to stdout, diagnostics to
 stderr; output is deterministic for identical inputs.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.  The ``TSSCPP_MAX_N``
-environment variable overrides every enumeration cap.
+environment variable replaces every enumeration cap (``enumeration._cap``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import bijections, claims, enumeration, orders, statistics
 from .enumeration import CapExceeded, FamilyId
@@ -26,21 +25,7 @@ from .triangles import (
     to_json_dict,
 )
 
-__all__ = ["main", "Config"]
-
-
-@dataclass(frozen=True)
-class Config:
-    """Resolved run configuration; the CLI is always deterministic."""
-
-    max_n: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_environment(cls):
-        return cls(max_n={family: enumeration._cap(family, None) for family in FamilyId})
-
-    def cap(self, family):
-        return self.max_n[FamilyId(family)]
+__all__ = ["main"]
 
 
 _KIND_ALIASES = {
@@ -93,31 +78,29 @@ _POSET_BUILDERS = {
 }
 
 
-def _cmd_enumerate(args, config):
-    family = FamilyId(args.family)
+def _cmd_enumerate(args):
     if args.count_only:
-        print(enumeration.count(family, args.n, max_n=config.cap(family)))
+        print(enumeration.count(args.family, args.n))
         return 0
-    for block in enumeration.jsonl(family, args.n, max_n=config.cap(family)):
+    for block in enumeration.jsonl(args.family, args.n):
         sys.stdout.write(block)
     return 0
 
 
-def _cmd_convert(args, config):
+def _cmd_convert(args):
     obj = _parse_value(args.source, args.value)
     print(to_json(bijections.convert(obj, _KIND_ALIASES[args.target])))
     return 0
 
 
-def _cmd_stats(args, config):
+def _cmd_stats(args):
     obj = _parse_value(args.kind, args.value)
     print(json.dumps({"object": to_json_dict(obj), "stats": statistics.object_statistics(obj)}))
     return 0
 
 
-def _cmd_dist(args, config):
-    family = FamilyId(args.family)
-    counts = statistics.distribution(family, args.n, args.statistic, max_n=config.cap(family))
+def _cmd_dist(args):
+    counts = statistics.distribution(args.family, args.n, args.statistic)
     print(
         json.dumps(
             {
@@ -130,7 +113,7 @@ def _cmd_dist(args, config):
     return 0
 
 
-def _cmd_poset(args, config):
+def _cmd_poset(args):
     p = _POSET_BUILDERS[args.name](args.n)
     if args.out == "dot":
         print(p.to_dot())
@@ -139,7 +122,7 @@ def _cmd_poset(args, config):
     return 0
 
 
-def _cmd_poset_check(args, config):
+def _cmd_poset_check(args):
     result = claims.run_claim(args.claim, args.n)
     if result["ok"]:
         print(f"{args.claim} n={args.n}: PASS")
@@ -149,7 +132,7 @@ def _cmd_poset_check(args, config):
     return 1
 
 
-def _cmd_verify_all(args, config):
+def _cmd_verify_all(args):
     """One row per check; a row that hits a cap is marked CAP, with its
     reason on stderr.  Exit 1 if a check fails, else 2 if one hit a cap."""
     rows = claims.verify_all(args.n)
@@ -223,7 +206,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args, Config.from_environment())
+        status = args.func(args)
         sys.stdout.flush()
         return status
     except (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError) as exc:

@@ -23,9 +23,11 @@ validated chunk without checking each one again, and keeps them in a cache.
 A search chunk that fails a check goes to ``triangles.build_batch``, which
 raises the first violation of its first bad value.
 
-Orders are capped (``DEFAULT_CAPS``, overridable per call or via the
-``TSSCPP_MAX_N`` environment variable) because the families grow too fast for
-anything beyond desk scale.
+Orders are capped (``DEFAULT_CAPS``; the ``TSSCPP_MAX_N`` environment
+variable, read by :func:`_cap`, replaces every default) because the families
+grow too fast for anything beyond desk scale.  :func:`_check_order` is the
+one order guard, shared by this module, the ``orders`` builders and
+``claims.verify_all``.
 """
 
 from __future__ import annotations
@@ -88,18 +90,31 @@ class CapExceeded(ValueError):
     pass
 
 
-def _cap(family, max_n):
-    """The order cap: ``max_n`` if given, else ``TSSCPP_MAX_N`` if set, else
-    the family default.  A malformed ``TSSCPP_MAX_N`` raises CapExceeded."""
-    if max_n is not None:
-        return max_n
+def _cap(family=None):
+    """The order cap of the family: ``TSSCPP_MAX_N`` if set, else the family
+    default (None without a family).  A malformed ``TSSCPP_MAX_N`` raises
+    CapExceeded."""
     env = os.environ.get(ENV_CAP)
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise CapExceeded(f"{ENV_CAP} must be an integer, got {env!r}") from None
-    return DEFAULT_CAPS[family]
+    return DEFAULT_CAPS.get(family)
+
+
+def _check_order(n, family=None):
+    """Refuse an order below 1 and, given a family, an order above its cap;
+    return the family as a FamilyId.  The cap is read first, so a malformed
+    ``TSSCPP_MAX_N`` is refused by every command that takes an order,
+    whatever the order."""
+    family = None if family is None else FamilyId(family)
+    cap = _cap(family)
+    if n < 1:
+        raise CapExceeded(f"order must be >= 1, got {n}")
+    if family is not None and n > cap:
+        raise CapExceeded(f"order {n} exceeds the cap {cap} for {family.value} (raise it with {ENV_CAP})")
+    return family
 
 
 def _blocked(step, depth, state, entries, level=0):
@@ -262,28 +277,15 @@ def _elements(family, n):
     return tuple(chain.from_iterable(build_batch(cls, n, chunk) for chunk in chunks))
 
 
-def _checked(family, n, max_n):
-    family = FamilyId(family)
-    if n < 1:
-        raise CapExceeded(f"order must be >= 1, got {n}")
-    cap = _cap(family, max_n)
-    if n > cap:
-        raise CapExceeded(
-            f"order {n} exceeds the cap {cap} for {family.value} "
-            f"(raise it with max_n or {ENV_CAP})"
-        )
-    return family
-
-
-def generate(family, n, *, max_n=None):
+def generate(family, n):
     """Yield the family at order n, each object once, deterministic order."""
-    family = _checked(family, n, max_n)
+    family = _check_order(n, family)
     yield from _elements(family, n)
 
 
-def count(family, n, *, max_n=None) -> int:
+def count(family, n) -> int:
     """Size of the family at order n; every value is validated, none built."""
-    family = _checked(family, n, max_n)
+    family = _check_order(n, family)
     return sum(len(a) for a in _validated(family, n))
 
 
@@ -292,17 +294,17 @@ def entries(family, n):
     array with a row per object (the rows of :func:`jsonl`'s entry arrays,
     in the narrowest dtype that holds -1..2n).  Every value is validated,
     none is built."""
-    family = _checked(family, n, None)
+    family = _check_order(n, family)
     dtype = np.min_scalar_type(-2 * n)
     return np.concatenate([a.astype(dtype) for a in _arrays(family, n)[1]])
 
 
-def jsonl(family, n, *, max_n=None):
+def jsonl(family, n):
     """Yield the JSON lines of :func:`generate` (``triangles.to_json`` of each
     object, newline-terminated) as one text block per chunk of at most
     ``CHUNK`` values.  Every value is validated, none is built, and nothing
     enters the cache of :func:`generate`."""
-    family = _checked(family, n, max_n)
+    family = _check_order(n, family)
     cls, arrays = _arrays(family, n)
     for a in arrays:
         yield format_batch(cls, n, a)

@@ -11,12 +11,12 @@ different orders.
 from __future__ import annotations
 
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
 from . import bijections, enumeration
-from .enumeration import CapExceeded, FamilyId
+from .enumeration import FamilyId
 from .poset import Poset, SizeCap, _check_bool_product
 from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle, format_batch
 
@@ -45,31 +45,25 @@ __all__ = [
 _MAX_COMPONENTWISE = 20_000
 
 
-def _check_size(size, max_size=_MAX_COMPONENTWISE):
-    if size > max_size:
-        raise SizeCap(f"componentwise poset on {size} elements exceeds {max_size}")
+def _check_size(size):
+    if size > _MAX_COMPONENTWISE:
+        raise SizeCap(f"componentwise poset on {size} elements exceeds {_MAX_COMPONENTWISE}")
 
 
-def _componentwise(labels, vectors, *, reverse=False, max_size=_MAX_COMPONENTWISE):
+def _componentwise(labels, vectors, *, reverse=False):
     """Componentwise order on integer vectors; ``reverse`` compares them the
     other way round (x <= y iff x >= y componentwise)."""
-    _check_size(len(vectors), max_size)
+    _check_size(len(vectors))
     arr = np.array(vectors, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(len(vectors), 0)
     return Poset.componentwise(labels, -arr if reverse else arr)
 
 
-def _check_order(n):
-    """The order check of :func:`enumeration.generate`, for the other builders."""
-    if n < 1:
-        raise CapExceeded(f"order must be >= 1, got {n}")
-
-
 def _coordinate_poset(n, cover_moves):
     """Poset on coordinates (i, j, k), 0 <= i, j <= n-2-i, k <= n-2-i-j,
     generated by the given cover moves and closed transitively."""
-    _check_order(n)
+    enumeration._check_order(n)
     _check_size(comb(n + 1, 3))
     elements = [
         (i, j, k)
@@ -103,8 +97,13 @@ def build_Qn(n):
 
 
 def _object_order(family, cls, n, *, reverse=False):
-    """Componentwise order on the entry arrays of a family, labelled by the
-    JSON of each object and listed in the order of ``enumeration.generate``."""
+    """Componentwise order on the entry arrays of a family of ASM size
+    (monotone, magog or boolean triangles), labelled by the JSON of each
+    object and listed in the order of ``enumeration.generate``.  The order,
+    the family cap and the size, prod_k (3k+1)!/(n+k)!, are checked before
+    anything is enumerated."""
+    enumeration._check_order(n, family)
+    _check_size(prod(factorial(3 * k + 1) for k in range(n)) // prod(factorial(n + k) for k in range(n)))
     a = enumeration.entries(family, n)
     return _componentwise(format_batch(cls, n, a).splitlines(), a, reverse=reverse)
 
@@ -128,7 +127,7 @@ def _permutations(n):
     """The permutation entry array of order n, one row per permutation in the
     order of ``enumeration.generate``, after the order check and the size
     check of an order on them, so that a refused order enumerates nothing."""
-    _check_order(n)
+    enumeration._check_order(n)
     _check_size(factorial(n))
     return enumeration.entries(FamilyId.PERMUTATION, n)
 
@@ -232,7 +231,7 @@ def _vector_label(x):
 def build_tamari(n):
     """Bracket vectors under reverse componentwise comparison.  The covers
     are not all unit moves: the dense reduction's product is checked first."""
-    _check_order(n)
+    enumeration._check_order(n)
     size = comb(2 * n, n) // (n + 1)
     _check_size(size)
     _check_bool_product((size, size), (size, size))
@@ -242,15 +241,17 @@ def build_tamari(n):
 
 def build_catalan_distributive(n):
     """Weakly increasing sequences under reverse componentwise comparison."""
-    _check_order(n)
+    enumeration._check_order(n)
     _check_size(comb(2 * n, n) // (n + 1))
     vectors = catalan_sequences(n)
     return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
 
 
 def build_product_of_chains(n):
-    """[2] x [3] x ... x [n]: tuples (c_1, ..., c_{n-1}) with 0 <= c_i <= i."""
-    _check_order(n)
+    """[2] x [3] x ... x [n]: tuples (c_1, ..., c_{n-1}) with 0 <= c_i <= i,
+    n! of them, checked before any is built."""
+    enumeration._check_order(n)
+    _check_size(factorial(n))
     vectors = list(product(*(range(i + 1) for i in range(1, n))))
     return _componentwise([str(v) for v in vectors], vectors)
 

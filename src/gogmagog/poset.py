@@ -62,6 +62,15 @@ _FLOAT32_ENTRIES = 1 << 28
 _BLOCK = 1 << 22
 # Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
 _BOUND_COLUMNS = 512
+# Size caps: the most elements order_ideals takes and ideals it lists, the
+# most elements lattice_report and isomorphism_to take, and the most
+# elements on which lattice_report scans every triple for distributivity
+# (beyond, it counts the ideals of the join irreducibles).
+_IDEALS_MAX_ELEMENTS = 30
+_MAX_IDEALS = 1_000_000
+_LATTICE_MAX_ELEMENTS = 10_000
+_ISOMORPHISM_MAX_ELEMENTS = 1000
+_DISTRIBUTIVE_SCAN_MAX = 200
 
 
 def _check_bool_product(a_shape, b_shape):
@@ -307,49 +316,31 @@ class Poset:
         labels = tuple(self.labels[i] for i in chosen)
         return Poset(labels, self._leq[np.ix_(idx, idx)], _certified=True)
 
-    def order_ideals(self, *, max_size=30, max_ideals=1_000_000):
-        """The lattice of down-closed subsets ordered by containment.
+    def order_ideals(self):
+        """The lattice of down-closed subsets ordered by containment: the
+        componentwise order on their 0/1 indicator vectors, whose covers
+        are the unit moves (one element added).
 
-        Ideal labels are tuples of member labels in ground order.
+        Ideal labels are tuples of member labels in ground order, listed by
+        size, then by the indicator bits read as a binary number.
         """
         n = self.size
-        if n > max_size:
-            raise SizeCap(f"order_ideals capped at {max_size} elements, got {n}")
-        below = []
-        for e in range(n):
-            mask = 0
-            for z in range(n):
-                if z != e and self._leq[z, e]:
-                    mask |= 1 << z
-            below.append(mask)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for ideal in frontier:
-                for e in range(n):
-                    bit = 1 << e
-                    if not ideal & bit and ideal & below[e] == below[e]:
-                        new = ideal | bit
-                        if new not in seen:
-                            seen.add(new)
-                            nxt.append(new)
-                            if len(seen) > max_ideals:
-                                raise SizeCap(f"more than {max_ideals} ideals")
-            frontier = nxt
-        masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
-        labels = tuple(
-            tuple(self.labels[e] for e in range(n) if mask >> e & 1) for mask in masks
-        )
-        k = len(masks)
-        arr = np.array(masks, dtype=np.int64) if n < 63 else None
-        leq = np.zeros((k, k), dtype=bool)
-        for i, mask in enumerate(masks):
-            if arr is not None:
-                leq[i] = (arr & mask) == mask
-            else:
-                leq[i] = [m & mask == mask for m in masks]
-        return Poset(labels, leq, _certified=True)
+        if n > _IDEALS_MAX_ELEMENTS:
+            raise SizeCap(f"order_ideals capped at {_IDEALS_MAX_ELEMENTS} elements, got {n}")
+        # Add the elements in a linear extension (by the number below each):
+        # the ideals with e are those without it that hold everything below e.
+        strict = self._leq & ~np.eye(n, dtype=bool)
+        bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        below = (strict * bits[:, None]).sum(axis=0)
+        masks = np.zeros(1, dtype=np.int64)
+        for e in np.argsort(strict.sum(axis=0), kind="stable"):
+            masks = np.concatenate((masks, masks[(masks & below[e]) == below[e]] | bits[e]))
+            if len(masks) > _MAX_IDEALS:
+                raise SizeCap(f"more than {_MAX_IDEALS} ideals")
+        indicators = (masks[:, None] >> np.arange(n)) & 1
+        indicators = indicators[np.lexsort((masks, indicators.sum(axis=1)))]
+        labels = [tuple(self.labels[e] for e in np.flatnonzero(row).tolist()) for row in indicators]
+        return Poset.componentwise(labels, indicators)
 
     # -- lattice structure --------------------------------------------------
 
@@ -414,13 +405,13 @@ class Poset:
 
         return rec((1 << n) - 1)
 
-    def lattice_report(self, *, max_size=10_000, distributive_scan_max=200):
+    def lattice_report(self):
         """Meet/join existence for all pairs; on lattices also distributivity,
-        by triple scan up to ``distributive_scan_max`` elements and by the
+        by triple scan up to ``_DISTRIBUTIVE_SCAN_MAX`` elements and by the
         ideal count of the join irreducibles beyond."""
         n = self.size
-        if n > max_size:
-            raise SizeCap(f"lattice_report capped at {max_size} elements, got {n}")
+        if n > _LATTICE_MAX_ELEMENTS:
+            raise SizeCap(f"lattice_report capped at {_LATTICE_MAX_ELEMENTS} elements, got {n}")
         meet, witness = self._bound_table(lower=True)
         if meet is None:
             x, y = witness
@@ -429,7 +420,7 @@ class Poset:
         if join is None:
             x, y = witness
             return LatticeReport(False, ("join", self.labels[x], self.labels[y]))
-        if n <= distributive_scan_max:
+        if n <= _DISTRIBUTIVE_SCAN_MAX:
             for x in range(n):
                 lhs = meet[x][join]
                 mx = meet[x]
@@ -451,13 +442,17 @@ class Poset:
     # -- comparisons across posets ------------------------------------------
 
     def relations_not_in(self, other):
-        """First relation pair of self absent from other, or None."""
-        for x, y in sorted(self.relation_pairs(), key=str):
-            if x not in other._index or y not in other._index:
-                return (x, y)
-            if not other.leq(x, y):
-                return (x, y)
-        return None
+        """The first relation x <= y of self, row by row, that other lacks,
+        or None; a label other does not have lacks every relation."""
+        index = np.array([other._index.get(label, -1) for label in self.labels], dtype=np.intp)
+        absent = index < 0
+        gap = ~other._leq[np.ix_(index, index)] if other.size else np.ones_like(self._leq)
+        gap[absent] = gap[:, absent] = True
+        gap &= self._leq
+        if not gap.any():
+            return None
+        i, j = np.unravel_index(gap.argmax(), gap.shape)
+        return self.labels[i], self.labels[j]
 
     def _refined_colors(self):
         n = self.size
@@ -489,12 +484,12 @@ class Poset:
                 return new
             colors = new
 
-    def isomorphism_to(self, other, *, max_size=1000):
+    def isomorphism_to(self, other):
         """An order isomorphism as a label map, or None."""
         if self.size != other.size:
             return None
-        if self.size > max_size:
-            raise SizeCap(f"isomorphic_to capped at {max_size} elements")
+        if self.size > _ISOMORPHISM_MAX_ELEMENTS:
+            raise SizeCap(f"isomorphic_to capped at {_ISOMORPHISM_MAX_ELEMENTS} elements")
         n = self.size
         mine = self._refined_colors()
         theirs = other._refined_colors()

@@ -212,7 +212,7 @@ def avoids(p, pattern) -> bool:
     return bool(avoiding(entry_row(p), pattern)[0])
 
 
-def distribution(family, n, statistic, *, max_n=None):
+def distribution(family, n, statistic):
     """Counts of the family's values at order n by the value of the
     registered ``statistic``: its batched function over the validated
     chunks of ``enumeration``, unsorted, as ``enumeration.count`` reads
@@ -223,7 +223,7 @@ def distribution(family, n, statistic, *, max_n=None):
     except KeyError:
         raise KeyError(f"statistic {statistic!r} is not defined for {family.value}")
     counts = Counter()
-    for a in enumeration._validated(enumeration._checked(family, n, max_n), n):
+    for a in enumeration._validated(enumeration._check_order(n, family), n):
         values, sizes = np.unique(func(n, a), return_counts=True)
         counts.update(dict(zip(values.tolist(), sizes.tolist())))
     return dict(sorted(counts.items()))

@@ -23,7 +23,6 @@ from gogmagog.bijections import (
     NotPermutationBoolean,
     NotPermutationMatrix,
     NotPermutationMonotone,
-    ResultNotMagog,
 )
 from gogmagog.triangles import (
     SCHEMA,
@@ -41,6 +40,10 @@ from gogmagog.triangles import (
     _closure,
     validate_tsscpp,
 )
+
+
+class ResultNotMagog(ValidationError):
+    """A fundamental domain whose rotation is no magog triangle."""
 
 
 def asm_to_monotone(a: Asm) -> MonotoneTriangle:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import golden_data as gold
-from gogmagog.cli import Config, main
+from gogmagog.cli import main
 from gogmagog.triangles import from_json
 
 
@@ -129,7 +129,7 @@ def test_verify_all_prints_capped_rows_and_exits_2(capsys, monkeypatch):
     assert len(lines) == 44 and sum(line.endswith("n=4  CAP") for line in lines) == 13
     assert "FAIL" not in out
     assert err.splitlines()[0] == (
-        "counts n=4: order 4 exceeds the cap 3 for asm (raise it with max_n or TSSCPP_MAX_N)"
+        "counts n=4: order 4 exceeds the cap 3 for asm (raise it with TSSCPP_MAX_N)"
     )
     assert len(err.splitlines()) == 13
 
@@ -156,13 +156,6 @@ def test_bad_input_is_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
-def test_config_from_environment(monkeypatch):
-    config = Config.from_environment()
-    assert config.cap("asm") == 7
-    monkeypatch.setenv("TSSCPP_MAX_N", "5")
-    assert Config.from_environment().cap("asm") == 5
-
-
 def test_module_entry_point():
     import subprocess
     import sys
@@ -175,11 +168,31 @@ def test_module_entry_point():
     assert result.returncode == 0 and result.stdout.strip() == "7"
 
 
-def test_malformed_env_cap_is_a_usage_error(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "boolean", "--n", "3", "--count-only"),
+        ("enumerate", "--family", "asm", "--n", "0"),
+        ("dist", "--family", "asm", "--n", "3", "--statistic", "inversions"),
+        ("poset", "--name", "Pn", "--n", "3"),
+        ("poset", "--name", "chains", "--n", "0"),
+        ("poset-check", "--claim", "thm4.2", "--n", "-1"),
+        ("verify-all", "--n", "0"),
+    ],
+)
+def test_malformed_env_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    """Every command that takes an order reads the cap first, whether or not
+    it enumerates, and whatever the order."""
     monkeypatch.setenv("TSSCPP_MAX_N", "abc")
-    code, out, err = run_cli(capsys, "enumerate", "--family", "boolean", "--n", "3", "--count-only")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: TSSCPP_MAX_N")
+    assert run_cli(capsys, *argv) == (2, "", "error: TSSCPP_MAX_N must be an integer, got 'abc'\n")
+
+
+def test_malformed_env_cap_is_not_read_without_an_order(capsys, monkeypatch):
+    monkeypatch.setenv("TSSCPP_MAX_N", "abc")
+    code, out, _ = run_cli(capsys, "stats", "--kind", "permutation", "312")
+    assert code == 0 and json.loads(out)["stats"] == {"inversions": 2}
+    code, out, _ = run_cli(capsys, "convert", "--from", "permutation", "--to", "permutation", "312")
+    assert code == 0 and json.loads(out)["sigma"] == [3, 1, 2]
 
 
 def test_permutation_with_non_integer_values_is_a_usage_error(capsys):

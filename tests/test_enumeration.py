@@ -94,14 +94,16 @@ def test_generator_counts_match_bijection_images():
         assert perm_booleans == {b for b in booleans if is_permutation_boolean(b)}
 
 
-def test_caps():
+def test_caps(monkeypatch):
     with pytest.raises(CapExceeded):
         list(generate(FamilyId.ASM, DEFAULT_CAPS[FamilyId.ASM] + 1))
     with pytest.raises(CapExceeded):
-        list(generate(FamilyId.BOOLEAN, 4, max_n=3))
-    with pytest.raises(CapExceeded):
         count(FamilyId.BOOLEAN, 0)
-    assert count(FamilyId.BOOLEAN, 4, max_n=4) == 42
+    monkeypatch.setenv("TSSCPP_MAX_N", "3")
+    with pytest.raises(CapExceeded):
+        list(generate(FamilyId.BOOLEAN, 4))
+    monkeypatch.setenv("TSSCPP_MAX_N", "4")
+    assert count(FamilyId.BOOLEAN, 4) == 42
 
 
 def test_env_cap_override(monkeypatch):

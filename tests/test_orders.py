@@ -2,13 +2,15 @@
 representations, Bruhat connections, Catalan subposets, and cover moves."""
 
 import json
+from math import factorial, prod
 
+import numpy as np
 import pytest
 
 import golden_data as gold
 from gogmagog import claims, orders
 from gogmagog.enumeration import CapExceeded
-from gogmagog.poset import Poset
+from gogmagog.poset import Poset, _bool_product
 from gogmagog.statistics import avoids
 from gogmagog.triangles import Permutation
 
@@ -47,17 +49,44 @@ def test_ideal_counts():
     assert orders.build_Qn(5).order_ideals().size == 429
 
 
+def asm_count(n):
+    """prod_k (3k+1)! / (n+k)!, the number of n x n alternating sign matrices."""
+    return prod(factorial(3 * k + 1) for k in range(n)) // prod(factorial(n + k) for k in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_ideals_is_the_product_formula(n):
+    for coordinates in (orders.build_Pn(n), orders.build_Qn(n)):
+        assert coordinates.count_ideals() == asm_count(n)
+        if n <= 5:
+            assert len(coordinates.order_ideals()) == asm_count(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ideal_lattices_are_containment(n):
+    """The relation of ``order_ideals`` is containment of the ideals, and its
+    covers the generic transitive reduction of that relation."""
+    for coordinates in (orders.build_Pn(n), orders.build_Qn(n)):
+        ideals = coordinates.order_ideals()
+        sets = [frozenset(label) for label in ideals.labels]
+        assert ideals.leq_matrix().tolist() == [[x <= y for y in sets] for x in sets]
+        strict = ideals.leq_matrix() & ~np.eye(ideals.size, dtype=bool)
+        reduced = strict & ~_bool_product(strict, strict)
+        assert np.array_equal(ideals.cover_matrix(), reduced)
+
+
 def test_order_five_coordinate_poset_structure():
     p5, q5 = orders.build_Pn(5), orders.build_Qn(5)
     assert (p5.size, len(p5.cover_pairs())) == (20, 40)
     assert (q5.size, len(q5.cover_pairs())) == (20, 30)
 
 
-def test_componentwise_size_guard():
+def test_componentwise_size_guard(monkeypatch):
     from gogmagog.poset import SizeCap
 
+    monkeypatch.setattr(orders, "_MAX_COMPONENTWISE", 1)
     with pytest.raises(SizeCap):
-        orders._componentwise(["a", "b"], [(0,), (1,)], max_size=1)
+        orders._componentwise(["a", "b"], [(0,), (1,)])
 
 
 # ---------------------------------------------------------- object posets
@@ -250,7 +279,14 @@ def test_other_avoidance_classes_at_four_are_neither_ranked_nor_lattices():
         orders.build_catalan_distributive,
         orders.build_product_of_chains,
         orders.build_An,
+        orders.build_Tn,
+        orders.build_TBool,
+        orders.build_An_perm,
+        orders.build_Tn_perm,
+        orders.build_TBool_perm,
         orders.build_weak_order,
+        orders.build_strong_bruhat,
+        claims.verify_all,
     ],
 )
 @pytest.mark.parametrize("n", [0, -1])
@@ -291,3 +327,27 @@ def test_catalan_orders_refuse_order_eleven_before_the_product_loop(monkeypatch,
     assert catalan(11) == 58786
     with pytest.raises(SizeCap, match="^componentwise poset on 58786 elements exceeds 20000$"):
         builder(11)
+
+
+def test_product_of_chains_refuses_order_twelve_before_building(monkeypatch):
+    from gogmagog import enumeration
+    from gogmagog.poset import SizeCap
+
+    monkeypatch.setattr(enumeration, "entries", refuse)
+    monkeypatch.setattr(orders, "product", refuse)
+    with pytest.raises(SizeCap, match="^componentwise poset on 479001600 elements exceeds 20000$"):
+        orders.build_product_of_chains(12)
+
+
+@pytest.mark.parametrize("builder", [orders.build_An, orders.build_Tn, orders.build_TBool])
+def test_object_orders_refuse_order_eight_before_enumerating(monkeypatch, builder):
+    from gogmagog import enumeration
+    from gogmagog.poset import SizeCap
+
+    monkeypatch.setenv("TSSCPP_MAX_N", "8")
+    monkeypatch.setattr(enumeration, "entries", refuse)
+    with pytest.raises(SizeCap, match="^componentwise poset on 10850216 elements exceeds 20000$"):
+        builder(8)
+    monkeypatch.delenv("TSSCPP_MAX_N")
+    with pytest.raises(CapExceeded, match="^order 8 exceeds the cap 7 "):
+        builder(8)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from gogmagog import poset as poset_module
 from gogmagog.poset import Poset, PosetError, SizeCap, _bool_product
 
 
@@ -183,20 +184,22 @@ def test_lattice_report_non_lattice_witness():
     assert kind in ("meet", "join")
 
 
-def test_lattice_report_birkhoff_fallback_agrees():
+def test_lattice_report_birkhoff_fallback_agrees(monkeypatch):
     p = divisibility(6)
     ideals = p.order_ideals()
     via_scan = ideals.lattice_report()
-    via_count = ideals.lattice_report(distributive_scan_max=1)
+    m3 = from_comparisons("0abc1", lambda x, y: x == y or x == "0" or y == "1")
+    monkeypatch.setattr(poset_module, "_DISTRIBUTIVE_SCAN_MAX", 1)
+    via_count = ideals.lattice_report()
     assert via_scan.is_lattice == via_count.is_lattice == True
     assert via_scan.is_distributive == via_count.is_distributive == True
-    m3 = from_comparisons("0abc1", lambda x, y: x == y or x == "0" or y == "1")
-    assert m3.lattice_report(distributive_scan_max=1).is_distributive is False
+    assert m3.lattice_report().is_distributive is False
 
 
-def test_lattice_report_cap():
+def test_lattice_report_cap(monkeypatch):
+    monkeypatch.setattr(poset_module, "_LATTICE_MAX_ELEMENTS", 4)
     with pytest.raises(SizeCap):
-        antichain(5).lattice_report(max_size=4)
+        antichain(5).lattice_report()
 
 
 def test_induced_subposet():
@@ -247,9 +250,10 @@ def test_isomorphism_is_symmetric():
                     assert p.leq(x, y) == q.leq(forward[x], forward[y])
 
 
-def test_isomorphism_cap():
+def test_isomorphism_cap(monkeypatch):
+    monkeypatch.setattr(poset_module, "_ISOMORPHISM_MAX_ELEMENTS", 5)
     with pytest.raises(SizeCap):
-        antichain(10).isomorphism_to(antichain(10), max_size=5)
+        antichain(10).isomorphism_to(antichain(10))
 
 
 def test_relations_subset():
@@ -259,6 +263,18 @@ def test_relations_subset():
     assert strongish.relations_not_in(weakish) is not None
     assert strongish.relations_not_in(strongish) is None
     assert strongish.relations_not_in(weakish) == ("a", "c")
+
+
+def test_relations_not_in_is_the_first_missing_relation_row_by_row():
+    rng = random.Random(7)
+    for k in (4, 6, 8):
+        p, q = random_poset(rng, k), random_poset(rng, k)
+        missing = [(x, y) for x in p.labels for y in p.labels if p.leq(x, y) and not q.leq(x, y)]
+        assert p.relations_not_in(q) == (missing[0] if missing else None)
+    # a label the other poset lacks lacks every relation, its own included
+    assert chain(3).relations_not_in(chain(2)) == (0, 2)
+    assert antichain(2).relations_not_in(chain(1)) == (1, 1)
+    assert chain(2).relations_not_in(chain(3)) is None
 
 
 def test_is_ranked():
