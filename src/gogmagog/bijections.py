@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .triangles import (
+    KIND_CLASSES,
     SCHEMA,
     Asm,
     BooleanTriangle,
@@ -392,7 +393,6 @@ _EDGES = (
     ("plane_partition", "fundamental_domain", tsscpps_to_domains),
     ("plane_partition", "boolean_triangle", tsscpps_to_domains, domains_to_booleans),
 )
-_CLASSES = {kind: cls for cls, (kind, _) in SCHEMA.items()}
 
 
 def _conversion_path(source, target):
@@ -418,7 +418,7 @@ def convert(obj, kind):
         domains_to_tsscpps(n, a)
     for step in _conversion_path(SCHEMA[type(obj)][0], kind):
         a = step(n, a)
-    return build_batch(_CLASSES[kind], n, a.reshape(1, -1))[0]
+    return build_batch(KIND_CLASSES[kind], n, a.reshape(1, -1))[0]
 
 
 def _object_map(kind):

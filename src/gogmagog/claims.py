@@ -30,7 +30,6 @@ import numpy as np
 from . import bijections, enumeration, orders, statistics
 from .enumeration import CapExceeded, FamilyId
 from .poset import SizeCap
-from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle
 from .triangles import _triangle_cells, format_batch
 
 __all__ = ["CHECKS", "CLAIMS", "run_claim", "verify_all"]
@@ -113,12 +112,12 @@ def _chains(n, magog):
     ]
 
 
-def _label(cls, n, entries):
-    return format_batch(cls, n, entries[None]).rstrip("\n")
+def _label(family, n, entries):
+    return format_batch(enumeration.FAMILY_CLASSES[family], n, entries[None]).rstrip("\n")
 
 
-def _chain_map(cls, coordinates, n):
-    """The triangles of order n (``cls``: monotone or magog) as entries, the
+def _chain_map(family, coordinates, n):
+    """The triangles of order n (``family``: monotone or magog) as entries, the
     counts entry - j - 1 of their chain map into the ideals of
     ``coordinates`` (P_n or Q_n), the mixed-radix keys of the counts with
     their strides and sorting order, and a witness that the map is no
@@ -129,11 +128,11 @@ def _chain_map(cls, coordinates, n):
     when ideal(x) lies in ideal(y).  The map is then an isomorphism when
     every image is down-closed, no two keys (hence images) agree, and the
     images are as many as the ideals."""
-    chains = _chains(n, cls is MagogTriangle)
+    chains = _chains(n, family is FamilyId.MAGOG)
     radix = [len(chain) + 1 for chain in chains]
     if prod(radix) >= 1 << 63:
         raise SizeCap(f"chain counts of order {n} do not fit a 64-bit key")
-    a = enumeration.entries(FamilyId.MAGOG if cls is MagogTriangle else FamilyId.MONOTONE, n)
+    a = enumeration.entries(family, n)
     counts = a[:, : len(chains)] - np.array([j + 1 for r in range(1, n) for j in range(r)], a.dtype)
     strides = np.array([prod(radix[c + 1 :]) for c in range(len(radix))], dtype=np.int64)
     keys = counts @ strides
@@ -151,10 +150,10 @@ def _chain_map(cls, coordinates, n):
             (cl, kl), (ch, kh) = owner[low], owner[high]
             missing = (counts[:, ch] > kh) & (counts[:, cl] <= kl)  # holds high, not low
             if missing.any():
-                return ("not down-closed", _label(cls, n, a[missing.argmax()]), high, low)
+                return ("not down-closed", _label(family, n, a[missing.argmax()]), high, low)
         same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
         if len(same):
-            return ("same ideal", *(_label(cls, n, a[order[same[0] + k]]) for k in (0, 1)))
+            return ("same ideal", *(_label(family, n, a[order[same[0] + k]]) for k in (0, 1)))
         if len(a) != coordinates.count_ideals():
             return ("ideal count", len(a), coordinates.count_ideals())
         return None
@@ -162,10 +161,10 @@ def _chain_map(cls, coordinates, n):
     return a, counts, keys, strides, order, witness()
 
 
-def _ideal_lattice_check(claim, cls, coordinates, n):
+def _ideal_lattice_check(claim, family, coordinates, n):
     """The componentwise order is the ideal lattice of the coordinate poset
     of join irreducibles, through the chain map."""
-    a, *_, witness = _chain_map(cls, coordinates, n)
+    a, *_, witness = _chain_map(family, coordinates, n)
     if witness is None:
         return _result(claim, n, True, size=len(a), ideal_count=len(a))
     ideal_count = coordinates.count_ideals()
@@ -173,11 +172,11 @@ def _ideal_lattice_check(claim, cls, coordinates, n):
 
 
 def check_ideal_lattice_asm(n):
-    return _ideal_lattice_check("thm4.2", MonotoneTriangle, orders.build_Pn(n), n)
+    return _ideal_lattice_check("thm4.2", FamilyId.MONOTONE, orders.build_Pn(n), n)
 
 
 def check_ideal_lattice_magog(n):
-    return _ideal_lattice_check("thm4.6", MagogTriangle, orders.build_Qn(n), n)
+    return _ideal_lattice_check("thm4.6", FamilyId.MAGOG, orders.build_Qn(n), n)
 
 
 def check_strong_bruhat(n):
@@ -284,7 +283,7 @@ def check_cover_moves(n):
     """Every cover of the magog order, transported to boolean triangles,
     either swaps a one with the zero southeast of it or kills a bottom-row
     one.  Given the ``thm4.6`` certificate the covers are the unit moves."""
-    a, counts, keys, strides, order, witness = _chain_map(MagogTriangle, orders.build_Qn(n), n)
+    a, counts, keys, strides, order, witness = _chain_map(FamilyId.MAGOG, orders.build_Qn(n), n)
     if witness is not None:
         return _result("lemma4.8", n, False, cover_count=None, witness=witness)
     booleans = bijections.magogs_to_booleans(n, a)
@@ -293,7 +292,7 @@ def check_cover_moves(n):
         cover_count += len(lower)
         good = _boolean_moves(n, booleans[lower], booleans[upper])
         bad += zip(lower[~good].tolist(), upper[~good].tolist())
-    witness = tuple(_label(MagogTriangle, n, a[i]) for i in min(bad)) if bad else None
+    witness = tuple(_label(FamilyId.MAGOG, n, a[i]) for i in min(bad)) if bad else None
     return _result("lemma4.8", n, not bad, cover_count=cover_count, witness=witness)
 
 
@@ -326,7 +325,7 @@ def _nonlattice_pairs(n):
             bijections.booleans_to_magogs(n, bijections.permutations_to_booleans(n, perms)),
             orders._one_line(perms),
         ),
-        "boolean_order": (-booleans, -ones, [_label(BooleanTriangle, n, v) for v in ones]),
+        "boolean_order": (-booleans, -ones, [_label(FamilyId.BOOLEAN, n, v) for v in ones]),
     }
 
 

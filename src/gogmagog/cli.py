@@ -18,6 +18,7 @@ from . import bijections, claims, enumeration, orders, statistics
 from .enumeration import CapExceeded, FamilyId
 from .poset import SizeCap
 from .triangles import (
+    SCHEMA,
     Permutation,
     ValidationError,
     from_json_dict,
@@ -29,20 +30,13 @@ __all__ = ["main"]
 
 
 _KIND_ALIASES = {
-    "asm": "asm",
+    **{kind: kind for kind, _ in SCHEMA.values()},
     "monotone": "monotone_triangle",
-    "monotone_triangle": "monotone_triangle",
     "magog": "magog_triangle",
-    "magog_triangle": "magog_triangle",
     "boolean": "boolean_triangle",
-    "boolean_triangle": "boolean_triangle",
     "nilp": "nilp_nest",
-    "nilp_nest": "nilp_nest",
     "tsscpp": "plane_partition",
-    "plane_partition": "plane_partition",
     "fundamental": "fundamental_domain",
-    "fundamental_domain": "fundamental_domain",
-    "permutation": "permutation",
 }
 
 def _parse_value(kind, text):

@@ -223,6 +223,8 @@ _DERIVED = {
     FamilyId.PERMUTATION_BOOLEAN: (BooleanTriangle, FamilyId.PERMUTATION, bijections.permutations_to_booleans),
     FamilyId.TSSCPP: (PlanePartition, FamilyId.BOOLEAN, bijections.booleans_to_tsscpp),
 }
+# family -> the class of its objects
+FAMILY_CLASSES = {family: cls for family, (cls, *_) in {**_SEARCH, **_DERIVED}.items()}
 
 
 def _validated(family, n):

@@ -18,7 +18,7 @@ import numpy as np
 from . import bijections, enumeration
 from .enumeration import FamilyId
 from .poset import Poset, SizeCap, _check_bool_product
-from .triangles import BooleanTriangle, MagogTriangle, MonotoneTriangle, format_batch
+from .triangles import _one_line_text, format_batch
 
 __all__ = [
     "build_Pn",
@@ -96,7 +96,7 @@ def build_Qn(n):
     return _coordinate_poset(n, ((1, -1, 0), (0, 1, -1), (1, 0, 0)))
 
 
-def _object_order(family, cls, n, *, reverse=False):
+def _object_order(family, n, *, reverse=False):
     """Componentwise order on the entry arrays of a family of ASM size
     (monotone, magog or boolean triangles), labelled by the JSON of each
     object and listed in the order of ``enumeration.generate``.  The order,
@@ -105,22 +105,22 @@ def _object_order(family, cls, n, *, reverse=False):
     enumeration._check_order(n, family)
     _check_size(prod(factorial(3 * k + 1) for k in range(n)) // prod(factorial(n + k) for k in range(n)))
     a = enumeration.entries(family, n)
-    return _componentwise(format_batch(cls, n, a).splitlines(), a, reverse=reverse)
+    return _componentwise(format_batch(enumeration.FAMILY_CLASSES[family], n, a).splitlines(), a, reverse=reverse)
 
 
 def build_An(n):
     """Componentwise order on monotone triangles."""
-    return _object_order(FamilyId.MONOTONE, MonotoneTriangle, n)
+    return _object_order(FamilyId.MONOTONE, n)
 
 
 def build_Tn(n):
     """Componentwise order on magog triangles."""
-    return _object_order(FamilyId.MAGOG, MagogTriangle, n)
+    return _object_order(FamilyId.MAGOG, n)
 
 
 def build_TBool(n):
     """Reverse componentwise order on boolean triangles."""
-    return _object_order(FamilyId.BOOLEAN, BooleanTriangle, n, reverse=True)
+    return _object_order(FamilyId.BOOLEAN, n, reverse=True)
 
 
 def _permutations(n):
@@ -134,7 +134,7 @@ def _permutations(n):
 
 def _one_line(perms):
     """One-line labels of the rows of a permutation entry array."""
-    return list(map(_vector_label, perms.tolist()))
+    return list(map(_one_line_text, perms.tolist()))
 
 
 def _permutation_booleans(n):
@@ -224,10 +224,6 @@ def catalan_sequences(n):
     ]
 
 
-def _vector_label(x):
-    return "".join(str(v) for v in x) if len(x) <= 9 else ",".join(str(v) for v in x)
-
-
 def build_tamari(n):
     """Bracket vectors under reverse componentwise comparison.  The covers
     are not all unit moves: the dense reduction's product is checked first."""
@@ -236,7 +232,7 @@ def build_tamari(n):
     _check_size(size)
     _check_bool_product((size, size), (size, size))
     vectors = bracket_vectors(n)
-    return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
+    return _componentwise(list(map(_one_line_text, vectors)), vectors, reverse=True)
 
 
 def build_catalan_distributive(n):
@@ -244,7 +240,7 @@ def build_catalan_distributive(n):
     enumeration._check_order(n)
     _check_size(comb(2 * n, n) // (n + 1))
     vectors = catalan_sequences(n)
-    return _componentwise([_vector_label(x) for x in vectors], vectors, reverse=True)
+    return _componentwise(list(map(_one_line_text, vectors)), vectors, reverse=True)
 
 
 def build_product_of_chains(n):
@@ -262,7 +258,7 @@ def bracket_label_map(n):
     image lands in the bracket vectors, on 213-avoiders in the weakly
     increasing sequences."""
     labels, booleans = _permutation_booleans(n)
-    return dict(zip(labels, map(_vector_label, bijections.booleans_to_brackets(n, booleans).tolist())))
+    return dict(zip(labels, map(_one_line_text, bijections.booleans_to_brackets(n, booleans).tolist())))
 
 
 def chain_label_map(n):

@@ -121,15 +121,9 @@ KINDS = {
 
 # The statistics ``distribution`` counts: name -> {family value: the function
 # of ``KINDS`` for the kind of the family's objects}.
-_FAMILY_KINDS = {
-    "asm": "asm",
-    "monotone": "monotone_triangle",
-    "boolean": "boolean_triangle",
-    "permutation": "permutation",
-    "permutation-boolean": "boolean_triangle",
-}
 STATISTICS = {
-    name: {family: KINDS[kind][name] for family, kind in _FAMILY_KINDS.items() if name in KINDS[kind]}
+    name: {f.value: KINDS[SCHEMA[cls][0]][name] for f, cls in enumeration.FAMILY_CLASSES.items()
+           if name in KINDS.get(SCHEMA[cls][0], {})}
     for name in ("inversions", "negative_ones", "zeros", "last_row_zeros", "zero_then_one", "strict_diagonal_entries")
 }
 

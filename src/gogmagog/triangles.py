@@ -20,22 +20,26 @@ Conventions, fixed once for the whole package:
   0 = diagonal step.
 * Plane partitions store the full, zero-completed square array.
 
-All types are frozen dataclasses.  A family's defining inequalities are one
-rule table per order (``_BATCH``).  :func:`validate_batch` asks whether any
-value of a chunk breaks a rule, a constructor normalises its input and
-raises the rule broken first in row-major scan order, :func:`build_batch`
-builds a chunk that passes without checking each object again, and
-:func:`format_batch` writes the JSON lines of such a chunk without building
+All types are frozen dataclasses.  Each family is one row of one table
+(``_FAMILIES``): its name in messages, JSON kind and field, row lengths,
+entry type, shape messages, and its defining inequalities as one rule table
+per order.  The one shared constructor check reads that row, normalises
+its input and raises the defect found first: shape and entry defects, then
+the rule broken first in row-major scan order.  On entry arrays (one row
+per value), :func:`validate_batch` asks whether any value breaks a rule,
+:func:`build_batch` builds values that pass without checking each object
+again, and :func:`format_batch` writes their JSON lines without building
 any object.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +67,8 @@ __all__ = [
     "PlanePartition",
     "FundamentalDomain",
     "SymmetryReport",
+    "SCHEMA",
+    "KIND_CLASSES",
     "validate_monotone",
     "validate_magog",
     "validate_boolean",
@@ -164,43 +170,35 @@ def _is_int(entry):
     return isinstance(entry, (int, np.integer)) and not isinstance(entry, bool)
 
 
-def _as_rows(raw, what):
-    """Normalize a nested sequence to a tuple of int tuples."""
-    try:
-        rows = tuple(map(tuple, raw))
-    except TypeError:
-        raise ShapeError(f"{what}: expected a sequence of rows")
-    if all(type(entry) is int for row in rows for entry in row):
-        return rows
-    for r, row in enumerate(rows):
-        for c, entry in enumerate(row):
-            if not _is_int(entry):
-                raise EntryError(
-                    f"{what}: entry at ({r + 1},{c + 1}) is not an integer",
-                    row=r + 1,
-                    col=c + 1,
-                )
-    return tuple(tuple(int(entry) for entry in row) for row in rows)
+class _Value:
+    """The constructor check of the eight value classes, read from the
+    class's row of ``_FAMILIES``, in this order: the order, that the value
+    is a sequence (of rows), the type of every entry, the row count, each
+    row's length, then the rules (:func:`_check`).  The value is stored as
+    tuples, its integer entries as ``int``."""
 
-
-def _check_order(n, what):
-    if not _is_int(n) or n < 1:
-        raise ShapeError(f"{what}: order must be an integer >= 1, got {n!r}")
-
-
-def _check_triangular(rows, n, what):
-    if len(rows) != n:
-        raise ShapeError(f"{what}: expected {n} rows, got {len(rows)}")
-    for r, row in enumerate(rows):
-        if len(row) != r + 1:
-            raise ShapeError(
-                f"{what}: row {r + 1} has {len(row)} entries, expected {r + 1}",
-                row=r + 1,
-            )
+    def __post_init__(self):
+        family = _FAMILIES[type(self)]
+        n, value, flat = self.n, getattr(self, family.field), family.count is None
+        if not _is_int(n) or n < 1:
+            raise ShapeError(f"{family.what}: order must be an integer >= 1, got {n!r}")
+        try:
+            rows = tuple(value) if flat else tuple(map(tuple, value))
+        except TypeError:
+            noun = "values" if flat else "rows" if family.entry is int else "step sequences"
+            raise ShapeError(f"{family.what}: expected a sequence of {noun}") from None
+        entries = list(rows) if flat else list(chain.from_iterable(rows))
+        types = {*map(type, entries)}  # plain ints, or step letters: the fast path
+        if not (types <= {int} if family.entry is int else types <= {str} and {*entries} <= {*family.entry}):
+            rows, entries = _normalised(family, rows)
+        object.__setattr__(self, family.field, rows)
+        if not flat:
+            _check_shape(type(self), n, rows)
+        _check(type(self), n, entries if family.entry is int else list(map(family.entry.index, entries)))
 
 
 @dataclass(frozen=True)
-class MonotoneTriangle:
+class MonotoneTriangle(_Value):
     """Strictly increasing rows, bottom row 1..n, interlacing diagonals:
 
         rows[r+1][c] <= rows[r][c] <= rows[r+1][c+1]
@@ -209,16 +207,9 @@ class MonotoneTriangle:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        _check_order(self.n, "monotone triangle")
-        rows = _as_rows(self.rows, "monotone triangle")
-        object.__setattr__(self, "rows", rows)
-        _check_triangular(rows, self.n, "monotone triangle")
-        _check(MonotoneTriangle, self.n, chain.from_iterable(rows))
-
 
 @dataclass(frozen=True)
-class MagogTriangle:
+class MagogTriangle(_Value):
     """Strictly increasing rows, bottom row 1..n, diagonal conditions:
 
         rows[r+1][c] <= rows[r][c]      (below-left no larger)
@@ -228,16 +219,9 @@ class MagogTriangle:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        _check_order(self.n, "magog triangle")
-        rows = _as_rows(self.rows, "magog triangle")
-        object.__setattr__(self, "rows", rows)
-        _check_triangular(rows, self.n, "magog triangle")
-        _check(MagogTriangle, self.n, chain.from_iterable(rows))
-
 
 @dataclass(frozen=True)
-class BooleanTriangle:
+class BooleanTriangle(_Value):
     """0/1 triangle of order n (n-1 rows) with the diagonal partial-sum
     condition: for every adjacent diagonal pair and every depth, the running
     sum down a diagonal may exceed the running sum down its left neighbour by
@@ -248,13 +232,6 @@ class BooleanTriangle:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        _check_order(self.n, "boolean triangle")
-        rows = _as_rows(self.rows, "boolean triangle")
-        object.__setattr__(self, "rows", rows)
-        _check_triangular(rows, self.n - 1, "boolean triangle")
-        _check(BooleanTriangle, self.n, chain.from_iterable(rows))
-
     def diagonal(self, q):
         """Entries of diagonal ``q`` (1-based), top to bottom."""
         if not 1 <= q <= self.n - 1:
@@ -263,7 +240,7 @@ class BooleanTriangle:
 
 
 @dataclass(frozen=True)
-class NilpNest:
+class NilpNest(_Value):
     """Nest of non-intersecting lattice paths.
 
     Path ``i`` (1-based, ``i = 1 .. n-1``) starts at ``(i, i)`` and takes
@@ -273,23 +250,6 @@ class NilpNest:
 
     n: int
     paths: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        _check_order(self.n, "nest")
-        try:
-            paths = tuple(tuple(step for step in path) for path in self.paths)
-        except TypeError:
-            raise ShapeError("nest: expected a sequence of step sequences")
-        object.__setattr__(self, "paths", paths)
-        if len(paths) != self.n - 1:
-            raise ShapeError(f"nest: expected {self.n - 1} paths, got {len(paths)}")
-        for i, path in enumerate(paths, start=1):
-            if len(path) != i:
-                raise ShapeError(f"nest: path {i} has {len(path)} steps, expected {i}")
-            for step in path:
-                if step not in ("V", "D"):
-                    raise EntryError(f"nest: path {i} has step {step!r}, expected 'V'/'D'")
-        _check(NilpNest, self.n, (int(step == "D") for step in chain.from_iterable(paths)))
 
     def points(self, i):
         """Lattice points visited by path ``i``, start and endpoint included."""
@@ -307,7 +267,7 @@ class NilpNest:
 
 
 @dataclass(frozen=True)
-class Asm:
+class Asm(_Value):
     """Alternating sign matrix: entries in {-1,0,1}, every row and column sums
     to one, and the nonzero entries of each row and column alternate in sign.
     Equivalently every row and column prefix sum lies in {0, 1}.
@@ -316,37 +276,19 @@ class Asm:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        _check_order(self.n, "asm")
-        rows = _as_rows(self.rows, "asm")
-        object.__setattr__(self, "rows", rows)
-        n = self.n
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ShapeError(f"asm: expected a {n}x{n} matrix")
-        _check(Asm, n, chain.from_iterable(rows))
+
+def _one_line_text(values):
+    """One-line string of integers: bare digits up to 9 of them,
+    comma-separated beyond."""
+    return ("" if len(values) <= 9 else ",").join(map(str, values))
 
 
 @dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A permutation of 1..n in one-line notation."""
 
     n: int
     sigma: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_order(self.n, "permutation")
-        try:
-            sigma = tuple(self.sigma)
-        except TypeError:
-            raise ShapeError("permutation: expected a sequence of values")
-        for i, v in enumerate(sigma, start=1):
-            if not _is_int(v):
-                raise EntryError(f"permutation: value at position {i} is not an integer", col=i)
-        sigma = tuple(int(v) for v in sigma)
-        object.__setattr__(self, "sigma", sigma)
-        if len(sigma) != self.n:
-            raise ValidationError(f"permutation: {sigma} is not a bijection on 1..{self.n}")
-        _check(Permutation, self.n, sigma)
 
     def __call__(self, i):
         return self.sigma[i - 1]
@@ -358,10 +300,7 @@ class Permutation:
         return Permutation(self.n, tuple(inv))
 
     def one_line(self):
-        """One-line string: bare digits up to n = 9, comma-separated beyond."""
-        if self.n <= 9:
-            return "".join(str(v) for v in self.sigma)
-        return ",".join(str(v) for v in self.sigma)
+        return _one_line_text(self.sigma)
 
     @classmethod
     def from_one_line(cls, text):
@@ -375,7 +314,7 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(_Value):
     """A plane partition completed to a square array with zeros.
 
     For TSSCPP use the side is ``2n`` and entries are at most ``2n``; the
@@ -384,15 +323,6 @@ class PlanePartition:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        _check_order(self.n, "plane partition")
-        rows = _as_rows(self.rows, "plane partition")
-        object.__setattr__(self, "rows", rows)
-        side = 2 * self.n
-        if len(rows) != side or any(len(row) != side for row in rows):
-            raise ShapeError(f"plane partition: expected a {side}x{side} array")
-        _check(PlanePartition, self.n, chain.from_iterable(rows))
 
     @property
     def side(self):
@@ -407,7 +337,7 @@ class PlanePartition:
 
 
 @dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(_Value):
     """Triangular corner of a TSSCPP array: entries t[i][j] for
     n+1 <= i <= j <= 2n, stored as rows[i'][c] = t[n+1+i'][n+1+i'+c]
     (0-based ``i'``).  Construction checks weak decrease and nonnegativity;
@@ -417,15 +347,6 @@ class FundamentalDomain:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        _check_order(self.n, "fundamental domain")
-        rows = _as_rows(self.rows, "fundamental domain")
-        object.__setattr__(self, "rows", rows)
-        n = self.n
-        if len(rows) != n or any(len(row) != n - i for i, row in enumerate(rows)):
-            raise ShapeError(f"fundamental domain: expected rows of lengths {n}..1")
-        _check(FundamentalDomain, n, chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -469,8 +390,8 @@ class _Table:
     """One family's rules at order n, sorted by key into the constraint
     arrays ``a``, ``b`` and ``bound``."""
 
-    def __init__(self, what, n, nodes, derive, rules):
-        self.what, self.n, self.derive, self._rules, columns = what, n, derive, [], []
+    def __init__(self, n, nodes, derive, rules):
+        self.n, self.derive, self._rules, columns = n, derive, [], []
         for error, template, key, a, b, bound, shown, fields in rules:
             a, b, bound, *rest = np.broadcast_arrays(a, b, bound, *key, *shown, *fields.values())
             self._rules.append((error, template, rest[4 : 4 + len(shown)], dict(zip(fields, rest[4 + len(shown) :]))))
@@ -505,10 +426,11 @@ class _Table:
         i, j, bound = self._pairs
         return ((x < self._low) | (x > self._high)).any(axis=axis) | (x[:, i] - x[:, j] > bound).any(axis=axis)
 
-    def first(self, entries):
+    def first(self, entries, what):
         """The error of the first constraint, by key, that one value's
-        entries violate, or None.  Entries beyond 2**31 are compared as
-        Python integers, so the answer is exact for entries of any size."""
+        entries violate, or None; ``what`` names the family in its message.
+        Entries beyond 2**31 are compared as Python integers, so the answer
+        is exact for entries of any size."""
         dtype = object if entries and not -(2**31) < min(entries) <= max(entries) < 2**31 else np.int64
         if self.derive is None:
             x = np.array(entries + [0], dtype=dtype)
@@ -520,7 +442,7 @@ class _Table:
         error, template, shown, fields = self._rules[self._rule[violated[0]]]
         place = self._place[violated[0]]
         fields = {name: int(field[place]) for name, field in fields.items()}
-        message = template.format(*(x[node[place]] for node in shown), what=self.what, n=self.n, **fields)
+        message = template.format(*(x[node[place]] for node in shown), what=what, n=self.n, **fields)
         return error(message, **{name: fields[name] for name in ("row", "col", "j", "i_prime") if name in fields})
 
 
@@ -577,7 +499,7 @@ def _interlacing_table(magog, n):
             *_rule(InterlaceError, between, a=above, b=left, low=0, shown=shown, **under),
             *_rule(InterlaceError, between, a=left + 1, b=above, low=0, shown=shown, **under),
         ]
-    return _Table("magog triangle" if magog else "monotone triangle", n, len(p), None, [
+    return _Table(n, len(p), None, [
         *_rule(BottomRowError, "{what}: bottom row must be 1..{n}", (0, 0, 0, 0), bottom,
                low=c[bottom] + 1, high=c[bottom] + 1, row=n),
         *_rule(EntryError, entry + " outside 1..{n}", a=p, low=1, high=n, shown=(p,), **_at(r, c, 0, stage=1)),
@@ -604,7 +526,7 @@ def _boolean_table(n):
     p, q = np.arange(len(r)), n - 1 - r + c
     s = p[q >= 2]
     sums = len(p) + r[s] * n + q[s]  # the node of S[r, q]
-    return _Table("boolean triangle", n, len(p) + (n - 1) * n, _diagonal_sums, [
+    return _Table(n, len(p) + (n - 1) * n, _diagonal_sums, [
         *_rule(EntryError, "{what}: entry {0} at ({row},{col}) not 0/1", a=p, low=0, high=1, shown=(p,),
                **_at(r, c, 0)),
         *_rule(PartialSumError, "{what}: partial sums of diagonals {left},{right} cross at depth {row}", a=sums,
@@ -630,7 +552,7 @@ def _asm_table(n):
     r, c = p // n, p % n
     rows, cols = n * n + p, 2 * n * n + p  # the nodes of the prefix sums
     last_row, last_col = rows[c == n - 1], cols[r == n - 1]
-    return _Table("asm", n, 3 * n * n, _prefix_sums, [
+    return _Table(n, 3 * n * n, _prefix_sums, [
         *_rule(EntryError, "{what}: entry {0} at ({row},{col}) not in -1/0/1", a=p, low=-1, high=1, shown=(p,),
                **_at(r, c, 0)),
         *_rule(AlternationError, "{what}: row {row} prefix sum {0} at column {col}", a=rows, low=0, high=1,
@@ -651,7 +573,7 @@ def _plane_partition_table(n):
     side, p = 2 * n, np.arange(4 * n * n)
     r, c = p // side, p % side
     right, down = p[c < side - 1], p[r < side - 1]
-    return _Table("plane partition", n, side * side, None, [
+    return _Table(n, side * side, None, [
         *_rule(EntryError, "{what}: entry {0} at ({row},{col}) outside 0..{side}", a=p, low=0, high=side, shown=(p,),
                side=side, **_at(r, c, 0)),
         *_rule(MonotonicityError, "{what}: row {row} increases at column {col}", a=right + 1, b=right, high=0,
@@ -669,7 +591,7 @@ def _domain_table(n):
     i, c = _domain_cells(n)
     p = np.arange(len(i))
     right, under = p[c < n - 1 - i], p[c >= 1]
-    return _Table("fundamental domain", n, len(p), None, [
+    return _Table(n, len(p), None, [
         *_rule(EntryError, "{what}: negative entry at ({row},{col})", a=p, low=0, **_at(i, c, 0)),
         *_rule(MonotonicityError, "{what}: row {row} increases at position {col}", a=right + 1, b=right, high=0,
                **_at(i[right], c[right], 1, across=1)),
@@ -681,14 +603,13 @@ def _domain_table(n):
 @lru_cache(maxsize=None)
 def _permutation_table(n):
     """A permutation's one check: sorted, its values are 1..n."""
-    values = np.arange(1, n + 1)
 
     def violated(a, axis=None):
-        return (np.sort(a, axis=1) != values).any(axis=axis)
+        return (np.sort(a, axis=1) != np.arange(1, n + 1)).any(axis=axis)
 
-    def first(entries):
-        bad = not -(2**31) < min(entries) <= max(entries) < 2**31 or violated(np.array([entries]))
-        return ValidationError(f"permutation: {tuple(entries)} is not a bijection on 1..{n}") if bad else None
+    def first(entries, what):
+        bad = len(entries) != n or sorted(entries) != list(range(1, n + 1))
+        return ValidationError(f"{what}: {tuple(entries)} is not a bijection on 1..{n}") if bad else None
 
     return SimpleNamespace(violated=violated, first=first)
 
@@ -725,7 +646,7 @@ def _nest_table(n):
         codes = np.sort(_nest_codes(n, a), axis=1)
         return ((a < 0) | (a > 1)).any(axis=axis) | (codes[:, 1:] == codes[:, :-1]).any(axis=axis)
 
-    def first(entries):
+    def first(entries, what):
         codes = _nest_codes(n, np.array([entries]))[0]
         ordered = np.sort(codes)
         if not (ordered[1:] == ordered[:-1]).any():
@@ -734,146 +655,174 @@ def _nest_table(n):
         k = (seen[inverse] != np.arange(len(codes))).argmax()
         path = _nest_points(n)[0]
         point = divmod(int(codes[k]), n)
-        return IntersectionError(f"nest: paths {path[seen[inverse[k]]]} and {path[k]} share the point {point}")
+        return IntersectionError(f"{what}: paths {path[seen[inverse[k]]]} and {path[k]} share the point {point}")
 
     return SimpleNamespace(violated=violated, first=first)
 
 
-# class -> (row lengths at order n, or None for a flat value of n entries;
-# entry type; the rules at order n).  Every value is a tuple, and so is every
-# row.
-_BATCH = {
-    MonotoneTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_table, False)),
-    MagogTriangle: (lambda n: range(1, n + 1), int, partial(_interlacing_table, True)),
-    BooleanTriangle: (lambda n: range(1, n), int, _boolean_table),
-    Asm: (lambda n: [n] * n, int, _asm_table),
-    Permutation: (None, int, _permutation_table),
-    NilpNest: (lambda n: range(1, n), str, _nest_table),
-    PlanePartition: (lambda n: [2 * n] * (2 * n), int, _plane_partition_table),
-    FundamentalDomain: (lambda n: range(n, 0, -1), int, _domain_table),
+# -- the families ------------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    """Everything one value class declares.  A value is a tuple of rows,
+    each a tuple of entries, or (``count`` None) one flat tuple of n
+    entries, whose length is one of its rules."""
+
+    what: str  # the name in messages
+    kind: str  # the JSON kind
+    field: str  # the attribute, and JSON field, holding the value
+    count: Callable | None  # n -> the row count
+    length: Callable | None  # (n, r) -> the length of row r (0-based)
+    entry: type | tuple  # int, or the step letters (letter i is entry i in an entry array)
+    rules: Callable  # n -> the rule table
+    shape: tuple | None  # the templates of a wrong row count and of a wrong row length
+
+
+_ROWS = ("{what}: expected {rows} rows, got {got}", "{what}: row {row} has {got} entries, expected {expected}")
+_PATHS = ("{what}: expected {rows} paths, got {got}", "{what}: path {path} has {got} steps, expected {expected}")
+
+
+_FAMILIES = {
+    MonotoneTriangle: _Family("monotone triangle", "monotone_triangle", "rows", lambda n: n, lambda n, r: r + 1, int,
+                              partial(_interlacing_table, False), _ROWS),
+    MagogTriangle: _Family("magog triangle", "magog_triangle", "rows", lambda n: n, lambda n, r: r + 1, int,
+                           partial(_interlacing_table, True), _ROWS),
+    BooleanTriangle: _Family("boolean triangle", "boolean_triangle", "rows", lambda n: n - 1, lambda n, r: r + 1, int,
+                             _boolean_table, _ROWS),
+    Asm: _Family("asm", "asm", "rows", lambda n: n, lambda n, r: n, int, _asm_table,
+                 ("{what}: expected a {rows}x{rows} matrix",) * 2),
+    Permutation: _Family("permutation", "permutation", "sigma", None, None, int, _permutation_table, None),
+    NilpNest: _Family("nest", "nilp_nest", "paths", lambda n: n - 1, lambda n, r: r + 1, ("V", "D"), _nest_table,
+                      _PATHS),
+    PlanePartition: _Family("plane partition", "plane_partition", "rows", lambda n: 2 * n, lambda n, r: 2 * n, int,
+                            _plane_partition_table, ("{what}: expected a {rows}x{rows} array",) * 2),
+    FundamentalDomain: _Family("fundamental domain", "fundamental_domain", "rows", lambda n: n, lambda n, r: n - r,
+                               int, _domain_table, ("{what}: expected rows of lengths {n}..1",) * 2),
 }
+# class -> (JSON kind, JSON field), and kind -> class
+SCHEMA = {cls: (family.kind, family.field) for cls, family in _FAMILIES.items()}
+KIND_CLASSES = {family.kind: cls for cls, family in _FAMILIES.items()}
+
+
+def _normalised(family, rows):
+    """``rows`` with every integer entry an ``int``, and its entries; the
+    first entry of the wrong type, row-major, raises EntryError."""
+    flat, what = family.count is None, family.what
+    for r, row in enumerate([rows] if flat else rows):
+        for c, entry in enumerate(row):
+            if family.entry is not int and entry not in family.entry:
+                raise EntryError(f"{what}: path {r + 1} has step {entry!r}, expected {'/'.join(map(repr, family.entry))}")
+            if family.entry is int and not _is_int(entry):
+                at, place = (f"value at position {c + 1}", None) if flat else (f"entry at ({r + 1},{c + 1})", r + 1)
+                raise EntryError(f"{what}: {at} is not an integer", row=place, col=c + 1)
+    if family.entry is int:
+        rows = tuple(map(int, rows)) if flat else tuple(tuple(map(int, row)) for row in rows)
+    return rows, list(rows) if flat else list(chain.from_iterable(rows))
+
+
+@lru_cache(maxsize=None)
+def _row_lengths(cls, n):
+    """The row lengths of a value of order n; a flat value is one row."""
+    family = _FAMILIES[cls]
+    return (n,) if family.count is None else tuple(family.length(n, r) for r in range(family.count(n)))
+
+
+def _check_shape(cls, n, rows):
+    """Raise ShapeError on a wrong row count or row length; the error
+    reports ``row`` when its message names one."""
+    family = _FAMILIES[cls]
+    count = family.count(n)
+    if len(rows) == count and tuple(map(len, rows)) == _row_lengths(cls, n):
+        return
+    if len(rows) != count:
+        template, values = family.shape[0], dict(got=len(rows))
+    else:
+        r = next(r for r, (row, length) in enumerate(zip(rows, _row_lengths(cls, n))) if len(row) != length)
+        template, values = family.shape[1], dict(row=r + 1, path=r + 1, got=len(rows[r]), expected=family.length(n, r))
+    message = template.format(what=family.what, n=n, rows=count, **values)
+    raise ShapeError(message, row=values["row"] if "{row}" in template else None)
 
 
 def _check(cls, n, entries):
     """Raise what the first violated rule of ``cls`` at order ``n`` reports
     on one value's entries, row-major (nests: 1 for a "D" step)."""
-    error = _BATCH[cls][2](n).first(list(entries))
+    family = _FAMILIES[cls]
+    error = family.rules(n).first(entries, family.what)
     if error is not None:
         raise error
 
 
-# A nest step in an entry array: 1 is a "D" step, 0 a "V" step.
-_STEP = {0: "V", 1: "D"}
-_STEP_TEXT = ('"V"', '"D"')
-
-
-def _width(row_lengths, n):
-    return n if row_lengths is None else sum(row_lengths(n))
-
-
-def _flat_entries(chunk, n, row_lengths):
-    """Entries of the chunk, row-major, or None when its shape is off."""
-    if not set(map(type, chunk)) <= {tuple}:
-        return None
-    if row_lengths is None:
-        if set(map(len, chunk)) - {n}:
-            return None
-        return list(chain.from_iterable(chunk))
-    lengths = list(row_lengths(n))
-    if set(map(len, chunk)) - {len(lengths)}:
-        return None
-    rows = list(chain.from_iterable(chunk))
-    if not set(map(type, rows)) <= {tuple} or list(map(len, rows)) != lengths * len(chunk):
-        return None
-    return list(chain.from_iterable(rows))
-
-
 def _array_values(cls, n, a):
     """The values of an entry array, one row per value, as nested tuples:
-    tuples of row tuples (``Permutation``: flat tuples) of Python scalars.
-    Equal rows within the chunk are one tuple object.  An array that is not
-    one row of the value's width per value raises ShapeError."""
-    row_lengths = _BATCH[cls][0]
-    width = _width(row_lengths, n)
+    tuples of row tuples (a flat value: one tuple) of Python scalars, step
+    letters for the entries that name one.  Equal rows within the chunk are
+    one tuple object.  An array that is not one row of the value's width per
+    value raises ShapeError."""
+    family = _FAMILIES[cls]
+    width = sum(_row_lengths(cls, n))
     if a.shape[1:] != (width,):
         raise ShapeError(f"{cls.__name__}: expected values of {width} entries, got shape {a.shape}")
-    if row_lengths is None:
+    if family.count is None:
         return list(map(tuple, a.tolist()))
-    bounds = np.cumsum([0, *row_lengths(n)])
+    bounds = np.cumsum([0, *_row_lengths(cls, n)])
     columns = []
     for start, stop in zip(bounds, bounds[1:]):
         rows = list(map(tuple, a[:, start:stop].tolist()))
         shared = dict(zip(rows, rows))
-        if cls is NilpNest:  # steps "V"/"D"; other entries are the constructor's to refuse
-            shared = {row: tuple(_STEP.get(e, e) for e in row) for row in shared}
+        if family.entry is not int:  # other entries are the constructor's to refuse
+            letter = dict(enumerate(family.entry))
+            shared = {row: tuple(letter.get(e, e) for e in row) for row in shared}
         columns.append(list(map(shared.__getitem__, rows)))
     # A value with no rows (a boolean triangle of order 1) is ().
     return list(zip(*columns)) or [()] * len(a)
 
 
-def _entry_array(cls, n, chunk):
-    """The entries of a chunk in a form :func:`validate_batch` takes, as an
-    integer array (an array chunk itself), or None."""
-    row_lengths, entry_type, _ = _BATCH[cls]
-    if n < 1:
-        return None
-    if isinstance(chunk, np.ndarray):
-        fits = chunk.dtype.kind in "iu" and np.can_cast(chunk.dtype, np.int64)
-        return chunk if fits and chunk.shape[1:] == (_width(row_lengths, n),) else None
-    entries = _flat_entries(chunk, n, row_lengths)
-    if entries is None or not set(map(type, entries)) <= {entry_type}:
-        return None
-    if entry_type is str:
-        if not set(entries) <= {"V", "D"}:
-            return None
-        entries = list(map("D".__eq__, entries))
-    try:
-        return np.array(entries, dtype=np.int64).reshape(len(chunk), len(entries) // len(chunk) if chunk else 0)
-    except OverflowError:
-        return None
+def _entry_array(cls, n, a):
+    """``a`` when the rule tables can read it: an integer dtype that
+    converts to int64 exactly, one row of the value's width per value, and
+    an order of at least 1; otherwise None.  Anything but an array raises
+    TypeError."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"expected an entry array, got {type(a).__name__}")
+    fits = a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)
+    return a if n >= 1 and fits and a.shape[1:] == (sum(_row_lengths(cls, n)),) else None
 
 
-def validate_batch(cls, n, chunk):
-    """Check a chunk of raw values for ``cls`` of order ``n`` all at once.
+def validate_batch(cls, n, a):
+    """Check an entry array of values for ``cls`` of order ``n`` all at once.
 
-    ``chunk`` is a list of values for the constructor's second argument, in
-    the form the constructor takes them: tuples of ``int`` tuples
-    (``Permutation``: ``int`` tuples; ``NilpNest``: tuples of ``"V"``/``"D"``
-    tuples), or an integer array with one row per value holding its entries
-    row-major (``NilpNest``: 1 for a "D" step, 0 for a "V" step).  Returns
-    the entries as an int64 array, one row per value, when no value breaks
-    a rule of the family's table; otherwise None, and the constructor must
-    decide.  Other forms the constructor accepts, such as lists or numpy
-    integers in tuples, are refused too, and so are arrays of another dtype
-    or width.
+    ``a`` holds one row per value, its entries row-major (``NilpNest``: 1
+    for a "D" step, 0 for a "V" step).  Returns the entries as an int64
+    array when no value breaks a rule of the family's table; otherwise
+    None, and the constructor must decide.  An array of another dtype or
+    width is refused too.
     """
-    a = _entry_array(cls, n, chunk)
-    return a.astype(np.int64) if a is not None and not _BATCH[cls][2](n).violated(a) else None
+    a = _entry_array(cls, n, a)
+    return a.astype(np.int64) if a is not None and not _FAMILIES[cls].rules(n).violated(a) else None
 
 
-def build_batch(cls, n, chunk):
-    """``[cls(n, value) for value in chunk]``.  A chunk in a form
-    :func:`validate_batch` takes is checked at once: if every value passes,
-    the objects are built without checking each one again; otherwise the
-    first bad value goes to the constructor, which raises its first
-    violation.  Values in another form go through the constructor, which
-    normalises them.  The values of an array chunk are given to ``cls`` as
-    nested tuples."""
-    a = _entry_array(cls, n, chunk)
-    if isinstance(chunk, np.ndarray):
-        chunk = _array_values(cls, n, chunk)
-    if a is None:
-        return [cls(n, value) for value in chunk]
-    if _BATCH[cls][2](n).violated(a):
-        cls(n, chunk[_BATCH[cls][2](n).violated(a, axis=1).argmax()])
-    name = fields(cls)[1].name
+def build_batch(cls, n, a):
+    """``[cls(n, value) for value in a]`` for an entry array ``a``, the
+    values given to ``cls`` as nested tuples.  An array :func:`validate_batch`
+    reads is checked at once: if every value passes, the objects are built
+    without checking each one again; otherwise the first bad value goes to
+    the constructor, which raises its first violation.  Any other array goes
+    through the constructor value by value."""
+    ok = _entry_array(cls, n, a)
+    values = _array_values(cls, n, a)
+    if ok is None:
+        return [cls(n, value) for value in values]
+    table = _FAMILIES[cls].rules(n)
+    if table.violated(a):
+        cls(n, values[table.violated(a, axis=1).argmax()])
+    field = _FAMILIES[cls].field
     new = object.__new__
     objects = []
-    for value in chunk:
+    for value in values:
         obj = new(cls)
         attributes = obj.__dict__
         attributes["n"] = n
-        attributes[name] = value
+        attributes[field] = value
         objects.append(obj)
     return objects
 
@@ -887,22 +836,20 @@ def _row_texts(cls, block):
     narrow = np.ascontiguousarray(block, dtype=np.int8 if fits else np.int64)
     keys = narrow.view(np.dtype((np.void, narrow.itemsize * narrow.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    word = _STEP_TEXT.__getitem__ if cls is NilpNest else str
+    entry = _FAMILIES[cls].entry
+    word = str if entry is int else list(map(json.dumps, entry)).__getitem__
     return ["[" + ",".join(map(word, row)) + "]" for row in block[first].tolist()], inverse
 
 
 def format_batch(cls, n, a):
     """``"".join(to_json(obj) + "\\n" for obj in build_batch(cls, n, a))`` for
-    an entry array ``a`` that :func:`validate_batch` passes (``NilpNest``: 1
-    for a "D" step, 0 for a "V" step), built from the entries alone: no
-    object, no dict and no ``json.dumps``."""
+    an entry array ``a`` that :func:`validate_batch` passes, built from the
+    entries alone: no object, no dict and no ``json.dumps``."""
     kind, field = SCHEMA[cls]
-    row_lengths = _BATCH[cls][0]
+    bounds = np.cumsum([0, *_row_lengths(cls, n)])
     head = f'{{"kind":"{kind}","n":{n},"{field}":'
-    if row_lengths is None:  # a flat value: one row, no outer brackets
-        bounds, head, tail = [0, n], head, "}\n"
-    else:
-        bounds, head, tail = np.cumsum([0, *row_lengths(n)]), head + "[", "]}\n"
+    # A flat value is one row, with no outer brackets.
+    head, tail = (head, "}\n") if _FAMILIES[cls].count is None else (head + "[", "]}\n")
     if len(bounds) == 1:  # no rows (a boolean triangle of order 1)
         return (head + tail) * len(a)
     columns = []
@@ -914,29 +861,26 @@ def format_batch(cls, n, a):
     return "".join(chain.from_iterable(zip(*columns)))
 
 
-def validate_monotone(raw):
-    rows = _as_rows(raw, "monotone triangle")
-    return MonotoneTriangle(len(rows), rows)
+def _counting(cls, extra=0):
+    """``cls`` of the order its rows give, their count plus ``extra``, or
+    (boolean, nest) of a given order ``n``.  The constructor checks the rest,
+    and refuses a value that is no sequence (counted as one row)."""
+
+    def validate(raw, n=None):
+        try:
+            raw = tuple(raw)
+        except TypeError:
+            return cls(1 if n is None else n, raw)
+        return cls(len(raw) + extra if n is None else n, raw)
+
+    return validate if extra else lambda raw: validate(raw)
 
 
-def validate_magog(raw):
-    rows = _as_rows(raw, "magog triangle")
-    return MagogTriangle(len(rows), rows)
-
-
-def validate_boolean(raw, n=None):
-    rows = _as_rows(raw, "boolean triangle")
-    return BooleanTriangle(len(rows) + 1 if n is None else n, rows)
-
-
-def validate_nilp(paths, n=None):
-    paths = tuple(tuple(p) for p in paths)
-    return NilpNest(len(paths) + 1 if n is None else n, paths)
-
-
-def validate_asm(raw):
-    rows = _as_rows(raw, "asm")
-    return Asm(len(rows), rows)
+validate_monotone = _counting(MonotoneTriangle)
+validate_magog = _counting(MagogTriangle)
+validate_boolean = _counting(BooleanTriangle, 1)
+validate_nilp = _counting(NilpNest, 1)
+validate_asm = _counting(Asm)
 
 
 def validate_tsscpp(p: PlanePartition):
@@ -1051,12 +995,18 @@ def tsscpps_to_domains(n, a):
 
 
 def entry_row(obj):
-    """The entries of a valid object as a one-row int64 entry array; only a
-    domain can hold entries beyond int64, and it is no TSSCPP's."""
-    a = validate_batch(type(obj), obj.n, [getattr(obj, fields(obj)[1].name)])
-    if a is None:
-        raise _inconsistent(obj.n)
-    return a
+    """The entries of a valid object as a one-row int64 entry array (nests:
+    1 for a "D" step); only a domain can hold entries beyond int64, and it
+    is no TSSCPP's."""
+    family = _FAMILIES[type(obj)]
+    value = getattr(obj, family.field)
+    entries = value if family.count is None else list(chain.from_iterable(value))
+    if family.entry is not int:
+        entries = list(map(family.entry.index, entries))
+    try:
+        return np.array(entries, dtype=np.int64).reshape(1, -1)
+    except OverflowError:
+        raise _inconsistent(obj.n) from None
 
 
 def fundamental_domain(p: PlanePartition):
@@ -1069,28 +1019,13 @@ def expand_fundamental(d: FundamentalDomain):
     return build_batch(PlanePartition, d.n, domains_to_tsscpps(d.n, entry_row(d)).reshape(1, -1))[0]
 
 
-# kind -> (class, the JSON field holding the constructor's second argument)
-_KINDS = {
-    "monotone_triangle": (MonotoneTriangle, "rows"),
-    "magog_triangle": (MagogTriangle, "rows"),
-    "boolean_triangle": (BooleanTriangle, "rows"),
-    "asm": (Asm, "rows"),
-    "permutation": (Permutation, "sigma"),
-    "nilp_nest": (NilpNest, "paths"),
-    "plane_partition": (PlanePartition, "rows"),
-    "fundamental_domain": (FundamentalDomain, "rows"),
-}
-# class -> (kind, JSON field)
-SCHEMA = {cls: (kind, field) for kind, (cls, field) in _KINDS.items()}
-
-
 def to_json_dict(obj):
     """The JSON object of a value: its kind, its order and its ``SCHEMA``
     field; a permutation's ``sigma`` is flat, every other field is a list
     of rows."""
     kind, field = SCHEMA[type(obj)]
     value = getattr(obj, field)
-    entries = list(value) if field == "sigma" else [list(row) for row in value]
+    entries = list(value) if _FAMILIES[type(obj)].count is None else [list(row) for row in value]
     return {"kind": kind, "n": obj.n, field: entries}
 
 
@@ -1099,9 +1034,9 @@ def from_json_dict(data):
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ShapeError("object JSON must carry a 'kind' field")
-    if not isinstance(kind, str) or kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in KIND_CLASSES:
         raise ShapeError(f"unknown object kind {kind!r}")
-    cls, field = _KINDS[kind]
+    cls, field = KIND_CLASSES[kind], SCHEMA[KIND_CLASSES[kind]][1]
     for name in ("n", field):
         if name not in data:
             raise ShapeError(f"{kind} JSON is missing the field {name!r}")

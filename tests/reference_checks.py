@@ -3,10 +3,14 @@ made before every family's rules became one table, kept as the test oracle.
 
 Each function is one constructor's checks on a raw value, in the order the
 constructor makes them: the input normalisation the constructor still makes
-(order, integer entries, shape, step letters), then the entry-by-entry scan
-that raises the first violated inequality.  :func:`first_violation` returns
-that error, or None when the value is valid.
+(order, integer entries or step letters, shape), then the entry-by-entry
+scan that raises the first violated inequality.  The normalisation is
+written out here too, so that no check is read from the code under test.
+:func:`first_violation` returns that error, or None when the value is
+valid.
 """
+
+import numpy as np
 
 from gogmagog.triangles import (
     AlternationError,
@@ -29,11 +33,37 @@ from gogmagog.triangles import (
     RowSumError,
     ShapeError,
     ValidationError,
-    _as_rows,
-    _check_order,
-    _check_triangular,
-    _is_int,
 )
+
+
+def _is_int(entry):
+    return isinstance(entry, (int, np.integer)) and not isinstance(entry, bool)
+
+
+def _check_order(n, what):
+    if not _is_int(n) or n < 1:
+        raise ShapeError(f"{what}: order must be an integer >= 1, got {n!r}")
+
+
+def _as_rows(raw, what):
+    """Normalize a nested sequence to a tuple of int tuples."""
+    try:
+        rows = tuple(map(tuple, raw))
+    except TypeError:
+        raise ShapeError(f"{what}: expected a sequence of rows")
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            if not _is_int(entry):
+                raise EntryError(f"{what}: entry at ({r + 1},{c + 1}) is not an integer", row=r + 1, col=c + 1)
+    return tuple(tuple(int(entry) for entry in row) for row in rows)
+
+
+def _check_triangular(rows, n, what):
+    if len(rows) != n:
+        raise ShapeError(f"{what}: expected {n} rows, got {len(rows)}")
+    for r, row in enumerate(rows):
+        if len(row) != r + 1:
+            raise ShapeError(f"{what}: row {r + 1} has {len(row)} entries, expected {r + 1}", row=r + 1)
 
 
 def monotone(n, raw):
@@ -164,14 +194,15 @@ def nest(n, raw):
         paths = tuple(tuple(step for step in path) for path in raw)
     except TypeError:
         raise ShapeError("nest: expected a sequence of step sequences")
+    for i, path in enumerate(paths, start=1):
+        for step in path:
+            if step not in ("V", "D"):
+                raise EntryError(f"nest: path {i} has step {step!r}, expected 'V'/'D'")
     if len(paths) != n - 1:
         raise ShapeError(f"nest: expected {n - 1} paths, got {len(paths)}")
     for i, path in enumerate(paths, start=1):
         if len(path) != i:
             raise ShapeError(f"nest: path {i} has {len(path)} steps, expected {i}")
-        for step in path:
-            if step not in ("V", "D"):
-                raise EntryError(f"nest: path {i} has step {step!r}, expected 'V'/'D'")
     seen = {}
     for i, path in enumerate(paths, start=1):
         for point in _points(paths, i):

@@ -35,6 +35,7 @@ from gogmagog.triangles import (
     ShapeError,
     ValidationError,
     build_batch,
+    entry_row,
     expand_domains,
     fundamental_domain,
     to_json,
@@ -109,16 +110,22 @@ def _mutations(raw, n):
                 yield raw[:r] + (row[:c] + (new,) + row[c + 1 :],) + raw[r + 1 :]
 
 
-def _int8_chunk(values):
-    """The values as an int8 entry array, one row per value, row-major; None
-    when an entry is not a plain int (a bool, a float or a step letter)."""
-    entries = [
-        list(value) if value and not isinstance(value[0], tuple) else [e for row in value for e in row]
-        for value in values
-    ]
-    if any(type(entry) is not int for row in entries for entry in row):
+def _entry_chunk(cls, values, dtype=np.int8):
+    """The values as an entry array, one row per value, row-major (nests: 1
+    for a "D" step, 0 for a "V" step); None when an entry has no place in
+    one (a bool, a float, or in a nest anything but a step letter).  With
+    ``dtype`` None: int64, or object when an entry is beyond int64."""
+    entries = [list(value) if cls is Permutation else [e for row in value for e in row] for value in values]
+    if cls is NilpNest:
+        if any(type(entry) is not str or entry not in ("V", "D") for row in entries for entry in row):
+            return None
+        entries = [[int(entry == "D") for entry in row] for row in entries]
+    elif any(type(entry) is not int for row in entries for entry in row):
         return None
-    return np.array(entries, dtype=np.int8).reshape(len(values), -1)
+    if dtype is None:
+        fits = all(-(2**63) <= entry < 2**63 for row in entries for entry in row)
+        dtype = np.int64 if fits else object
+    return np.array(entries, dtype=dtype).reshape(len(values), -1)
 
 
 def _report(error):
@@ -172,25 +179,22 @@ def test_batch_check_rejects_exactly_what_the_constructor_rejects(cls, family, n
         for raw in _mutations(_raw(obj), n):
             error = reference_checks.first_violation(cls, n, raw)
             _assert_constructor_agrees(cls, n, raw, error)
-            assert (validate_batch(cls, n, [raw]) is None) == (error is not None), raw
             # The same value as an int8 entry array, the search's form.
-            array = _int8_chunk([raw])
-            if array is not None:
-                arrays += 1
-                assert (validate_batch(cls, n, array) is None) == (error is not None), raw
+            array = _entry_chunk(cls, [raw])
+            if array is None:
+                continue
+            arrays += 1
+            assert (validate_batch(cls, n, array) is None) == (error is not None), raw
             if error is None:
                 continue
             rejected += 1
             # In a chunk with valid values the whole chunk is refused, and
             # building it raises the constructor's exception.
-            chunks = [valid + [raw]]
-            if array is not None:
-                chunks.append(_int8_chunk(valid + [raw]))
-            for chunk in chunks:
-                assert validate_batch(cls, n, chunk) is None
-                _assert_refused_like(cls, n, chunk, error)
+            chunk = _entry_chunk(cls, valid + [raw])
+            assert validate_batch(cls, n, chunk) is None
+            _assert_refused_like(cls, n, chunk, error)
     assert rejected > 0
-    assert arrays > 0 or cls is NilpNest
+    assert arrays > 0
 
 
 def test_asm_batch_check_on_matrices_of_valid_rows():
@@ -203,7 +207,7 @@ def test_asm_batch_check_on_matrices_of_valid_rows():
     for _ in range(3000):
         raw = tuple(rng.choice(rows) for _ in range(n))
         error = reference_checks.first_violation(Asm, n, raw)
-        assert (validate_batch(Asm, n, [raw]) is None) == (error is not None), raw
+        assert (validate_batch(Asm, n, _entry_chunk(Asm, [raw])) is None) == (error is not None), raw
         verdicts.add(type(error))
     assert verdicts >= {type(None), AlternationError}
 
@@ -235,20 +239,12 @@ def test_batch_expansion_rejects_exactly_the_inconsistent_domains():
     assert consistent and inconsistent
 
 
-def test_batch_check_refuses_other_representations():
-    """Lists, bools and numpy integers are the constructor's to normalise or
-    reject; the batch check passes only tuples of plain ints."""
-    import numpy as np
-
-    rows = ((1,), (1, 0))
-    assert validate_batch(BooleanTriangle, 3, [rows]) is not None
-    assert validate_batch(BooleanTriangle, 3, [[[1], [1, 0]]]) is None
-    assert validate_batch(BooleanTriangle, 3, [((np.int64(1),), (1, 0))]) is None
-    assert validate_batch(BooleanTriangle, 3, [((True,), (1, 0))]) is None
-    assert build_batch(BooleanTriangle, 3, [[[1], [1, 0]]]) == [BooleanTriangle(3, rows)]
-    assert validate_batch(Permutation, 3, [(1, 2, 3)]) is not None
-    assert validate_batch(Permutation, 3, [(1, 2, 2)]) is None
-    assert validate_batch(Permutation, 3, [(1, 2)]) is None
+def test_batch_functions_take_entry_arrays_only():
+    """Values in any other form are the constructor's to normalise or
+    reject, one at a time."""
+    for batch in (validate_batch, build_batch):
+        with pytest.raises(TypeError, match="^expected an entry array, got list$"):
+            batch(BooleanTriangle, 3, [((1,), (1, 0))])
 
 
 def test_batch_check_takes_integer_arrays_of_the_expected_width_only():
@@ -285,7 +281,7 @@ def test_batch_check_takes_integer_arrays_of_the_expected_width_only():
     # A nest array holds 1 for a "D" step and 0 for a "V" step.
     nest = NilpNest(3, (("V",), ("D", "V")))
     array = np.array([[0, 1, 0]], dtype=np.int8)
-    assert validate_batch(NilpNest, 3, array).tolist() == validate_batch(NilpNest, 3, [nest.paths]).tolist()
+    assert validate_batch(NilpNest, 3, array).tolist() == entry_row(nest).tolist()
     assert build_batch(NilpNest, 3, array) == [nest]
     for array in (np.array([[0, 2, 0]], dtype=np.int8), np.array([[0, 1]], dtype=np.int8)):
         assert validate_batch(NilpNest, 3, array) is None, array
@@ -330,7 +326,7 @@ def test_several_violations_report_the_first_in_scan_order(cls, n, raw):
     error = reference_checks.first_violation(cls, n, raw)
     assert error is not None
     _assert_constructor_agrees(cls, n, raw, error)
-    _assert_refused_like(cls, n, [raw], error)
+    _assert_refused_like(cls, n, _entry_chunk(cls, [raw], dtype=None), error)
 
 
 def _mutated(rng, raw, n, count):
@@ -348,8 +344,8 @@ def _mutated(rng, raw, n, count):
 @pytest.mark.parametrize("cls,family,n", SAMPLED, ids=lambda v: getattr(v, "__name__", str(v)))
 def test_first_violation_of_several_mutations_and_of_a_later_bad_row(cls, family, n):
     """Values with two or three mutated entries: the constructor reports the
-    scan's first violation, and so does building a chunk (tuples, and int8
-    entries) in which the value is the first bad one but not the first."""
+    scan's first violation, and so does building an int8 entry array in
+    which the value is the first bad one but not the first."""
     rng = random.Random(1991)
     objects = list(generate(family, n))
     if cls is FundamentalDomain:
@@ -364,10 +360,7 @@ def test_first_violation_of_several_mutations_and_of_a_later_bad_row(cls, family
             continue
         refused += 1
         later = _mutated(rng, rng.choice(valid), n, 1)
-        chunk = rng.sample(valid, 3) + [raw] + rng.sample(valid, 2) + [later]
-        _assert_refused_like(cls, n, chunk, error)
-        array = _int8_chunk(chunk)
-        if array is not None:
-            assert validate_batch(cls, n, array) is None
-            _assert_refused_like(cls, n, array, error)
+        array = _entry_chunk(cls, rng.sample(valid, 3) + [raw] + rng.sample(valid, 2) + [later])
+        assert validate_batch(cls, n, array) is None
+        _assert_refused_like(cls, n, array, error)
     assert refused > 50

@@ -15,7 +15,6 @@ from gogmagog import statistics as stats
 from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import avoids
 from gogmagog.triangles import (
-    SCHEMA,
     BooleanTriangle,
     FundamentalDomain,
     InconsistentDomain,
@@ -24,6 +23,7 @@ from gogmagog.triangles import (
     PlanePartition,
     ValidationError,
     build_batch,
+    entry_row,
     validate_batch,
     validate_asm,
     validate_boolean,
@@ -350,8 +350,7 @@ def release_objects():
 
 def batched(maps, objects, n):
     """The objects through a composition of batched maps, as objects."""
-    cls = type(objects[0])
-    a = validate_batch(cls, n, [getattr(obj, SCHEMA[cls][1]) for obj in objects])
+    a = validate_batch(type(objects[0]), n, np.concatenate([entry_row(obj) for obj in objects]))
     for step in maps:
         a = step(n, a)
     return a.reshape(len(a), -1)

@@ -14,7 +14,7 @@ from gogmagog import bijections, claims, enumeration, orders
 from gogmagog.enumeration import FamilyId
 from gogmagog.poset import SizeCap
 from gogmagog.statistics import avoids
-from gogmagog.triangles import MagogTriangle, Permutation
+from gogmagog.triangles import Permutation
 
 
 def swap_catalan_targets(monkeypatch):
@@ -102,7 +102,7 @@ def test_chain_certificate_agrees_with_isomorphism_search(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unit_moves_are_the_covers(n):
-    _, counts, keys, strides, order, _ = claims._chain_map(MagogTriangle, orders.build_Qn(n), n)
+    _, counts, keys, strides, order, _ = claims._chain_map(FamilyId.MAGOG, orders.build_Qn(n), n)
     moves = claims._unit_moves(n, counts, keys, strides, order)
     pairs = [pair for lower, upper in moves for pair in zip(lower.tolist(), upper.tolist())]
     assert sorted(pairs) == list(orders.build_Tn(n).cover_pairs())
