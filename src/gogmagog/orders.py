@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bijections, enumeration
 from .enumeration import FamilyId
-from .poset import Poset, SizeCap, _check_bool_product
+from .poset import Poset, SizeCap
 from .triangles import _one_line_text, format_batch
 
 __all__ = [
@@ -225,12 +225,11 @@ def catalan_sequences(n):
 
 
 def build_tamari(n):
-    """Bracket vectors under reverse componentwise comparison.  The covers
-    are not all unit moves: the dense reduction's product is checked first."""
+    """Bracket vectors under reverse componentwise comparison, C_n of them,
+    checked before any is built.  The covers are rotations, not all unit
+    moves, so ``cover_matrix`` takes the generic reduction."""
     enumeration._check_order(n)
-    size = comb(2 * n, n) // (n + 1)
-    _check_size(size)
-    _check_bool_product((size, size), (size, size))
+    _check_size(comb(2 * n, n) // (n + 1))
     vectors = bracket_vectors(n)
     return _componentwise(list(map(_one_line_text, vectors)), vectors, reverse=True)
 

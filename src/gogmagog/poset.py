@@ -1,21 +1,22 @@
 """Finite poset engine: construction and certification, Hasse covers,
-lattice and distributivity reports, order-ideal lattices, induced subposets,
-isomorphism testing, and DOT/JSON export.
+lattice reports, order-ideal lattices, induced subposets, isomorphism
+testing, and DOT/JSON export.
 
 A poset is an immutable tuple of labels plus a read-only boolean matrix
-``leq``.  An order given by its covers (:meth:`Poset.from_covers`) is closed
-on packed uint64 reach bitsets, level by level from the sinks up, and the
-same pass keeps its transitive reduction.  Closure of a comparison predicate
-and the generic transitive reduction are float32 BLAS products, exact while
-path counts stay below 2**24.  Componentwise orders on
-integer vectors (:meth:`Poset.componentwise`) skip both: ``leq`` is the AND
-of packed per-coordinate threshold bitsets, and the covers are the unit
-moves x -> x + e_c, used only when an exact certificate shows the order has
-no other covers (otherwise the generic reduction runs).  Meet and join tables
-are searched in column blocks.  Labels are opaque hashable values; the
-specific posets built elsewhere use canonical JSON strings (objects) or
-one-line notation (permutations) so that relation containment across posets
-is well defined.
+``leq``.  Relations are closed, checked and reduced on packed uint64 rows
+(bit y of row x set iff x <= y).  An order given by its covers
+(:meth:`Poset.from_covers`) is closed on reach bitsets, level by level from
+the sinks up, and the same pass keeps its transitive reduction.  Any other
+relation is checked and reduced through its two-step rows: the OR of the
+strict rows of each element's strict successors.  It is transitive iff they
+lie in the strict relation, and its covers are the strict pairs outside
+them.  Componentwise orders on integer vectors (:meth:`Poset.componentwise`)
+get ``leq`` as the AND of packed per-coordinate threshold bitsets, and their
+covers are the unit moves x -> x + e_c when those generate the whole order
+(otherwise the generic reduction runs).  Meet and join tables are searched
+in column blocks.  Labels are opaque hashable values; the specific posets
+built elsewhere use canonical JSON strings (objects) or one-line notation
+(permutations) so that relation containment across posets is well defined.
 """
 
 from __future__ import annotations
@@ -43,53 +44,49 @@ class SizeCap(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """``witness`` is ("meet"|"join", x, y) when a pair lacks one;
-    ``distributivity_witness`` is (x, y, z) with x/\\(y\\/z) != (x/\\y)\\/(x/\\z)."""
+    """``witness`` is ("meet"|"join", x, y) when a pair lacks one."""
 
     is_lattice: bool
     witness: tuple | None = None
-    is_distributive: bool | None = None
-    distributivity_witness: tuple | None = None
 
 
-# Float32 holds every integer below this exactly, so a float32 product of
-# small nonnegative integers is exact while its sums stay below it.
-_FLOAT32_EXACT = 1 << 24
-# The float32 entries (1 GiB) a boolean product may hold in its operands and
-# result together.
-_FLOAT32_ENTRIES = 1 << 28
-# Elements of a temporary matrix handled at a time by the blocked scans.
+# Bytes of packed rows that _two_step gathers or unpacks at a time.
 _BLOCK = 1 << 22
 # Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
 _BOUND_COLUMNS = 512
-# Size caps: the most elements order_ideals takes and ideals it lists, the
-# most elements lattice_report and isomorphism_to take, and the most
-# elements on which lattice_report scans every triple for distributivity
-# (beyond, it counts the ideals of the join irreducibles).
+# Size caps: the most elements order_ideals takes and ideals it lists, and
+# the most elements lattice_report and isomorphism_to take.
 _IDEALS_MAX_ELEMENTS = 30
 _MAX_IDEALS = 1_000_000
 _LATTICE_MAX_ELEMENTS = 10_000
 _ISOMORPHISM_MAX_ELEMENTS = 1000
-_DISTRIBUTIVE_SCAN_MAX = 200
 
 
-def _check_bool_product(a_shape, b_shape):
-    """Raise SizeCap unless a float32 product of matrices of these shapes
-    is exact (a path count is at most the inner dimension, below 2**24) and
-    its operands and result hold at most 2**28 entries."""
-    if a_shape[1] >= _FLOAT32_EXACT:
-        raise SizeCap(
-            f"boolean product over {a_shape[1]} inner elements is not exact in float32"
-        )
-    entries = a_shape[0] * a_shape[1] + b_shape[0] * b_shape[1] + a_shape[0] * b_shape[1]
-    if entries > _FLOAT32_ENTRIES:
-        raise SizeCap(f"boolean product of {a_shape} by {b_shape} needs {entries} float32 entries, over 2**28")
+def _words(n):
+    """uint64 words in a packed row of n bits (at least one)."""
+    return max(1, -(-n // 64))
 
 
-def _bool_product(a, b):
-    """Boolean matrix product via float32 BLAS, checked before conversion."""
-    _check_bool_product(a.shape, b.shape)
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
+def _pack(matrix):
+    """The rows of a boolean matrix as uint64 bitsets, bit y of row x set
+    iff ``matrix[x, y]``."""
+    n = matrix.shape[1]
+    packed = np.zeros((len(matrix), _words(n) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _unpack(bits, n):
+    """The boolean matrix, n columns wide, of packed rows."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _diagonal(n):
+    """Packed identity: bit x of row x."""
+    nodes = np.arange(n)
+    own = np.zeros((n, _words(n)), dtype=np.uint64)
+    own[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    return own
 
 
 def _componentwise_leq(vectors):
@@ -98,57 +95,57 @@ def _componentwise_leq(vectors):
     Row x is the AND over coordinates c of the packed set of rows whose entry
     c is at least x_c; one such bitset is built per (c, value)."""
     n, k = vectors.shape
-    words = -(-n // 64)
-    bits = np.full((n, words), np.uint64(2**64 - 1))
+    bits = np.full((n, _words(n)), np.uint64(2**64 - 1))
     for c in range(k):
         column = vectors[:, c]
         values, rank = np.unique(column, return_inverse=True)
-        at_least = np.zeros((len(values), words * 8), dtype=np.uint8)
-        at_least[:, : -(-n // 8)] = np.packbits(
-            column >= values[:, None], axis=1, bitorder="little"
-        )
-        bits &= at_least.view(np.uint64)[rank]
-    return np.unpackbits(
-        bits.view(np.uint8), axis=1, count=n, bitorder="little"
-    ).view(bool)
+        bits &= _pack(column >= values[:, None])[rank]
+    return _unpack(bits, n)
+
+
+def _two_step(leq):
+    """Packed strict rows of a reflexive relation, and packed rows of its
+    pairs x < y < z: row x is the OR of the strict rows y in strict row x.
+
+    Rows x are taken in blocks of at most ``_BLOCK`` bytes of ``leq`` whose
+    strict rows y, gathered, fill at most ``_BLOCK`` bytes (a block has at
+    least one row), and ORed by ``np.bitwise_or.reduceat``."""
+    n = len(leq)
+    strict = _pack(leq) & ~_diagonal(n)
+    two = np.zeros_like(strict)
+    gathered = _BLOCK // (8 * strict.shape[1])
+    before = np.concatenate(([0], np.cumsum(leq.sum(axis=1) - 1)))
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(before, before[start] + gathered, "right")) - 1
+        stop = max(start + 1, min(stop, start + _BLOCK // n))
+        x, y = np.nonzero(leq[start:stop])
+        strict_pair = x + start != y
+        x, y = x[strict_pair], y[strict_pair]
+        if len(y):
+            firsts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+            two[start + x[firsts]] = np.bitwise_or.reduceat(strict[y], firsts, axis=0)
+        start = stop
+    return strict, two
 
 
 def _unit_move_covers(vectors, leq):
     """Cover matrix of the componentwise order on distinct ``vectors``, read
-    off the unit moves (x, x + e_c), or None when that may miss a cover.
+    off the unit moves (x, x + e_c), or None when it has other covers.
 
-    A unit move is always a cover.  They are all of the covers if every
-    strict x < y has a unit move c from x with x_c < y_c, since then
-    x < x + e_c <= y.  For x <= y that holds iff the sum over the unit moves
-    c of x of (y_c - x_c) is positive: an exact small-integer product."""
+    A unit move is always a cover, and the covers of an order generated by
+    some of its pairs are among those pairs.  So the unit moves are all of
+    the covers iff their closure (``_reach``) is the whole of ``leq``."""
     n, k = vectors.shape
     index = {v: i for i, v in enumerate(map(tuple, vectors.tolist()))}
-    covers = np.zeros((n, n), dtype=bool)
-    up = np.zeros((n, k), dtype=np.float32)
-    for c in range(k):
-        moved = vectors.copy()
-        moved[:, c] += 1
-        hits = np.array(
-            [index.get(v, -1) for v in map(tuple, moved.tolist())], dtype=np.intp
-        )
-        found = np.flatnonzero(hits >= 0)
-        covers[found, hits[found]] = True
-        up[found, c] = 1
-    if n == 0 or k == 0:
-        return covers
-    shifted = vectors - vectors.min(axis=0)
-    if k * int(shifted.max()) >= _FLOAT32_EXACT:
+    moved = (vectors[:, None, :] + np.eye(k, dtype=np.int64)).reshape(n * k, k)
+    hits = np.array([index.get(v, -1) for v in map(tuple, moved.tolist())], dtype=np.intp)
+    found = np.flatnonzero(hits >= 0)
+    lower, upper = np.repeat(np.arange(n), k)[found], hits[found]
+    if not np.array_equal(_reach(n, lower, upper)[0], _pack(leq)):
         return None
-    shifted = shifted.astype(np.float32)
-    base = (up * shifted).sum(axis=1)
-    rows = max(1, _BLOCK // n)
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
-        gain = up[start:stop] @ shifted.T - base[start:stop, None]
-        # x <= x has gain 0 in every row; any other zero on a related pair
-        # is a strict x < y with no unit move towards y
-        if np.count_nonzero(leq[start:stop] & (gain < 0.5)) > stop - start:
-            return None
+    covers = np.zeros((n, n), dtype=bool)
+    covers[lower, upper] = True
     return covers
 
 
@@ -158,10 +155,7 @@ def _reach(n, lower, upper):
     a cover, and the nodes left over when the edges have a cycle.  Nodes are
     taken a level at a time from the sinks up, each row ORing in the rows of
     its successors; x -> y is a cover iff y is in no successor's strict reach."""
-    words = max(1, -(-n // 64))
-    nodes = np.arange(n)
-    own = np.zeros((n, words), dtype=np.uint64)
-    own[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    own = _diagonal(n)
     reach, above = own.copy(), np.zeros_like(own)
     cover = np.zeros(len(lower), dtype=bool)
     waiting = np.bincount(lower, minlength=n)  # successors not yet taken
@@ -199,7 +193,8 @@ class Poset:
             if bad.any():
                 i, j = map(int, np.argwhere(bad)[0])
                 raise PosetError(f"not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-            if (_bool_product(leq, leq) & ~leq).any():
+            strict, two = _two_step(leq)
+            if (two & ~strict).any():
                 raise PosetError("relation is not transitive")
         leq.setflags(write=False)
         self.labels = labels
@@ -239,8 +234,7 @@ class Poset:
                 x = successor[x]
             i, j = sorted((x, successor[x]))
             raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-        leq = np.unpackbits(reach.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
-        poset = cls(labels, leq, _certified=True)
+        poset = cls(labels, _unpack(reach, n), _certified=True)
         covers = np.zeros((n, n), dtype=bool)
         covers[lower[cover], upper[cover]] = True
         covers.setflags(write=False)
@@ -287,8 +281,8 @@ class Poset:
             if self._vectors is not None:
                 reduced = _unit_move_covers(self._vectors, self._leq)
             if reduced is None:
-                strict = self._leq & ~np.eye(self.size, dtype=bool)
-                reduced = strict & ~_bool_product(strict, strict)
+                strict, two = _two_step(self._leq)
+                reduced = _unpack(strict & ~two, self.size)
             reduced.setflags(write=False)
             self._covers = reduced
         return self._covers
@@ -378,11 +372,6 @@ class Poset:
                 return None, (x, no_greatest)
         return table, None
 
-    def join_irreducibles(self):
-        """Elements with exactly one lower cover."""
-        cov = self.cover_matrix()
-        return tuple(int(i) for i in np.nonzero(cov.sum(axis=0) == 1)[0])
-
     def count_ideals(self):
         """Number of order ideals, by divide and conquer on up/down sets."""
         n = self.size
@@ -406,38 +395,17 @@ class Poset:
         return rec((1 << n) - 1)
 
     def lattice_report(self):
-        """Meet/join existence for all pairs; on lattices also distributivity,
-        by triple scan up to ``_DISTRIBUTIVE_SCAN_MAX`` elements and by the
-        ideal count of the join irreducibles beyond."""
+        """Whether every pair has a meet and a join, with a witness pair when
+        one lacks either."""
         n = self.size
         if n > _LATTICE_MAX_ELEMENTS:
             raise SizeCap(f"lattice_report capped at {_LATTICE_MAX_ELEMENTS} elements, got {n}")
-        meet, witness = self._bound_table(lower=True)
-        if meet is None:
-            x, y = witness
-            return LatticeReport(False, ("meet", self.labels[x], self.labels[y]))
-        join, witness = self._bound_table(lower=False)
-        if join is None:
-            x, y = witness
-            return LatticeReport(False, ("join", self.labels[x], self.labels[y]))
-        if n <= _DISTRIBUTIVE_SCAN_MAX:
-            for x in range(n):
-                lhs = meet[x][join]
-                mx = meet[x]
-                rhs = join[mx[:, None], mx[None, :]]
-                if not (lhs == rhs).all():
-                    y, z = map(int, np.argwhere(lhs != rhs)[0])
-                    return LatticeReport(
-                        True,
-                        None,
-                        False,
-                        (self.labels[x], self.labels[y], self.labels[z]),
-                    )
-            return LatticeReport(True, None, True, None)
-        irreducibles = self.induced(
-            tuple(self.labels[i] for i in self.join_irreducibles())
-        )
-        return LatticeReport(True, None, irreducibles.count_ideals() == n, None)
+        for kind, lower in (("meet", True), ("join", False)):
+            table, witness = self._bound_table(lower)
+            if table is None:
+                x, y = witness
+                return LatticeReport(False, (kind, self.labels[x], self.labels[y]))
+        return LatticeReport(True)
 
     # -- comparisons across posets ------------------------------------------
 

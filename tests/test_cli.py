@@ -294,7 +294,16 @@ def test_kind_lookups_serialise_nothing(monkeypatch):
 @pytest.mark.parametrize(
     "name, n", [("weak", 8), ("strong", 8), ("Pn", 50), ("Qn", 50), ("tamari", 11), ("catalan", 11)]
 )
-def test_poset_over_the_size_cap_is_a_usage_error(capsys, name, n):
+def test_poset_over_the_size_cap_is_a_usage_error(capsys, monkeypatch, name, n):
+    """Refused before anything is enumerated: the Tamari and Catalan vectors
+    may not be listed."""
+    from gogmagog import orders
+
+    def refuse(n):
+        raise AssertionError(f"enumerated order {n}")
+
+    monkeypatch.setattr(orders, "bracket_vectors", refuse)
+    monkeypatch.setattr(orders, "catalan_sequences", refuse)
     code, out, err = run_cli(capsys, "poset", "--name", name, "--n", str(n), "--out", "json")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: componentwise poset on ")
@@ -326,24 +335,6 @@ def test_stats_refuses_a_plane_partition_that_is_no_tsscpp_like_convert(capsys, 
     assert code == 2 and out == ""
     assert err.startswith("error: array is not a TSSCPP: SymmetryReport(") and err.count("\n") == 1
     assert (code, out, err) == run_cli(capsys, "convert", "--from", "tsscpp", "--to", "boolean", partition)
-
-
-def test_tamari_ten_is_refused_before_enumerating(capsys, monkeypatch):
-    from gogmagog import orders
-
-    class Enumerated(Exception):
-        pass
-
-    def refuse(n):
-        raise Enumerated(n)
-
-    monkeypatch.setattr(orders, "bracket_vectors", refuse)
-    code, out, err = run_cli(capsys, "poset", "--name", "tamari", "--n", "10")
-    assert code == 2 and out == ""
-    assert err == "error: boolean product of (16796, 16796) by (16796, 16796) needs 846316848 float32 entries, over 2**28\n"
-    # Order 9 passes the size checks and goes on to enumerate.
-    with pytest.raises(Enumerated):
-        orders.build_tamari(9)
 
 
 def test_convert_and_stats_transcript_matches_the_recorded_digests(monkeypatch):

@@ -1,11 +1,11 @@
 """Componentwise orders: the packed-bitset relation and the certified
 unit-move covers against their dense definitions."""
 
-import numpy as np
 import pytest
 
 from gogmagog import claims, orders
 from gogmagog.poset import Poset, _unit_move_covers
+from reference_poset import dense_covers
 
 COMPONENTWISE_BUILDERS = {
     "An": orders.build_An,
@@ -20,13 +20,6 @@ COMPONENTWISE_BUILDERS = {
 }
 
 
-def dense_covers(leq):
-    """strict & ~(strict @ strict), with an exact float64 product."""
-    strict = leq & ~np.eye(len(leq), dtype=bool)
-    paths = strict.astype(np.float64) @ strict.astype(np.float64)
-    return strict & ~(paths > 0)
-
-
 @pytest.mark.parametrize("name", sorted(COMPONENTWISE_BUILDERS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bitset_relation_and_unit_move_covers_match_the_definitions(name, n):
@@ -39,7 +32,7 @@ def test_bitset_relation_and_unit_move_covers_match_the_definitions(name, n):
 
 def test_unit_moves_are_certified_on_the_triangle_orders():
     # every cover of these orders is a unit move (thm4.2, thm4.6, and for
-    # TBool found by the certificate), so no fallback runs
+    # TBool found by the closure of the unit moves), so no fallback runs
     for builder in (orders.build_An, orders.build_Tn, orders.build_TBool):
         p = builder(5)
         covers = _unit_move_covers(p._vectors, p.leq_matrix())
@@ -50,7 +43,7 @@ def test_non_unit_cover_takes_the_fallback():
     p = Poset.componentwise(("low", "high"), [(0, 0), (1, 1)])
     assert _unit_move_covers(p._vectors, p.leq_matrix()) is None
     assert p.cover_label_pairs() == {("low", "high")}
-    # a unit move below a non-unit cover: the certificate still fails
+    # a unit move below a non-unit cover: its closure still misses a < c
     q = Poset.componentwise("abc", [(0, 0), (1, 0), (2, 2)])
     assert _unit_move_covers(q._vectors, q.leq_matrix()) is None
     assert (q.cover_matrix() == dense_covers(q.leq_matrix())).all()

@@ -10,9 +10,10 @@ import pytest
 import golden_data as gold
 from gogmagog import claims, orders
 from gogmagog.enumeration import CapExceeded
-from gogmagog.poset import Poset, _bool_product
+from gogmagog.poset import Poset
 from gogmagog.statistics import avoids
 from gogmagog.triangles import Permutation
+from reference_poset import dense_covers, distributivity_witness, is_distributive_lattice
 
 
 def catalan(n):
@@ -70,9 +71,7 @@ def test_ideal_lattices_are_containment(n):
         ideals = coordinates.order_ideals()
         sets = [frozenset(label) for label in ideals.labels]
         assert ideals.leq_matrix().tolist() == [[x <= y for y in sets] for x in sets]
-        strict = ideals.leq_matrix() & ~np.eye(ideals.size, dtype=bool)
-        reduced = strict & ~_bool_product(strict, strict)
-        assert np.array_equal(ideals.cover_matrix(), reduced)
+        assert np.array_equal(ideals.cover_matrix(), dense_covers(ideals.leq_matrix()))
 
 
 def test_order_five_coordinate_poset_structure():
@@ -116,8 +115,8 @@ def test_cover_counts_order_three():
 
 
 def test_TBool3_is_nondistributive_lattice():
-    report = orders.build_TBool(3).lattice_report()
-    assert report.is_lattice and not report.is_distributive
+    tbool = orders.build_TBool(3)
+    assert tbool.lattice_report().is_lattice and distributivity_witness(tbool) is not None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -125,8 +124,7 @@ def test_object_orders_are_ideal_lattices(n):
     assert orders.build_An(n).isomorphism_to(orders.build_Pn(n).order_ideals()) is not None
     assert orders.build_Tn(n).isomorphism_to(orders.build_Qn(n).order_ideals()) is not None
     for builder in (orders.build_An, orders.build_Tn):
-        report = builder(n).lattice_report()
-        assert report.is_lattice and report.is_distributive
+        assert is_distributive_lattice(builder(n))
 
 
 def test_object_orders_are_ideal_lattices_order_five():
@@ -216,13 +214,19 @@ def test_tamari_not_isomorphic_to_catalan_at_four():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_catalan_distributive_is_distributive_lattice(n):
-    report = orders.build_catalan_distributive(n).lattice_report()
-    assert report.is_lattice and report.is_distributive
+    assert is_distributive_lattice(orders.build_catalan_distributive(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tamari_is_lattice(n):
     assert orders.build_tamari(n).lattice_report().is_lattice
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tamari_cover_count_is_the_rotation_count(n):
+    """Each of the C_n binary trees has n - 1 rotation sites, each a cover
+    up or down, so the Tamari order has (n - 1) C_n / 2 covers."""
+    assert len(orders.build_tamari(n).cover_pairs()) == (n - 1) * catalan(n) // 2
 
 
 @pytest.mark.parametrize("claim", ["thm4.9", "thm4.12", "cor4.17"])

@@ -8,19 +8,8 @@ import numpy as np
 import pytest
 
 from gogmagog import poset as poset_module
-from gogmagog.poset import Poset, PosetError, SizeCap, _bool_product
-
-
-def _closure(matrix):
-    """The reflexive and transitive closure of a boolean matrix by repeated
-    dense squaring: the oracle of the packed closure of ``from_covers``."""
-    reach = matrix.copy()
-    np.fill_diagonal(reach, True)
-    while True:
-        nxt = reach | _bool_product(reach, reach)
-        if (nxt == reach).all():
-            return nxt
-        reach = nxt
+from gogmagog.poset import Poset, PosetError, SizeCap
+from reference_poset import closure, dense_covers, distributivity_witness, is_distributive_lattice
 
 
 def from_comparisons(elements, leq_predicate):
@@ -33,7 +22,7 @@ def from_comparisons(elements, leq_predicate):
         for j, y in enumerate(labels):
             if leq_predicate(x, y):
                 matrix[i, j] = True
-    closed = _closure(matrix)
+    closed = closure(matrix)
     bad = closed & closed.T & ~np.eye(n, dtype=bool)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
@@ -135,8 +124,7 @@ def test_order_ideals_random_posets_are_distributive_lattices():
     rng = random.Random(1)
     for k in (3, 5, 7):
         p = random_poset(rng, k)
-        report = p.order_ideals().lattice_report()
-        assert report.is_lattice and report.is_distributive
+        assert is_distributive_lattice(p.order_ideals())
 
 
 def test_order_ideals_cap():
@@ -146,30 +134,27 @@ def test_order_ideals_cap():
 
 def test_lattice_report_chain_and_diamond():
     assert chain(5).lattice_report() == chain(5).lattice_report()
-    report = chain(5).lattice_report()
-    assert report.is_lattice and report.is_distributive
+    assert is_distributive_lattice(chain(5))
     diamond = from_comparisons(
         "0ab1", lambda x, y: x == y or x == "0" or y == "1"
     )
-    report = diamond.lattice_report()
-    assert report.is_lattice and report.is_distributive
+    assert is_distributive_lattice(diamond)
 
 
 def test_lattice_report_m3_and_n5_not_distributive():
     m3 = from_comparisons(
         "0abc1", lambda x, y: x == y or x == "0" or y == "1"
     )
-    report = m3.lattice_report()
-    assert report.is_lattice and not report.is_distributive
-    assert report.distributivity_witness is not None
-    x, y, z = report.distributivity_witness
-    assert {x, y, z} <= {"a", "b", "c"}
+    assert m3.lattice_report().is_lattice
+    witness = distributivity_witness(m3)
+    assert witness is not None
+    assert {m3.labels[i] for i in witness} <= {"a", "b", "c"}
     n5 = from_comparisons(
         "0abc1",
         lambda x, y: x == y or x == "0" or y == "1" or (x, y) == ("a", "b"),
     )
-    report = n5.lattice_report()
-    assert report.is_lattice and not report.is_distributive
+    assert n5.lattice_report().is_lattice
+    assert distributivity_witness(n5) is not None
 
 
 def test_lattice_report_non_lattice_witness():
@@ -182,18 +167,6 @@ def test_lattice_report_non_lattice_witness():
     assert report.witness is not None
     kind, x, y = report.witness
     assert kind in ("meet", "join")
-
-
-def test_lattice_report_birkhoff_fallback_agrees(monkeypatch):
-    p = divisibility(6)
-    ideals = p.order_ideals()
-    via_scan = ideals.lattice_report()
-    m3 = from_comparisons("0abc1", lambda x, y: x == y or x == "0" or y == "1")
-    monkeypatch.setattr(poset_module, "_DISTRIBUTIVE_SCAN_MAX", 1)
-    via_count = ideals.lattice_report()
-    assert via_scan.is_lattice == via_count.is_lattice == True
-    assert via_scan.is_distributive == via_count.is_distributive == True
-    assert m3.lattice_report().is_distributive is False
 
 
 def test_lattice_report_cap(monkeypatch):
@@ -350,53 +323,17 @@ def test_bound_table_witnesses_at_order_six():
         assert p._bound_table(lower=False) == (None, join_witness)
 
 
-def test_bool_product_refuses_inexact_inner_dimensions_before_converting():
-    import tracemalloc
-
-    from gogmagog.poset import _bool_product
-
-    a = np.zeros((1, 2**24), dtype=bool)
-    b = np.zeros((2**24, 1), dtype=bool)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeCap):
-            _bool_product(a, b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_bool_product_refuses_more_than_a_gibibyte_of_float32_before_converting():
-    """Operands and result of 16,796 elements, tamari 10's size, would take
-    3.4 GB as float32; the operands here are broadcast and take no memory."""
-    import tracemalloc
-
-    from gogmagog.poset import _bool_product
-
-    a = np.broadcast_to(np.zeros(1, dtype=bool), (16796, 16796))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeCap, match=r"needs 846316848 float32 entries, over 2\*\*28$"):
-            _bool_product(a, a)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
 # -------------------------------------------------- closure of cover pairs
 
 
 def dense_from_covers(labels, pairs):
-    """The float32 closure and reduction of the cover pairs: the oracle."""
+    """The dense closure and reduction of the cover pairs: the oracle."""
     index = {label: i for i, label in enumerate(labels)}
     matrix = np.zeros((len(labels), len(labels)), dtype=bool)
     for x, y in pairs:
         matrix[index[x], index[y]] = True
-    leq = _closure(matrix)
-    strict = leq & ~np.eye(len(labels), dtype=bool)
-    return leq, strict & ~_bool_product(strict, strict)
+    leq = closure(matrix)
+    return leq, dense_covers(leq)
 
 
 def random_dag_edges(rng, k, density):
@@ -457,3 +394,50 @@ def test_from_covers_refuses_a_cycle(edges, pair):
 def test_cover_pairs_are_built_once():
     p = chain(4)
     assert p.cover_pairs() is p.cover_pairs() == ((0, 1), (1, 2), (2, 3))
+
+
+# ------------------------------------------- the uncertified constructor
+
+
+def test_uncertified_constructor_refuses_a_relation_that_is_not_reflexive():
+    with pytest.raises(PosetError, match="^relation is not reflexive$"):
+        Poset("ab", [[True, False], [False, False]])
+
+
+def test_uncertified_constructor_refuses_a_relation_that_is_not_antisymmetric():
+    with pytest.raises(PosetError, match="^not antisymmetric: 'a' <=> 'b'$"):
+        Poset("abc", np.ones((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "k, x, z", [(65, 62, 64), (65, 0, 63), (65, 1, 64), (130, 62, 64), (130, 63, 65), (130, 0, 129)]
+)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_uncertified_constructor_refuses_a_chain_missing_one_relation(k, x, z, reverse):
+    """A chain of k elements without the single relation x < z, one of whose
+    bits x, z - 1 and z sits at the bit 63/64 word boundary or in the last
+    column; reversing the indices puts it in the last row."""
+    leq = np.triu(np.ones((k, k), dtype=bool))
+    Poset(range(k), leq)
+    leq[x, z] = False
+    if reverse:
+        leq = leq[::-1, ::-1]
+    with pytest.raises(PosetError, match="^relation is not transitive$"):
+        Poset(range(k), leq)
+
+
+@pytest.mark.parametrize("block", [poset_module._BLOCK, 1 << 10])
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130])
+def test_uncertified_covers_equal_the_dense_reduction_on_random_posets(monkeypatch, k, block):
+    """At 1 KiB blocks the two-step rows of 65 or 130 elements are built a
+    few rows at a time."""
+    monkeypatch.setattr(poset_module, "_BLOCK", block)
+    rng = random.Random(k)
+    for density in (0.02, 0.1, 0.5):
+        edges = random_dag_edges(rng, k, density)
+        matrix = np.zeros((k, k), dtype=bool)
+        for x, y in edges:
+            matrix[x, y] = True
+        leq = closure(matrix)
+        p = Poset(range(k), leq)
+        assert (p.cover_matrix() == dense_covers(leq)).all()
