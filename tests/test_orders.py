@@ -2,6 +2,7 @@
 representations, Bruhat connections, Catalan subposets, and cover moves."""
 
 import json
+from itertools import product
 from math import factorial, prod
 
 import numpy as np
@@ -202,6 +203,30 @@ def test_tamari_and_catalan_golden_covers():
     assert tam.isomorphism_to(cat) is None
 
 
+def bracket_vectors(n):
+    """The definition, filtered from all n! sequences with i <= x_i <= n."""
+    return [
+        x
+        for x in product(*(range(i, n + 1) for i in range(1, n + 1)))
+        if all(x[j] <= x[i] for i in range(n) for j in range(i, min(x[i], n)))
+    ]
+
+
+def catalan_sequences(n):
+    return [
+        x
+        for x in product(*(range(i, n + 1) for i in range(1, n + 1)))
+        if all(x[i] <= x[i + 1] for i in range(n - 1))
+    ]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_catalan_sequences_equal_the_filtered_definitions(n):
+    assert orders.bracket_vectors(n) == bracket_vectors(n)
+    assert orders.catalan_sequences(n) == catalan_sequences(n)
+    assert len(orders.bracket_vectors(n)) == catalan(n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_catalan_counts(n):
     assert orders.build_tamari(n).size == catalan(n)
@@ -324,10 +349,10 @@ def test_coordinate_posets_refuse_too_many_coordinates_before_building(monkeypat
 
 
 @pytest.mark.parametrize("builder", [orders.build_tamari, orders.build_catalan_distributive])
-def test_catalan_orders_refuse_order_eleven_before_the_product_loop(monkeypatch, builder):
+def test_catalan_orders_refuse_order_eleven_before_generating(monkeypatch, builder):
     from gogmagog.poset import SizeCap
 
-    monkeypatch.setattr(orders, "product", refuse)
+    monkeypatch.setattr(orders, "_sequences", refuse)
     assert catalan(11) == 58786
     with pytest.raises(SizeCap, match="^componentwise poset on 58786 elements exceeds 20000$"):
         builder(11)
