@@ -36,6 +36,7 @@ from .triangles import (
     Permutation,
     ValidationError,
     _domain_cells,
+    _passed,
     _triangle_cells,
     _triangle_neighbours,
     build_batch,
@@ -43,7 +44,6 @@ from .triangles import (
     entry_row,
     expand_domains,
     tsscpps_to_domains,
-    validate_batch,
 )
 
 __all__ = [
@@ -151,7 +151,7 @@ _CHECK_ROWS = 256
 def _checked(cls, n, a):
     """``a``, once its values pass the batch check of ``cls``."""
     for block in np.split(a, range(_CHECK_ROWS, len(a), _CHECK_ROWS)):
-        if validate_batch(cls, n, block) is None:
+        if _passed(cls, n, block) is None:
             raise ValidationError(f"a batched map gave a value that is no {cls.__name__} of order {n}")
     return a
 

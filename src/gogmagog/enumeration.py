@@ -14,8 +14,9 @@ in order by one ``np.lexsort``; equal neighbours after the sort would mean
 the map is not injective, and raise.
 
 The search output is validated in chunks of at most ``CHUNK`` values by
-``triangles.validate_batch``, with every check the constructors make, and
-each batched map checks its own output the same way.  :func:`count` adds up
+the check of ``triangles.validate_batch``, with every check the
+constructors make, and passed on in its int8 dtype; each batched map checks
+its own output the same way.  :func:`count` adds up
 the sizes of the validated chunks, unsorted, and :func:`jsonl` writes their
 JSON lines straight from the entry arrays (``triangles.format_batch``);
 neither builds an object.  :func:`generate` builds the objects of a
@@ -49,9 +50,9 @@ from .triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
+    _passed,
     build_batch,
     format_batch,
-    validate_batch,
 )
 
 __all__ = ["FamilyId", "CapExceeded", "DEFAULT_CAPS", "generate", "count", "jsonl", "entries"]
@@ -228,12 +229,15 @@ FAMILY_CLASSES = {family: cls for family, (cls, *_) in {**_SEARCH, **_DERIVED}.i
 
 
 def _validated(family, n):
-    """The validated entry arrays of the family at order n (see
-    ``triangles.validate_batch``; TSSCPPs: flat heights arrays), a chunk at
-    a time: in search order, or for a derived family in the order of its
-    source.  A search chunk that fails a check goes to ``build_batch``,
-    which raises the first violation; the batched maps check their own
-    output."""
+    """The validated entry arrays of the family at order n, a chunk at a
+    time: in search order, or for a derived family in the order of its
+    source.  A search chunk is yielded in its own int8 dtype once the rule
+    table passes it (``triangles._passed``, the check of
+    ``triangles.validate_batch`` without its int64 copy), so a consumer
+    widens only where a sum can pass 127; a derived chunk comes in the dtype
+    its batched map returns (TSSCPPs: flat int16 heights arrays).  A search
+    chunk that fails a check goes to ``build_batch``, which raises the first
+    violation; the batched maps check their own output."""
     if family in _DERIVED:
         _, source, image = _DERIVED[family]
         for a in _validated(source, n):
@@ -241,11 +245,10 @@ def _validated(family, n):
         return
     cls, search = _SEARCH[family]
     for chunk in search(n):
-        a = validate_batch(cls, n, chunk)
-        if a is None:
+        if _passed(cls, n, chunk) is None:
             build_batch(cls, n, chunk)  # raises the first violation of the first bad value
             raise AssertionError(f"{cls.__name__}: build_batch accepts a chunk the batch check refused")
-        yield a
+        yield chunk
 
 
 def _sorted_image(family, n):

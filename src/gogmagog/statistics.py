@@ -95,7 +95,9 @@ def _permutation_tsscpps(n, a):
 # kind -> {statistic: batched function}, in the order ``gogmagog stats``
 # prints them.  Nests and fundamental domains have none of their own.  The
 # first and last rows and columns of an ASM hold a single nonzero entry, a
-# one.
+# one.  Each function takes the search's int8 chunks as they come: they
+# compare, count and take positions, whose results numpy counts in int64,
+# and only the ASM inversion sum, of products, widens its entries first.
 KINDS = {
     "asm": {
         "inversions": _asm_inversions,

@@ -371,10 +371,23 @@ class SymmetryReport:
 # and reported position.  ``violated`` tells whether values of a batch
 # violate a constraint, and ``first`` gives the error of one value's violated
 # constraint with the smallest key: what the constructor raises.
+#
+# Both read one layout, ``_nodes``: node-major, one row per node and one
+# column per value, so that every node of a block of values is a contiguous
+# slab.  A family's sums are running adds of whole slabs, a bound on one
+# node is one unsigned compare per slab, and a constraint between two nodes
+# subtracts two gathered rows.  ``violated`` works on column blocks of at
+# most ``_NODE_BYTES``.
 # Permutations (a sort) and nests (a repeated lattice-point code) have one
 # vectorised predicate each, with the same two methods.
 
 _ZERO = -1  # the zero node, the last of a value's nodes
+
+# The most bytes ``_Table.violated`` holds in the largest array of one block
+# of values: its nodes, or its gathered constraint pairs.  Blocks this small
+# reuse the allocator's memory; a whole 2,048-row ASM chunk of order 7 would
+# fault in fresh pages for 600 KB temporaries every time.
+_NODE_BYTES = 1 << 18
 
 
 def _rule(error, template, key, a, b=_ZERO, *, low=None, high=None, shown=(), **fields):
@@ -387,8 +400,10 @@ def _rule(error, template, key, a, b=_ZERO, *, low=None, high=None, shown=(), **
 
 
 class _Table:
-    """One family's rules at order n, sorted by key into the constraint
-    arrays ``a``, ``b`` and ``bound``."""
+    """One family's rules at order n over ``nodes`` nodes (the zero node
+    not counted), sorted by key into the constraint arrays ``a``, ``b`` and
+    ``bound``; ``derive(n, x)`` writes the family's sums into the node rows
+    after the entries of a node-major array ``x``."""
 
     def __init__(self, n, nodes, derive, rules):
         self.n, self.derive, self._rules, columns = n, derive, [], []
@@ -399,32 +414,69 @@ class _Table:
         a, b, bound, rule, place, *key = map(np.concatenate, zip(*columns))
         order = np.lexsort(key[::-1])
         self.a, self.b, self.bound, self._rule, self._place = (v[order] for v in (a, b, bound, rule, place))
-        # The batch check reads the bounds as one interval per node, then the
-        # constraints between two nodes.
+        # The batch check reads the bounds as one interval per node, the
+        # zero node's [0, 0] among them, then the constraints between two
+        # nodes.
         upper, lower = self.b == _ZERO, self.a == _ZERO
-        self._low, self._high = np.full(nodes, np.iinfo(np.int64).min), np.full(nodes, np.iinfo(np.int64).max)
+        self._low, self._high = np.full(nodes + 1, np.iinfo(np.int64).min), np.full(nodes + 1, np.iinfo(np.int64).max)
+        self._low[_ZERO] = self._high[_ZERO] = 0
         np.minimum.at(self._high, self.a[upper], self.bound[upper])
         np.maximum.at(self._low, self.b[lower], -self.bound[lower])
         self._pairs = self.a[~upper & ~lower], self.b[~upper & ~lower], self.bound[~upper & ~lower]
+        # Nodes are signed, at least 16 bits wide, and hold twice every
+        # bound, so that clipping the limits to their dtype changes only the
+        # unbounded sides, and two nodes within their bounds differ by a
+        # number the dtype holds.
+        widest = max(map(abs, self.bound.tolist()), default=0)
+        self._dtype = np.promote_types(np.int16, np.min_scalar_type(-2 * widest))
+        self._clipped = {}
 
-    def _nodes(self, a, width):
-        """The nodes of the values in the rows of ``a``, ``width`` columns:
-        the entries, the sums ``derive`` writes after them, then zeros;
-        signed and at least 16 bits wide."""
-        x = np.empty((len(a), width), dtype=np.promote_types(a.dtype, np.int16))
-        x[:, : a.shape[1]], x[:, len(self._low) :] = a, 0
-        self.derive(self.n, a, x[:, a.shape[1] : len(self._low)])
+    def _nodes(self, a):
+        """The nodes of the values in the rows of ``a``, node-major: one row
+        per node (the entries, the sums ``derive`` writes after them, then
+        the zero) and one column per value, in the table's node dtype or the
+        entries' own if wider.  The entries are widened here, one block of
+        values at a time, and nowhere else on the batch path."""
+        x = np.empty((len(self._low), len(a)), dtype=np.promote_types(a.dtype, self._dtype))
+        x[: a.shape[1]], x[_ZERO] = a.T, 0
+        if self.derive is not None:
+            self.derive(self.n, x)
         return x
+
+    def _limits(self, dtype):
+        """The nodes' lower limits, the width of each node's interval
+        (unsigned) and the pair bounds, clipped to ``dtype``, as columns;
+        made once per dtype."""
+        if dtype not in self._clipped:
+            limits = np.iinfo(dtype)
+            low, high, bound = (np.clip(v, limits.min, limits.max).astype(dtype)[:, None]
+                                for v in (self._low, self._high, self._pairs[2]))
+            self._clipped[dtype] = low, (high - low).view(f"u{dtype.itemsize}"), bound
+        return self._clipped[dtype]
 
     def violated(self, a, axis=None):
         """Whether the values in the rows of an integer entry array violate a
-        constraint: any of them, or each (``axis=1``).  A value within the
+        constraint: any of them, or each (``axis=1``), a block of values at
+        a time, as many as keep its largest array within ``_NODE_BYTES`` (at
+        least one).  A node is within [low, high] iff ``x - low``, read
+        unsigned, is at most ``high - low``, both limits clipped to the
+        nodes' dtype (which changes only an unbounded side); a constraint
+        between two nodes subtracts their gathered rows.  A value within the
         bounds of its entries has sums and differences far from the limits
-        of its nodes' dtype, so nothing computed for it overflows."""
-        wide = np.promote_types(a.dtype, np.int16)
-        x = a.astype(wide, copy=False) if self.derive is None else self._nodes(a, len(self._low))
-        i, j, bound = self._pairs
-        return ((x < self._low) | (x > self._high)).any(axis=axis) | (x[:, i] - x[:, j] > bound).any(axis=axis)
+        of that dtype, so nothing computed for it overflows, and the wrapped
+        results of other values are never read alone: their entries are out
+        of bounds."""
+        dtype = np.promote_types(a.dtype, self._dtype)
+        low, span, bound = self._limits(dtype)
+        i, j, _ = self._pairs
+        step = max(1, _NODE_BYTES // (max(len(low), len(i)) * dtype.itemsize))
+        verdicts = np.zeros(len(a), dtype=bool)
+        for start in range(0, len(a), step):
+            x, bad = self._nodes(a[start : start + step]), verdicts[start : start + step]
+            np.logical_or(((x - low).view(span.dtype) > span).any(axis=0), (x[i] - x[j] > bound).any(axis=0), out=bad)
+            if axis is None and bad.any():
+                return True
+        return False if axis is None else verdicts
 
     def first(self, entries, what):
         """The error of the first constraint, by key, that one value's
@@ -432,10 +484,7 @@ class _Table:
         Entries beyond 2**31 are compared as Python integers, so the answer
         is exact for entries of any size."""
         dtype = object if entries and not -(2**31) < min(entries) <= max(entries) < 2**31 else np.int64
-        if self.derive is None:
-            x = np.array(entries + [0], dtype=dtype)
-        else:
-            x = self._nodes(np.array([entries], dtype=dtype), len(self._low) + 1)[0]
+        x = self._nodes(np.array([entries], dtype=dtype))[:, 0]
         violated = np.flatnonzero(x[self.a] - x[self.b] > self.bound)
         if not len(violated):
             return None
@@ -509,38 +558,47 @@ def _interlacing_table(magog, n):
     ])
 
 
-def _diagonal_sums(n, a, out):
-    """Write the sum of each diagonal q of boolean triangles down to each
-    row r, row-major over (r, q)."""
-    r, c = _triangle_cells(n - 1)
-    sums = np.zeros((len(a), n - 1, n), dtype=a.dtype)
-    sums[:, r, n - 1 - r + c] = a
-    np.cumsum(sums, axis=1, out=out.reshape(len(a), n - 1, n))
+def _diagonal_sums(n, x):
+    """Write the sum down its diagonal to each entry of boolean triangles,
+    row-major, after the entries in the node rows of ``x``: a row's first
+    entry starts its diagonal, and entry (r, c) adds to the sum at
+    (r - 1, c - 1), so each row is one running add of the row above."""
+    size = n * (n - 1) // 2
+    entries, sums = x[:size], x[size : 2 * size]
+    for r in range(n - 1):
+        start, stop = r * (r + 1) // 2, (r + 1) * (r + 2) // 2
+        sums[start] = entries[start]
+        np.add(sums[start - r : start], entries[start + 1 : stop], out=sums[start + 1 : stop])
 
 
 @lru_cache(maxsize=None)
 def _boolean_table(n):
     """Every entry 0/1 first; then row by row, entry by entry, the partial
-    sums: S[r, q] <= 1 + S[r, q - 1] for diagonal q >= 2 of the entry."""
+    sums: S[r, q] <= 1 + S[r, q - 1] for diagonal q >= 2 of the entry,
+    where S[r, q - 1] is the sum at the entry's left neighbour, or zero at
+    the first entry of its row (diagonal q - 1 starts below)."""
     r, c = _triangle_cells(n - 1)
     p, q = np.arange(len(r)), n - 1 - r + c
     s = p[q >= 2]
-    sums = len(p) + r[s] * n + q[s]  # the node of S[r, q]
-    return _Table(n, len(p) + (n - 1) * n, _diagonal_sums, [
+    sums, left = len(p) + s, np.where(c[s] >= 1, len(p) + s - 1, _ZERO)  # the nodes of S[r, q] and S[r, q - 1]
+    return _Table(n, 2 * len(p), _diagonal_sums, [
         *_rule(EntryError, "{what}: entry {0} at ({row},{col}) not 0/1", a=p, low=0, high=1, shown=(p,),
                **_at(r, c, 0)),
         *_rule(PartialSumError, "{what}: partial sums of diagonals {left},{right} cross at depth {row}", a=sums,
-               b=sums - 1, high=1, left=q[s] - 1, right=q[s], j=n - q[s], i_prime=r[s] + 1,
+               b=left, high=1, left=q[s] - 1, right=q[s], j=n - q[s], i_prime=r[s] + 1,
                **_at(r[s], c[s], 0, stage=1)),
     ])
 
 
-def _prefix_sums(n, a, out):
+def _prefix_sums(n, x):
     """Write the prefix sums of ASMs along each row, then down each column,
-    row-major."""
-    m = a.reshape(len(a), n, n)
-    np.cumsum(m, axis=2, out=out[:, : n * n].reshape(len(a), n, n))
-    np.cumsum(m, axis=1, out=out[:, n * n :].reshape(len(a), n, n))
+    row-major, after the entries in the node rows of ``x``: one running add
+    per column and one per row."""
+    entries, rows, columns = x[: 3 * n * n].reshape(3, n, n, x.shape[1])
+    rows[:, 0], columns[0] = entries[:, 0], entries[0]
+    for k in range(1, n):
+        np.add(rows[:, k - 1], entries[:, k], out=rows[:, k])
+        np.add(columns[k - 1], entries[k], out=columns[k])
 
 
 @lru_cache(maxsize=None)
@@ -788,17 +846,27 @@ def _entry_array(cls, n, a):
     return a if n >= 1 and fits and a.shape[1:] == (sum(_row_lengths(cls, n)),) else None
 
 
+def _passed(cls, n, a):
+    """``a`` itself, in its own dtype, when it is an entry array the rule
+    tables read (:func:`_entry_array`) and no value in it breaks a rule of
+    the family's table; otherwise None."""
+    a = _entry_array(cls, n, a)
+    return a if a is not None and not _FAMILIES[cls].rules(n).violated(a) else None
+
+
 def validate_batch(cls, n, a):
     """Check an entry array of values for ``cls`` of order ``n`` all at once.
 
     ``a`` holds one row per value, its entries row-major (``NilpNest``: 1
-    for a "D" step, 0 for a "V" step).  Returns the entries as an int64
-    array when no value breaks a rule of the family's table; otherwise
+    for a "D" step, 0 for a "V" step).  Returns the entries widened to an
+    int64 copy when no value breaks a rule of the family's table; otherwise
     None, and the constructor must decide.  An array of another dtype or
-    width is refused too.
+    width is refused too.  The check itself is :func:`_passed`, which the
+    enumeration and the batched maps call to keep their arrays in the dtype
+    they come in; only this copy is widened to int64.
     """
-    a = _entry_array(cls, n, a)
-    return a.astype(np.int64) if a is not None and not _FAMILIES[cls].rules(n).violated(a) else None
+    a = _passed(cls, n, a)
+    return None if a is None else a.astype(np.int64)
 
 
 def build_batch(cls, n, a):

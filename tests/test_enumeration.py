@@ -8,11 +8,12 @@ import pytest
 import golden_data as gold
 import reference_maps as ref
 import reference_search
+import reference_stats
 from gogmagog import bijections as bij
 from gogmagog import enumeration
-from gogmagog.statistics import is_permutation_boolean
+from gogmagog.statistics import KINDS, is_permutation_boolean
 from gogmagog.enumeration import CapExceeded, DEFAULT_CAPS, FamilyId, count, generate
-from gogmagog.triangles import ValidationError, validate_tsscpp
+from gogmagog.triangles import SCHEMA, ValidationError, build_batch, entry_row, validate_tsscpp
 
 ASM_COUNTS = [1, 2, 7, 42, 429]  # continues 7436 at order six
 
@@ -183,3 +184,37 @@ def test_count_at_order_seven_expands_the_frontier_in_blocks(family):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_BYTES
+
+
+# The scalar map of each family derived from a searched one.
+ORACLE_MAPS = {
+    FamilyId.MONOTONE: ref.asm_to_monotone,
+    FamilyId.MAGOG: ref.boolean_to_magog,
+    FamilyId.NILP: ref.boolean_to_nilp,
+    FamilyId.TSSCPP: ref.boolean_to_tsscpp,
+    FamilyId.PERMUTATION_BOOLEAN: ref.permutation_to_boolean,
+}
+
+
+@pytest.mark.parametrize("family", list(enumeration._SEARCH), ids=lambda f: f.value)
+def test_int8_search_chunks_give_the_oracle_statistics_and_maps_up_to_the_cap(family):
+    """``_validated`` hands the search's int8 chunks on unwidened.  Every
+    function of ``statistics.KINDS`` for the family's kind and every batched
+    map out of the family equal the scalar oracles on them at every order
+    up to the default cap: on every value through order 5, and on every
+    61st value of each chunk beyond."""
+    cls = enumeration.FAMILY_CLASSES[family]
+    maps = [(derived, image) for derived, (_, source, image) in enumeration._DERIVED.items() if source is family]
+    for n in range(1, DEFAULT_CAPS[family] + 1):
+        stride = 1 if n <= 5 else 61
+        for chunk in enumeration._validated(family, n):
+            assert chunk.dtype == np.int8
+            sample = np.ascontiguousarray(chunk[::stride])
+            objects = build_batch(cls, n, sample)
+            expected = [reference_stats.object_statistics(obj) for obj in objects]
+            for name, func in KINDS[SCHEMA[cls][0]].items():
+                got = func(n, chunk)[::stride].tolist()
+                assert got == [stats[name] or 0 for stats in expected], (n, name)
+            for derived, image in maps:
+                got = image(n, sample).reshape(len(sample), -1).tolist()
+                assert got == [entry_row(ORACLE_MAPS[derived](obj))[0].tolist() for obj in objects], (n, derived)
