@@ -21,8 +21,8 @@ built elsewhere use canonical JSON strings (objects) or one-line notation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class SizeCap(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     """``witness`` is ("meet"|"join", x, y) when a pair lacks one."""
 
     is_lattice: bool
@@ -154,17 +153,25 @@ def _reach(n, lower, upper):
     order generated by the edges ``lower[e] < upper[e]``, whether each edge is
     a cover, and the nodes left over when the edges have a cycle.  Nodes are
     taken a level at a time from the sinks up, each row ORing in the rows of
-    its successors; x -> y is a cover iff y is in no successor's strict reach."""
+    its successors (the level's edges sorted by lower end, ORed by
+    ``np.bitwise_or.reduceat``); x -> y is a cover iff y is in no
+    successor's strict reach."""
     own = _diagonal(n)
-    reach, above = own.copy(), np.zeros_like(own)
+    reach = own.copy()
     cover = np.zeros(len(lower), dtype=bool)
     waiting = np.bincount(lower, minlength=n)  # successors not yet taken
     while (level := waiting == 0).any():
         edges = np.flatnonzero(level[lower])
-        x, y = lower[edges], upper[edges]
-        np.bitwise_or.at(above, x, reach[y] & ~own[y])
-        np.bitwise_or.at(reach, x, reach[y])
-        cover[edges] = (above[x, y >> 6] & own[y, y >> 6]) == 0
+        if len(edges):
+            edges = edges[np.argsort(lower[edges], kind="stable")]
+            x, y = lower[edges], upper[edges]
+            first = np.r_[True, x[1:] != x[:-1]]
+            firsts = np.flatnonzero(first)
+            rows = reach[y]
+            reach[x[firsts]] |= np.bitwise_or.reduceat(rows, firsts, axis=0)
+            rows[np.arange(len(y)), y >> 6] &= ~own[y, y >> 6]  # the strict reach of y
+            above = np.bitwise_or.reduceat(rows, firsts, axis=0)
+            cover[edges] = (above[np.cumsum(first) - 1, y >> 6] & own[y, y >> 6]) == 0
         waiting[level] = -1
         waiting -= np.bincount(lower[level[upper]], minlength=n)
     return reach, cover, waiting >= 0

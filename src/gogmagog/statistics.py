@@ -19,8 +19,8 @@ are the test oracle (``tests/reference_stats.py``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,8 +176,7 @@ def boolean_stat_triple(b):
     return stats["zeros"], stats["last_row_zeros"], stats["lowest_one_last_diagonal"]
 
 
-@dataclass(frozen=True)
-class StatBundle:
+class StatBundle(NamedTuple):
     """The four matrix-side statistics of the permutation bijection."""
 
     inversion_number: int

@@ -20,10 +20,11 @@ Conventions, fixed once for the whole package:
   0 = diagonal step.
 * Plane partitions store the full, zero-completed square array.
 
-All types are frozen dataclasses.  Each family is one row of one table
-(``_FAMILIES``): its name in messages, JSON kind and field, row lengths,
-entry type, shape messages, and its defining inequalities as one rule table
-per order.  The one shared constructor check reads that row, normalises
+Values are immutable and hashable, and equal only to values of their own
+class.  Each family is one row of one table (``_FAMILIES``): its name in
+messages, JSON kind and field, row lengths, entry type, shape messages, and
+its defining inequalities as one rule table per order.  The one shared
+constructor (:class:`_Value`) reads that row for its field, normalises
 its input and raises the defect found first: shape and entry defects, then
 the rule broken first in row-major scan order.  On entry arrays (one row
 per value), :func:`validate_batch` asks whether any value breaks a rule,
@@ -35,7 +36,6 @@ any object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
@@ -171,15 +171,23 @@ def _is_int(entry):
 
 
 class _Value:
-    """The constructor check of the eight value classes, read from the
-    class's row of ``_FAMILIES``, in this order: the order, that the value
-    is a sequence (of rows), the type of every entry, the row count, each
-    row's length, then the rules (:func:`_check`).  The value is stored as
-    tuples, its integer entries as ``int``."""
+    """A value of one family: its order ``n`` and the value itself, held
+    under the field name of its class's row of ``_FAMILIES`` as tuples, its
+    integer entries as ``int``.  Values are immutable and hashable, and two
+    are equal when they are of one class with equal fields.
 
-    def __post_init__(self):
+    The constructor checks, in this order: the order, that the value is a
+    sequence (of rows), the type of every entry, the row count, each row's
+    length, then the rules (:func:`_check`)."""
+
+    def __init_subclass__(cls):
+        # Each class holds the constructor itself, so that perfbench's trace
+        # times the constructor of each class on its own.
+        cls.__init__ = _Value.__init__
+
+    def __init__(self, n, value):
         family = _FAMILIES[type(self)]
-        n, value, flat = self.n, getattr(self, family.field), family.count is None
+        flat = family.count is None
         if not _is_int(n) or n < 1:
             raise ShapeError(f"{family.what}: order must be an integer >= 1, got {n!r}")
         try:
@@ -191,24 +199,38 @@ class _Value:
         types = {*map(type, entries)}  # plain ints, or step letters: the fast path
         if not (types <= {int} if family.entry is int else types <= {str} and {*entries} <= {*family.entry}):
             rows, entries = _normalised(family, rows)
-        object.__setattr__(self, family.field, rows)
+        vars(self).update({"n": n, family.field: rows})
         if not flat:
             _check_shape(type(self), n, rows)
         _check(type(self), n, entries if family.entry is int else list(map(family.entry.index, entries)))
 
+    def _key(self):
+        return self.n, getattr(self, _FAMILIES[type(self)].field)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        field = _FAMILIES[type(self)].field
+        return f"{type(self).__qualname__}(n={self.n!r}, {field}={getattr(self, field)!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class MonotoneTriangle(_Value):
     """Strictly increasing rows, bottom row 1..n, interlacing diagonals:
 
         rows[r+1][c] <= rows[r][c] <= rows[r+1][c+1]
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
 class MagogTriangle(_Value):
     """Strictly increasing rows, bottom row 1..n, diagonal conditions:
 
@@ -216,11 +238,7 @@ class MagogTriangle(_Value):
         rows[r+1][c+1] <= rows[r][c] + 1  (below-right exceeds by at most one)
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
 class BooleanTriangle(_Value):
     """0/1 triangle of order n (n-1 rows) with the diagonal partial-sum
     condition: for every adjacent diagonal pair and every depth, the running
@@ -229,9 +247,6 @@ class BooleanTriangle(_Value):
     non-intersecting.
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
     def diagonal(self, q):
         """Entries of diagonal ``q`` (1-based), top to bottom."""
         if not 1 <= q <= self.n - 1:
@@ -239,7 +254,6 @@ class BooleanTriangle(_Value):
         return tuple(self.rows[r][r - (self.n - 1 - q)] for r in range(self.n - 1 - q, self.n - 1))
 
 
-@dataclass(frozen=True)
 class NilpNest(_Value):
     """Nest of non-intersecting lattice paths.
 
@@ -247,9 +261,6 @@ class NilpNest(_Value):
     exactly ``i`` steps, each ``"V"`` = (0,-1) or ``"D"`` = (1,-1), ending on
     the x-axis.  No two paths share a lattice point.
     """
-
-    n: int
-    paths: tuple[tuple[str, ...], ...]
 
     def points(self, i):
         """Lattice points visited by path ``i``, start and endpoint included."""
@@ -266,15 +277,11 @@ class NilpNest(_Value):
         return tuple(self.points(i)[-1] for i in range(1, self.n))
 
 
-@dataclass(frozen=True)
 class Asm(_Value):
     """Alternating sign matrix: entries in {-1,0,1}, every row and column sums
     to one, and the nonzero entries of each row and column alternate in sign.
     Equivalently every row and column prefix sum lies in {0, 1}.
     """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
 
 
 def _one_line_text(values):
@@ -283,12 +290,8 @@ def _one_line_text(values):
     return ("" if len(values) <= 9 else ",").join(map(str, values))
 
 
-@dataclass(frozen=True)
 class Permutation(_Value):
     """A permutation of 1..n in one-line notation."""
-
-    n: int
-    sigma: tuple[int, ...]
 
     def __call__(self, i):
         return self.sigma[i - 1]
@@ -313,16 +316,12 @@ class Permutation(_Value):
         return cls(len(values), values)
 
 
-@dataclass(frozen=True)
 class PlanePartition(_Value):
     """A plane partition completed to a square array with zeros.
 
     For TSSCPP use the side is ``2n`` and entries are at most ``2n``; the
     derived lattice-point set is {(i,j,k) : 1 <= k <= rows[i-1][j-1]}.
     """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
 
     @property
     def side(self):
@@ -336,7 +335,6 @@ class PlanePartition(_Value):
         return k[None, None, :] <= t[:, :, None]
 
 
-@dataclass(frozen=True)
 class FundamentalDomain(_Value):
     """Triangular corner of a TSSCPP array: entries t[i][j] for
     n+1 <= i <= j <= 2n, stored as rows[i'][c] = t[n+1+i'][n+1+i'+c]
@@ -345,12 +343,8 @@ class FundamentalDomain(_Value):
     (:func:`domains_to_tsscpps` on entry arrays).
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     symmetric: bool
     cyclically_symmetric: bool
     self_complementary: bool

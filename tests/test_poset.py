@@ -9,7 +9,7 @@ import pytest
 
 from gogmagog import poset as poset_module
 from gogmagog.poset import Poset, PosetError, SizeCap
-from reference_poset import closure, dense_covers, distributivity_witness, is_distributive_lattice
+from reference_poset import closure, dense_covers, distributivity_witness, is_distributive_lattice, reach_at
 
 
 def from_comparisons(elements, leq_predicate):
@@ -389,6 +389,54 @@ def test_from_covers_drops_redundant_edges_and_loops():
 def test_from_covers_refuses_a_cycle(edges, pair):
     with pytest.raises(PosetError, match=f"^closure is not antisymmetric: {pair}$"):
         Poset.from_covers("abcd", edges)
+
+
+def assert_reach_equals_the_unbuffered_ors(n, lower, upper):
+    got = poset_module._reach(n, lower, upper)
+    assert all(np.array_equal(a, b) for a, b in zip(got, reach_at(n, lower, upper)))
+    return got
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_reach_equals_the_unbuffered_ors_on_random_dags(cycle):
+    """Reach rows, cover flags and the nodes left over, with repeated edges,
+    and with one edge back from a node to one below it closing a cycle."""
+    rng = random.Random(5)
+    for k in (0, 1, 2, 5, 30, 63, 64, 65, 130):
+        for density in (0.03, 0.2, 0.6):
+            edges = random_dag_edges(rng, k, density)
+            if cycle and edges:
+                x, y = rng.choice(edges)
+                edges.append((y, x))
+            lower, upper = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+            _, _, left = assert_reach_equals_the_unbuffered_ors(k, lower, upper)
+            assert left.any() == (cycle and bool(edges))
+
+
+def test_reach_equals_the_unbuffered_ors_on_every_cover_built_order(monkeypatch):
+    """Every ``_reach`` input of every named order at n <= 6 under its size
+    caps: the pairs of ``from_covers`` and the unit moves that
+    ``cover_matrix`` closes."""
+    from gogmagog.cli import _POSET_BUILDERS
+
+    inputs = []
+    reach = poset_module._reach
+
+    def recorded(n, lower, upper):
+        inputs.append((n, lower, upper))
+        return reach(n, lower, upper)
+
+    monkeypatch.setattr(poset_module, "_reach", recorded)
+    for name, build in _POSET_BUILDERS.items():
+        for n in range(1, 7):
+            try:
+                build(n).cover_matrix()
+            except SizeCap:  # the ideals of P6 and Q6
+                assert name in ("JPn", "JQn") and n == 6
+    monkeypatch.undo()
+    assert max(n for n, *_ in inputs) == 7436  # An, Tn and TBool at n = 6
+    for n, lower, upper in inputs:
+        assert_reach_equals_the_unbuffered_ors(n, lower, upper)
 
 
 def test_cover_pairs_are_built_once():
