@@ -227,7 +227,7 @@ def catalan_sequences(n):
 def build_tamari(n):
     """Bracket vectors under reverse componentwise comparison, C_n of them,
     checked before any is built.  The covers are rotations, not all unit
-    moves, so ``cover_matrix`` takes the generic reduction."""
+    moves, so ``cover_pairs`` takes the generic reduction."""
     enumeration._check_order(n)
     _check_size(comb(2 * n, n) // (n + 1))
     vectors = bracket_vectors(n)

@@ -2,21 +2,21 @@
 lattice reports, order-ideal lattices, induced subposets, isomorphism
 testing, and DOT/JSON export.
 
-A poset is an immutable tuple of labels plus a read-only boolean matrix
-``leq``.  Relations are closed, checked and reduced on packed uint64 rows
-(bit y of row x set iff x <= y).  An order given by its covers
-(:meth:`Poset.from_covers`) is closed on reach bitsets, level by level from
-the sinks up, and the same pass keeps its transitive reduction.  Any other
-relation is checked and reduced through its two-step rows: the OR of the
-strict rows of each element's strict successors.  It is transitive iff they
-lie in the strict relation, and its covers are the strict pairs outside
-them.  Componentwise orders on integer vectors (:meth:`Poset.componentwise`)
-get ``leq`` as the AND of packed per-coordinate threshold bitsets, and their
-covers are the unit moves x -> x + e_c when those generate the whole order
-(otherwise the generic reduction runs).  Meet and join tables are searched
-in column blocks.  Labels are opaque hashable values; the specific posets
-built elsewhere use canonical JSON strings (objects) or one-line notation
-(permutations) so that relation containment across posets is well defined.
+A poset is an immutable tuple of labels, its relation as packed uint64 rows
+(bit y of row x set iff x <= y), and its covers as one sorted tuple of index
+pairs, built once; ``leq_matrix`` and ``cover_matrix`` build dense views.
+An order given by its covers (:meth:`Poset.from_covers`) is closed on reach
+bitsets, level by level from the sinks up, keeping its transitive reduction.
+Any other relation is checked and reduced through its two-step rows: the OR
+of the strict rows of each element's strict successors.  It is transitive
+iff they lie in the strict relation, and its covers are the strict pairs
+outside them.  Componentwise orders on integer vectors
+(:meth:`Poset.componentwise`) AND packed per-coordinate threshold bitsets,
+and their covers are the unit moves x -> x + e_c when those generate the
+whole order.  Meet and join tables are searched in column blocks.  Labels
+are opaque hashable values; the posets built elsewhere use canonical JSON
+(objects) or one-line notation (permutations), so that relation containment
+across posets is well defined.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class LatticeReport(NamedTuple):
 
 # Bytes of packed rows that _two_step gathers or unpacks at a time.
 _BLOCK = 1 << 22
+# The number of set bits of each byte value.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 # Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
 _BOUND_COLUMNS = 512
 # Size caps: the most elements order_ideals takes and ideals it lists, and
@@ -76,8 +78,10 @@ def _pack(matrix):
 
 
 def _unpack(bits, n):
-    """The boolean matrix, n columns wide, of packed rows."""
-    return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    """The read-only boolean matrix, n columns wide, of packed rows."""
+    matrix = np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _diagonal(n):
@@ -88,39 +92,40 @@ def _diagonal(n):
     return own
 
 
-def _componentwise_leq(vectors):
-    """``leq[x, y]`` iff ``vectors[x] <= vectors[y]`` in every coordinate.
-
-    Row x is the AND over coordinates c of the packed set of rows whose entry
-    c is at least x_c; one such bitset is built per (c, value)."""
-    n, k = vectors.shape
-    bits = np.full((n, _words(n)), np.uint64(2**64 - 1))
-    for c in range(k):
-        column = vectors[:, c]
-        values, rank = np.unique(column, return_inverse=True)
-        bits &= _pack(column >= values[:, None])[rank]
-    return _unpack(bits, n)
+def _bit_pairs(bits):
+    """Sorted (row, column) pairs of the set bits; only nonzero words unpack."""
+    rows, words = np.nonzero(bits)
+    flags = np.unpackbits(bits[rows, words].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    hit, bit = np.nonzero(flags)
+    return rows[hit], words[hit] * 64 + bit
 
 
-def _two_step(leq):
-    """Packed strict rows of a reflexive relation, and packed rows of its
-    pairs x < y < z: row x is the OR of the strict rows y in strict row x.
+def _pair_tuple(n, lower, upper):
+    """The distinct index pairs (lower, upper) of n elements as a sorted tuple."""
+    keys = np.sort(lower * n + upper)
+    lower, upper = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    return tuple(zip(lower.tolist(), upper.tolist()))
 
-    Rows x are taken in blocks of at most ``_BLOCK`` bytes of ``leq`` whose
-    strict rows y, gathered, fill at most ``_BLOCK`` bytes (a block has at
-    least one row), and ORed by ``np.bitwise_or.reduceat``."""
-    n = len(leq)
-    strict = _pack(leq) & ~_diagonal(n)
+
+def _two_step(bits):
+    """Packed strict rows of a reflexive relation given by its packed rows,
+    and packed rows of its pairs x < y < z: row x is the OR of the strict
+    rows y in strict row x.
+
+    Rows x are taken in blocks whose nonzero words, unpacked, fill at most
+    ``_BLOCK`` bytes and whose strict rows y, gathered, fill at most
+    ``_BLOCK`` bytes (a block has at least one row), and ORed by
+    ``np.bitwise_or.reduceat``."""
+    n, words = bits.shape
+    strict = bits & ~_diagonal(n)
     two = np.zeros_like(strict)
-    gathered = _BLOCK // (8 * strict.shape[1])
-    before = np.concatenate(([0], np.cumsum(leq.sum(axis=1) - 1)))
+    gathered = _BLOCK // (8 * words)
+    before = np.concatenate(([0], np.cumsum(_BYTE_BITS[strict.view(np.uint8)].sum(axis=1, dtype=np.int64))))
     start = 0
     while start < n:
         stop = int(np.searchsorted(before, before[start] + gathered, "right")) - 1
-        stop = max(start + 1, min(stop, start + _BLOCK // n))
-        x, y = np.nonzero(leq[start:stop])
-        strict_pair = x + start != y
-        x, y = x[strict_pair], y[strict_pair]
+        stop = max(start + 1, min(stop, start + _BLOCK // (64 * words)))
+        x, y = _bit_pairs(strict[start:stop])
         if len(y):
             firsts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
             two[start + x[firsts]] = np.bitwise_or.reduceat(strict[y], firsts, axis=0)
@@ -128,24 +133,22 @@ def _two_step(leq):
     return strict, two
 
 
-def _unit_move_covers(vectors, leq):
-    """Cover matrix of the componentwise order on distinct ``vectors``, read
-    off the unit moves (x, x + e_c), or None when it has other covers.
-
-    A unit move is always a cover, and the covers of an order generated by
-    some of its pairs are among those pairs.  So the unit moves are all of
-    the covers iff their closure (``_reach``) is the whole of ``leq``."""
+def _unit_move_covers(vectors, bits):
+    """Cover pairs (lower, upper) of the componentwise order on distinct
+    ``vectors`` with packed rows ``bits``: the unit moves (x, x + e_c), found
+    by ``np.searchsorted`` on the rows as raw bytes, or None when it has
+    other covers.  A unit move is always a cover, and the covers of an order
+    generated by some of its pairs are among those pairs.  So the unit moves
+    are all of the covers iff their closure (``_reach``) is the relation."""
     n, k = vectors.shape
-    index = {v: i for i, v in enumerate(map(tuple, vectors.tolist()))}
-    moved = (vectors[:, None, :] + np.eye(k, dtype=np.int64)).reshape(n * k, k)
-    hits = np.array([index.get(v, -1) for v in map(tuple, moved.tolist())], dtype=np.intp)
-    found = np.flatnonzero(hits >= 0)
-    lower, upper = np.repeat(np.arange(n), k)[found], hits[found]
-    if not np.array_equal(_reach(n, lower, upper)[0], _pack(leq)):
-        return None
-    covers = np.zeros((n, n), dtype=bool)
-    covers[lower, upper] = True
-    return covers
+    row = np.dtype((np.void, 8 * k))
+    keys = vectors.view(row).ravel()
+    moved = (vectors[:, None, :] + np.eye(k, dtype=np.int64)).reshape(n * k, k).view(row).ravel()
+    order = np.argsort(keys)
+    hits = order[np.searchsorted(keys, moved, sorter=order).clip(max=n - 1)]
+    found = np.flatnonzero(keys[hits] == moved)
+    lower, upper = found // k, hits[found]
+    return (lower, upper) if np.array_equal(_reach(n, lower, upper)[0], bits) else None
 
 
 def _reach(n, lower, upper):
@@ -180,14 +183,16 @@ def _reach(n, lower, upper):
 class Poset:
     """Finite partial order on labelled elements."""
 
-    __slots__ = ("labels", "_leq", "_index", "_covers", "_cover_pairs", "_vectors")
+    __slots__ = ("labels", "_rows", "_index", "_covers", "_vectors")
 
     def __init__(self, labels, leq, *, _certified=False):
+        """``leq``: a boolean matrix, checked; with ``_certified``, packed rows."""
         labels = tuple(labels)
-        leq = np.asarray(leq, dtype=bool).copy()
         n = len(labels)
-        if leq.shape != (n, n):
-            raise PosetError(f"relation matrix shape {leq.shape} does not match {n} labels")
+        if not _certified:
+            leq = np.asarray(leq, dtype=bool)
+            if leq.shape != (n, n):
+                raise PosetError(f"relation matrix shape {leq.shape} does not match {n} labels")
         index = {}
         for i, label in enumerate(labels):
             if label in index:
@@ -200,24 +205,30 @@ class Poset:
             if bad.any():
                 i, j = map(int, np.argwhere(bad)[0])
                 raise PosetError(f"not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
+            leq = _pack(leq)
             strict, two = _two_step(leq)
             if (two & ~strict).any():
                 raise PosetError("relation is not transitive")
         leq.setflags(write=False)
         self.labels = labels
-        self._leq = leq
+        self._rows = leq
         self._index = index
         self._covers = None
-        self._cover_pairs = None
         self._vectors = None
 
     @classmethod
     def componentwise(cls, labels, vectors):
         """Componentwise order on distinct integer vectors (an ``(N, k)``
-        array): x <= y iff x_c <= y_c for every coordinate c.  The vectors
-        are kept so that the covers can be read off the unit moves."""
-        vectors = np.asarray(vectors, dtype=np.int64)
-        poset = cls(labels, _componentwise_leq(vectors), _certified=True)
+        array): x <= y iff x_c <= y_c for every coordinate c.  Row x is the
+        AND over coordinates c of the packed set of rows whose entry c is at
+        least x_c, one such bitset per (c, value).  The vectors are kept so
+        that the covers can be read off the unit moves."""
+        vectors = np.ascontiguousarray(vectors, dtype=np.int64)
+        rows = _pack(np.ones((1, len(vectors)), dtype=bool)).repeat(len(vectors), axis=0)
+        for column in vectors.T:
+            values, rank = np.unique(column, return_inverse=True)
+            rows &= _pack(column >= values[:, None])[rank]
+        poset = cls(labels, rows, _certified=True)
         poset._vectors = vectors
         return poset
 
@@ -241,11 +252,8 @@ class Poset:
                 x = successor[x]
             i, j = sorted((x, successor[x]))
             raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-        poset = cls(labels, _unpack(reach, n), _certified=True)
-        covers = np.zeros((n, n), dtype=bool)
-        covers[lower[cover], upper[cover]] = True
-        covers.setflags(write=False)
-        poset._covers = covers
+        poset = cls(labels, reach, _certified=True)
+        poset._covers = _pair_tuple(n, lower[cover], upper[cover])
         return poset
 
     # -- basic queries ----------------------------------------------------
@@ -261,45 +269,46 @@ class Poset:
         return (
             isinstance(other, Poset)
             and self.labels == other.labels
-            and bool((self._leq == other._leq).all())
+            and np.array_equal(self._rows, other._rows)
         )
 
     def __repr__(self):
         return f"Poset({self.size} elements, {len(self.cover_pairs())} covers)"
 
     def leq_matrix(self):
-        return self._leq
+        """The relation as a read-only boolean matrix, built on each call."""
+        return _unpack(self._rows, self.size)
 
     def index(self, label):
         return self._index[label]
 
     def leq(self, x, y):
-        return bool(self._leq[self._index[x], self._index[y]])
+        j = self._index[y]
+        return bool(int(self._rows[self._index[x], j >> 6]) >> (j & 63) & 1)
 
     def relation_pairs(self):
         """All strict related label pairs (x, y) with x < y."""
-        strict = self._leq & ~np.eye(self.size, dtype=bool)
+        lower, upper = _bit_pairs(self._rows & ~_diagonal(self.size))
         labels = self.labels
-        return frozenset((labels[i], labels[j]) for i, j in np.argwhere(strict).tolist())
+        return frozenset((labels[i], labels[j]) for i, j in zip(lower.tolist(), upper.tolist()))
 
     def cover_matrix(self):
-        if self._covers is None:
-            reduced = None
-            if self._vectors is not None:
-                reduced = _unit_move_covers(self._vectors, self._leq)
-            if reduced is None:
-                strict, two = _two_step(self._leq)
-                reduced = _unpack(strict & ~two, self.size)
-            reduced.setflags(write=False)
-            self._covers = reduced
-        return self._covers
+        """The covers as a read-only boolean matrix, built on each call."""
+        covers = np.zeros((self.size, self.size), dtype=bool)
+        covers[tuple(np.array(self.cover_pairs(), dtype=np.intp).reshape(-1, 2).T)] = True
+        covers.setflags(write=False)
+        return covers
 
     def cover_pairs(self):
         """Transitive reduction as sorted index pairs (lower, upper), built
         once."""
-        if self._cover_pairs is None:
-            self._cover_pairs = tuple(map(tuple, np.argwhere(self.cover_matrix()).tolist()))
-        return self._cover_pairs
+        if self._covers is None:
+            pairs = None if self._vectors is None else _unit_move_covers(self._vectors, self._rows)
+            if pairs is None:
+                strict, two = _two_step(self._rows)
+                pairs = _bit_pairs(strict & ~two)
+            self._covers = _pair_tuple(self.size, *pairs)
+        return self._covers
 
     def cover_label_pairs(self):
         return frozenset((self.labels[i], self.labels[j]) for i, j in self.cover_pairs())
@@ -315,7 +324,7 @@ class Poset:
             chosen = [i for i, label in enumerate(self.labels) if label in wanted]
         idx = np.array(chosen, dtype=int)
         labels = tuple(self.labels[i] for i in chosen)
-        return Poset(labels, self._leq[np.ix_(idx, idx)], _certified=True)
+        return Poset(labels, _pack(_unpack(self._rows[idx], self.size)[:, idx]), _certified=True)
 
     def order_ideals(self):
         """The lattice of down-closed subsets ordered by containment: the
@@ -330,7 +339,7 @@ class Poset:
             raise SizeCap(f"order_ideals capped at {_IDEALS_MAX_ELEMENTS} elements, got {n}")
         # Add the elements in a linear extension (by the number below each):
         # the ideals with e are those without it that hold everything below e.
-        strict = self._leq & ~np.eye(n, dtype=bool)
+        strict = self.leq_matrix() & ~np.eye(n, dtype=bool)
         bits = np.int64(1) << np.arange(n, dtype=np.int64)
         below = (strict * bits[:, None]).sum(axis=0)
         masks = np.zeros(1, dtype=np.int64)
@@ -356,7 +365,7 @@ class Poset:
         values of y at a time.
         """
         n = self.size
-        rel = self._leq if lower else self._leq.T
+        rel = self.leq_matrix() if lower else self.leq_matrix().T
         weights = (rel.sum(axis=0) + 1).astype(np.int32)
         table = np.zeros((n, n), dtype=np.int64)
         for x in range(n):
@@ -380,26 +389,20 @@ class Poset:
         return table, None
 
     def count_ideals(self):
-        """Number of order ideals, by divide and conquer on up/down sets."""
-        n = self.size
-        leq = self._leq
+        """Number of order ideals, by divide and conquer on up/down sets:
+        the ideals within a set that lack its last element x lack x's up-set,
+        and those that hold x hold its down-set."""
+        rows = (self._rows, _pack(self.leq_matrix().T))
+        up, down = ([int.from_bytes(row.tobytes(), "little") for row in bits] for bits in rows)
 
         @lru_cache(maxsize=None)
         def rec(mask):
             if mask == 0:
                 return 1
             x = mask.bit_length() - 1
-            up = 0
-            dn = 0
-            for z in range(n):
-                if mask >> z & 1:
-                    if leq[x, z]:
-                        up |= 1 << z
-                    if leq[z, x]:
-                        dn |= 1 << z
-            return rec(mask & ~up) + rec(mask & ~dn)
+            return rec(mask & ~up[x]) + rec(mask & ~down[x])
 
-        return rec((1 << n) - 1)
+        return rec((1 << self.size) - 1)
 
     def lattice_report(self):
         """Whether every pair has a meet and a join, with a witness pair when
@@ -421,9 +424,9 @@ class Poset:
         or None; a label other does not have lacks every relation."""
         index = np.array([other._index.get(label, -1) for label in self.labels], dtype=np.intp)
         absent = index < 0
-        gap = ~other._leq[np.ix_(index, index)] if other.size else np.ones_like(self._leq)
+        gap = ~other.leq_matrix()[np.ix_(index, index)] if other.size else np.ones((self.size,) * 2, dtype=bool)
         gap[absent] = gap[:, absent] = True
-        gap &= self._leq
+        gap &= self.leq_matrix()
         if not gap.any():
             return None
         i, j = np.unravel_index(gap.argmax(), gap.shape)
@@ -431,19 +434,14 @@ class Poset:
 
     def _refined_colors(self):
         n = self.size
-        cov = self.cover_matrix()
-        down = self._leq.sum(axis=0)
-        up = self._leq.sum(axis=1)
-        cov_down = cov.sum(axis=0)
-        cov_up = cov.sum(axis=1)
-        colors = [
-            (int(down[i]), int(up[i]), int(cov_down[i]), int(cov_up[i]))
-            for i in range(n)
-        ]
+        leq = self.leq_matrix()
+        lowers, uppers = [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, j in self.cover_pairs():
+            uppers[i].append(j)
+            lowers[j].append(i)
+        colors = list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(), map(len, lowers), map(len, uppers)))
         palette = {c: k for k, c in enumerate(sorted(set(colors)))}
         colors = [palette[c] for c in colors]
-        lowers = [np.nonzero(cov[:, i])[0] for i in range(n)]
-        uppers = [np.nonzero(cov[i, :])[0] for i in range(n)]
         while True:
             signature = [
                 (
@@ -482,8 +480,7 @@ class Poset:
         ):
             return None
         order = sorted(range(n), key=lambda i: (len(mine_by_color[mine[i]]), mine[i], i))
-        lp = self._leq
-        lq = other._leq
+        lp, lq = self.leq_matrix(), other.leq_matrix()
         match = [-1] * n
         used = [False] * n
 
@@ -517,11 +514,10 @@ class Poset:
         """True iff some rank function increases by exactly one on covers,
         componentwise on the cover graph."""
         n = self.size
-        cov = self.cover_matrix()
         neighbours = [[] for _ in range(n)]
-        for i, j in np.argwhere(cov):
-            neighbours[int(i)].append((int(j), 1))
-            neighbours[int(j)].append((int(i), -1))
+        for i, j in self.cover_pairs():
+            neighbours[i].append((j, 1))
+            neighbours[j].append((i, -1))
         rank = [None] * n
         for start in range(n):
             if rank[start] is not None:

@@ -1,11 +1,13 @@
 """Componentwise orders: the packed-bitset relation and the certified
 unit-move covers against their dense definitions."""
 
+import numpy as np
 import pytest
 
 from gogmagog import claims, orders
-from gogmagog.poset import Poset, _unit_move_covers
-from reference_poset import dense_covers
+from gogmagog.cli import _POSET_BUILDERS
+from gogmagog.poset import Poset, SizeCap, _unit_move_covers
+from reference_poset import assert_relation_and_covers, dense_covers
 
 COMPONENTWISE_BUILDERS = {
     "An": orders.build_An,
@@ -17,17 +19,42 @@ COMPONENTWISE_BUILDERS = {
     "tamari": orders.build_tamari,
     "catalan": orders.build_catalan_distributive,
     "chains": orders.build_product_of_chains,
+    "JPn": _POSET_BUILDERS["JPn"],
+    "JQn": _POSET_BUILDERS["JQn"],
 }
 
 
+def componentwise_definition(v):
+    """x <= y iff v[x] <= v[y] in every coordinate, one coordinate at a time."""
+    leq = np.ones((len(v), len(v)), dtype=bool)
+    for c in range(v.shape[1]):
+        leq &= v[:, None, c] <= v[None, :, c]
+    return leq
+
+
 @pytest.mark.parametrize("name", sorted(COMPONENTWISE_BUILDERS))
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bitset_relation_and_unit_move_covers_match_the_definitions(name, n):
+    if name in ("JPn", "JQn") and n == 6:  # P6 and Q6 have 35 elements
+        with pytest.raises(SizeCap):
+            COMPONENTWISE_BUILDERS[name](n)
+        return
     p = COMPONENTWISE_BUILDERS[name](n)
-    v = p._vectors
-    broadcast = (v[:, None, :] <= v[None, :, :]).all(axis=2)
-    assert (p.leq_matrix() == broadcast).all()
-    assert (p.cover_matrix() == dense_covers(broadcast)).all()
+    assert_relation_and_covers(p, componentwise_definition(p._vectors))
+
+
+@pytest.mark.parametrize("name", ["TnPerm", "TBoolPerm"])
+def test_permutation_orders_match_the_definitions_at_order_seven(name):
+    p = COMPONENTWISE_BUILDERS[name](7)
+    assert_relation_and_covers(p, componentwise_definition(p._vectors))
+
+
+def test_a_built_poset_holds_no_dense_matrix():
+    p = orders.build_TBool(5)
+    p.cover_pairs()
+    held = [getattr(p, slot) for slot in Poset.__slots__]
+    assert all(value.size < p.size**2 for value in held if isinstance(value, np.ndarray))
+    assert all(type(i) is int and type(j) is int for i, j in p._covers)
 
 
 def test_unit_moves_are_certified_on_the_triangle_orders():
@@ -35,19 +62,30 @@ def test_unit_moves_are_certified_on_the_triangle_orders():
     # TBool found by the closure of the unit moves), so no fallback runs
     for builder in (orders.build_An, orders.build_Tn, orders.build_TBool):
         p = builder(5)
-        covers = _unit_move_covers(p._vectors, p.leq_matrix())
-        assert covers is not None and (covers == dense_covers(p.leq_matrix())).all()
+        covers = _unit_move_covers(p._vectors, p._rows)
+        assert covers is not None
+        lower, upper = covers
+        expected = np.argwhere(dense_covers(p.leq_matrix())).tolist()
+        assert sorted(zip(lower.tolist(), upper.tolist())) == list(map(tuple, expected))
 
 
 def test_non_unit_cover_takes_the_fallback():
     p = Poset.componentwise(("low", "high"), [(0, 0), (1, 1)])
-    assert _unit_move_covers(p._vectors, p.leq_matrix()) is None
+    assert _unit_move_covers(p._vectors, p._rows) is None
     assert p.cover_label_pairs() == {("low", "high")}
     # a unit move below a non-unit cover: its closure still misses a < c
     q = Poset.componentwise("abc", [(0, 0), (1, 0), (2, 2)])
-    assert _unit_move_covers(q._vectors, q.leq_matrix()) is None
+    assert _unit_move_covers(q._vectors, q._rows) is None
     assert (q.cover_matrix() == dense_covers(q.leq_matrix())).all()
     assert q.cover_label_pairs() == {("a", "b"), ("b", "c")}
+
+
+def test_unit_moves_are_found_at_any_width_and_value():
+    # 30 coordinates near 2**62: no mixed-radix key of them fits in 64 bits
+    vectors = 2**62 + np.array([[0] * 30, [1] + [0] * 29, [1, 1] + [0] * 28])
+    p = Poset.componentwise("abc", vectors)
+    assert _unit_move_covers(p._vectors, p._rows) is not None
+    assert p.cover_pairs() == ((0, 1), (1, 2))
 
 
 def test_zero_length_vectors():

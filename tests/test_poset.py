@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from gogmagog import poset as poset_module
-from gogmagog.poset import Poset, PosetError, SizeCap
-from reference_poset import closure, dense_covers, distributivity_witness, is_distributive_lattice, reach_at
+from gogmagog.poset import Poset, PosetError, SizeCap, _pack
+from reference_poset import (
+    assert_relation_and_covers,
+    closure,
+    count_ideals,
+    dense_covers,
+    distributivity_witness,
+    is_distributive_lattice,
+    reach_at,
+)
 
 
 def from_comparisons(elements, leq_predicate):
@@ -27,7 +35,7 @@ def from_comparisons(elements, leq_predicate):
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-    return Poset(labels, closed, _certified=True)
+    return Poset(labels, _pack(closed), _certified=True)
 
 
 def chain(k):
@@ -199,7 +207,7 @@ def test_isomorphism_found_on_shuffled_relabelling():
         rng.shuffle(perm)
         q = Poset(
             tuple(f"e{perm[i]}" for i in range(k)),
-            p.leq_matrix(),
+            _pack(p.leq_matrix()),
             _certified=True,
         )
         mapping = p.isomorphism_to(q)
@@ -369,13 +377,14 @@ def test_bitset_closure_equals_the_dense_closure_on_the_cover_built_orders(monke
     for build in (orders.build_Pn, orders.build_Qn, orders.build_weak_order, orders.build_strong_bruhat):
         for n in range(1, 7):
             p = build(n)
-            leq, covers = dense_from_covers(*inputs[-1])
-            assert (p.leq_matrix() == leq).all() and (p.cover_matrix() == covers).all()
+            leq, _ = dense_from_covers(*inputs[-1])
+            assert_relation_and_covers(p, leq)
 
 
 def test_from_covers_drops_redundant_edges_and_loops():
     p = Poset.from_covers("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "c"), ("a", "d"), ("a", "d")])
     assert p.cover_label_pairs() == frozenset({("a", "b"), ("b", "c"), ("a", "d")})
+    assert p.cover_pairs() == ((0, 1), (0, 3), (1, 2))  # ("a", "d") once
     assert p.relation_pairs() == frozenset({("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")})
 
 
@@ -416,7 +425,7 @@ def test_reach_equals_the_unbuffered_ors_on_random_dags(cycle):
 def test_reach_equals_the_unbuffered_ors_on_every_cover_built_order(monkeypatch):
     """Every ``_reach`` input of every named order at n <= 6 under its size
     caps: the pairs of ``from_covers`` and the unit moves that
-    ``cover_matrix`` closes."""
+    ``cover_pairs`` closes."""
     from gogmagog.cli import _POSET_BUILDERS
 
     inputs = []
@@ -437,6 +446,24 @@ def test_reach_equals_the_unbuffered_ors_on_every_cover_built_order(monkeypatch)
     assert max(n for n, *_ in inputs) == 7436  # An, Tn and TBool at n = 6
     for n, lower, upper in inputs:
         assert_reach_equals_the_unbuffered_ors(n, lower, upper)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_ideals_equals_the_element_loop_on_the_coordinate_posets(n):
+    from gogmagog import orders
+
+    for build in (orders.build_Pn, orders.build_Qn):
+        p = build(n)
+        assert p.count_ideals() == count_ideals(p)
+
+
+def test_count_ideals_equals_the_element_loop_on_random_posets():
+    """Up to 130 elements, so the masks cross the 64-bit word edges."""
+    rng = random.Random(13)
+    for k in (0, 1, 2, 5, 30, 63, 64, 65, 130):
+        for density in (0.1, 0.3, 0.6):
+            p = Poset.from_covers(range(k), random_dag_edges(rng, k, density))
+            assert p.count_ideals() == count_ideals(p)
 
 
 def test_cover_pairs_are_built_once():
