@@ -41,19 +41,30 @@ __all__ = [
 ]
 
 
-# The most elements a componentwise order is built on.
+# The most elements a componentwise order is built on, and the least size
+# that _check_size does not build (Python prints ints of at most 4300 digits).
 _MAX_COMPONENTWISE = 20_000
+_UNPRINTABLE = 10**4300
 
 
-def _check_size(size):
-    if size > _MAX_COMPONENTWISE:
-        raise SizeCap(f"componentwise poset on {size} elements exceeds {_MAX_COMPONENTWISE}")
+def _check_size(n, size):
+    """Refuse order n of an order on size(n) elements, a count that grows with
+    n, above the cap.  The size is built at orders 1, 2, 4, ... below n until
+    one reaches ``_UNPRINTABLE``, and then order n is refused unbuilt."""
+    m = 1
+    while m < n and size(m) < _UNPRINTABLE:
+        m *= 2
+    total = size(n) if m >= n else _UNPRINTABLE
+    if total >= _UNPRINTABLE:
+        raise SizeCap(f"componentwise poset of order {n} exceeds {_MAX_COMPONENTWISE} elements")
+    if total > _MAX_COMPONENTWISE:
+        raise SizeCap(f"componentwise poset on {total} elements exceeds {_MAX_COMPONENTWISE}")
 
 
 def _componentwise(labels, vectors, *, reverse=False):
     """Componentwise order on integer vectors; ``reverse`` compares them the
     other way round (x <= y iff x >= y componentwise)."""
-    _check_size(len(vectors))
+    _check_size(len(vectors), lambda m: m)
     arr = np.array(vectors, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(len(vectors), 0)
@@ -64,7 +75,7 @@ def _coordinate_poset(n, cover_moves):
     """Poset on coordinates (i, j, k), 0 <= i, j <= n-2-i, k <= n-2-i-j,
     generated by the given cover moves and closed transitively."""
     enumeration._check_order(n)
-    _check_size(comb(n + 1, 3))
+    _check_size(n, lambda m: comb(m + 1, 3))
     elements = [
         (i, j, k)
         for i in range(n - 1)
@@ -103,7 +114,7 @@ def _object_order(family, n, *, reverse=False):
     the family cap and the size, prod_k (3k+1)!/(n+k)!, are checked before
     anything is enumerated."""
     enumeration._check_order(n, family)
-    _check_size(prod(factorial(3 * k + 1) for k in range(n)) // prod(factorial(n + k) for k in range(n)))
+    _check_size(n, lambda m: prod(factorial(3 * k + 1) for k in range(m)) // prod(map(factorial, range(m, 2 * m))))
     a = enumeration.entries(family, n)
     return _componentwise(format_batch(enumeration.FAMILY_CLASSES[family], n, a).splitlines(), a, reverse=reverse)
 
@@ -128,7 +139,7 @@ def _permutations(n):
     order of ``enumeration.generate``, after the order check and the size
     check of an order on them, so that a refused order enumerates nothing."""
     enumeration._check_order(n)
-    _check_size(factorial(n))
+    _check_size(n, factorial)
     return enumeration.entries(FamilyId.PERMUTATION, n)
 
 
@@ -224,29 +235,31 @@ def catalan_sequences(n):
     return _sequences(n, lambda i, v, rest: (rest[:, :1] >= v).all(axis=1))
 
 
-def build_tamari(n):
-    """Bracket vectors under reverse componentwise comparison, C_n of them,
-    checked before any is built.  The covers are rotations, not all unit
-    moves, so ``cover_pairs`` takes the generic reduction."""
+def _catalan_order(n, sequences):
+    """Reverse componentwise order on ``sequences(n)``, C_n of them, checked
+    before any is built."""
     enumeration._check_order(n)
-    _check_size(comb(2 * n, n) // (n + 1))
-    vectors = bracket_vectors(n)
+    _check_size(n, lambda m: comb(2 * m, m) // (m + 1))
+    vectors = sequences(n)
     return _componentwise(list(map(_one_line_text, vectors)), vectors, reverse=True)
+
+
+def build_tamari(n):
+    """Bracket vectors under reverse componentwise comparison; its covers are
+    rotations, not all unit moves."""
+    return _catalan_order(n, bracket_vectors)
 
 
 def build_catalan_distributive(n):
     """Weakly increasing sequences under reverse componentwise comparison."""
-    enumeration._check_order(n)
-    _check_size(comb(2 * n, n) // (n + 1))
-    vectors = catalan_sequences(n)
-    return _componentwise(list(map(_one_line_text, vectors)), vectors, reverse=True)
+    return _catalan_order(n, catalan_sequences)
 
 
 def build_product_of_chains(n):
     """[2] x [3] x ... x [n]: tuples (c_1, ..., c_{n-1}) with 0 <= c_i <= i,
     n! of them, checked before any is built."""
     enumeration._check_order(n)
-    _check_size(factorial(n))
+    _check_size(n, factorial)
     vectors = list(product(*(range(i + 1) for i in range(1, n))))
     return _componentwise([str(v) for v in vectors], vectors)
 

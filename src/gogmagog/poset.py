@@ -5,18 +5,17 @@ testing, and DOT/JSON export.
 A poset is an immutable tuple of labels, its relation as packed uint64 rows
 (bit y of row x set iff x <= y), and its covers as one sorted tuple of index
 pairs, built once; ``leq_matrix`` and ``cover_matrix`` build dense views.
-An order given by its covers (:meth:`Poset.from_covers`) is closed on reach
-bitsets, level by level from the sinks up, keeping its transitive reduction.
-Any other relation is checked and reduced through its two-step rows: the OR
-of the strict rows of each element's strict successors.  It is transitive
-iff they lie in the strict relation, and its covers are the strict pairs
-outside them.  Componentwise orders on integer vectors
-(:meth:`Poset.componentwise`) AND packed per-coordinate threshold bitsets,
-and their covers are the unit moves x -> x + e_c when those generate the
-whole order.  Meet and join tables are searched in column blocks.  Labels
-are opaque hashable values; the posets built elsewhere use canonical JSON
-(objects) or one-line notation (permutations), so that relation containment
-across posets is well defined.
+Every cover comes from one reduction (``_cover_rounds``): with the elements
+in a linear extension, the first strict successor of x above no cover of x
+found so far is a cover of x, so each round finds one more cover of every
+element at once.  An order given by its covers (:meth:`Poset.from_covers`)
+is closed on reach bitsets, level by level from the sinks up; a relation
+given as a matrix is transitive iff the closure of its reduction is itself.
+Componentwise orders on integer vectors (:meth:`Poset.componentwise`) AND
+packed per-coordinate threshold bitsets.  Meet and join tables are searched
+in column blocks.  Labels are opaque hashable values; the posets built
+elsewhere use canonical JSON (objects) or one-line notation (permutations),
+so that relation containment across posets is well defined.
 """
 
 from __future__ import annotations
@@ -49,10 +48,8 @@ class LatticeReport(NamedTuple):
     witness: tuple | None = None
 
 
-# Bytes of packed rows that _two_step gathers or unpacks at a time.
+# Bytes of packed rows that _cover_rounds and _relabelled take at a time.
 _BLOCK = 1 << 22
-# The number of set bits of each byte value.
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 # Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
 _BOUND_COLUMNS = 512
 # Size caps: the most elements order_ideals takes and ideals it lists, and
@@ -92,14 +89,6 @@ def _diagonal(n):
     return own
 
 
-def _bit_pairs(bits):
-    """Sorted (row, column) pairs of the set bits; only nonzero words unpack."""
-    rows, words = np.nonzero(bits)
-    flags = np.unpackbits(bits[rows, words].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    hit, bit = np.nonzero(flags)
-    return rows[hit], words[hit] * 64 + bit
-
-
 def _pair_tuple(n, lower, upper):
     """The distinct index pairs (lower, upper) of n elements as a sorted tuple."""
     keys = np.sort(lower * n + upper)
@@ -107,83 +96,89 @@ def _pair_tuple(n, lower, upper):
     return tuple(zip(lower.tolist(), upper.tolist()))
 
 
-def _two_step(bits):
-    """Packed strict rows of a reflexive relation given by its packed rows,
-    and packed rows of its pairs x < y < z: row x is the OR of the strict
-    rows y in strict row x.
+def _first_bits(bits, last=False):
+    """The column of the lowest set bit of each nonzero packed row, or of the
+    highest with ``last``.  The bit is isolated in its word, as w & -w or by
+    ORing w into every lower bit and keeping the top one, and read from the
+    exponent of the word as a float, which is exact on a power of two."""
+    nonzero = bits != 0
+    word = bits.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1) if last else nonzero.argmax(axis=1)
+    w = bits[np.arange(len(bits)), word]
+    if last:
+        for shift in (1, 2, 4, 8, 16, 32):
+            w |= w >> np.uint64(shift)
+        w ^= w >> np.uint64(1)
+    else:
+        w &= ~w + np.uint64(1)
+    return word * 64 + np.frexp(w.astype(np.float64))[1] - 1
 
-    Rows x are taken in blocks whose nonzero words, unpacked, fill at most
-    ``_BLOCK`` bytes and whose strict rows y, gathered, fill at most
-    ``_BLOCK`` bytes (a block has at least one row), and ORed by
-    ``np.bitwise_or.reduceat``."""
+
+def _relabelled(bits):
+    """The packed rows in order of up-set size, largest first (stably), and
+    that order, a linear extension; ``_BLOCK`` bytes unpacked at a time."""
     n, words = bits.shape
-    strict = bits & ~_diagonal(n)
-    two = np.zeros_like(strict)
-    gathered = _BLOCK // (8 * words)
-    before = np.concatenate(([0], np.cumsum(_BYTE_BITS[strict.view(np.uint8)].sum(axis=1, dtype=np.int64))))
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(before, before[start] + gathered, "right")) - 1
-        stop = max(start + 1, min(stop, start + _BLOCK // (64 * words)))
-        x, y = _bit_pairs(strict[start:stop])
-        if len(y):
-            firsts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-            two[start + x[firsts]] = np.bitwise_or.reduceat(strict[y], firsts, axis=0)
-        start = stop
-    return strict, two
+    step = max(1, _BLOCK // (64 * words))
+    sizes = [np.unpackbits(bits[s : s + step].view(np.uint8), axis=1).sum(axis=1) for s in range(0, n, step)]
+    order = np.argsort(-np.concatenate(sizes), kind="stable")
+    rows = np.concatenate([_pack(_unpack(bits[order[s : s + step]], n)[:, order]) for s in range(0, n, step)])
+    return rows, order
 
 
-def _unit_move_covers(vectors, bits):
-    """Cover pairs (lower, upper) of the componentwise order on distinct
-    ``vectors`` with packed rows ``bits``: the unit moves (x, x + e_c), found
-    by ``np.searchsorted`` on the rows as raw bytes, or None when it has
-    other covers.  A unit move is always a cover, and the covers of an order
-    generated by some of its pairs are among those pairs.  So the unit moves
-    are all of the covers iff their closure (``_reach``) is the relation."""
-    n, k = vectors.shape
-    row = np.dtype((np.void, 8 * k))
-    keys = vectors.view(row).ravel()
-    moved = (vectors[:, None, :] + np.eye(k, dtype=np.int64)).reshape(n * k, k).view(row).ravel()
-    order = np.argsort(keys)
-    hits = order[np.searchsorted(keys, moved, sorter=order).clip(max=n - 1)]
-    found = np.flatnonzero(keys[hits] == moved)
-    lower, upper = found // k, hits[found]
-    return (lower, upper) if np.array_equal(_reach(n, lower, upper)[0], bits) else None
+def _cover_rounds(bits):
+    """Cover pairs (lower, upper) of the order with packed reflexive rows
+    ``bits``, unsorted.  With the elements in a linear extension, each x
+    keeps ``left``, its strict row less the rows of the covers found so far;
+    in each round the first y of every nonempty ``left`` is a cover (what
+    lies between x and y comes before y), and ``left &= ~bits[y]``.  The
+    extension is index order when each row's lowest bit is its own, else
+    the reverse when each row's highest bit is, else ``_relabelled``; x is
+    taken ``_BLOCK`` bytes of rows at a time."""
+    n, words = bits.shape
+    order, x = None, np.arange(n)
+    last = not (_first_bits(bits) == x).all()
+    if last and not (_first_bits(bits, True) == x).all():
+        bits, order = _relabelled(bits)
+        last = False
+    lower, upper = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    step = max(1, _BLOCK // (8 * words))
+    for start in range(0, n, step):
+        x = np.arange(start, min(n, start + step))
+        left = bits[x]
+        left[x - start, x >> 6] ^= np.uint64(1) << (x & 63).astype(np.uint64)
+        while (keep := left.any(axis=1)).any():
+            x, left = x[keep], left[keep]
+            y = _first_bits(left, last)
+            lower.append(x)
+            upper.append(y)
+            left &= ~bits[y]
+    lower, upper = np.concatenate(lower), np.concatenate(upper)
+    return (lower, upper) if order is None else (order[lower], order[upper])
 
 
 def _reach(n, lower, upper):
     """Packed reach bitsets (bit y of uint64 row x set iff x <= y) of the
-    order generated by the edges ``lower[e] < upper[e]``, whether each edge is
-    a cover, and the nodes left over when the edges have a cycle.  Nodes are
-    taken a level at a time from the sinks up, each row ORing in the rows of
-    its successors (the level's edges sorted by lower end, ORed by
-    ``np.bitwise_or.reduceat``); x -> y is a cover iff y is in no
-    successor's strict reach."""
-    own = _diagonal(n)
-    reach = own.copy()
-    cover = np.zeros(len(lower), dtype=bool)
+    order generated by the edges ``lower[e] < upper[e]``, and the nodes left
+    over when the edges have a cycle.  Nodes are taken a level at a time
+    from the sinks up, each row ORing in the rows of its successors (the
+    level's edges sorted by lower end, ORed by ``np.bitwise_or.reduceat``)."""
+    reach = _diagonal(n)
     waiting = np.bincount(lower, minlength=n)  # successors not yet taken
     while (level := waiting == 0).any():
         edges = np.flatnonzero(level[lower])
         if len(edges):
             edges = edges[np.argsort(lower[edges], kind="stable")]
-            x, y = lower[edges], upper[edges]
-            first = np.r_[True, x[1:] != x[:-1]]
-            firsts = np.flatnonzero(first)
-            rows = reach[y]
-            reach[x[firsts]] |= np.bitwise_or.reduceat(rows, firsts, axis=0)
-            rows[np.arange(len(y)), y >> 6] &= ~own[y, y >> 6]  # the strict reach of y
-            above = np.bitwise_or.reduceat(rows, firsts, axis=0)
-            cover[edges] = (above[np.cumsum(first) - 1, y >> 6] & own[y, y >> 6]) == 0
+            x = lower[edges]
+            firsts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+            reach[x[firsts]] |= np.bitwise_or.reduceat(reach[upper[edges]], firsts, axis=0)
         waiting[level] = -1
         waiting -= np.bincount(lower[level[upper]], minlength=n)
-    return reach, cover, waiting >= 0
+    return reach, waiting >= 0
 
 
 class Poset:
     """Finite partial order on labelled elements."""
 
-    __slots__ = ("labels", "_rows", "_index", "_covers", "_vectors")
+    __slots__ = ("labels", "_rows", "_index", "_covers")
 
     def __init__(self, labels, leq, *, _certified=False):
         """``leq``: a boolean matrix, checked; with ``_certified``, packed rows."""
@@ -206,44 +201,39 @@ class Poset:
                 i, j = map(int, np.argwhere(bad)[0])
                 raise PosetError(f"not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
             leq = _pack(leq)
-            strict, two = _two_step(leq)
-            if (two & ~strict).any():
+            covers = _cover_rounds(leq)
+            if not np.array_equal(_reach(n, *covers)[0], leq):
                 raise PosetError("relation is not transitive")
         leq.setflags(write=False)
         self.labels = labels
         self._rows = leq
         self._index = index
-        self._covers = None
-        self._vectors = None
+        self._covers = None if _certified else _pair_tuple(n, *covers)
 
     @classmethod
     def componentwise(cls, labels, vectors):
         """Componentwise order on distinct integer vectors (an ``(N, k)``
         array): x <= y iff x_c <= y_c for every coordinate c.  Row x is the
         AND over coordinates c of the packed set of rows whose entry c is at
-        least x_c, one such bitset per (c, value).  The vectors are kept so
-        that the covers can be read off the unit moves."""
+        least x_c, one such bitset per (c, value)."""
         vectors = np.ascontiguousarray(vectors, dtype=np.int64)
         rows = _pack(np.ones((1, len(vectors)), dtype=bool)).repeat(len(vectors), axis=0)
         for column in vectors.T:
             values, rank = np.unique(column, return_inverse=True)
             rows &= _pack(column >= values[:, None])[rank]
-        poset = cls(labels, rows, _certified=True)
-        poset._vectors = vectors
-        return poset
+        return cls(labels, rows, _certified=True)
 
     @classmethod
     def from_covers(cls, labels, cover_pairs):
         """The order generated by the label pairs (x, y), x < y, closed on
-        packed reach bitsets.  Its covers are the input pairs that no path
-        of two or more pairs implies; a cycle raises PosetError."""
+        packed reach bitsets; a cycle raises PosetError."""
         labels = tuple(labels)
         index = {label: i for i, label in enumerate(labels)}
         n = len(labels)
         pairs = np.array([(index[x], index[y]) for x, y in cover_pairs], dtype=np.intp)
         lower, upper = pairs.reshape(-1, 2).T
         lower, upper = lower[lower != upper], upper[lower != upper]
-        reach, cover, left = _reach(n, lower, upper)
+        reach, left = _reach(n, lower, upper)
         if left.any():
             # each node left has a successor left, so n steps end on a cycle
             successor = dict(zip(lower[left[upper]].tolist(), upper[left[upper]].tolist()))
@@ -252,9 +242,7 @@ class Poset:
                 x = successor[x]
             i, j = sorted((x, successor[x]))
             raise PosetError(f"closure is not antisymmetric: {labels[i]!r} <=> {labels[j]!r}")
-        poset = cls(labels, reach, _certified=True)
-        poset._covers = _pair_tuple(n, lower[cover], upper[cover])
-        return poset
+        return cls(labels, reach, _certified=True)
 
     # -- basic queries ----------------------------------------------------
 
@@ -288,9 +276,9 @@ class Poset:
 
     def relation_pairs(self):
         """All strict related label pairs (x, y) with x < y."""
-        lower, upper = _bit_pairs(self._rows & ~_diagonal(self.size))
+        lower, upper = np.nonzero(self.leq_matrix())
         labels = self.labels
-        return frozenset((labels[i], labels[j]) for i, j in zip(lower.tolist(), upper.tolist()))
+        return frozenset((labels[i], labels[j]) for i, j in zip(lower.tolist(), upper.tolist()) if i != j)
 
     def cover_matrix(self):
         """The covers as a read-only boolean matrix, built on each call."""
@@ -303,11 +291,7 @@ class Poset:
         """Transitive reduction as sorted index pairs (lower, upper), built
         once."""
         if self._covers is None:
-            pairs = None if self._vectors is None else _unit_move_covers(self._vectors, self._rows)
-            if pairs is None:
-                strict, two = _two_step(self._rows)
-                pairs = _bit_pairs(strict & ~two)
-            self._covers = _pair_tuple(self.size, *pairs)
+            self._covers = _pair_tuple(self.size, *_cover_rounds(self._rows))
         return self._covers
 
     def cover_label_pairs(self):

@@ -3,14 +3,16 @@ oracle: closure and transitive reduction by an exact matrix product, and
 distributivity by a scan of every triple of a lattice; the level-by-level
 closure of ``poset._reach`` with unbuffered ORs; the ideal count with its
 up-sets and down-sets built element by element; and the check of a poset's
-packed rows, cover pairs and dense views against a dense relation.
+packed rows, cover pairs and dense views against a dense relation, with the
+vectors a builder hands to ``Poset.componentwise``.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
-from gogmagog.poset import _diagonal, _pack
+from gogmagog.poset import Poset, _diagonal, _pack
 
 # Rows and columns of the float32 blocks that bool_product multiplies.
 _PRODUCT_BLOCK = 2048
@@ -71,19 +73,14 @@ def is_distributive_lattice(p):
 def reach_at(n, lower, upper):
     """What ``poset._reach`` returns, each level's rows ORed edge by edge
     with the unbuffered ``np.bitwise_or.at``."""
-    own = _diagonal(n)
-    reach, above = own.copy(), np.zeros_like(own)
-    cover = np.zeros(len(lower), dtype=bool)
+    reach = _diagonal(n)
     waiting = np.bincount(lower, minlength=n)
     while (level := waiting == 0).any():
         edges = np.flatnonzero(level[lower])
-        x, y = lower[edges], upper[edges]
-        np.bitwise_or.at(above, x, reach[y] & ~own[y])
-        np.bitwise_or.at(reach, x, reach[y])
-        cover[edges] = (above[x, y >> 6] & own[y, y >> 6]) == 0
+        np.bitwise_or.at(reach, lower[edges], reach[upper[edges]])
         waiting[level] = -1
         waiting -= np.bincount(lower[level[upper]], minlength=n)
-    return reach, cover, waiting >= 0
+    return reach, waiting >= 0
 
 
 def count_ideals(p):
@@ -120,3 +117,19 @@ def assert_relation_and_covers(p, leq):
     assert p.cover_pairs() == tuple(map(tuple, np.argwhere(covers).tolist()))
     for view, expected in ((p.leq_matrix(), leq), (p.cover_matrix(), covers)):
         assert not view.flags.writeable and np.array_equal(view, expected)
+
+
+def built_with_vectors(build, n):
+    """``build(n)`` and the int64 vectors of its last ``Poset.componentwise``
+    call."""
+    vectors = []
+    componentwise = Poset.componentwise.__func__
+
+    def recorded(cls, labels, v):
+        vectors.append(np.ascontiguousarray(v, dtype=np.int64))
+        return componentwise(cls, labels, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poset, "componentwise", classmethod(recorded))
+        poset = build(n)
+    return poset, vectors[-1]

@@ -15,6 +15,7 @@ from gogmagog.enumeration import FamilyId
 from gogmagog.poset import SizeCap
 from gogmagog.statistics import avoids
 from gogmagog.triangles import Permutation
+from reference_poset import built_with_vectors
 
 
 def swap_catalan_targets(monkeypatch):
@@ -200,8 +201,8 @@ def test_move_classifier_equals_the_definition_on_every_pair(n):
 
 @pytest.mark.parametrize("build", [orders.build_Tn_perm, orders.build_TBool, orders.build_tamari])
 def test_meetless_agrees_with_the_relation_matrix_on_every_pair(build):
-    poset = build(4)
-    vectors, leq = poset._vectors, poset.leq_matrix()
+    poset, vectors = built_with_vectors(build, 4)
+    leq = poset.leq_matrix()
     for x in range(poset.size):
         for y in range(poset.size):
             lower = np.flatnonzero(leq[:, x] & leq[:, y])

@@ -350,3 +350,33 @@ def test_convert_and_stats_transcript_matches_the_recorded_digests(monkeypatch):
     # One parser serves every run; building it is most of a short run's time.
     monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
     assert cli_transcript.digests() == golden_cli.DIGESTS
+
+
+_HUGE = "99999999999999999999"
+_LARGE_POSETS = ("chains", "weak", "strong", "TnPerm", "TBoolPerm", "tamari", "catalan")
+_PERMUTATION_CLAIMS = ("thm4.4", "thm4.9", "thm4.12", "cor4.16", "cor4.17")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("poset", "--name", name, "--n", _HUGE) for name in _LARGE_POSETS),
+        *(("poset-check", "--claim", claim, "--n", _HUGE) for claim in _PERMUTATION_CLAIMS),
+        ("poset", "--name", "weak", "--n", "5000"),
+        ("poset", "--name", "chains", "--n", "2000"),
+        ("poset-check", "--claim", "thm4.4", "--n", "5000"),
+        ("poset", "--name", "tamari", "--n", "1000000"),
+    ],
+)
+def test_an_order_too_large_to_count_exits_2_at_once(argv):
+    """Its size is never built: n! of 10**20, or a count of more than 4300
+    digits, which Python does not print."""
+    import subprocess
+    import sys
+    import time
+
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "gogmagog", *argv], capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: componentwise poset of order {argv[-1]} exceeds 20000 elements\n"

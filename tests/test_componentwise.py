@@ -1,13 +1,13 @@
-"""Componentwise orders: the packed-bitset relation and the certified
-unit-move covers against their dense definitions."""
+"""Componentwise orders: the packed-bitset relation and the covers against
+their dense definitions."""
 
 import numpy as np
 import pytest
 
 from gogmagog import claims, orders
 from gogmagog.cli import _POSET_BUILDERS
-from gogmagog.poset import Poset, SizeCap, _unit_move_covers
-from reference_poset import assert_relation_and_covers, dense_covers
+from gogmagog.poset import Poset, SizeCap
+from reference_poset import assert_relation_and_covers, built_with_vectors, dense_covers
 
 COMPONENTWISE_BUILDERS = {
     "An": orders.build_An,
@@ -39,14 +39,14 @@ def test_bitset_relation_and_unit_move_covers_match_the_definitions(name, n):
         with pytest.raises(SizeCap):
             COMPONENTWISE_BUILDERS[name](n)
         return
-    p = COMPONENTWISE_BUILDERS[name](n)
-    assert_relation_and_covers(p, componentwise_definition(p._vectors))
+    p, vectors = built_with_vectors(COMPONENTWISE_BUILDERS[name], n)
+    assert_relation_and_covers(p, componentwise_definition(vectors))
 
 
 @pytest.mark.parametrize("name", ["TnPerm", "TBoolPerm"])
 def test_permutation_orders_match_the_definitions_at_order_seven(name):
-    p = COMPONENTWISE_BUILDERS[name](7)
-    assert_relation_and_covers(p, componentwise_definition(p._vectors))
+    p, vectors = built_with_vectors(COMPONENTWISE_BUILDERS[name], 7)
+    assert_relation_and_covers(p, componentwise_definition(vectors))
 
 
 def test_a_built_poset_holds_no_dense_matrix():
@@ -57,34 +57,19 @@ def test_a_built_poset_holds_no_dense_matrix():
     assert all(type(i) is int and type(j) is int for i, j in p._covers)
 
 
-def test_unit_moves_are_certified_on_the_triangle_orders():
-    # every cover of these orders is a unit move (thm4.2, thm4.6, and for
-    # TBool found by the closure of the unit moves), so no fallback runs
-    for builder in (orders.build_An, orders.build_Tn, orders.build_TBool):
-        p = builder(5)
-        covers = _unit_move_covers(p._vectors, p._rows)
-        assert covers is not None
-        lower, upper = covers
-        expected = np.argwhere(dense_covers(p.leq_matrix())).tolist()
-        assert sorted(zip(lower.tolist(), upper.tolist())) == list(map(tuple, expected))
-
-
-def test_non_unit_cover_takes_the_fallback():
+def test_covers_need_not_be_unit_moves():
+    # a cover that moves two coordinates, alone and above a unit move
     p = Poset.componentwise(("low", "high"), [(0, 0), (1, 1)])
-    assert _unit_move_covers(p._vectors, p._rows) is None
     assert p.cover_label_pairs() == {("low", "high")}
-    # a unit move below a non-unit cover: its closure still misses a < c
     q = Poset.componentwise("abc", [(0, 0), (1, 0), (2, 2)])
-    assert _unit_move_covers(q._vectors, q._rows) is None
     assert (q.cover_matrix() == dense_covers(q.leq_matrix())).all()
     assert q.cover_label_pairs() == {("a", "b"), ("b", "c")}
 
 
-def test_unit_moves_are_found_at_any_width_and_value():
+def test_componentwise_orders_take_any_width_and_value():
     # 30 coordinates near 2**62: no mixed-radix key of them fits in 64 bits
     vectors = 2**62 + np.array([[0] * 30, [1] + [0] * 29, [1, 1] + [0] * 28])
     p = Poset.componentwise("abc", vectors)
-    assert _unit_move_covers(p._vectors, p._rows) is not None
     assert p.cover_pairs() == ((0, 1), (1, 2))
 
 
