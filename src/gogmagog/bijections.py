@@ -42,7 +42,6 @@ from .triangles import (
     build_batch,
     domains_to_tsscpps,
     entry_row,
-    expand_domains,
     tsscpps_to_domains,
 )
 
@@ -113,38 +112,40 @@ class NotPermutationMatrix(ValidationError):
     pass
 
 
+def _domain_dtype(n):
+    """A dtype that holds every count up to n: int8 up to n = 64."""
+    return np.min_scalar_type(-2 * n)
+
+
 def _domains_from_booleans(n, a):
-    """The domains of the boolean triangles in the rows of ``a``, as the
-    padded arrays :func:`triangles.expand_domains` takes.  The cells of
-    height at least n - q form rows of strictly decreasing lengths, each
-    row of length l a zero at depth q - l of diagonal q: a zero at depth c
-    of diagonal q with i zeros above it is a row of length q - c in domain
-    row i.  Every such row starts on the diagonal, so domain entry (i, j)
-    counts the rows of domain row i longer than j."""
-    r, c = _triangle_cells(n - 1)
-    q = n - 1 - r + c
-    zeros = a == 0
-    grid = np.zeros((len(a), n, n), dtype=np.int16)
-    grid[:, q, c] = zeros
-    above = grid.cumsum(axis=2, dtype=np.int16)[:, q, c] - zeros
-    value, entry = np.nonzero(zeros)
-    # bin (value, domain row, l - 1) for a row of length l = q - c
-    lengths = np.bincount((value * n + above[value, entry]) * n + n - 2 - r[entry], minlength=len(a) * n * n)
-    longer = lengths.reshape(len(a), n, n)[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
-    i, j = _domain_cells(n)
-    padded = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.int16)
-    padded[:, n + 1 + i, n + 1 + i + j] = longer[:, i, j]
-    return padded
+    """The domain entry arrays (row-major, in :func:`_domain_dtype`) of the
+    boolean triangles in the rows of ``a``.  In domain row i the cells of
+    height at least n - q are the first n - 1 - r, r the triangle row of the
+    (i + 1)-th zero of diagonal q (none without one).  So domain entry
+    (i, j) counts the diagonals with more than i zeros above triangle row
+    n - 1 - j: counted node-major, one triangle row at a time."""
+    dtype = _domain_dtype(n)
+    zeros = np.ascontiguousarray(a.T) == 0
+    domains = np.empty((n * (n + 1) // 2, len(a)), dtype=dtype)
+    counts = np.zeros((n, len(a)), dtype=dtype)  # the zeros of diagonal q above row r
+    for r in range(n):
+        i = np.arange(r + 1)
+        more = counts > i.astype(dtype)[:, None, None]
+        domains[i * (2 * n + 1 - i) // 2 + n - 1 - r] = more.sum(axis=1, dtype=dtype)
+        if r < n - 1:
+            counts[n - 1 - r :] += zeros[r * (r + 1) // 2 : (r + 1) * (r + 2) // 2]
+    return domains.T
 
 
 # The batched maps below take validated entry arrays of order n (one row per
 # value, see ``triangles.validate_batch``) and check each block of
-# ``_CHECK_ROWS`` values they return; :func:`booleans_to_tsscpp` also maps a
-# block at a time.  Small blocks, because
-# ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n) closure cubes per
-# block: with blocks of 1,024 rows ``poset-check --claim lemma4.8 --n 6``
-# peaks at 38.6 MiB against 34.2 MiB, and counting the magog triangles of
-# order 6 takes 22 ms against 19 ms.
+# ``_CHECK_ROWS`` values they return; the maps between boolean triangles and
+# domains, and :func:`booleans_to_tsscpp`, also map a block at a time.  Small
+# blocks, because ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n)
+# closure cubes per block and the nest check slows on larger ones: with
+# blocks of 2,048 rows counting the TSSCPPs of order 7 peaks at 51 MiB
+# against 36 MiB, and checking 2,048 nests of order 6 takes 1.1 ms against
+# 0.6 ms (in one process on a 2-CPU Xeon).
 _CHECK_ROWS = 256
 
 
@@ -156,17 +157,26 @@ def _checked(cls, n, a):
     return a
 
 
+def booleans_to_domains(n, a):
+    """The domain entries, row-major, of validated boolean entry arrays of
+    order n (:func:`_domains_from_booleans`), checked with the
+    FundamentalDomain rule table."""
+    domains = np.empty((len(a), n * (n + 1) // 2), dtype=_domain_dtype(n))
+    for start in range(0, len(a), _CHECK_ROWS):
+        block = slice(start, start + _CHECK_ROWS)
+        domains[block] = _checked(FundamentalDomain, n, _domains_from_booleans(n, a[block]))
+    return domains
+
+
 def booleans_to_tsscpp(n, a):
     """Batch form of :func:`boolean_to_tsscpp` on validated boolean entry
-    arrays of order n: the heights arrays, shape (len(a), 2n, 2n), checked
-    with ``triangles.expand_domains`` (a domain that round-trips is the
+    arrays of order n: the heights arrays, shape (len(a), 2n, 2n), of
+    ``triangles.domains_to_tsscpps`` (a domain that round-trips is the
     corner of a valid plane partition)."""
     heights = np.empty((len(a), 2 * n, 2 * n), dtype=np.int16)
     for start in range(0, len(a), _CHECK_ROWS):
-        block = expand_domains(n, _domains_from_booleans(n, a[start : start + _CHECK_ROWS]))
-        if block is None:
-            raise ValidationError(f"a batched map gave a domain of order {n} that is no TSSCPP's")
-        heights[start : start + _CHECK_ROWS] = block
+        block = slice(start, start + _CHECK_ROWS)
+        heights[block] = domains_to_tsscpps(n, _domains_from_booleans(n, a[block]))
     return heights
 
 
@@ -224,7 +234,14 @@ def monotones_to_booleans(n, a):
 
 
 def permutations_to_booleans(n, a):
-    return monotones_to_booleans(n, permutations_to_monotones(n, a))
+    """Row r holds k ones, then zeros, k the number of sigma(1..r+1) below
+    sigma(r + 2): where sigma(r + 2) enters the sorted prefix.  This is
+    :func:`monotones_to_booleans` of :func:`permutations_to_monotones`,
+    without the monotone triangle."""
+    before = np.triu(np.ones((n, n), dtype=bool), 1)
+    smaller = ((a[:, :, None] < a[:, None, :]) & before).sum(axis=1)
+    r, c = _triangle_cells(n - 1)
+    return _checked(BooleanTriangle, n, (c < smaller[:, r + 1]).astype(np.int8))
 
 
 def permutation_booleans(n, a):
@@ -300,27 +317,23 @@ def _magog_cells(n):
     return (r - c) * (2 * n + 1 - r + c) // 2 + c
 
 
-def booleans_to_domains(n, a):
-    """The domain entries, row-major, checked with
-    ``triangles.expand_domains``."""
-    i, c = _domain_cells(n)
-    return booleans_to_tsscpp(n, a)[:, n + i, n + i + c].astype(np.int8)
-
-
 def domains_to_booleans(n, a):
     """The inverse of :func:`booleans_to_domains`: a domain row with l >= 1
     cells of height at least L puts the zero at depth n - L - l of diagonal
-    n - L, in row n - 1 - l."""
+    n - L, in row n - 1 - l.  Node-major, ``_CHECK_ROWS`` domains at a time."""
     i, c = _domain_cells(n)
-    domain = np.zeros((len(a), n, n), dtype=a.dtype)
-    domain[:, i, c] = a
-    out = np.ones((len(a), n * (n - 1) // 2), dtype=np.int8)
-    for level in range(1, n):
-        lengths = (domain >= level).sum(axis=2)
-        triangle, _ = np.nonzero(lengths)
-        length = lengths[lengths > 0]
-        row = n - 1 - length
-        out[triangle, row * (row + 1) // 2 + n - level - length] = 0
+    out = np.empty((len(a), n * (n - 1) // 2), dtype=np.int8)
+    for start in range(0, len(a), _CHECK_ROWS):
+        block = a[start : start + _CHECK_ROWS]
+        domain = np.zeros((n, n, len(block)), dtype=a.dtype)
+        domain[i, c] = block.T
+        zeros = np.empty((out.shape[1], len(block)), dtype=bool)
+        for level in range(1, n):
+            lengths = (domain >= level).sum(axis=1, dtype=_domain_dtype(n))
+            length = np.arange(1, n - level + 1)
+            row = n - 1 - length
+            zeros[row * (row + 1) // 2 + n - level - length] = (lengths == length[:, None, None]).any(axis=1)
+        out[start : start + _CHECK_ROWS] = ~zeros.T
     return _checked(BooleanTriangle, n, out)
 
 

@@ -28,9 +28,9 @@ from math import factorial, prod
 import numpy as np
 
 from . import bijections, enumeration, orders, statistics
-from .enumeration import CapExceeded, FamilyId
+from .enumeration import CHUNK, CapExceeded, FamilyId
 from .poset import SizeCap
-from .triangles import _triangle_cells, format_batch
+from .triangles import _domain_cells, _triangle_cells, format_batch
 
 __all__ = ["CHECKS", "CLAIMS", "run_claim", "verify_all"]
 
@@ -81,11 +81,24 @@ def check_statistics(n):
     return _result("statistics", n, ok)
 
 
+def _tsscpp_corners(n, booleans, domains):
+    """Whether the TSSCPP of each boolean triangle, its closure checked by
+    ``triangles.expand_domains``, has the triangle's domain as its corner;
+    ``CHUNK`` triangles at a time, so no heights array holds them all."""
+    i, c = _domain_cells(n)
+    blocks = (slice(start, start + CHUNK) for start in range(0, len(booleans), CHUNK))
+    return all(
+        np.array_equal(bijections.booleans_to_tsscpp(n, booleans[block])[:, n + i, n + i + c], domains[block])
+        for block in blocks
+    )
+
+
 def check_roundtrips(n):
     """The maps out of boolean triangles and ASMs invert, on entry arrays:
     boolean -> domain -> boolean, boolean -> nest -> boolean, boolean ->
     domain -> magog -> boolean (the composition ``booleans_to_magogs`` is)
-    and ASM -> monotone -> ASM."""
+    and ASM -> monotone -> ASM; and each domain is the corner of its
+    boolean triangle's TSSCPP."""
     booleans = enumeration.entries(FamilyId.BOOLEAN, n)
     asms = enumeration.entries(FamilyId.ASM, n)
     domains = bijections.booleans_to_domains(n, booleans)
@@ -97,6 +110,7 @@ def check_roundtrips(n):
         and np.array_equal(bijections.nests_to_booleans(n, nests), booleans)
         and np.array_equal(bijections.magogs_to_booleans(n, magogs), booleans)
         and np.array_equal(bijections.monotones_to_asms(n, monotones), asms)
+        and _tsscpp_corners(n, booleans, domains)
     )
     return _result("roundtrips", n, ok)
 

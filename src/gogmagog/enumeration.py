@@ -5,8 +5,9 @@ row-major representation.  Three searches yield int8 entry arrays: boolean
 triangles and ASMs are searched row by row over a numpy frontier (every
 frontier state, the diagonal partial sums of a boolean triangle or the
 column-prefix 0/1 mask of an ASM, is extended by all admissible next rows
-at once, blocks of ``CHUNK`` states at a time, depth first), and
-permutations come from ``itertools.permutations``.  Every other family is
+at once, blocks of ``CHUNK`` states at a time, depth first), and the
+permutations of each prefix of all but the last five positions are one
+block of the permutations of five, relabelled.  Every other family is
 the image of one of them under a batched bijection (``_DERIVED``):
 monotone triangles of ASMs, magog triangles, nests and TSSCPPs of boolean
 triangles, permutation boolean triangles of permutations.  An image is put
@@ -139,22 +140,34 @@ def _blocked(step, depth, state, entries, level=0):
 
 @lru_cache(maxsize=None)
 def _boolean_candidates(n, r):
-    """All 0/1 rows of length r + 1 in lexicographic order, and the same rows
-    placed on their diagonals: row r of an order-n boolean triangle covers
-    diagonals n - 1 - r .. n - 1."""
+    """All 0/1 rows of length r + 1 in lexicographic order, the same rows
+    placed on their diagonals (row r of an order-n boolean triangle covers
+    diagonals n - 1 - r .. n - 1), and the rising steps of each placed row
+    (:func:`_rises`)."""
     rows = np.array(list(product((0, 1), repeat=r + 1)), dtype=np.int8)
     placed = np.zeros((len(rows), n), dtype=np.int8)
     placed[:, n - 1 - r :] = rows
-    return rows, placed
+    return rows, placed, _rises(placed, r)
+
+
+def _rises(x, r):
+    """Bit j of entry t is set where ``x[t, q] - x[t, q - 1] == 1`` at the
+    diagonal q = n - 1 - r + j >= 2 of row r: one int64 per row of ``x``,
+    as row r has r + 1 < 63 entries wherever its 2^(r + 1) candidates fit
+    in memory."""
+    first, low = x.shape[1] - 1 - r, max(2, x.shape[1] - 1 - r)
+    return (np.diff(x[:, low - 1 :], axis=1) == 1) @ (1 << np.arange(low - first, r + 1, dtype=np.int64))
 
 
 def _boolean_step(n, r, sums, entries):
     """The state is the diagonal partial sums, ``sums[:, q]`` for diagonal q;
-    a row is admissible when ``sums[q] <= 1 + sums[q - 1]`` for q >= 2."""
-    rows, placed = _boolean_candidates(n, r)
-    new = sums[:, None, :] + placed
-    state, cand = np.nonzero((new[:, :, 2:] <= new[:, :, 1:-1] + 1).all(axis=2))
-    return new[state, cand], np.concatenate((entries[state], rows[cand]), axis=1)
+    a row is admissible when ``sums[q] <= 1 + sums[q - 1]`` for q >= 2 after
+    it.  Every state keeps each such difference at most 1, so a row is
+    admissible exactly when it rises on no diagonal where the difference is
+    1 already: one test of two bitmasks."""
+    rows, placed, rises = _boolean_candidates(n, r)
+    state, cand = np.nonzero((_rises(sums, r)[:, None] & rises) == 0)
+    return sums[state] + placed[cand], np.concatenate((entries[state], rows[cand]), axis=1)
 
 
 def _boolean_chunks(n):
@@ -199,11 +212,29 @@ def _asm_chunks(n):
     return _blocked(partial(_asm_step, n), n, *start)
 
 
+# The permutations of the last five positions are one block of 5! = 120 rows,
+# so a chunk of CHUNK // 120 = 17 prefixes holds 2,040 permutations.
+_TAIL = 5
+
+
 def _permutation_chunks(n):
-    """Entry arrays of all permutations of order n, lexicographic order."""
-    values = permutations(range(1, n + 1))
-    while chunk := list(islice(values, CHUNK)):
-        yield np.array(chunk, dtype=np.min_scalar_type(-n))
+    """Entry arrays of all permutations of order n, lexicographic order: the
+    prefixes of the first n - k values in lexicographic order, and after
+    each the block of the permutations of the last k positions relabelled
+    by its missing values, in increasing order."""
+    k = min(n, _TAIL)
+    block = np.array(list(permutations(range(k))), dtype=np.int8)
+    dtype = np.min_scalar_type(-n)
+    prefixes = permutations(range(1, n + 1), n - k)
+    while heads := list(islice(prefixes, CHUNK // len(block))):
+        heads = np.array(heads, dtype=dtype)
+        free = np.ones((len(heads), n + 1), dtype=bool)
+        free[np.arange(len(heads))[:, None], heads] = False
+        missing = np.nonzero(free[:, 1:])[1].reshape(len(heads), k).astype(dtype) + 1
+        out = np.empty((len(heads), len(block), n), dtype=dtype)
+        out[:, :, : n - k] = heads[:, None]
+        out[:, :, n - k :] = missing[:, block]
+        yield out.reshape(-1, n)
 
 
 # family -> (class, search yielding the entry arrays of order n in order, in

@@ -1030,9 +1030,10 @@ def _inconsistent(n):
 
 
 def _padded_domains(n, a):
-    """The arrays :func:`expand_domains` takes, of domain entry arrays."""
+    """The arrays :func:`expand_domains` takes, of domain entry arrays, in
+    their dtype widened to at least the int16 of the closure thresholds."""
     i, c = _domain_cells(n)
-    dom = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.int64)
+    dom = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.promote_types(a.dtype, np.int16))
     dom[:, n + 1 + i, n + 1 + i + c] = a
     return dom
 

@@ -11,6 +11,7 @@ import golden_data as gold
 import reference_maps as ref
 import reference_stats as ref_stats
 from gogmagog import bijections as bij
+from gogmagog import enumeration
 from gogmagog import statistics as stats
 from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import avoids
@@ -22,6 +23,7 @@ from gogmagog.triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
+    _domain_cells,
     build_batch,
     entry_row,
     validate_batch,
@@ -306,6 +308,41 @@ def test_batched_asm_and_boolean_maps_equal_the_scalar_maps(n):
         assert entries_of(ref.boolean_to_magog(b)) == tuple(m)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_derived_domains_are_the_corners_of_the_tsscpps(n):
+    """The domains read off the boolean triangles equal the corners of the
+    TSSCPPs built from them, whose closures ``expand_domains`` checks."""
+    i, c = _domain_cells(n)
+    for booleans in enumeration._validated(FamilyId.BOOLEAN, n):
+        corners = bij.booleans_to_tsscpp(n, booleans)[:, n + i, n + i + c]
+        assert np.array_equal(bij.booleans_to_domains(n, booleans), corners)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_direct_permutation_booleans_equal_the_monotone_path(n):
+    perms = entries(FamilyId.PERMUTATION, n)
+    through_monotones = bij.monotones_to_booleans(n, bij.permutations_to_monotones(n, perms))
+    assert np.array_equal(bij.permutations_to_booleans(n, perms), through_monotones)
+
+
+def test_direct_permutation_booleans_are_checked_once(monkeypatch):
+    """The direct map checks its output once, on the boolean triangle table,
+    and refuses it with one entry flipped: 123 gives rows (1), (1, 1), and
+    (1), (0, 1) breaks the sum of the last diagonal."""
+    checked, classes = bij._checked, []
+
+    def flipped(cls, n, a):
+        classes.append(cls)
+        a = a.copy()
+        a[0, 1] ^= 1
+        return checked(cls, n, a)
+
+    monkeypatch.setattr(bij, "_checked", flipped)
+    with pytest.raises(ValidationError, match="no BooleanTriangle of order 3"):
+        bij.permutations_to_booleans(3, np.array([[1, 2, 3]], dtype=np.int8))
+    assert classes == [BooleanTriangle]
+
+
 def test_batched_maps_refuse_values_that_fail_their_checks(monkeypatch):
     with pytest.raises(ValidationError, match="no MonotoneTriangle of order 3"):
         bij.permutations_to_monotones(3, np.array([[1, 1, 2]]))
@@ -313,9 +350,13 @@ def test_batched_maps_refuse_values_that_fail_their_checks(monkeypatch):
         bij.nests_to_booleans(3, np.array([[0, 2, 0]]))
     with pytest.raises(ValidationError, match="no NilpNest of order 3"):
         bij.booleans_to_nests(3, np.array([[1, 1, 3]]))
-    monkeypatch.setattr(bij, "expand_domains", lambda n, dom: None)
-    with pytest.raises(ValidationError, match="domain of order 3"):
+    increasing = np.array([[0, 1, 0, 0, 0, 0]], dtype=np.int8)  # domain row 1 increases
+    monkeypatch.setattr(bij, "_domains_from_booleans", lambda n, a: increasing)
+    with pytest.raises(ValidationError, match="no FundamentalDomain of order 3"):
         bij.booleans_to_domains(3, np.array([[1, 1, 1]]))
+    monkeypatch.setattr("gogmagog.triangles.expand_domains", lambda n, dom: None)
+    with pytest.raises(ValidationError, match="domain of order 3"):
+        bij.booleans_to_tsscpp(3, np.array([[1, 1, 1]]))
 
 
 # -------------------------------------------- differential tests, the oracle
@@ -433,6 +474,19 @@ def test_convert_equals_the_oracles_composed_path(source):
                 except ValidationError as exc:
                     got = (type(exc), str(exc))
                 assert got == expected, (obj, target)
+
+
+@pytest.mark.parametrize("sigma", [range(1, 131), range(130, 0, -1)], ids=["identity", "reversed"])
+def test_order_130_conversions_equal_the_oracle(sigma):
+    """Past order 128 the counts of the domain maps no longer fit in int8:
+    the permutations of order 130 reach the domain side as the oracle's
+    objects and come back to their boolean triangles."""
+    p = Permutation(130, tuple(sigma))
+    boolean = ref.permutation_to_boolean(p)
+    for target in ("fundamental_domain", "magog_triangle", "plane_partition"):
+        got = bij.convert(p, target)
+        assert got == ref.convert_object(p, target), target
+        assert bij.convert(got, "boolean_triangle") == boolean, target
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,24 @@ def test_frontier_search_equals_the_recursive_reference(family):
         assert enumeration.entries(family, n).tolist() == expected, (family, n)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rise_masks_equal_the_definition(n):
+    """Bit j of a row's mask is set where row r rises by one onto diagonal
+    q = n - 1 - r + j >= 2, for the candidates and for random diagonal sums
+    alike; the search against the reference above shows the bitmask test
+    admits the same rows as the sums."""
+    rng = np.random.default_rng(n)
+    for r in range(n - 1):
+        _, placed, rises = enumeration._boolean_candidates(n, r)
+        sums = rng.integers(-2, n, (50, n)).astype(np.int8)
+        for x, masks in ((placed, rises), (sums, enumeration._rises(sums, r))):
+            expected = [
+                sum(1 << q - (n - 1 - r) for q in range(max(2, n - 1 - r), n) if row[q] - row[q - 1] == 1)
+                for row in x.tolist()
+            ]
+            assert masks.tolist() == expected
+
+
 def test_a_derived_map_that_repeats_a_value_raises(monkeypatch):
     cls, source, image = enumeration._DERIVED[FamilyId.MONOTONE]
 
