@@ -138,15 +138,17 @@ def _domains_from_booleans(n, a):
 
 
 # The batched maps below take validated entry arrays of order n (one row per
-# value, see ``triangles.validate_batch``) and check each block of
-# ``_CHECK_ROWS`` values they return; the maps between boolean triangles and
-# domains, and :func:`booleans_to_tsscpp`, also map a block at a time.  Small
-# blocks, because ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n)
-# closure cubes per block and the nest check slows on larger ones: with
-# blocks of 2,048 rows counting the TSSCPPs of order 7 peaks at 51 MiB
-# against 36 MiB, and checking 2,048 nests of order 6 takes 1.1 ms against
-# 0.6 ms (in one process on a 2-CPU Xeon).
-_CHECK_ROWS = 256
+# value, see ``triangles.validate_batch``) and check the values they return
+# in blocks of ``_CHECK_ROWS``, the ``enumeration.CHUNK`` of the searches: the
+# rule tables of ASMs and of monotone, magog and boolean triangles of order 7
+# check 2,048 values 3.4 to 5.3 times faster than 256 at a time, and nests
+# no slower.  Some maps also map a block at a time.  Only
+# :func:`booleans_to_tsscpp` expands in blocks of ``_CUBE_ROWS``, because
+# ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n) closure cubes per
+# block: with blocks of 2,048 rows counting the TSSCPPs of order 7 peaks at
+# 51 MiB against 36 MiB (in one process on a 2-CPU Xeon).
+_CHECK_ROWS = 2048
+_CUBE_ROWS = 256
 
 
 def _checked(cls, n, a):
@@ -171,12 +173,13 @@ def booleans_to_domains(n, a):
 def booleans_to_tsscpp(n, a):
     """Batch form of :func:`boolean_to_tsscpp` on validated boolean entry
     arrays of order n: the heights arrays, shape (len(a), 2n, 2n), of
-    ``triangles.domains_to_tsscpps`` (a domain that round-trips is the
-    corner of a valid plane partition)."""
+    ``triangles.domains_to_tsscpps`` of :func:`_domains_from_booleans` (a
+    domain that round-trips is the corner of a valid plane partition)."""
+    domains = _domains_from_booleans(n, a)
     heights = np.empty((len(a), 2 * n, 2 * n), dtype=np.int16)
-    for start in range(0, len(a), _CHECK_ROWS):
-        block = slice(start, start + _CHECK_ROWS)
-        heights[block] = domains_to_tsscpps(n, _domains_from_booleans(n, a[block]))
+    for start in range(0, len(a), _CUBE_ROWS):
+        block = slice(start, start + _CUBE_ROWS)
+        heights[block] = domains_to_tsscpps(n, domains[block])
     return heights
 
 
@@ -237,11 +240,14 @@ def permutations_to_booleans(n, a):
     """Row r holds k ones, then zeros, k the number of sigma(1..r+1) below
     sigma(r + 2): where sigma(r + 2) enters the sorted prefix.  This is
     :func:`monotones_to_booleans` of :func:`permutations_to_monotones`,
-    without the monotone triangle."""
-    before = np.triu(np.ones((n, n), dtype=bool), 1)
-    smaller = ((a[:, :, None] < a[:, None, :]) & before).sum(axis=1)
-    r, c = _triangle_cells(n - 1)
-    return _checked(BooleanTriangle, n, (c < smaller[:, r + 1]).astype(np.int8))
+    without the monotone triangle, counted node-major, one row at a time."""
+    dtype = _domain_dtype(n)
+    values = np.ascontiguousarray(a.T)
+    rows = np.empty((n * (n - 1) // 2, len(a)), dtype=np.int8)
+    for r in range(n - 1):
+        below = (values[: r + 1] < values[r + 1]).sum(axis=0, dtype=dtype)
+        rows[r * (r + 1) // 2 : (r + 1) * (r + 2) // 2] = np.arange(r + 1, dtype=dtype)[:, None] < below
+    return _checked(BooleanTriangle, n, rows.T)
 
 
 def permutation_booleans(n, a):
@@ -274,13 +280,15 @@ def booleans_to_permutations(n, a):
 
 
 def asms_to_monotones(n, a):
-    """Row k lists the columns whose prefix sum through row k is 1, sorted,
-    and n + 1 in the other columns."""
-    ones = a.reshape(len(a), n, n).cumsum(axis=1, dtype=np.int8) == 1
-    dtype = np.min_scalar_type(-2 * n)  # int8 up to n = 64
-    columns = np.sort(np.where(ones, np.arange(1, n + 1, dtype=dtype), dtype.type(n + 1)), axis=2)
-    r, c = _triangle_cells(n)
-    return _checked(MonotoneTriangle, n, columns[:, r, c])
+    """Row k lists the columns whose prefix sum through row k is 1, in
+    increasing order.  An ASM has k + 1 of them in row k, so the columns of
+    those prefix sums, read row-major, are the monotone entries."""
+    monotones = np.empty((len(a), n * (n + 1) // 2), dtype=np.min_scalar_type(-2 * n))  # int8 up to n = 64
+    for start in range(0, len(a), _CHECK_ROWS):
+        block = slice(start, start + _CHECK_ROWS)
+        ones = a[block].reshape(-1, n, n).cumsum(axis=1, dtype=np.int8) == 1
+        monotones[block] = (np.flatnonzero(ones) % n + 1).reshape(-1, monotones.shape[1])
+    return _checked(MonotoneTriangle, n, monotones)
 
 
 def monotones_to_asms(n, a):

@@ -368,10 +368,12 @@ class SymmetryReport(NamedTuple):
 #
 # Both read one layout, ``_nodes``: node-major, one row per node and one
 # column per value, so that every node of a block of values is a contiguous
-# slab.  A family's sums are running adds of whole slabs, a bound on one
-# node is one unsigned compare per slab, and a constraint between two nodes
-# subtracts two gathered rows.  ``violated`` works on column blocks of at
-# most ``_NODE_BYTES``.
+# slab.  A family's sums are running adds of whole slabs.  For a verdict on
+# a whole block each slab is reduced to its minimum and maximum, and each
+# constraint between two nodes, the difference of two gathered rows, to its
+# largest value; for a verdict on each value a bound on one node is one
+# unsigned compare per slab.  ``violated`` works on column blocks of at most
+# ``_NODE_BYTES``.
 # Permutations (a sort) and nests (a repeated lattice-point code) have one
 # vectorised predicate each, with the same two methods.
 
@@ -379,9 +381,11 @@ _ZERO = -1  # the zero node, the last of a value's nodes
 
 # The most bytes ``_Table.violated`` holds in the largest array of one block
 # of values: its nodes, or its gathered constraint pairs.  Blocks this small
-# reuse the allocator's memory; a whole 2,048-row ASM chunk of order 7 would
-# fault in fresh pages for 600 KB temporaries every time.
-_NODE_BYTES = 1 << 18
+# reuse the allocator's memory, and a whole 2,048-row chunk of the searches
+# fits in one: the 148 int8 nodes of an ASM of order 7 take 303 KB, and
+# counting the 218,348 ASMs of order 7 took 23 ms with one block per chunk
+# against 29 ms with two (in one process on a 2-CPU Xeon).
+_NODE_BYTES = 1 << 19
 
 
 def _rule(error, template, key, a, b=_ZERO, *, low=None, high=None, shown=(), **fields):
@@ -417,12 +421,18 @@ class _Table:
         np.minimum.at(self._high, self.a[upper], self.bound[upper])
         np.maximum.at(self._low, self.b[lower], -self.bound[lower])
         self._pairs = self.a[~upper & ~lower], self.b[~upper & ~lower], self.bound[~upper & ~lower]
-        # Nodes are signed, at least 16 bits wide, and hold twice every
-        # bound, so that clipping the limits to their dtype changes only the
-        # unbounded sides, and two nodes within their bounds differ by a
-        # number the dtype holds.
+        # Nodes are signed and hold twice every bound and every node of a
+        # value whose entries are within their bounds, so that clipping the
+        # limits to their dtype changes only the unbounded sides, and two
+        # such nodes differ by a number the dtype holds.  The sums ``derive``
+        # writes are sums of entries, so they lie between the sums of the
+        # entries' lower limits and of their upper limits.
         widest = max(map(abs, self.bound.tolist()), default=0)
-        self._dtype = np.promote_types(np.int16, np.min_scalar_type(-2 * widest))
+        if derive is not None:  # every entry of a table with sums is bounded
+            reach = np.stack([self._low, self._high], axis=1)
+            derive(n, reach)
+            widest = max(widest, int(np.abs(reach).max()))
+        self._dtype = np.min_scalar_type(-2 * widest - 1)
         self._clipped = {}
 
     def _nodes(self, a):
@@ -438,38 +448,46 @@ class _Table:
         return x
 
     def _limits(self, dtype):
-        """The nodes' lower limits, the width of each node's interval
-        (unsigned) and the pair bounds, clipped to ``dtype``, as columns;
-        made once per dtype."""
+        """The nodes' lower and upper limits, the width of each node's
+        interval (unsigned) and the pair bounds, clipped to ``dtype``; made
+        once per dtype."""
         if dtype not in self._clipped:
             limits = np.iinfo(dtype)
-            low, high, bound = (np.clip(v, limits.min, limits.max).astype(dtype)[:, None]
+            low, high, bound = (np.clip(v, limits.min, limits.max).astype(dtype)
                                 for v in (self._low, self._high, self._pairs[2]))
-            self._clipped[dtype] = low, (high - low).view(f"u{dtype.itemsize}"), bound
+            self._clipped[dtype] = low, high, (high - low).view(f"u{dtype.itemsize}"), bound
         return self._clipped[dtype]
 
     def violated(self, a, axis=None):
         """Whether the values in the rows of an integer entry array violate a
         constraint: any of them, or each (``axis=1``), a block of values at
         a time, as many as keep its largest array within ``_NODE_BYTES`` (at
-        least one).  A node is within [low, high] iff ``x - low``, read
-        unsigned, is at most ``high - low``, both limits clipped to the
-        nodes' dtype (which changes only an unbounded side); a constraint
-        between two nodes subtracts their gathered rows.  A value within the
-        bounds of its entries has sums and differences far from the limits
-        of that dtype, so nothing computed for it overflows, and the wrapped
-        results of other values are never read alone: their entries are out
-        of bounds."""
+        least one).  The limits are clipped to the nodes' dtype, which
+        changes only an unbounded side.  For the whole batch each node row
+        is reduced to its minimum and maximum over the block, and each
+        constrained pair to its largest difference, and those are compared
+        with the limits.  For each value a node is within [low, high] iff
+        ``x - low``, read unsigned, is at most ``high - low``.  A value within
+        the bounds of its entries has sums and differences far from the
+        limits of that dtype, so nothing computed for it overflows, and the
+        wrapped results of other values never decide a verdict alone: their
+        entries are out of bounds."""
         dtype = np.promote_types(a.dtype, self._dtype)
-        low, span, bound = self._limits(dtype)
+        low, high, span, bound = self._limits(dtype)
         i, j, _ = self._pairs
         step = max(1, _NODE_BYTES // (max(len(low), len(i)) * dtype.itemsize))
         verdicts = np.zeros(len(a), dtype=bool)
         for start in range(0, len(a), step):
-            x, bad = self._nodes(a[start : start + step]), verdicts[start : start + step]
-            np.logical_or(((x - low).view(span.dtype) > span).any(axis=0), (x[i] - x[j] > bound).any(axis=0), out=bad)
-            if axis is None and bad.any():
-                return True
+            x = self._nodes(a[start : start + step])
+            if axis is None:
+                if (x.min(axis=1) < low).any() or (x.max(axis=1) > high).any():
+                    return True
+                differences = x[i]
+                if (np.subtract(differences, x[j], out=differences).max(axis=1) > bound).any():
+                    return True
+            else:
+                np.logical_or(((x - low[:, None]).view(span.dtype) > span[:, None]).any(axis=0),
+                              (x[i] - x[j] > bound[:, None]).any(axis=0), out=verdicts[start : start + step])
         return False if axis is None else verdicts
 
     def first(self, entries, what):
@@ -681,11 +699,15 @@ def _nest_points(n):
 
 def _nest_codes(n, a):
     """The code x * n + y of every lattice point of the nests in the rows
-    of ``a`` (1 for a "D" step), in visiting order."""
+    of ``a`` (1 for a "D" step), in visiting order, in the narrowest dtype
+    of at least 16 bits that holds the codes of 0/1 entries: int16 up to
+    n = 180.  16-bit codes sort no slower per nest on 2,048 nests than on
+    256, where int64 codes took 1.6 times as long."""
     _, codes, after, start = _nest_points(n)
-    moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
+    dtype = np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
+    moved = np.zeros((len(a), a.shape[1] + 1), dtype=dtype)
     np.cumsum(a, axis=1, out=moved[:, 1:])
-    return codes + n * (moved[:, after] - moved[:, start])
+    return codes.astype(dtype) + dtype.type(n) * (moved[:, after] - moved[:, start])
 
 
 @lru_cache(maxsize=None)
@@ -964,18 +986,22 @@ def validate_tsscpp(p: PlanePartition):
 
 @lru_cache(maxsize=None)
 def _closure_cells(n):
-    """For every cell of the (2n)^3 cube, row-major: the flat index into the
-    padded (2n+1)^2 domain array of the height that decides the cell, the
-    threshold it is compared with, and whether the cell decides itself (its
-    middle coordinate exceeds n) or through its complement cell.  Built on
-    first use and shared by every domain of order n."""
+    """The cells (a >= b >= c) of the (2n)^3 cube with sorted coordinates,
+    each once: the flat index into the padded (2n+1)^2 domain array of the
+    height that decides it, the threshold it is compared with, and whether
+    it decides itself (b exceeds n) or through its complement cell; then,
+    for every cell of the cube, row-major, the index of its sorted cell.
+    Built on first use and shared by every domain of order n."""
     side = 2 * n
     idx = np.arange(1, side + 1, dtype=np.int16)
-    low, mid, high = np.sort(np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1), axis=0)
+    cells = np.sort(np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1), axis=0)
+    codes = (cells[0] * np.int64(side + 1) + cells[1]) * (side + 1) + cells[2]
+    _, first, cube = np.unique(codes, return_index=True, return_inverse=True)
+    low, mid, high = cells[:, first]
     inside = mid >= n + 1
     threshold = np.where(inside, low, side + 1 - high)
     flat = np.where(inside, mid, side + 1 - mid) * np.int64(side + 1) + np.where(inside, high, side + 1 - low)
-    return flat, threshold, inside
+    return flat, threshold, inside, cube
 
 
 def _closure(n, dom):
@@ -985,12 +1011,15 @@ def _closure(n, dom):
     The lattice-point set is closed under the six coordinate permutations and
     the complementation involution: a cell sorted to (a >= b >= c) lies in the
     set iff c <= t[b][a] when b > n, and otherwise iff its complement cell is
-    absent.
+    absent.  So every cube is totally symmetric and self-complementary
+    whatever ``dom`` holds: membership is decided once per sorted cell, and
+    a cell with b <= n is decided by its complement, whose middle coordinate
+    2n + 1 - b exceeds n.
     """
     side = 2 * n
-    flat, threshold, inside = _closure_cells(n)
+    flat, threshold, inside, cube = _closure_cells(n)
     member = (dom.reshape(len(dom), -1)[:, flat] >= threshold) == inside
-    return member.reshape(len(dom), side, side, side)
+    return member[:, cube].reshape(len(dom), side, side, side)
 
 
 def expand_domains(n, dom):
@@ -999,11 +1028,10 @@ def expand_domains(n, dom):
     ``dom`` holds fundamental domains of order ``n`` as padded arrays of
     shape (m, 2n+1, 2n+1): ``dom[:, n+1+i, n+1+i+c]`` is entry ``(i, c)``
     (0-based) of a domain, every other entry is zero.  Returns the heights
-    arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure is column
-    contiguous, a plane partition, totally symmetric and self-complementary,
-    and reproduces its domain; otherwise None.
+    arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure (totally
+    symmetric and self-complementary by construction) is column contiguous,
+    a plane partition, and reproduces its domain; otherwise None.
     """
-    side = 2 * n
     m = _closure(n, dom)
     # Column contiguity: down the third axis every column is a run of
     # members followed by a run of non-members.
@@ -1012,15 +1040,10 @@ def expand_domains(n, dom):
     heights = m.sum(axis=3, dtype=np.int16)
     if _plane_partition_table(n).violated(heights.reshape(len(dom), -1)):
         return None
-    # The cube of a contiguous closure is the cube of its heights.
-    if not (
-        (m == m.transpose(0, 2, 1, 3)).all()
-        and (m == m.transpose(0, 3, 1, 2)).all()
-        and (m == ~m[:, ::-1, ::-1, ::-1]).all()
-    ):
-        return None
-    corner = np.triu(np.ones((n, n), dtype=bool))
-    if not (heights[:, n:, n:] == dom[:, n + 1 :, n + 1 :]).all(where=corner):
+    # The cube of a contiguous closure is the cube of its heights, and every
+    # closure is totally symmetric and self-complementary (see _closure).
+    i, c = _domain_cells(n)
+    if not (heights[:, n + i, n + i + c] == dom[:, n + 1 + i, n + 1 + i + c]).all():
         return None
     return heights
 

@@ -155,6 +155,35 @@ def test_frontier_search_equals_the_recursive_reference(family):
         assert enumeration.entries(family, n).tolist() == expected, (family, n)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_asm_suffix_block_is_the_row_search_from_its_mask(n):
+    """The completions ``_asm_chunks`` joins to a prefix of h = ceil(n / 2)
+    rows are, for each column-prefix mask, the row search started from that
+    mask alone, in its order; a mask without h bits set has none."""
+    h = (n + 1) // 2
+    tails, offsets = enumeration._asm_suffixes(n)
+    assert tails.dtype == np.int8 and offsets[-1] == len(tails)
+    for mask in range(1 << n):
+        block = tails[offsets[mask] : offsets[mask + 1]]
+        state, expected = np.array([mask]), np.zeros((1, 0), dtype=np.int8)
+        for r in range(h, n):
+            state, expected = enumeration._asm_step(n, r, state, expected)
+        assert block.tolist() == (expected.tolist() if mask.bit_count() == h else []), mask
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_asm_chunks_split_the_joined_blocks_at_any_chunk_size(chunk, monkeypatch):
+    """With chunks smaller than the suffix blocks and than the prefix
+    blocks, the join still gives the reference's ASMs in order, in chunks
+    of at most ``chunk`` rows."""
+    monkeypatch.setattr(enumeration, "CHUNK", chunk)
+    for n in range(1, 6):
+        chunks = list(enumeration._asm_chunks(n))
+        assert all(0 < len(c) <= chunk for c in chunks)
+        expected = [_flat_entries(value) for value in reference_search.values("asm", n)]
+        assert np.concatenate(chunks).tolist() == expected, n
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_rise_masks_equal_the_definition(n):
     """Bit j of a row's mask is set where row r rises by one onto diagonal
@@ -194,6 +223,7 @@ PEAK_BYTES = 12_000_000
 @pytest.mark.parametrize("family", ["asm", "boolean"])
 def test_count_at_order_seven_expands_the_frontier_in_blocks(family):
     enumeration._asm_table.cache_clear()
+    enumeration._asm_suffixes.cache_clear()
     enumeration._boolean_candidates.cache_clear()
     tracemalloc.start()
     try:

@@ -2,12 +2,16 @@
 column blocks and at the limits of every entry dtype.
 
 ``violated`` lays a batch out node-major and checks it a block of values at
-a time, each block's largest array within ``triangles._NODE_BYTES``; a node's
-interval is one unsigned compare with limits clipped to the nodes' dtype.
+a time, each block's largest array within ``triangles._NODE_BYTES``, with
+limits clipped to the nodes' dtype: for the whole batch by the minimum and
+maximum of each node and the largest difference of each constrained pair,
+for each value by one unsigned compare per node.
 The oracle for each value is the scalar scan of ``reference_checks`` (or,
 on a table made here, the one-row path ``first``, exact for integers of
 any size).
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,11 +81,12 @@ def _bad_values(cls, n, valid):
     return bad
 
 
-def _rows_per_value(cls, n):
-    """The rows of the largest array ``violated`` makes per value: the nodes
-    with the zero, or the gathered constraint pairs."""
+def _bytes_per_value(cls, n):
+    """The bytes of the largest array ``violated`` makes per value of an
+    int8 batch: the nodes with the zero, or the gathered constraint pairs,
+    in the table's node dtype."""
     table = triangles._FAMILIES[cls].rules(n)
-    return max(len(table._low), len(table._pairs[0]))
+    return max(len(table._low), len(table._pairs[0])) * table._dtype.itemsize
 
 
 @pytest.mark.parametrize("cls", list(TABLES), ids=lambda c: c.__name__)
@@ -94,7 +99,7 @@ def test_blocks_give_the_verdict_of_each_value(cls, per_block, monkeypatch):
     n, valid = _valid_entries(cls)
     bad = _bad_values(cls, n, valid)
     table = triangles._FAMILIES[cls].rules(n)
-    monkeypatch.setattr(triangles, "_NODE_BYTES", per_block * _rows_per_value(cls, n) * 2)
+    monkeypatch.setattr(triangles, "_NODE_BYTES", per_block * _bytes_per_value(cls, n))
     calls = []
     nodes = triangles._Table._nodes
     monkeypatch.setattr(triangles._Table, "_nodes", lambda self, a: calls.append(len(a)) or nodes(self, a))
@@ -114,6 +119,58 @@ def test_blocks_give_the_verdict_of_each_value(cls, per_block, monkeypatch):
         assert table.violated(a), places
         assert table.violated(a, axis=1).tolist() == expected, places
         assert validate_batch(cls, n, a) is None
+
+
+def _at_the_node_limits(cls, n, valid):
+    """Valid values with a run of 1, 2 or 3 entries, or every entry from
+    one on, set to the min or the max of the table's node dtype, so that
+    the sums and the pair differences of those entries wrap in it."""
+    limits = np.iinfo(triangles._FAMILIES[cls].rules(n)._dtype)
+    changed = []
+    for base in (valid[0], valid[len(valid) // 2]):
+        for place in range(len(base)):
+            for stop in (place + 1, place + 2, place + 3, len(base)):
+                for extreme in (int(limits.min), int(limits.max)):
+                    entries = base[:place] + [extreme] * (min(stop, len(base)) - place) + base[stop:]
+                    if entries not in changed:
+                        changed.append(entries)
+    return changed
+
+
+@pytest.mark.parametrize("cls", list(TABLES), ids=lambda c: c.__name__)
+def test_entries_at_the_node_dtype_limits_and_sums_that_wrap_in_it(cls):
+    """Every table here has int8 nodes.  Values whose entries reach the
+    int8 limits, alone among valid values and all together: both forms of
+    ``violated`` and ``validate_batch`` refuse exactly the values the
+    scalar scan refuses (a domain has no largest entry, so some pass)."""
+    n, valid = _valid_entries(cls)
+    table = triangles._FAMILIES[cls].rules(n)
+    assert table._dtype == np.int8
+    changed = _at_the_node_limits(cls, n, valid)
+    expected = [_refused(cls, n, entries) for entries in changed]
+    assert sum(expected) > len(expected) // 2
+    good = [valid[k % len(valid)] for k in range(BATCH)]
+    together = np.array(good + changed + good, dtype=np.int8)
+    assert table.violated(together, axis=1).tolist() == [False] * BATCH + expected + [False] * BATCH
+    assert table.violated(together)
+    for entries, refused in zip(changed, expected):
+        a = np.array(good[:20] + [entries] + good[20:], dtype=np.int8)
+        assert table.violated(a) == refused, entries
+        assert table.violated(a, axis=1).tolist() == [False] * 20 + [refused] + [False] * (BATCH - 20), entries
+        assert (validate_batch(cls, n, a) is None) == refused, entries
+
+
+# Each table at two orders, built past the cache: the last order at which
+# twice its largest node, for entries within their bounds, fits int8.
+@pytest.mark.parametrize("build, last", [
+    (triangles._asm_table.__wrapped__, 63),  # prefix sums within -n..n
+    (triangles._boolean_table.__wrapped__, 64),  # diagonal sums within 0..n - 1
+    (partial(triangles._interlacing_table.__wrapped__, True), 63),  # entries within 1..n
+    (triangles._plane_partition_table.__wrapped__, 31),  # entries within 0..2n
+], ids=["Asm", "BooleanTriangle", "MagogTriangle", "PlanePartition"])
+def test_the_node_dtype_is_the_narrowest_that_holds_twice_every_node(build, last):
+    assert build(last)._dtype == np.int8
+    assert build(last + 1)._dtype == np.int16
 
 
 @pytest.mark.parametrize("cls", list(TABLES), ids=lambda c: c.__name__)

@@ -4,9 +4,12 @@ and the JSON round trip."""
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import golden_data as gold
+from gogmagog import triangles
+from gogmagog.enumeration import entries
 from gogmagog.statistics import is_permutation_matrix
 from gogmagog.triangles import (
     AlternationError,
@@ -379,6 +382,43 @@ def test_expand_fundamental_rejects_inconsistent_domain():
     # the last domain column is forced to zero; a one there cannot expand
     with pytest.raises(InconsistentDomain):
         expand_fundamental(FundamentalDomain(3, ((1, 1, 1), (1, 1), (1,))))
+
+
+def _closures_are_symmetric_and_self_complementary(closure):
+    """Whether the cubes ``closure(n, dom)`` equal their transposes and
+    their complement for padded arrays of every order 1..5: random ones,
+    every entry drawn from -2..2n+2 (domains or not), and those of every
+    TSSCPP of order up to 4."""
+    rng = np.random.default_rng(128)
+    for n in range(1, 6):
+        side = 2 * n
+        dom = rng.integers(-2, side + 3, (300, side + 1, side + 1)).astype(np.int16)
+        if n <= 4:
+            domains = triangles.tsscpps_to_domains(n, entries("tsscpp", n))
+            dom = np.concatenate((dom, triangles._padded_domains(n, domains)))
+        m = closure(n, dom)
+        if not ((m == m.transpose(0, 2, 1, 3)).all() and (m == m.transpose(0, 3, 1, 2)).all()
+                and (m == ~m[:, ::-1, ::-1, ::-1]).all()):
+            return False
+    return True
+
+
+def _closure_deciding_every_cell_itself(n, dom):
+    """A wrong ``_closure``: a cell sorted to (a >= b >= c) is a member iff
+    c <= t[b][a], also where b <= n."""
+    side = 2 * n
+    cell = np.arange(1, side + 1)
+    low, middle, high = np.sort(np.stack(np.meshgrid(cell, cell, cell, indexing="ij")).reshape(3, -1), axis=0)
+    member = dom.reshape(len(dom), -1)[:, middle * (side + 1) + high] >= low
+    return member.reshape(len(dom), side, side, side)
+
+
+def test_every_closure_is_totally_symmetric_and_self_complementary():
+    """``expand_domains`` checks neither property: ``_closure`` builds them
+    in for any padded array.  The check above tells a closure that decides
+    the cells of small middle coordinate itself."""
+    assert _closures_are_symmetric_and_self_complementary(triangles._closure)
+    assert not _closures_are_symmetric_and_self_complementary(_closure_deciding_every_cell_itself)
 
 
 def test_fundamental_domain_shape_checks():
