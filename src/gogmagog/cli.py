@@ -5,11 +5,18 @@ Subcommands: ``enumerate``, ``convert``, ``stats``, ``dist``, ``poset``,
 stderr; output is deterministic for identical inputs.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.  The ``TSSCPP_MAX_N``
 environment variable replaces every enumeration cap (``enumeration._cap``).
+
+:func:`entry`, behind ``python -m gogmagog`` and the ``gogmagog`` script,
+freezes the objects the imports made (``gc.freeze``), so that no collection
+during the run or at exit traverses them, then runs :func:`main`; the
+collector stays enabled.  :func:`main` is the in-process API, for tests and
+library callers in long-lived processes, and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -26,7 +33,7 @@ from .triangles import (
     to_json_dict,
 )
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 
 _KIND_ALIASES = {
@@ -216,5 +223,11 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """Run :func:`main` on ``sys.argv`` with the import-time heap frozen."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

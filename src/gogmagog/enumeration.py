@@ -4,13 +4,15 @@ Each family yields its objects exactly once, in lexicographic order on the
 row-major representation.  Three searches yield int8 entry arrays.  Boolean
 triangles are searched row by row over a numpy frontier: every state, the
 diagonal partial sums so far, is extended by all admissible next rows at
-once, blocks of ``CHUNK`` states at a time, depth first.  ASMs are joined
-from two halves: the same row search, over column-prefix 0/1 masks, gives
-the first ceil(n/2) rows, and each such prefix is followed by every
+once, blocks of ``CHUNK`` states at a time, depth first; the last row is
+joined to a block of states in slices of ``CHUNK`` children.  ASMs are
+joined from two halves: the same row search, over column-prefix 0/1 masks,
+gives the first ceil(n/2) rows, and each such prefix is followed by every
 completion of its mask, a block built once per order; the joined rows are
-cut into chunks of ``CHUNK``.  Permutations are joined the same way: each
-prefix of all but the last five positions is followed by the block of the
-permutations of five, relabelled by its missing values.  Every other family
+cut into chunks of ``CHUNK``, each built from the prefixes that meet it.
+Permutations are joined the same way: each prefix of all but the last five
+positions is followed by the block of the permutations of five,
+relabelled by its missing values.  Every other family
 is the image of one of them under a batched bijection (``_DERIVED``):
 monotone triangles of ASMs, magog triangles, nests and TSSCPPs of boolean
 triangles, permutation boolean triangles of permutations.  An image is put
@@ -154,6 +156,29 @@ def _blocked(step, depth, state, entries, level=0):
         yield from _blocked(step, depth, state[block], entries[block], level + 1)
 
 
+def _spans(sizes):
+    """Cut the children of a block of parents, ``sizes[i]`` of parent i, in
+    order, into slices of ``CHUNK``: for each slice the parents ``lo:hi``
+    that meet it, and the slice of their children, counted from the first
+    child of parent ``lo``."""
+    ends = np.cumsum(sizes)
+    firsts = np.arange(0, ends[-1], CHUNK)
+    stops = np.minimum(firsts + CHUNK, ends[-1])
+    los = np.searchsorted(ends, firsts, side="right")
+    his = np.searchsorted(ends, stops - 1, side="right") + 1
+    for first, stop, lo, hi in zip(firsts, stops, los, his):
+        skip = first - (ends[lo] - sizes[lo])
+        yield lo, hi, slice(skip, skip + stop - first)
+
+
+def _expanded(offsets, keys):
+    """Every entry of the CSR rows ``keys`` (``offsets`` by key), key-major:
+    the index in ``keys`` of each entry's key, and the entry's position."""
+    first, sizes = offsets[keys], offsets[keys + 1] - offsets[keys]
+    index = np.repeat(np.arange(len(keys)), sizes)
+    return index, np.arange(len(index)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+
+
 @lru_cache(maxsize=None)
 def _boolean_candidates(n, r):
     """All 0/1 rows of length r + 1 in lexicographic order, the same rows
@@ -168,31 +193,48 @@ def _boolean_candidates(n, r):
 
 def _rises(x, r):
     """Bit j of entry t is set where ``x[t, q] - x[t, q - 1] == 1`` at the
-    diagonal q = n - 1 - r + j >= 2 of row r: one int64 per row of ``x``,
-    as row r has r + 1 < 63 entries wherever its 2^(r + 1) candidates fit
-    in memory."""
+    diagonal q = n - 1 - r + j >= 2 of row r: one integer per row of ``x``,
+    in the narrowest unsigned dtype of r + 1 bits, as row r has r + 1 < 63
+    entries wherever its 2^(r + 1) candidates fit in memory."""
     first, low = x.shape[1] - 1 - r, max(2, x.shape[1] - 1 - r)
-    return (np.diff(x[:, low - 1 :], axis=1) == 1) @ (1 << np.arange(low - first, r + 1, dtype=np.int64))
+    bits = (np.diff(x[:, low - 1 :], axis=1) == 1) @ (1 << np.arange(low - first, r + 1, dtype=np.int64))
+    return bits.astype(np.min_scalar_type((1 << (r + 1)) - 1))
+
+
+def _admissible(n, r, sums):
+    """Whether each candidate row r is admissible after each state, one row
+    of the result per state.  The state is the diagonal partial sums,
+    ``sums[:, q]`` for diagonal q; a row is admissible when ``sums[q] <= 1 +
+    sums[q - 1]`` for q >= 2 after it.  Every state keeps each such
+    difference at most 1, so a row is admissible exactly when it rises on
+    no diagonal where the difference is 1 already: one test of two
+    bitmasks."""
+    return (_rises(sums, r)[:, None] & _boolean_candidates(n, r)[2]) == 0
 
 
 def _boolean_step(n, r, sums, entries):
-    """The state is the diagonal partial sums, ``sums[:, q]`` for diagonal q;
-    a row is admissible when ``sums[q] <= 1 + sums[q - 1]`` for q >= 2 after
-    it.  Every state keeps each such difference at most 1, so a row is
-    admissible exactly when it rises on no diagonal where the difference is
-    1 already: one test of two bitmasks.  No step reads the sums after the
-    last row, so there the state is only each child's parent."""
-    rows, placed, rises = _boolean_candidates(n, r)
-    state, cand = np.nonzero((_rises(sums, r)[:, None] & rises) == 0)
-    entries = _joined((entries, state), (rows, cand))
-    return (state if r == n - 2 else sums[state] + placed[cand]), entries
+    """Every state followed by each admissible row r, and the sums after it."""
+    rows, placed, _ = _boolean_candidates(n, r)
+    state, cand = np.nonzero(_admissible(n, r, sums))
+    return sums[state] + placed[cand], _joined((entries, state), (rows, cand))
 
 
 def _boolean_chunks(n):
     """Entry arrays (int8, row-major) of all boolean triangles of order n,
-    lexicographic order."""
+    lexicographic order: each block of the first n - 2 rows from the row
+    search, every state followed by its admissible last rows, in slices of
+    ``CHUNK`` rows of that join (no step reads the sums after the last
+    row)."""
     start = np.zeros((1, n), dtype=np.int8), np.zeros((1, 0), dtype=np.int8)
-    return (entries for _, entries in _blocked(partial(_boolean_step, n), n - 1, *start))
+    if n == 1:
+        yield start[1]
+        return
+    rows = _boolean_candidates(n, n - 2)[0]
+    for sums, entries in _blocked(partial(_boolean_step, n), n - 2, *start):
+        admissible = _admissible(n, n - 2, sums)
+        for lo, hi, part in _spans(admissible.sum(axis=1)):
+            state, cand = np.nonzero(admissible[lo:hi])
+            yield _joined((entries, lo + state[part]), (rows, cand[part]))
 
 
 @lru_cache(maxsize=None)
@@ -217,9 +259,7 @@ def _asm_step(n, r, masks, entries):
     its own: n rows summing to 1 with every column prefix in {0, 1} leave
     every column summing to 1."""
     rows, offsets, row, successor = _asm_table(n)
-    first, sizes = offsets[masks], offsets[masks + 1] - offsets[masks]
-    state = np.repeat(np.arange(len(masks)), sizes)
-    pos = np.arange(len(state)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    state, pos = _expanded(offsets, masks)
     return successor[pos], _joined((entries, state), (rows, row[pos]))
 
 
@@ -245,18 +285,15 @@ def _asm_chunks(n):
     """Entry arrays (int8, row-major) of all ASMs of order n, lexicographic
     order: each block of the first h rows from the row search, every prefix
     followed by the completions of its mask (:func:`_asm_suffixes`), in
-    slices of ``CHUNK`` rows of that join, each one :func:`_joined`."""
+    slices of ``CHUNK`` rows of that join, each one :func:`_joined` from
+    the prefixes that meet it."""
     tails, offsets = _asm_suffixes(n)
     h = (n + 1) // 2
     start = np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int8)
     for masks, heads in _blocked(partial(_asm_step, n), h, *start):
-        sizes = offsets[masks + 1] - offsets[masks]
-        ends = np.cumsum(sizes)
-        shift = offsets[masks] - (ends - sizes)  # joined row -> its completion, per prefix
-        for first in range(0, ends[-1], CHUNK):
-            rows = np.arange(first, min(first + CHUNK, ends[-1]))
-            head = np.searchsorted(ends, rows, side="right")
-            yield _joined((heads, head), (tails, shift[head] + rows))
+        for lo, hi, part in _spans(offsets[masks + 1] - offsets[masks]):
+            head, tail = _expanded(offsets, masks[lo:hi])
+            yield _joined((heads, lo + head[part]), (tails, tail[part]))
 
 
 # The permutations of the last five positions are one block of 5! = 120 rows,

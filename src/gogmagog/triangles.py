@@ -699,26 +699,45 @@ def _nest_points(n):
 
 def _nest_codes(n, a):
     """The code x * n + y of every lattice point of the nests in the rows
-    of ``a`` (1 for a "D" step), in visiting order, in the narrowest dtype
-    of at least 16 bits that holds the codes of 0/1 entries: int16 up to
-    n = 180.  16-bit codes sort no slower per nest on 2,048 nests than on
-    256, where int64 codes took 1.6 times as long."""
+    of ``a`` (1 for a "D" step), in visiting order."""
     _, codes, after, start = _nest_points(n)
-    dtype = np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
-    moved = np.zeros((len(a), a.shape[1] + 1), dtype=dtype)
+    moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
     np.cumsum(a, axis=1, out=moved[:, 1:])
-    return codes.astype(dtype) + dtype.type(n) * (moved[:, after] - moved[:, start])
+    return codes + n * (moved[:, after] - moved[:, start])
 
 
 @lru_cache(maxsize=None)
 def _nest_table(n):
     """A nest's one check: its entries are 0/1 and no two of its lattice
-    points have the same code.  The first point whose code repeats is
+    points have the same code.  A block of nests is checked by occupancy:
+    the codes of each nest's points, offset by ``width`` times its row, mark
+    one bool array, and a code repeats iff fewer cells are marked than
+    codes.  Only the points after a step are marked, as the start (i, i) of
+    path i is on no other path.  The first point whose code repeats is
     reported with the path that visited it first."""
+    _, codes, after, start = _nest_points(n)
+    steps = after - start
+    cells = codes[steps > 0, None]  # the code after each step (entry) if every step were "V"
+    later = [after[steps == s] - 1 for s in range(2, n)]  # the entries that are step s of their path
+    width = 2 * n * (n - 1) + 1  # a code is at most 2n(n - 1): path n - 1 after n - 1 "D" steps
 
     def violated(a, axis=None):
-        codes = np.sort(_nest_codes(n, a), axis=1)
-        return ((a < 0) | (a > 1)).any(axis=axis) | (codes[:, 1:] == codes[:, :-1]).any(axis=axis)
+        dtype = np.promote_types(np.int32, np.min_scalar_type(-len(a) * width))
+        x = np.empty((a.shape[1], len(a)), dtype=dtype)
+        # Clipped, the codes of a value with an entry other than 0/1 (refused
+        # below) stay within its own cells.
+        np.clip(a.T, 0, 1, out=x)
+        for entries in later:
+            x[entries] += x[entries - 1]  # the "D" steps so far on the path
+        x *= n
+        x += cells
+        x += np.arange(0, len(a) * width, width, dtype=dtype)
+        seen = np.zeros((len(a), width), dtype=bool)
+        seen.ravel()[x] = True
+        bad = ((a < 0) | (a > 1)).any(axis=axis)
+        if axis is None:
+            return bad or np.count_nonzero(seen) < x.size
+        return bad | (np.count_nonzero(seen, axis=1) < len(x))
 
     def first(entries, what):
         codes = _nest_codes(n, np.array([entries]))[0]

@@ -380,3 +380,86 @@ def test_an_order_too_large_to_count_exits_2_at_once(argv):
     assert time.perf_counter() - start < 2
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == f"error: componentwise poset of order {argv[-1]} exceeds 20000 elements\n"
+
+
+# -- the process entry point --------------------------------------------------
+
+_ONE_OF_EACH = [
+    ("enumerate", "--family", "asm", "--n", "3", "--count-only"),
+    ("convert", "--from", "permutation", "--to", "boolean", "312"),
+    ("stats", "--kind", "permutation", "312"),
+    ("dist", "--family", "boolean", "--n", "3", "--statistic", "zeros"),
+    ("poset", "--name", "tamari", "--n", "3"),
+    ("poset-check", "--claim", "thm4.9", "--n", "3"),
+    ("verify-all", "--n", "2"),
+]
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    """``main`` runs inside long-lived processes (tests, library callers),
+    so only the process entry point may move objects out of the
+    collector's reach."""
+    import gc
+
+    frozen = gc.get_freeze_count()
+    for argv in _ONE_OF_EACH:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert gc.get_freeze_count() == frozen, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "boolean", "--n", "3"),
+        ("enumerate", "--family", "nope", "--n", "3"),
+        ("enumerate", "--family", "asm", "--n", "9", "--count-only"),
+        ("verify-all", "--n", "0"),
+    ],
+    ids=["exit-0", "usage-error", "cap-error", "verify-all-0"],
+)
+def test_the_module_entry_point_prints_what_main_prints(capsys, monkeypatch, argv):
+    import subprocess
+    import sys
+
+    monkeypatch.delenv("TSSCPP_MAX_N", raising=False)
+    result = subprocess.run([sys.executable, "-m", "gogmagog", *argv], capture_output=True, text=True)
+    try:
+        code = main(list(argv))
+    except SystemExit as exit:  # argparse's usage errors
+        code = exit.code
+    captured = capsys.readouterr()
+    assert (result.stdout, result.stderr, result.returncode) == (captured.out, captured.err, code)
+
+
+def test_the_entry_point_freezes_the_heap_then_runs_main():
+    import subprocess
+    import sys
+
+    code = (
+        "import gc, sys; from gogmagog import cli; "
+        "sys.argv = ['gogmagog', 'enumerate', '--family', 'boolean', '--n', '3', '--count-only']; "
+        "status = cli.entry(); print(status, gc.get_freeze_count() > 0, gc.isenabled())"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.stdout, result.stderr) == ("7\n0 True True\n", "")
+
+
+def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
+    """``[project.scripts]`` names the function that ``python -m gogmagog``
+    calls."""
+    import importlib
+    import pathlib
+    import runpy
+
+    tomllib = pytest.importorskip("tomllib")
+    from gogmagog import cli
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gogmagog"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    calls = []
+    for function in ("entry", "main"):
+        monkeypatch.setattr(cli, function, lambda *args, function=function: calls.append(function) or 0)
+    with pytest.raises(SystemExit) as exit:
+        runpy.run_module("gogmagog", run_name="__main__")
+    assert exit.value.code == 0 and calls == [target.__name__] and target.__module__ == "gogmagog.cli"

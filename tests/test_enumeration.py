@@ -184,6 +184,19 @@ def test_asm_chunks_split_the_joined_blocks_at_any_chunk_size(chunk, monkeypatch
         assert np.concatenate(chunks).tolist() == expected, n
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_boolean_chunks_split_the_last_row_at_any_chunk_size(chunk, monkeypatch):
+    """With chunks smaller than the children of one state and than a block
+    of states, the last row's slices still give the reference's boolean
+    triangles in order, in chunks of at most ``chunk`` rows."""
+    monkeypatch.setattr(enumeration, "CHUNK", chunk)
+    for n in range(1, 7):
+        chunks = list(enumeration._boolean_chunks(n))
+        assert all(0 < len(c) <= chunk and c.dtype == np.int8 for c in chunks)
+        expected = [_flat_entries(value) for value in reference_search.values("boolean", n)]
+        assert np.concatenate(chunks).tolist() == expected, n
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_rise_masks_equal_the_definition(n):
     """Bit j of a row's mask is set where row r rises by one onto diagonal

@@ -18,7 +18,7 @@ import pytest
 
 import reference_checks
 from gogmagog import triangles
-from gogmagog.enumeration import generate
+from gogmagog.enumeration import entries, generate
 from gogmagog.triangles import (
     Asm,
     BooleanTriangle,
@@ -287,3 +287,72 @@ def test_one_sided_and_out_of_range_bounds_match_the_one_row_check(dtype):
         expected = [table.first(row, "t") is not None for row in rows]
         assert table.violated(a, axis=1).tolist() == expected
         assert table.violated(a) == any(expected)
+
+
+# -- the nest check by occupancy --------------------------------------------
+
+
+def _nest_points_meet(n, steps):
+    """Whether two paths of a nest of order n share a lattice point: path i
+    starts at (i, i), and each step goes one row down, one column right
+    for a "D" step (entry 1)."""
+    seen, place = set(), 0
+    for i in range(1, n):
+        x = y = i
+        points = [(x, y)]
+        for step in steps[place : place + i]:
+            x, y = x + step, y - 1
+            points.append((x, y))
+        place += i
+        if seen & set(points):
+            return True
+        seen |= set(points)
+    return False
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_nest_check_refuses_shared_points_and_entries_other_than_0_1(n):
+    """Every single-entry change of a sample of valid nests: a step flipped,
+    which may make two paths share a point, or an entry of 2 or -1.  Both
+    forms of ``violated`` and ``validate_batch`` refuse exactly the values
+    that are not 0/1 or whose paths meet, and the valid values beside them
+    keep their verdict."""
+    table = triangles._nest_table(n)
+    valid = entries("nilp", n)
+    valid = valid[:: max(1, len(valid) // 40)].astype(np.int64)
+    mutants, meet = [], 0
+    for row in valid.tolist():
+        for place in range(len(row)):
+            for new in (1 - row[place], 2, -1):
+                mutant = row[:place] + [new] + row[place + 1 :]
+                mutants.append(mutant)
+                meet += new in (0, 1) and _nest_points_meet(n, mutant)
+    assert meet > 0
+    values = np.array([v for mutant in mutants for v in (valid[0].tolist(), mutant)], dtype=np.int8)
+    expected = [not set(v) <= {0, 1} or _nest_points_meet(n, v) for v in values.tolist()]
+    assert not any(expected[::2]) and sum(expected) > meet
+    for a in (values, values.astype(np.int64)):
+        assert table.violated(a, axis=1).tolist() == expected
+        assert table.violated(a)
+        assert not table.violated(a[::2])
+        assert validate_batch(NilpNest, n, a[::2]) is not None
+        for i in np.flatnonzero(expected)[:: max(1, sum(expected) // 50)]:
+            assert table.violated(a[i : i + 1]) and validate_batch(NilpNest, n, a[i : i + 1]) is None
+
+
+def test_nest_entries_far_outside_0_1_leave_the_other_verdicts_alone():
+    """An entry of +-2**40 is refused without reaching the cells of the
+    values beside it, and nests with intersecting or valid paths keep
+    their verdicts."""
+    valid, crossing = [1, 1, 1, 1, 1, 1], [1, 0, 0, 1, 1, 1]  # order 4; in the second, paths 1 and 2 meet at (2, 0)
+    assert not _nest_points_meet(4, valid) and _nest_points_meet(4, crossing)
+    a = np.array([valid, [1, 2**40, 1, 1, 1, 1], crossing, [-(2**40)] + valid[1:], valid], dtype=np.int64)
+    assert triangles._nest_table(4).violated(a, axis=1).tolist() == [False, True, True, True, False]
+
+
+def test_a_shared_point_of_an_order_130_nest_is_reported_where_it_is():
+    """Paths 128 and 129 of a nest of order 130 first meet at (255, 1),
+    whose code 255 * 130 + 1 is beyond int16."""
+    paths = [("V",) * i for i in range(1, 128)] + [("D",) * 128, ("D",) * 126 + ("V",) * 3]
+    with pytest.raises(ValidationError, match=r"^nest: paths 128 and 129 share the point \(255, 1\)$"):
+        NilpNest(130, tuple(paths))
