@@ -5,11 +5,16 @@ k = 1..n, then each of the nine ``CLAIMS`` for k = 2..n; a check that hits a
 cap gives a row with the reason under ``cap``.  Each check returns a dict
 with at least ``claim``, ``n`` and ``ok``; failures carry a witness.
 
-A claim with a known map is decided by one comparison of relation matrices
-through it: the identity on one-line labels (``thm4.4``), the bracket vector
-x_i = i + (row sum) (``thm4.9``, ``thm4.12``, ``cor4.17``), and the zero
-count of each boolean-triangle row, onto [2]x...x[n] (``cor4.16``, whose
-weak and strong containments compare the matrices on shared labels).
+A claim with a known map compares packed relation rows on one label tuple
+and builds no dense view.  The five permutation orders list the
+permutations in one order, so ``thm4.4`` is one equality of posets; the
+zero counts of the boolean-triangle rows are checked to be the points of
+[2]x...x[n], each once, and their componentwise order is compared with the
+boolean permutation order (``cor4.16``, whose weak and strong containments
+are the rows of one order less those of the other).  ``thm4.9``,
+``thm4.12`` and ``cor4.17`` order only the C_n pattern avoiders, sorted by
+their bracket vectors x_i = i + (row sum), which must be the labels of the
+Tamari or Catalan order.
 The other four check certificates on the entry arrays of
 ``enumeration.entries`` and build no relation matrix on the triangles:
 ``thm4.2`` and ``thm4.6`` the chain map onto the ideals (each non-bottom
@@ -29,8 +34,8 @@ import numpy as np
 
 from . import bijections, enumeration, orders, statistics
 from .enumeration import CHUNK, CapExceeded, FamilyId
-from .poset import SizeCap
-from .triangles import _domain_cells, _triangle_cells, format_batch
+from .poset import Poset, SizeCap
+from .triangles import _domain_cells, _one_line_text, _triangle_cells, format_batch
 
 __all__ = ["CHECKS", "CLAIMS", "run_claim", "verify_all"]
 
@@ -39,15 +44,6 @@ def _result(claim, n, ok, **extra):
     out = {"claim": claim, "n": n, "ok": bool(ok)}
     out.update(extra)
     return out
-
-
-def _pullback(target, labels):
-    """``target``'s relation matrix with row and column i at ``labels[i]``;
-    no relation at all unless ``labels`` holds each label of ``target`` once."""
-    if len(labels) != target.size or set(labels) != set(target.labels):
-        return np.zeros((len(labels), len(labels)), dtype=bool)
-    index = [target.index(label) for label in labels]
-    return target.leq_matrix()[np.ix_(index, index)]
 
 
 def check_counts(n):
@@ -195,54 +191,56 @@ def check_ideal_lattice_magog(n):
 
 def check_strong_bruhat(n):
     """The permutation subposet of the monotone-triangle order is the strong
-    Bruhat order: both carry the same one-line labels, and the identity on
-    them maps one relation matrix onto the other."""
+    Bruhat order: both list the same one-line labels in the same order, and
+    their packed relations are equal."""
     a = orders.build_An_perm(n)
-    ok = np.array_equal(_pullback(orders.build_strong_bruhat(n), a.labels), a.leq_matrix())
-    return _result("thm4.4", n, ok, size=a.size)
+    return _result("thm4.4", n, a == orders.build_strong_bruhat(n), size=a.size)
 
 
-def _avoiders(n, pattern):
-    """One-line labels of the permutations of order n that avoid ``pattern``."""
-    perms = enumeration.entries(FamilyId.PERMUTATION, n)
-    return set(orders._one_line(perms[statistics.avoiding(perms, pattern)]))
-
-
-def _catalan_subposet_check(base_poset, n, claim, pattern, build_target):
-    """The ``pattern`` avoiders of ``base_poset``, relabelled by
-    :func:`orders.bracket_label_map`, are exactly the order ``build_target(n)``."""
-    avoiders = base_poset.induced(_avoiders(n, pattern))
+def _catalan_subposet_check(claim, n, pattern, vectors, build_target):
+    """The ``pattern`` avoiders of order n, ordered componentwise on
+    ``vectors(n, booleans)`` of their boolean triangles, are the order
+    ``build_target(n)`` through the bracket vector x_i = i + row sum: labelled
+    by their bracket vectors in sorted order, they are the target, its labels
+    and its packed rows.  Only the C_n avoiders are converted and ordered."""
     target = build_target(n)
-    label_map = orders.bracket_label_map(n)
-    mapped = _pullback(target, [label_map[s] for s in avoiders.labels])
-    ok = np.array_equal(mapped, avoiders.leq_matrix())
+    perms = enumeration.entries(FamilyId.PERMUTATION, n)
+    booleans = bijections.permutations_to_booleans(n, perms[statistics.avoiding(perms, pattern)])
+    brackets = bijections.booleans_to_brackets(n, booleans)
+    order = np.lexsort(brackets.T[::-1])
+    labels = map(_one_line_text, brackets[order].tolist())
+    ok = Poset.componentwise(labels, vectors(n, booleans[order])) == target
     return _result(claim, n, ok, size=target.size)
 
 
 def check_tamari_subposet(n):
     """132-avoiders inside the magog permutation order form the rotation
     lattice on bracket vectors, via x_i = i + row sum."""
-    return _catalan_subposet_check(
-        orders.build_Tn_perm(n), n, "thm4.9", (1, 3, 2), orders.build_tamari
-    )
+    return _catalan_subposet_check("thm4.9", n, (1, 3, 2), bijections.booleans_to_magogs, orders.build_tamari)
 
 
 def check_catalan_subposet(n):
     """213-avoiders inside the magog permutation order form the distributive
     lattice of weakly increasing sequences."""
     return _catalan_subposet_check(
-        orders.build_Tn_perm(n), n, "thm4.12", (2, 1, 3), orders.build_catalan_distributive
+        "thm4.12", n, (2, 1, 3), bijections.booleans_to_magogs, orders.build_catalan_distributive
     )
 
 
 def check_bruhat_sandwich(n):
     """The boolean permutation order is the product of chains [2]x...x[n],
-    whose label of a permutation is the zero count of each row of its boolean
-    triangle, and sits between the weak and strong orders."""
+    whose vector of a permutation is the zero count of each row of its boolean
+    triangle, and sits between the weak and strong orders.  The zero vectors
+    lie in the box 0 <= c_i <= i and their mixed-radix keys are 0..n! - 1, so
+    they are the box's points, each once; their componentwise order, on the
+    one-line labels, is then compared with the boolean order."""
     boolperm = orders.build_TBool_perm(n)
-    row_zeros = orders.chain_label_map(n)
-    mapped = _pullback(orders.build_product_of_chains(n), [row_zeros[s] for s in boolperm.labels])
-    chains = np.array_equal(mapped, boolperm.leq_matrix())
+    labels, booleans = orders._permutation_booleans(n)
+    # Row r has r entries, and its sum is x_{n-r} - (n - r).
+    zeros = n - bijections.booleans_to_brackets(n, booleans)[:, : n - 1][:, ::-1]
+    keys = zeros @ np.array([factorial(n) // factorial(i + 1) for i in range(1, n)], dtype=np.int64)
+    box = ((zeros >= 0) & (zeros <= np.arange(1, n))).all() and np.array_equal(np.sort(keys), np.arange(factorial(n)))
+    chains = bool(box) and Poset.componentwise(labels, zeros) == boolperm
     missing_weak = orders.build_weak_order(n).relations_not_in(boolperm)
     missing_strong = boolperm.relations_not_in(orders.build_strong_bruhat(n))
     ok = missing_weak is None and missing_strong is None and chains
@@ -257,13 +255,11 @@ def check_bruhat_sandwich(n):
 
 
 def check_tamcat_in_boolean_poset(n):
-    """The boolean permutation order contains the same two Catalan
-    subposets on 132- and 213-avoiders."""
-    base = orders.build_TBool_perm(n)
-    tam = _catalan_subposet_check(base, n, "cor4.17", (1, 3, 2), orders.build_tamari)
-    cat = _catalan_subposet_check(
-        base, n, "cor4.17", (2, 1, 3), orders.build_catalan_distributive
-    )
+    """The boolean permutation order (reverse componentwise) contains the same
+    two Catalan subposets on 132- and 213-avoiders."""
+    negated = lambda n, booleans: -booleans
+    tam = _catalan_subposet_check("cor4.17", n, (1, 3, 2), negated, orders.build_tamari)
+    cat = _catalan_subposet_check("cor4.17", n, (2, 1, 3), negated, orders.build_catalan_distributive)
     return _result("cor4.17", n, tam["ok"] and cat["ok"], tamari=tam["ok"], catalan=cat["ok"])
 
 

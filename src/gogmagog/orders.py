@@ -36,29 +36,29 @@ __all__ = [
     "build_product_of_chains",
     "bracket_vectors",
     "catalan_sequences",
-    "bracket_label_map",
-    "chain_label_map",
 ]
 
 
-# The most elements a componentwise order is built on, and the least size
-# that _check_size does not build (Python prints ints of at most 4300 digits).
-_MAX_COMPONENTWISE = 20_000
+# The most bytes of packed relation (a row of whole uint64 words per
+# element) that an order is built with, and the least element count that
+# _check_size does not build (Python prints ints of at most 4300 digits).
+_MAX_RELATION_BYTES = 1 << 28
 _UNPRINTABLE = 10**4300
 
 
 def _check_size(n, size):
     """Refuse order n of an order on size(n) elements, a count that grows with
-    n, above the cap.  The size is built at orders 1, 2, 4, ... below n until
-    one reaches ``_UNPRINTABLE``, and then order n is refused unbuilt."""
+    n, when its packed relation exceeds ``_MAX_RELATION_BYTES``.  The size is
+    built at orders 1, 2, 4, ... below n until one reaches ``_UNPRINTABLE``,
+    and then order n is refused unbuilt."""
     m = 1
     while m < n and size(m) < _UNPRINTABLE:
         m *= 2
     total = size(n) if m >= n else _UNPRINTABLE
     if total >= _UNPRINTABLE:
-        raise SizeCap(f"componentwise poset of order {n} exceeds {_MAX_COMPONENTWISE} elements")
-    if total > _MAX_COMPONENTWISE:
-        raise SizeCap(f"componentwise poset on {total} elements exceeds {_MAX_COMPONENTWISE}")
+        raise SizeCap(f"poset of order {n} needs more than {_MAX_RELATION_BYTES} bytes of relation")
+    if (nbytes := total * -(-total // 64) * 8) > _MAX_RELATION_BYTES:
+        raise SizeCap(f"poset on {total} elements needs {nbytes} bytes of relation, more than {_MAX_RELATION_BYTES}")
 
 
 def _componentwise(labels, vectors, *, reverse=False):
@@ -263,20 +263,3 @@ def build_product_of_chains(n):
     vectors = list(product(*(range(i + 1) for i in range(1, n))))
     return _componentwise([str(v) for v in vectors], vectors)
 
-
-def bracket_label_map(n):
-    """one-line notation -> label of the bracket vector of its boolean
-    triangle (``bijections.booleans_to_brackets``).  On 132-avoiders the
-    image lands in the bracket vectors, on 213-avoiders in the weakly
-    increasing sequences."""
-    labels, booleans = _permutation_booleans(n)
-    return dict(zip(labels, map(_one_line_text, bijections.booleans_to_brackets(n, booleans).tolist())))
-
-
-def chain_label_map(n):
-    """one-line notation -> label in :func:`build_product_of_chains` of the
-    zero count of each boolean-triangle row."""
-    labels, booleans = _permutation_booleans(n)
-    # Row r has r entries, and its sum is x_{n-r} - (n - r).
-    zeros = n - bijections.booleans_to_brackets(n, booleans)[:, : n - 1][:, ::-1]
-    return dict(zip(labels, map(str, map(tuple, zeros.tolist()))))

@@ -48,7 +48,8 @@ class LatticeReport(NamedTuple):
     witness: tuple | None = None
 
 
-# Bytes of packed rows that _cover_rounds and _relabelled take at a time.
+# Bytes of packed rows that _cover_rounds takes at a time, and of unpacked
+# rows that _relabelled and relations_not_in take.
 _BLOCK = 1 << 22
 # Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
 _BOUND_COLUMNS = 512
@@ -405,16 +406,24 @@ class Poset:
 
     def relations_not_in(self, other):
         """The first relation x <= y of self, row by row, that other lacks,
-        or None; a label other does not have lacks every relation."""
+        or None; a label other does not have lacks every relation.  Rows are
+        compared a block at a time, other's relabelled to self's labels
+        (``_BLOCK`` bytes unpacked) unless the two share their label tuple."""
+        n, shared = self.size, self.labels == other.labels
         index = np.array([other._index.get(label, -1) for label in self.labels], dtype=np.intp)
-        absent = index < 0
-        gap = ~other.leq_matrix()[np.ix_(index, index)] if other.size else np.ones((self.size,) * 2, dtype=bool)
-        gap[absent] = gap[:, absent] = True
-        gap &= self.leq_matrix()
-        if not gap.any():
-            return None
-        i, j = np.unravel_index(gap.argmax(), gap.shape)
-        return self.labels[i], self.labels[j]
+        step = max(1, _BLOCK // (64 * _words(max(n, other.size))))
+        for start in range(0, n, step):
+            gap = self._rows[start : start + step].copy()
+            if shared:
+                gap &= ~other._rows[start : start + step]
+            elif other.size:
+                rows = index[start : start + step]
+                theirs = _unpack(other._rows[rows], other.size)[:, index] & (index >= 0) & (rows >= 0)[:, None]
+                gap &= ~_pack(theirs)
+            if gap.any():
+                i = int(gap.any(axis=1).argmax())
+                return self.labels[start + i], self.labels[int(_first_bits(gap[i : i + 1])[0])]
+        return None
 
     def _refined_colors(self):
         n = self.size

@@ -4,7 +4,9 @@ distributivity by a scan of every triple of a lattice; the level-by-level
 closure of ``poset._reach`` with unbuffered ORs; the ideal count with its
 up-sets and down-sets built element by element; and the check of a poset's
 packed rows, cover pairs and dense views against a dense relation, with the
-vectors a builder hands to ``Poset.componentwise``.
+vectors a builder hands to ``Poset.componentwise``.  The permutation-order
+claims as decided before they read packed rows: through dense relation
+matrices pulled back along label maps, on every permutation.
 """
 
 from functools import lru_cache
@@ -12,7 +14,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from gogmagog import bijections, claims, enumeration, orders, statistics
+from gogmagog.enumeration import FamilyId
 from gogmagog.poset import Poset, _diagonal, _pack
+from gogmagog.triangles import _one_line_text
 
 # Rows and columns of the float32 blocks that bool_product multiplies.
 _PRODUCT_BLOCK = 2048
@@ -133,3 +138,93 @@ def built_with_vectors(build, n):
         patch.setattr(Poset, "componentwise", classmethod(recorded))
         poset = build(n)
     return poset, vectors[-1]
+
+
+def pullback(target, labels):
+    """``target``'s relation matrix with row and column i at ``labels[i]``;
+    no relation at all unless ``labels`` holds each label of ``target`` once."""
+    if len(labels) != target.size or set(labels) != set(target.labels):
+        return np.zeros((len(labels), len(labels)), dtype=bool)
+    index = [target.index(label) for label in labels]
+    return target.leq_matrix()[np.ix_(index, index)]
+
+
+def relations_not_in(p, q):
+    """The first relation x <= y of p, row by row, that q lacks, or None; a
+    label q does not have lacks every relation.  On dense matrices."""
+    index = np.array([q._index.get(label, -1) for label in p.labels], dtype=np.intp)
+    absent = index < 0
+    gap = ~q.leq_matrix()[np.ix_(index, index)] if q.size else np.ones((p.size,) * 2, dtype=bool)
+    gap[absent] = gap[:, absent] = True
+    gap &= p.leq_matrix()
+    if not gap.any():
+        return None
+    i, j = np.unravel_index(gap.argmax(), gap.shape)
+    return p.labels[i], p.labels[j]
+
+
+def bracket_label_map(n):
+    """one-line notation -> label of the bracket vector of its boolean
+    triangle."""
+    labels, booleans = orders._permutation_booleans(n)
+    return dict(zip(labels, map(_one_line_text, bijections.booleans_to_brackets(n, booleans).tolist())))
+
+
+def chain_label_map(n):
+    """one-line notation -> label in ``orders.build_product_of_chains`` of the
+    zero count of each boolean-triangle row."""
+    labels, booleans = orders._permutation_booleans(n)
+    zeros = n - bijections.booleans_to_brackets(n, booleans)[:, : n - 1][:, ::-1]
+    return dict(zip(labels, map(str, map(tuple, zeros.tolist()))))
+
+
+def _catalan_subposet(base_poset, n, claim, pattern, build_target):
+    perms = enumeration.entries(FamilyId.PERMUTATION, n)
+    avoiders = base_poset.induced(set(orders._one_line(perms[statistics.avoiding(perms, pattern)])))
+    target = build_target(n)
+    label_map = bracket_label_map(n)
+    mapped = pullback(target, [label_map[s] for s in avoiders.labels])
+    ok = np.array_equal(mapped, avoiders.leq_matrix())
+    return claims._result(claim, n, ok, size=target.size)
+
+
+def _strong_bruhat(n):
+    a = orders.build_An_perm(n)
+    ok = np.array_equal(pullback(orders.build_strong_bruhat(n), a.labels), a.leq_matrix())
+    return claims._result("thm4.4", n, ok, size=a.size)
+
+
+def _bruhat_sandwich(n):
+    boolperm = orders.build_TBool_perm(n)
+    row_zeros = chain_label_map(n)
+    mapped = pullback(orders.build_product_of_chains(n), [row_zeros[s] for s in boolperm.labels])
+    chains = np.array_equal(mapped, boolperm.leq_matrix())
+    missing_weak = relations_not_in(orders.build_weak_order(n), boolperm)
+    missing_strong = relations_not_in(boolperm, orders.build_strong_bruhat(n))
+    ok = missing_weak is None and missing_strong is None and chains
+    return claims._result(
+        "cor4.16",
+        n,
+        ok,
+        weak_relation_missing=missing_weak,
+        strong_relation_missing=missing_strong,
+        product_of_chains=chains,
+    )
+
+
+def _tamcat_in_boolean_poset(n):
+    base = orders.build_TBool_perm(n)
+    tam = _catalan_subposet(base, n, "cor4.17", (1, 3, 2), orders.build_tamari)
+    cat = _catalan_subposet(base, n, "cor4.17", (2, 1, 3), orders.build_catalan_distributive)
+    return claims._result("cor4.17", n, tam["ok"] and cat["ok"], tamari=tam["ok"], catalan=cat["ok"])
+
+
+PERMUTATION_CLAIMS = {
+    "thm4.4": _strong_bruhat,
+    "thm4.9": lambda n: _catalan_subposet(orders.build_Tn_perm(n), n, "thm4.9", (1, 3, 2), orders.build_tamari),
+    "thm4.12": lambda n: _catalan_subposet(
+        orders.build_Tn_perm(n), n, "thm4.12", (2, 1, 3), orders.build_catalan_distributive
+    ),
+    "cor4.16": _bruhat_sandwich,
+    "cor4.17": _tamcat_in_boolean_poset,
+}

@@ -12,10 +12,10 @@ import golden_data as gold
 import reference_maps
 from gogmagog import bijections, claims, enumeration, orders
 from gogmagog.enumeration import FamilyId
-from gogmagog.poset import SizeCap
+from gogmagog.poset import Poset, SizeCap
 from gogmagog.statistics import avoids
 from gogmagog.triangles import Permutation
-from reference_poset import built_with_vectors
+from reference_poset import PERMUTATION_CLAIMS, built_with_vectors
 
 
 def swap_catalan_targets(monkeypatch):
@@ -222,16 +222,34 @@ def test_move_classifier_refusing_bottom_row_kills_fails_with_a_cover(monkeypatc
     assert tuple(result["witness"]) in orders.build_Tn(4).cover_label_pairs()
 
 
-@pytest.mark.parametrize("claim", ["thm4.4", "thm4.9", "thm4.12", "cor4.16", "cor4.17"])
-def test_permutation_claims_refuse_order_eight_before_converting(monkeypatch, claim):
-    def refuse(p):
-        raise AssertionError("converted a permutation")
+@pytest.mark.parametrize(
+    "claim, n, message",
+    [
+        *(
+            (claim, 9, "poset on 362880 elements needs 16460236800 bytes of relation, more than 268435456")
+            for claim in ("thm4.4", "cor4.16")
+        ),
+        *(
+            (claim, 11, "poset on 58786 elements needs 432194672 bytes of relation, more than 268435456")
+            for claim in ("thm4.9", "thm4.12", "cor4.17")
+        ),
+    ],
+)
+def test_permutation_claims_refuse_past_the_relation_guard_before_converting(monkeypatch, claim, n, message):
+    """thm4.4 and cor4.16 order all n! permutations, the Catalan claims the
+    C_n avoiders: the first order whose packed relation exceeds the guard is
+    refused before a permutation is listed or converted."""
 
+    def refuse(*args):
+        raise AssertionError("listed or converted a permutation")
+
+    monkeypatch.setenv("TSSCPP_MAX_N", str(n))
     monkeypatch.setattr(bijections, "permutation_to_boolean", refuse)
     monkeypatch.setattr(bijections, "permutation_to_monotone", refuse)
+    monkeypatch.setattr(enumeration, "entries", refuse)
     start = time.perf_counter()
-    with pytest.raises(SizeCap, match="^componentwise poset on 40320 elements exceeds 20000$"):
-        claims.run_claim(claim, 8)
+    with pytest.raises(SizeCap, match=f"^{message}$"):
+        claims.run_claim(claim, n)
     assert time.perf_counter() - start < 0.5
 
 
@@ -242,6 +260,107 @@ def test_verify_all_marks_capped_rows(monkeypatch):
     assert capped == [(name, 4) for name in claims.CHECKS] + [(name, 4) for name in claims.CLAIMS]
     assert all(r["ok"] for r in rows if "cap" not in r)
     assert all(not r["ok"] and "exceeds the cap 3" in r["cap"] for r in rows if "cap" in r)
+
+
+def drop_a_strong_cover(monkeypatch):
+    swap_covers = orders._value_swap_covers
+
+    def one_cover_less(n, adjacent_only):
+        labels, pairs = swap_covers(n, adjacent_only)
+        return labels, pairs if adjacent_only else pairs[: len(pairs) // 2] + pairs[len(pairs) // 2 + 1 :]
+
+    monkeypatch.setattr(orders, "_value_swap_covers", one_cover_less)
+
+
+def with_one_relation_more(build):
+    """``build`` whose order gains x <= y for its first incomparable pair
+    x, y (row by row), if it has one."""
+
+    def built(n):
+        p = build(n)
+        leq = p.leq_matrix()
+        pairs = np.argwhere(~leq & ~leq.T)
+        if not len(pairs):
+            return p
+        x, y = (p.labels[i] for i in pairs[0])
+        return Poset.from_covers(p.labels, [*p.cover_label_pairs(), (x, y)])
+
+    return built
+
+
+def add_a_relation(monkeypatch):
+    for name in ("build_strong_bruhat", "build_weak_order", "build_tamari", "build_catalan_distributive"):
+        monkeypatch.setattr(orders, name, with_one_relation_more(getattr(orders, name)))
+
+
+def swap_builders(monkeypatch):
+    monkeypatch.setattr(orders, "build_strong_bruhat", orders.build_weak_order)
+    swap_catalan_targets(monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("patch", [None, drop_a_strong_cover, add_a_relation, swap_builders])
+def test_permutation_claims_equal_the_dense_pullbacks(monkeypatch, patch, n):
+    """Every verdict and witness of the five permutation-order claims equals
+    the decision on dense matrices pulled back through the label maps, on
+    the true orders and on orders with one strong cover dropped, one
+    relation added (to the strong, weak, Tamari and Catalan orders) or the
+    builders swapped."""
+    if patch is not None:
+        patch(monkeypatch)
+    for claim, oracle in PERMUTATION_CLAIMS.items():
+        assert json.dumps(claims.run_claim(claim, n)) == json.dumps(oracle(n)), claim
+
+
+def repeat_a_vector(n, x):
+    x[1] = x[0]
+
+
+def leave_the_box_on_the_same_key(n, x):
+    """c_{n-1} up by n and c_{n-2} down by one, in the first vector where
+    that leaves c_{n-2} >= 0: the key stays, c_{n-1} passes n - 1."""
+    r = int(np.argmax(x[:, 1] < n))
+    x[r, :2] += (-n, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("edit", [repeat_a_vector, leave_the_box_on_the_same_key])
+def test_zero_vectors_off_the_chain_points_fail_cor416(monkeypatch, n, edit):
+    """Zero vectors that are not the points of [2]x...x[n], each once, are
+    no product of chains, even when the boolean order is built as the
+    componentwise order on those very vectors; as on the dense pullback."""
+    brackets = bijections.booleans_to_brackets
+
+    def edited(n, booleans):
+        x = brackets(n, booleans).copy()
+        edit(n, x)
+        return x
+
+    def on_zero_vectors(n):
+        labels, booleans = orders._permutation_booleans(n)
+        return Poset.componentwise(labels, n - edited(n, booleans)[:, : n - 1][:, ::-1])
+
+    monkeypatch.setattr(bijections, "booleans_to_brackets", edited)
+    monkeypatch.setattr(orders, "build_TBool_perm", on_zero_vectors)
+    result = claims.run_claim("cor4.16", n)
+    assert result["product_of_chains"] is False
+    assert json.dumps(result) == json.dumps(PERMUTATION_CLAIMS["cor4.16"](n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_strong_bruhat_on_permuted_labels_fails_thm44(monkeypatch, n):
+    """The same relation listed in another label order is not taken for the
+    strong Bruhat order: thm4.4 compares rows on one label order, and fails
+    closed when the builders disagree on it."""
+    build = orders.build_strong_bruhat
+
+    def reversed_labels(n):
+        p = build(n)
+        return Poset(p.labels[::-1], p.leq_matrix()[::-1, ::-1])
+
+    monkeypatch.setattr(orders, "build_strong_bruhat", reversed_labels)
+    assert reversed_labels(n).relation_pairs() == build(n).relation_pairs()
+    assert claims.run_claim("thm4.4", n)["ok"] is False
 
 
 def test_removed_strong_cover_fails_thm44(monkeypatch):

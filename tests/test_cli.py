@@ -292,7 +292,7 @@ def test_kind_lookups_serialise_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, n", [("weak", 8), ("strong", 8), ("Pn", 50), ("Qn", 50), ("tamari", 11), ("catalan", 11)]
+    "name, n", [("weak", 9), ("strong", 9), ("Pn", 66), ("Qn", 66), ("tamari", 11), ("catalan", 11)]
 )
 def test_poset_over_the_size_cap_is_a_usage_error(capsys, monkeypatch, name, n):
     """Refused before anything is enumerated: the Tamari and Catalan vectors
@@ -306,7 +306,7 @@ def test_poset_over_the_size_cap_is_a_usage_error(capsys, monkeypatch, name, n):
     monkeypatch.setattr(orders, "catalan_sequences", refuse)
     code, out, err = run_cli(capsys, "poset", "--name", name, "--n", str(n), "--out", "json")
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: componentwise poset on ")
+    assert err.count("\n") == 1 and err.startswith("error: poset on ")
 
 
 @pytest.mark.parametrize(
@@ -379,7 +379,7 @@ def test_an_order_too_large_to_count_exits_2_at_once(argv):
     result = subprocess.run([sys.executable, "-m", "gogmagog", *argv], capture_output=True, text=True)
     assert time.perf_counter() - start < 2
     assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr == f"error: componentwise poset of order {argv[-1]} exceeds 20000 elements\n"
+    assert result.stderr == f"error: poset of order {argv[-1]} needs more than 268435456 bytes of relation\n"
 
 
 # -- the process entry point --------------------------------------------------

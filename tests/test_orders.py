@@ -3,7 +3,7 @@ representations, Bruhat connections, Catalan subposets, and cover moves."""
 
 import json
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -84,9 +84,11 @@ def test_order_five_coordinate_poset_structure():
 def test_componentwise_size_guard(monkeypatch):
     from gogmagog.poset import SizeCap
 
-    monkeypatch.setattr(orders, "_MAX_COMPONENTWISE", 1)
-    with pytest.raises(SizeCap):
+    monkeypatch.setattr(orders, "_MAX_RELATION_BYTES", 15)
+    with pytest.raises(SizeCap, match="^poset on 2 elements needs 16 bytes of relation, more than 15$"):
         orders._componentwise(["a", "b"], [(0,), (1,)])
+    monkeypatch.setattr(orders, "_MAX_RELATION_BYTES", 16)
+    assert orders._componentwise(["a", "b"], [(0,), (1,)]).size == 2
 
 
 # ---------------------------------------------------------- object posets
@@ -154,6 +156,22 @@ def test_T3_perm_golden_covers_and_mirror_shape():
         gold.T3PERM_MIRROR_COVERS,
     )
     assert t3p.isomorphism_to(mirrored) is not None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_orders_share_one_label_order(n):
+    """The five orders on permutations list them in one order, which the
+    permutation claims compare their rows in."""
+    labels = orders._one_line(orders._permutations(n))
+    builders = (
+        orders.build_An_perm,
+        orders.build_Tn_perm,
+        orders.build_TBool_perm,
+        orders.build_weak_order,
+        orders.build_strong_bruhat,
+    )
+    assert all(build(n).labels == tuple(labels) for build in builders)
+    assert labels == sorted(labels)
 
 
 def test_bruhat_orders_on_s3():
@@ -328,15 +346,22 @@ def refuse(*args, **kwargs):
     raise AssertionError("allocated past a size guard")
 
 
+# The relation guard admits 268435456 bytes: the 8! permutations (40320 rows
+# of 630 words, 203212800 bytes) and C_10 bracket vectors pass.
+
+
 @pytest.mark.parametrize("builder", [orders.build_weak_order, orders.build_strong_bruhat])
-def test_bruhat_orders_refuse_order_eight_before_enumerating(monkeypatch, builder):
+def test_bruhat_orders_refuse_order_nine_before_enumerating(monkeypatch, builder):
     from gogmagog import enumeration
     from gogmagog.poset import SizeCap
 
     monkeypatch.setattr(enumeration, "entries", refuse)
     monkeypatch.setattr(enumeration, "generate", refuse)
-    with pytest.raises(SizeCap, match="^componentwise poset on 40320 elements exceeds 20000$"):
-        builder(8)
+    orders._check_size(8, factorial)
+    with pytest.raises(
+        SizeCap, match="^poset on 362880 elements needs 16460236800 bytes of relation, more than 268435456$"
+    ):
+        builder(9)
 
 
 @pytest.mark.parametrize("builder", [orders.build_Pn, orders.build_Qn])
@@ -344,8 +369,11 @@ def test_coordinate_posets_refuse_too_many_coordinates_before_building(monkeypat
     from gogmagog.poset import SizeCap
 
     monkeypatch.setattr(Poset, "from_covers", refuse)
-    with pytest.raises(SizeCap, match="^componentwise poset on 20825 elements exceeds 20000$"):
-        builder(50)
+    orders._check_size(65, lambda m: comb(m + 1, 3))
+    with pytest.raises(
+        SizeCap, match="^poset on 47905 elements needs 287046760 bytes of relation, more than 268435456$"
+    ):
+        builder(66)
 
 
 @pytest.mark.parametrize("builder", [orders.build_tamari, orders.build_catalan_distributive])
@@ -354,28 +382,38 @@ def test_catalan_orders_refuse_order_eleven_before_generating(monkeypatch, build
 
     monkeypatch.setattr(orders, "_sequences", refuse)
     assert catalan(11) == 58786
-    with pytest.raises(SizeCap, match="^componentwise poset on 58786 elements exceeds 20000$"):
+    with pytest.raises(
+        SizeCap, match="^poset on 58786 elements needs 432194672 bytes of relation, more than 268435456$"
+    ):
         builder(11)
 
 
-def test_product_of_chains_refuses_order_twelve_before_building(monkeypatch):
+def test_product_of_chains_refuses_order_nine_before_building(monkeypatch):
     from gogmagog import enumeration
     from gogmagog.poset import SizeCap
 
     monkeypatch.setattr(enumeration, "entries", refuse)
     monkeypatch.setattr(orders, "product", refuse)
-    with pytest.raises(SizeCap, match="^componentwise poset on 479001600 elements exceeds 20000$"):
-        orders.build_product_of_chains(12)
+    with pytest.raises(
+        SizeCap, match="^poset on 362880 elements needs 16460236800 bytes of relation, more than 268435456$"
+    ):
+        orders.build_product_of_chains(9)
 
 
 @pytest.mark.parametrize("builder", [orders.build_An, orders.build_Tn, orders.build_TBool])
-def test_object_orders_refuse_order_eight_before_enumerating(monkeypatch, builder):
+def test_object_orders_refuse_order_seven_before_enumerating(monkeypatch, builder):
     from gogmagog import enumeration
     from gogmagog.poset import SizeCap
 
     monkeypatch.setenv("TSSCPP_MAX_N", "8")
     monkeypatch.setattr(enumeration, "entries", refuse)
-    with pytest.raises(SizeCap, match="^componentwise poset on 10850216 elements exceeds 20000$"):
+    with pytest.raises(
+        SizeCap, match="^poset on 218348 elements needs 5960027008 bytes of relation, more than 268435456$"
+    ):
+        builder(7)
+    with pytest.raises(
+        SizeCap, match="^poset on 10850216 elements needs 14715930956480 bytes of relation, more than 268435456$"
+    ):
         builder(8)
     monkeypatch.delenv("TSSCPP_MAX_N")
     with pytest.raises(CapExceeded, match="^order 8 exceeds the cap 7 "):

@@ -17,6 +17,7 @@ from reference_poset import (
     distributivity_witness,
     is_distributive_lattice,
     reach_at,
+    relations_not_in,
 )
 
 
@@ -256,6 +257,43 @@ def test_relations_not_in_is_the_first_missing_relation_row_by_row():
     assert chain(3).relations_not_in(chain(2)) == (0, 2)
     assert antichain(2).relations_not_in(chain(1)) == (1, 1)
     assert chain(2).relations_not_in(chain(3)) is None
+
+
+def relabelled(p, order, rename=lambda label: label):
+    """The relation of ``p`` listed in ``order`` (of its indices), each label
+    renamed."""
+    return Poset([rename(p.labels[i]) for i in order], p.leq_matrix()[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("block", [8, 1 << 22])
+def test_relations_not_in_equals_the_dense_oracle(monkeypatch, block):
+    """On shared, permuted and partly disjoint labels, and against the empty
+    poset, the first missing relation read off packed rows equals the one of
+    the dense matrices; blocks of 8 bytes take one row at a time."""
+    monkeypatch.setattr(poset_module, "_BLOCK", block)
+    rng = random.Random(11)
+    empty = Poset([], np.zeros((0, 0), dtype=bool))
+    for k in (1, 2, 5, 9, 70, 130):
+        p, q = random_poset(rng, k), random_poset(rng, k)
+        p = relabelled(p, rng.sample(range(k), k))
+        order = rng.sample(range(k), k)
+        others = [
+            q,
+            p,
+            relabelled(p, order),
+            relabelled(q, order),
+            relabelled(q, order, lambda label: label + k // 2),
+            relabelled(p, order, lambda label: label if label % 3 else label + k),
+            relabelled(q, order[: k // 2]),
+            empty,
+        ]
+        for other in others:
+            assert p.relations_not_in(other) == relations_not_in(p, other)
+            assert other.relations_not_in(p) == relations_not_in(other, p)
+        assert p.relations_not_in(relabelled(p, order)) is None
+    # the row of a label the other poset lacks is no row of the other's
+    top_first, other = relabelled(chain(3), [2, 1, 0]), relabelled(chain(3), [0, 2])
+    assert top_first.relations_not_in(other) == relations_not_in(top_first, other) == (1, 2)
 
 
 def test_is_ranked():
