@@ -145,7 +145,9 @@ def _chain_map(family, coordinates, n):
     a = enumeration.entries(family, n)
     counts = a[:, : len(chains)] - np.array([j + 1 for r in range(1, n) for j in range(r)], a.dtype)
     strides = np.array([prod(radix[c + 1 :]) for c in range(len(radix))], dtype=np.int64)
-    keys = counts @ strides
+    keys = np.zeros(len(a), np.int64)
+    for column, stride in zip(counts.T, strides):  # not counts @ strides: an int64 copy of counts
+        keys += np.multiply(column, stride, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
 
     def witness():

@@ -6,11 +6,13 @@ stderr; output is deterministic for identical inputs.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.  The ``TSSCPP_MAX_N``
 environment variable replaces every enumeration cap (``enumeration._cap``).
 
+The package and the parser import only the modules the command runs.
 :func:`entry`, behind ``python -m gogmagog`` and the ``gogmagog`` script,
-freezes the objects the imports made (``gc.freeze``), so that no collection
-during the run or at exit traverses them, then runs :func:`main`; the
-collector stays enabled.  :func:`main` is the in-process API, for tests and
-library callers in long-lived processes, and never freezes.
+keeps the collector off until they are loaded (``python -m`` turns it off
+before numpy's import, whose ~30 collections free little), freezes what the
+imports made (``gc.freeze``) so that no later collection traverses it, then
+turns the collector on and runs the command.  :func:`main`, the in-process
+API for tests and library callers, never freezes.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import json
 import os
 import sys
 
-from . import bijections, claims, enumeration, orders, statistics
+from . import enumeration
 from .enumeration import CapExceeded, FamilyId
-from .poset import SizeCap
 from .triangles import (
     SCHEMA,
     Permutation,
@@ -61,22 +62,25 @@ def _parse_value(kind, text):
     raise ValidationError(f"{kind} objects must be given as JSON")
 
 
-_POSET_BUILDERS = {
-    "An": orders.build_An,
-    "Tn": orders.build_Tn,
-    "TBool": orders.build_TBool,
-    "TnPerm": orders.build_Tn_perm,
-    "TBoolPerm": orders.build_TBool_perm,
-    "weak": orders.build_weak_order,
-    "strong": orders.build_strong_bruhat,
-    "tamari": orders.build_tamari,
-    "catalan": orders.build_catalan_distributive,
-    "chains": orders.build_product_of_chains,
-    "Pn": orders.build_Pn,
-    "Qn": orders.build_Qn,
-    "JPn": lambda n: orders.build_Pn(n).order_ideals(),
-    "JQn": lambda n: orders.build_Qn(n).order_ideals(),
-}
+def _poset_builders():
+    from . import orders
+
+    return {
+        "An": orders.build_An,
+        "Tn": orders.build_Tn,
+        "TBool": orders.build_TBool,
+        "TnPerm": orders.build_Tn_perm,
+        "TBoolPerm": orders.build_TBool_perm,
+        "weak": orders.build_weak_order,
+        "strong": orders.build_strong_bruhat,
+        "tamari": orders.build_tamari,
+        "catalan": orders.build_catalan_distributive,
+        "chains": orders.build_product_of_chains,
+        "Pn": orders.build_Pn,
+        "Qn": orders.build_Qn,
+        "JPn": lambda n: orders.build_Pn(n).order_ideals(),
+        "JQn": lambda n: orders.build_Qn(n).order_ideals(),
+    }
 
 
 def _cmd_enumerate(args):
@@ -89,33 +93,31 @@ def _cmd_enumerate(args):
 
 
 def _cmd_convert(args):
+    from .bijections import convert
+
     obj = _parse_value(args.source, args.value)
-    print(to_json(bijections.convert(obj, _KIND_ALIASES[args.target])))
+    print(to_json(convert(obj, _KIND_ALIASES[args.target])))
     return 0
 
 
 def _cmd_stats(args):
+    from . import statistics
+
     obj = _parse_value(args.kind, args.value)
     print(json.dumps({"object": to_json_dict(obj), "stats": statistics.object_statistics(obj)}))
     return 0
 
 
 def _cmd_dist(args):
+    from . import statistics
+
     counts = statistics.distribution(args.family, args.n, args.statistic)
-    print(
-        json.dumps(
-            {
-                "statistic": args.statistic,
-                "n": args.n,
-                "counts": {str(k): v for k, v in counts.items()},
-            }
-        )
-    )
+    print(json.dumps({"statistic": args.statistic, "n": args.n, "counts": {str(k): v for k, v in counts.items()}}))
     return 0
 
 
 def _cmd_poset(args):
-    p = _POSET_BUILDERS[args.name](args.n)
+    p = _poset_builders()[args.name](args.n)
     if args.out == "dot":
         print(p.to_dot())
     else:
@@ -124,6 +126,8 @@ def _cmd_poset(args):
 
 
 def _cmd_poset_check(args):
+    from . import claims
+
     result = claims.run_claim(args.claim, args.n)
     if result["ok"]:
         print(f"{args.claim} n={args.n}: PASS")
@@ -136,6 +140,8 @@ def _cmd_poset_check(args):
 def _cmd_verify_all(args):
     """One row per check; a row that hits a cap is marked CAP, with its
     reason on stderr.  Exit 1 if a check fails, else 2 if one hit a cap."""
+    from . import claims
+
     rows = claims.verify_all(args.n)
     width = max(len(r["claim"]) for r in rows)
     for r in rows:
@@ -153,66 +159,68 @@ def _cmd_verify_all(args):
     return 2 if capped else 0
 
 
-def _build_parser():
+_COMMANDS = {
+    "enumerate": (_cmd_enumerate, "stream a family as JSON lines"),
+    "convert": (_cmd_convert, "convert an object between families"),
+    "stats": (_cmd_stats, "statistics of a single object"),
+    "dist": (_cmd_dist, "distribution of a statistic over a family"),
+    "poset": (_cmd_poset, "emit a named poset as DOT or JSON"),
+    "poset-check": (_cmd_poset_check, "verify one structural claim"),
+    "verify-all": (_cmd_verify_all, "run the whole claim suite up to n"),
+}
+
+
+def _build_parser(argv):
+    """Every subcommand's name and help, and arguments for the one ``argv``
+    names (nothing before it takes a value), whose modules are loaded here."""
     parser = argparse.ArgumentParser(
         prog="gogmagog",
         description="Matrices, plane partitions, triangles: bijections, statistics, and orders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text) in _COMMANDS.items():
+        sub.add_parser(name, help=text).set_defaults(func=func)
+    name = next((arg for arg in argv if arg in _COMMANDS), None)
+    p = sub.choices.get(name)
     families = [f.value for f in FamilyId]
+    if name == "enumerate":
+        p.add_argument("--family", required=True, choices=families)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--count-only", action="store_true")
+        p.add_argument("--jsonl", action="store_true", help="JSON lines (the default)")
+    elif name == "convert":
+        p.add_argument("--from", dest="source", required=True, choices=sorted(_KIND_ALIASES))
+        p.add_argument("--to", dest="target", required=True, choices=sorted(_KIND_ALIASES))
+        p.add_argument("value", help="object JSON, or one-line notation for permutations")
+    elif name == "stats":
+        from . import statistics  # what stats runs, loaded before entry freezes
 
-    p = sub.add_parser("enumerate", help="stream a family as JSON lines")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--jsonl", action="store_true", help="JSON lines (the default)")
-    p.set_defaults(func=_cmd_enumerate)
+        p.add_argument("--kind", choices=sorted(_KIND_ALIASES))
+        p.add_argument("value")
+    elif name == "dist":
+        from . import statistics
 
-    p = sub.add_parser("convert", help="convert an object between families")
-    p.add_argument("--from", dest="source", required=True, choices=sorted(_KIND_ALIASES))
-    p.add_argument("--to", dest="target", required=True, choices=sorted(_KIND_ALIASES))
-    p.add_argument("value", help="object JSON, or one-line notation for permutations")
-    p.set_defaults(func=_cmd_convert)
+        p.add_argument("--family", required=True, choices=families)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--statistic", required=True, choices=sorted(statistics.STATISTICS))
+    elif name == "poset":
+        p.add_argument("--name", required=True, choices=sorted(_poset_builders()))
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--out", choices=("dot", "json"), default="json")
+    elif name in ("poset-check", "verify-all"):
+        from . import claims
 
-    p = sub.add_parser("stats", help="statistics of a single object")
-    p.add_argument("--kind", choices=sorted(_KIND_ALIASES))
-    p.add_argument("value")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("dist", help="distribution of a statistic over a family")
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--statistic", required=True, choices=sorted(statistics.STATISTICS))
-    p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("poset", help="emit a named poset as DOT or JSON")
-    p.add_argument("--name", required=True, choices=sorted(_POSET_BUILDERS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", choices=("dot", "json"), default="json")
-    p.set_defaults(func=_cmd_poset)
-
-    p = sub.add_parser("poset-check", help="verify one structural claim")
-    p.add_argument("--claim", required=True, choices=sorted(claims.CLAIMS))
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_poset_check)
-
-    p = sub.add_parser("verify-all", help="run the whole claim suite up to n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_verify_all)
-
+        if name == "poset-check":
+            p.add_argument("--claim", required=True, choices=sorted(claims.CLAIMS))
+        p.add_argument("--n", type=int, required=True)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
     try:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader of stdout went away (as under ``| head``).  Point stdout
         # at the null device, so that the flush at exit writes the rest of the
@@ -221,12 +229,30 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
+    except Exception as exc:
+        from .poset import SizeCap  # imported on an error only
+
+        if not isinstance(exc, (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError)):
+            raise
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)  # str(KeyError) is a repr
+        return 2
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    return _run(_build_parser(argv).parse_args(argv))
 
 
 def entry() -> int:
-    """Run :func:`main` on ``sys.argv`` with the import-time heap frozen."""
-    gc.freeze()
-    return main()
+    """Run ``sys.argv``'s command as :func:`main` does, with the collector
+    off until its modules are loaded and what their imports made frozen."""
+    gc.disable()
+    try:
+        args = _build_parser(sys.argv[1:]).parse_args(sys.argv[1:])
+        gc.freeze()
+    finally:
+        gc.enable()
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -309,10 +309,9 @@ class Permutation(_Value):
     def from_one_line(cls, text):
         text = text.strip()
         parts = text.split(",") if "," in text else text
-        try:
-            values = tuple(int(part) for part in parts)
-        except ValueError:
-            raise EntryError(f"permutation: {text!r} is not one-line notation") from None
+        if not all(part.isascii() and part.strip().isdecimal() for part in parts):
+            raise EntryError(f"permutation: {text!r} is not one-line notation")
+        values = tuple(int(part) for part in parts)
         return cls(len(values), values)
 
 

@@ -5,8 +5,9 @@ import json
 import pytest
 
 import golden_data as gold
+import golden_usage
 from gogmagog.cli import main
-from gogmagog.triangles import from_json
+from gogmagog.triangles import EntryError, Permutation, from_json
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +210,41 @@ def test_permutation_one_line_that_is_not_digits_is_a_usage_error(capsys):
         assert err.count("\n") == 1 and err.startswith("error: permutation:")
 
 
+@pytest.mark.parametrize("text", ["2,1_0,1,3,4,5,6,7,8,9", "+2,1", "\u0661\u0662", "-1", "2,1.0", "\u00b2,1"])
+def test_one_line_notation_is_ascii_digits_only(capsys, text):
+    """``int()`` would read an underscore separator, a sign and the digits
+    of other scripts, so "2,1_0,1,3,4,5,6,7,8,9" was (2, 10, 1, ...)."""
+    with pytest.raises(EntryError, match="is not one-line notation"):
+        Permutation.from_one_line(text)
+    code, out, err = run_cli(capsys, "stats", "--kind", "permutation", text)
+    assert (code, out, err) == (2, "", f"error: permutation: {text!r} is not one-line notation\n")
+
+
+@pytest.mark.parametrize(
+    "text, sigma",
+    [("21", (2, 1)), (" 2,1 ", (2, 1)), ("2, 1", (2, 1)), ("10,1,2,3,4,5,6,7,8,9", (10, *range(1, 10)))],
+)
+def test_one_line_notation_takes_digits_or_commas_between_spaces(text, sigma):
+    assert Permutation.from_one_line(text).sigma == sigma
+
+
+def test_a_statistic_a_family_lacks_is_a_usage_error_without_quotes(capsys):
+    code, out, err = run_cli(capsys, "dist", "--family", "tsscpp", "--n", "3", "--statistic", "inversions")
+    assert (code, out, err) == (2, "", "error: statistic 'inversions' is not defined for tsscpp\n")
+
+
+def test_an_unknown_claim_is_a_usage_error_without_quotes(capsys):
+    """The parser's choices stop an unknown claim first; ``run_claim``'s own
+    ``KeyError`` prints the same way."""
+    import argparse
+
+    from gogmagog import claims, cli
+
+    code = cli._run(argparse.Namespace(func=lambda args: claims.run_claim("nope", 3)))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: unknown claim 'nope'; choose from {', '.join(claims.CLAIMS)}\n"
+
+
 def test_poset_order_below_one_is_a_usage_error(capsys):
     for name, n in (("tamari", "0"), ("An", "-1"), ("chains", "0")):
         code, out, err = run_cli(capsys, "poset", "--name", name, "--n", n)
@@ -347,8 +383,10 @@ def test_convert_and_stats_transcript_matches_the_recorded_digests(monkeypatch):
     import golden_cli
     from gogmagog import cli
 
-    # One parser serves every run; building it is most of a short run's time.
-    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    # One parser per command serves every run; building it is most of a
+    # short run's time.  Every argv here starts with its command.
+    parser_of = functools.cache(lambda command, build=cli._build_parser: build([command]))
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: parser_of(argv[0]))
     assert cli_transcript.digests() == golden_cli.DIGESTS
 
 
@@ -463,3 +501,74 @@ def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
     with pytest.raises(SystemExit) as exit:
         runpy.run_module("gogmagog", run_name="__main__")
     assert exit.value.code == 0 and calls == [target.__name__] and target.__module__ == "gogmagog.cli"
+
+
+def test_the_installed_script_runs_with_the_collector_enabled_after_it(monkeypatch):
+    """``python -m gogmagog`` turns the collector off before numpy is
+    imported; it is on again however the entry point returns or raises."""
+    import gc
+    import runpy
+
+    from gogmagog import cli
+
+    def fail():
+        raise RuntimeError("entry failed")
+
+    for entry, raised in ((lambda: 0, SystemExit), (fail, RuntimeError)):
+        monkeypatch.setattr(cli, "entry", entry)
+        with pytest.raises(raised):
+            runpy.run_module("gogmagog", run_name="__main__")
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv", list(golden_usage.USAGE), ids=" ".join)
+def test_help_and_usage_errors_equal_the_recorded_output(capsys, monkeypatch, argv):
+    """Each subcommand gets its arguments only when argv names it; the help
+    of every command and the usage errors stay as they were."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exit:
+        code = exit.code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == golden_usage.USAGE[argv]
+
+
+def test_the_first_subcommand_name_is_the_command_and_a_later_one_a_value(capsys):
+    code, out, err = run_cli(capsys, "stats", "--kind", "permutation", "dist")
+    assert (code, out, err) == (2, "", "error: permutation: 'dist' is not one-line notation\n")
+
+
+def test_the_package_resolves_its_names_on_first_access():
+    import sys
+
+    import gogmagog
+    from gogmagog import triangles
+
+    assert gogmagog.Permutation is triangles.Permutation and gogmagog.claims is sys.modules["gogmagog.claims"]
+    assert all(hasattr(gogmagog, name) for name in gogmagog.__all__)
+    assert not hasattr(gogmagog, "no_such_name")
+
+
+def _gogmagog_imports(*argv):
+    """The package's modules that ``python -X importtime -m gogmagog argv``
+    imports."""
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gogmagog", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    names = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return {name for name in names if name.startswith("gogmagog")}
+
+
+def test_a_count_imports_only_the_search_and_its_maps():
+    imported = _gogmagog_imports("enumerate", "--family", "asm", "--n", "1", "--count-only")
+    assert imported == {"gogmagog", "gogmagog.cli", "gogmagog.enumeration", "gogmagog.bijections", "gogmagog.triangles"}
+
+
+def test_a_claim_imports_the_claims_and_what_they_build():
+    imported = _gogmagog_imports("poset-check", "--claim", "thm4.9", "--n", "3")
+    assert {"gogmagog.claims", "gogmagog.orders", "gogmagog.poset", "gogmagog.statistics"} <= imported

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gogmagog import claims, orders
-from gogmagog.cli import _POSET_BUILDERS
+from gogmagog.cli import _poset_builders
 from gogmagog.poset import Poset, SizeCap
 from reference_poset import assert_relation_and_covers, built_with_vectors, dense_covers
 
@@ -19,8 +19,8 @@ COMPONENTWISE_BUILDERS = {
     "tamari": orders.build_tamari,
     "catalan": orders.build_catalan_distributive,
     "chains": orders.build_product_of_chains,
-    "JPn": _POSET_BUILDERS["JPn"],
-    "JQn": _POSET_BUILDERS["JQn"],
+    "JPn": _poset_builders()["JPn"],
+    "JQn": _poset_builders()["JQn"],
 }
 
 

@@ -344,9 +344,9 @@ def reference_bound_table(p, lower):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bound_table_matches_the_full_matrix_search(n):
-    from gogmagog.cli import _POSET_BUILDERS
+    from gogmagog.cli import _poset_builders
 
-    for name, builder in sorted(_POSET_BUILDERS.items()):
+    for name, builder in sorted(_poset_builders().items()):
         p = builder(n)
         for lower in (True, False):
             table, witness = p._bound_table(lower)
@@ -463,7 +463,7 @@ def test_reach_equals_the_unbuffered_ors_on_random_dags(cycle):
 def test_reach_equals_the_unbuffered_ors_on_every_cover_built_order(monkeypatch):
     """Every ``_reach`` input of every named order at n <= 6 under its size
     caps: the pairs of ``from_covers``."""
-    from gogmagog.cli import _POSET_BUILDERS
+    from gogmagog.cli import _poset_builders
 
     inputs = []
     reach = poset_module._reach
@@ -473,7 +473,7 @@ def test_reach_equals_the_unbuffered_ors_on_every_cover_built_order(monkeypatch)
         return reach(n, lower, upper)
 
     monkeypatch.setattr(poset_module, "_reach", recorded)
-    for name, build in _POSET_BUILDERS.items():
+    for name, build in _poset_builders().items():
         for n in range(1, 7):
             try:
                 build(n).cover_matrix()
