@@ -140,9 +140,9 @@ def _domains_from_booleans(n, a):
 # The batched maps below take validated entry arrays of order n (one row per
 # value, see ``triangles.validate_batch``) and check the values they return
 # in blocks of ``_CHECK_ROWS``, the ``enumeration.CHUNK`` of the searches: the
-# rule tables of ASMs and of monotone, magog and boolean triangles of order 7
-# check 2,048 values 3.4 to 5.3 times faster than 256 at a time, and nests
-# no slower.  Some maps also map a block at a time.  Only
+# rule tables of ASMs, nests and monotone, magog and boolean triangles of
+# order 7 check 2,048 values 3.4 to 5.3 times faster than 256 at a time.
+# Some maps also map a block at a time.  Only
 # :func:`booleans_to_tsscpp` expands in blocks of ``_CUBE_ROWS``, because
 # ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n) closure cubes per
 # block: with blocks of 2,048 rows counting the TSSCPPs of order 7 peaks at

@@ -12,8 +12,8 @@ element at once.  An order given by its covers (:meth:`Poset.from_covers`)
 is closed on reach bitsets, level by level from the sinks up; a relation
 given as a matrix is transitive iff the closure of its reduction is itself.
 Componentwise orders on integer vectors (:meth:`Poset.componentwise`) AND
-packed per-coordinate threshold bitsets.  Meet and join tables are searched
-in column blocks.  Labels are opaque hashable values; the posets built
+packed per-coordinate threshold bitsets.  A pair without a meet or join is
+searched for in column blocks, and no table is kept.  Labels are opaque hashable values; the posets built
 elsewhere use canonical JSON (objects) or one-line notation (permutations),
 so that relation containment across posets is well defined.
 """
@@ -51,7 +51,7 @@ class LatticeReport(NamedTuple):
 # Bytes of packed rows that _cover_rounds takes at a time, and of unpacked
 # rows that _relabelled and relations_not_in take.
 _BLOCK = 1 << 22
-# Columns (the y of x /\ y or x \/ y) that _bound_table scores at a time.
+# Columns (the y of x /\ y or x \/ y) that _bound_witness scores at a time.
 _BOUND_COLUMNS = 512
 # Size caps: the most elements order_ideals takes and ideals it lists, and
 # the most elements lattice_report and isomorphism_to take.
@@ -339,20 +339,17 @@ class Poset:
 
     # -- lattice structure --------------------------------------------------
 
-    def _bound_table(self, lower):
-        """Meet (lower=True) or join table, or an index-pair witness.
-
-        Returns (table, None) or (None, (x, y)).  The witness is the first
-        x, and in its row the first y without a common bound if there is
-        one, else the first y whose bounds have no greatest element.  The
-        candidate for x /\\ y is the first common bound z with the most
-        elements below it; only the z below x are scored, ``_BOUND_COLUMNS``
-        values of y at a time.
+    def _bound_witness(self, lower):
+        """The first index pair (x, y) without a meet (lower=True) or join,
+        or None.  The witness is the first x, and in its row the first y
+        without a common bound if there is one, else the first y whose
+        bounds have no greatest element.  The candidate for x /\\ y is the
+        first common bound z with the most elements below it; only the z
+        below x are scored, ``_BOUND_COLUMNS`` values of y at a time.
         """
         n = self.size
         rel = self.leq_matrix() if lower else self.leq_matrix().T
         weights = (rel.sum(axis=0) + 1).astype(np.int32)
-        table = np.zeros((n, n), dtype=np.int64)
         for x in range(n):
             below = np.flatnonzero(rel[:, x])
             no_greatest = None
@@ -360,7 +357,7 @@ class Poset:
                 bounds = rel[below, start : start + _BOUND_COLUMNS]
                 missing = ~bounds.any(axis=0)
                 if missing.any():
-                    return None, (x, start + int(missing.argmax()))
+                    return x, start + int(missing.argmax())
                 if no_greatest is not None:
                     continue
                 scores = np.where(bounds, weights[below, None], 0)
@@ -368,10 +365,9 @@ class Poset:
                 bad = (bounds & ~rel[np.ix_(below, cand)]).any(axis=0)
                 if bad.any():
                     no_greatest = start + int(bad.argmax())
-                table[x, start : start + _BOUND_COLUMNS] = cand
             if no_greatest is not None:
-                return None, (x, no_greatest)
-        return table, None
+                return x, no_greatest
+        return None
 
     def count_ideals(self):
         """Number of order ideals, by divide and conquer on up/down sets:
@@ -396,8 +392,8 @@ class Poset:
         if n > _LATTICE_MAX_ELEMENTS:
             raise SizeCap(f"lattice_report capped at {_LATTICE_MAX_ELEMENTS} elements, got {n}")
         for kind, lower in (("meet", True), ("join", False)):
-            table, witness = self._bound_table(lower)
-            if table is None:
+            witness = self._bound_witness(lower)
+            if witness is not None:
                 x, y = witness
                 return LatticeReport(False, (kind, self.labels[x], self.labels[y]))
         return LatticeReport(True)

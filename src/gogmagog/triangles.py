@@ -373,8 +373,10 @@ class SymmetryReport(NamedTuple):
 # largest value; for a verdict on each value a bound on one node is one
 # unsigned compare per slab.  ``violated`` works on column blocks of at most
 # ``_NODE_BYTES``.
-# Permutations (a sort) and nests (a repeated lattice-point code) have one
-# vectorised predicate each, with the same two methods.
+# Every family but permutations is one table: a nest's sums are the columns
+# of its paths, which neighbouring paths must keep apart as neighbouring
+# diagonals of a boolean triangle keep their sums.  Permutations (a sort)
+# have one vectorised predicate, with the same two methods.
 
 _ZERO = -1  # the zero node, the last of a value's nodes
 
@@ -424,8 +426,8 @@ class _Table:
         # value whose entries are within their bounds, so that clipping the
         # limits to their dtype changes only the unbounded sides, and two
         # such nodes differ by a number the dtype holds.  The sums ``derive``
-        # writes are sums of entries, so they lie between the sums of the
-        # entries' lower limits and of their upper limits.
+        # writes are sums of entries and a constant, so they lie between
+        # those of the entries' lower limits and of their upper limits.
         widest = max(map(abs, self.bound.tolist()), default=0)
         if derive is not None:  # every entry of a table with sums is bounded
             reach = np.stack([self._low, self._high], axis=1)
@@ -683,73 +685,41 @@ def _permutation_table(n):
     return SimpleNamespace(violated=violated, first=first)
 
 
-@lru_cache(maxsize=None)
-def _nest_points(n):
-    """Each lattice point of a nest in visiting order, path i from (i, i)
-    then after each of its i steps: its path, its code x * n + y if every
-    step were "V", and the number of entries before its step and before its
-    path's first step."""
-    points = np.arange(2, n + 1)
-    path = np.repeat(np.arange(1, n), points)
-    steps = np.arange(len(path)) - np.repeat(np.cumsum(points) - points, points)
-    start = path * (path - 1) // 2
-    return path, path * n + path - steps, start + steps, start
-
-
-def _nest_codes(n, a):
-    """The code x * n + y of every lattice point of the nests in the rows
-    of ``a`` (1 for a "D" step), in visiting order."""
-    _, codes, after, start = _nest_points(n)
-    moved = np.zeros((len(a), a.shape[1] + 1), dtype=np.int64)
-    np.cumsum(a, axis=1, out=moved[:, 1:])
-    return codes + n * (moved[:, after] - moved[:, start])
+def _nest_columns(n, x):
+    """Write the column of each path of nests after each step, step by step
+    and path by path, after the entries in the node rows of ``x``: path i
+    starts at column i, and a "D" step (entry 1) adds one, so the slab of
+    step s is the slab of step s - 1, less its first path, plus the entries
+    of step s."""
+    first = np.arange(n - 1) * np.arange(1, n) // 2  # the entry of each path's first step
+    before, start = np.arange(1, n)[:, None], n * (n - 1) // 2
+    for s in range(n - 1):
+        after = x[start : start + n - 1 - s]
+        np.add(before, x[first[s:] + s], out=after)
+        before, start = after[1:], start + n - 1 - s
 
 
 @lru_cache(maxsize=None)
 def _nest_table(n):
-    """A nest's one check: its entries are 0/1 and no two of its lattice
-    points have the same code.  A block of nests is checked by occupancy:
-    the codes of each nest's points, offset by ``width`` times its row, mark
-    one bool array, and a code repeats iff fewer cells are marked than
-    codes.  Only the points after a step are marked, as the start (i, i) of
-    path i is on no other path.  The first point whose code repeats is
-    reported with the path that visited it first."""
-    _, codes, after, start = _nest_points(n)
-    steps = after - start
-    cells = codes[steps > 0, None]  # the code after each step (entry) if every step were "V"
-    later = [after[steps == s] - 1 for s in range(2, n)]  # the entries that are step s of their path
-    width = 2 * n * (n - 1) + 1  # a code is at most 2n(n - 1): path n - 1 after n - 1 "D" steps
-
-    def violated(a, axis=None):
-        dtype = np.promote_types(np.int32, np.min_scalar_type(-len(a) * width))
-        x = np.empty((a.shape[1], len(a)), dtype=dtype)
-        # Clipped, the codes of a value with an entry other than 0/1 (refused
-        # below) stay within its own cells.
-        np.clip(a.T, 0, 1, out=x)
-        for entries in later:
-            x[entries] += x[entries - 1]  # the "D" steps so far on the path
-        x *= n
-        x += cells
-        x += np.arange(0, len(a) * width, width, dtype=dtype)
-        seen = np.zeros((len(a), width), dtype=bool)
-        seen.ravel()[x] = True
-        bad = ((a < 0) | (a > 1)).any(axis=axis)
-        if axis is None:
-            return bad or np.count_nonzero(seen) < x.size
-        return bad | (np.count_nonzero(seen, axis=1) < len(x))
-
-    def first(entries, what):
-        codes = _nest_codes(n, np.array([entries]))[0]
-        ordered = np.sort(codes)
-        if not (ordered[1:] == ordered[:-1]).any():
-            return None
-        _, seen, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        k = (seen[inverse] != np.arange(len(codes))).argmax()
-        path = _nest_points(n)[0]
-        point = divmod(int(codes[k]), n)
-        return IntersectionError(f"{what}: paths {path[seen[inverse[k]]]} and {path[k]} share the point {point}")
-
-    return SimpleNamespace(violated=violated, first=first)
+    """Every step 0/1 first; then path by path, step by step: path i after
+    step s, at height i - s, is right of path i - 1 there (after its step
+    s - 1).  Neighbouring paths start apart and their column difference
+    changes by at most one per row, so they first break this where they
+    share a point, and paths further apart meet only after neighbours do:
+    the first rule broken is the first shared point in visiting order."""
+    path = np.repeat(np.arange(1, n), np.arange(1, n))
+    p = np.arange(len(path))
+    step = p - path * (path - 1) // 2 + 1
+    # The node of path i after step s; that of path i - 1 after step s - 1
+    # is n - s + 1 before it, in the slab of the step before.
+    column = len(p) + (step - 1) * (2 * n - step) // 2 + path - step
+    i, s, here = path[step >= 2], step[step >= 2], column[step >= 2]
+    return _Table(n, 2 * len(p), _nest_columns, [
+        *_rule(EntryError, "{what}: path {path} has step {0}, expected 'V'/'D'", (0, path, step, 0), p, low=0,
+               high=1, shown=(p,), path=path),
+        *_rule(IntersectionError, "{what}: paths {left} and {right} share the point ({0}, {y})", (1, i, s, 0),
+               here - (n - s + 1), here, high=-1, shown=(here,), left=i - 1, right=i, y=i - s),
+    ])
 
 
 # -- the families ------------------------------------------------------------

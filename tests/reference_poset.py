@@ -1,6 +1,7 @@
 """Dense definitions of the poset engine's packed paths, kept as the test
-oracle: closure and transitive reduction by an exact matrix product, and
-distributivity by a scan of every triple of a lattice; the level-by-level
+oracle: closure and transitive reduction by an exact matrix product, meet
+and join tables by a full-matrix search, and distributivity by a scan of
+every triple of a lattice; the level-by-level
 closure of ``poset._reach`` with unbuffered ORs; the ideal count with its
 up-sets and down-sets built element by element; and the check of a poset's
 packed rows, cover pairs and dense views against a dense relation, with the
@@ -55,12 +56,36 @@ def dense_covers(leq):
     return strict & ~bool_product(strict, strict)
 
 
+def bound_table(p, lower):
+    """The meet (lower=True) or join table of ``p`` and None, or None and the
+    first index pair (x, y) without one: the full-matrix int64 search that
+    ``Poset._bound_witness`` replaced."""
+    n = p.size
+    rel = p.leq_matrix() if lower else p.leq_matrix().T
+    sizes = rel.sum(axis=0)
+    table = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        bounds = rel[:, x : x + 1] & rel
+        any_bound = bounds.any(axis=0)
+        if not any_bound.all():
+            y = int(np.nonzero(~any_bound)[0][0])
+            return None, (x, y)
+        scores = np.where(bounds, sizes[:, None] + 1, 0)
+        cand = scores.argmax(axis=0)
+        ok = (~bounds | rel[:, cand]).all(axis=0)
+        if not ok.all():
+            y = int(np.nonzero(~ok)[0][0])
+            return None, (x, y)
+        table[x] = cand
+    return table, None
+
+
 def distributivity_witness(p):
     """The first index triple (x, y, z) of a lattice with
     x /\\ (y \\/ z) != (x /\\ y) \\/ (x /\\ z), or None when it is
-    distributive; meets and joins come from ``p._bound_table``."""
-    meet, _ = p._bound_table(lower=True)
-    join, _ = p._bound_table(lower=False)
+    distributive; meets and joins come from :func:`bound_table`."""
+    meet, _ = bound_table(p, lower=True)
+    join, _ = bound_table(p, lower=False)
     assert meet is not None and join is not None, "not a lattice"
     for x in range(p.size):
         lhs = meet[x][join]

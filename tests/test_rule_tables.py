@@ -41,6 +41,7 @@ TABLES = {
     MonotoneTriangle: (4, "monotone"),
     MagogTriangle: (4, "magog"),
     BooleanTriangle: (5, "boolean"),
+    NilpNest: (5, "nilp"),
     Asm: (4, "asm"),
     PlanePartition: (2, "tsscpp"),
     FundamentalDomain: (3, "tsscpp"),
@@ -58,9 +59,12 @@ def _valid_entries(cls):
 
 
 def _raw(cls, n, entries):
-    """A value's entries as the rows its constructor takes."""
+    """A value's entries as the rows its constructor takes: a nest's 0 and
+    1 as its step letters "V" and "D", any other entry as it is."""
     lengths = triangles._row_lengths(cls, n)
     bounds = np.cumsum([0, *lengths]).tolist()
+    if cls is NilpNest:
+        entries = ["VD"[e] if e in (0, 1) else e for e in entries]
     return tuple(tuple(entries[start:stop]) for start, stop in zip(bounds, bounds[1:]))
 
 
@@ -166,8 +170,9 @@ def test_entries_at_the_node_dtype_limits_and_sums_that_wrap_in_it(cls):
     (triangles._asm_table.__wrapped__, 63),  # prefix sums within -n..n
     (triangles._boolean_table.__wrapped__, 64),  # diagonal sums within 0..n - 1
     (partial(triangles._interlacing_table.__wrapped__, True), 63),  # entries within 1..n
+    (triangles._nest_table.__wrapped__, 32),  # path columns within 1..2n - 2
     (triangles._plane_partition_table.__wrapped__, 31),  # entries within 0..2n
-], ids=["Asm", "BooleanTriangle", "MagogTriangle", "PlanePartition"])
+], ids=["Asm", "BooleanTriangle", "MagogTriangle", "NilpNest", "PlanePartition"])
 def test_the_node_dtype_is_the_narrowest_that_holds_twice_every_node(build, last):
     assert build(last)._dtype == np.int8
     assert build(last + 1)._dtype == np.int16
@@ -242,10 +247,8 @@ def test_an_entry_at_a_dtype_limit_is_refused_exactly_when_the_constructor_refus
         for extreme in (int(limits.min), int(limits.max)):
             entries = valid[:place] + [extreme] + valid[place + 1 :]
             raw = tuple(entries) if cls is Permutation else _raw(cls, 3, entries)
-            if cls is NilpNest:  # the other entries are step letters; the extreme is no letter
-                raw = tuple(tuple("VD"[e] if e in (0, 1) else e for e in row) for row in raw)
             expected = _outcome(cls, 3, raw)
-            if cls is not NilpNest and expected is not None:
+            if expected is not None:
                 error = reference_checks.first_violation(cls, 3, raw)
                 assert (type(error), str(error)) == expected, raw
             a = np.array([valid, entries, valid], dtype=dtype)
@@ -289,7 +292,7 @@ def test_one_sided_and_out_of_range_bounds_match_the_one_row_check(dtype):
         assert table.violated(a) == any(expected)
 
 
-# -- the nest check by occupancy --------------------------------------------
+# -- the nest check by neighbouring paths -----------------------------------
 
 
 def _nest_points_meet(n, steps):
@@ -341,9 +344,8 @@ def test_the_nest_check_refuses_shared_points_and_entries_other_than_0_1(n):
 
 
 def test_nest_entries_far_outside_0_1_leave_the_other_verdicts_alone():
-    """An entry of +-2**40 is refused without reaching the cells of the
-    values beside it, and nests with intersecting or valid paths keep
-    their verdicts."""
+    """An entry of +-2**40 is refused, and the nests beside it with
+    intersecting or valid paths keep their verdicts."""
     valid, crossing = [1, 1, 1, 1, 1, 1], [1, 0, 0, 1, 1, 1]  # order 4; in the second, paths 1 and 2 meet at (2, 0)
     assert not _nest_points_meet(4, valid) and _nest_points_meet(4, crossing)
     a = np.array([valid, [1, 2**40, 1, 1, 1, 1], crossing, [-(2**40)] + valid[1:], valid], dtype=np.int64)
@@ -352,7 +354,7 @@ def test_nest_entries_far_outside_0_1_leave_the_other_verdicts_alone():
 
 def test_a_shared_point_of_an_order_130_nest_is_reported_where_it_is():
     """Paths 128 and 129 of a nest of order 130 first meet at (255, 1),
-    whose code 255 * 130 + 1 is beyond int16."""
+    whose column is beyond int8."""
     paths = [("V",) * i for i in range(1, 128)] + [("D",) * 128, ("D",) * 126 + ("V",) * 3]
     with pytest.raises(ValidationError, match=r"^nest: paths 128 and 129 share the point \(255, 1\)$"):
         NilpNest(130, tuple(paths))

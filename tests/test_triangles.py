@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import golden_data as gold
+import reference_checks
 from gogmagog import triangles
 from gogmagog.enumeration import entries
 from gogmagog.statistics import is_permutation_matrix
@@ -270,8 +271,12 @@ def test_nilp_validation():
         NilpNest(2, (("X",),))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_nilp_intersection_matches_all_pairs_oracle(n):
+    """Every step sequence of every path: the constructor refuses exactly
+    the nests whose paths meet, with the message of the scalar scan (the
+    first shared point in visiting order, and the path that reached it
+    first)."""
     lengths = list(range(1, n))
     for flat in itertools.product("VD", repeat=sum(lengths)):
         paths = []
@@ -279,12 +284,13 @@ def test_nilp_intersection_matches_all_pairs_oracle(n):
         for width in lengths:
             paths.append(tuple(flat[pos : pos + width]))
             pos += width
-        ok = not nest_intersects(paths)
+        expected = reference_checks.first_violation(NilpNest, n, tuple(paths))
+        assert (expected is None) == (not nest_intersects(paths))
         try:
             NilpNest(n, tuple(paths))
-            assert ok
-        except IntersectionError:
-            assert not ok
+            assert expected is None
+        except IntersectionError as error:
+            assert str(error) == str(expected)
 
 
 # --------------------------------------------------------- plane partitions
