@@ -7,8 +7,7 @@ non-intersecting lattice paths: the same seven objects wearing six outfits.
 
 import sys
 
-from gogmagog import FamilyId, count, generate, to_json
-from gogmagog.bijections import asm_to_monotone, boolean_to_nilp, boolean_to_magog
+from gogmagog import FamilyId, convert, count, generate, to_json
 from gogmagog.enumeration import CapExceeded
 
 
@@ -20,14 +19,14 @@ def main():
     print()
     print("The boolean triangles of order 3, with their magog triangles and paths:")
     for b in generate(FamilyId.BOOLEAN, 3):
-        m = boolean_to_magog(b)
-        nest = boolean_to_nilp(b)
+        m = convert(b, "magog_triangle")
+        nest = convert(b, "nilp_nest")
         print(f"  rows={b.rows!s:18} magog={m.rows!s:30} endpoints={nest.endpoints()}")
 
     print()
     print("Matrices pair with monotone triangles by column partial sums:")
     for a in generate(FamilyId.ASM, 3):
-        print(f"  {a.rows} -> {asm_to_monotone(a).rows}")
+        print(f"  {a.rows} -> {convert(a, 'monotone_triangle').rows}")
 
     print()
     print("Counts explode quickly; orders 1..6 for matrices:")

@@ -7,42 +7,35 @@ points at the zeros of the last triangle row, and the one in the last matrix
 column points at the lowest one of the last diagonal.
 """
 
-from gogmagog import Permutation, perm_inversions, inversion_number, stat_bundle
-from gogmagog.bijections import (
-    boolean_to_permutation,
-    permutation_matrix,
-    permutation_to_boolean,
-    permutation_to_monotone,
-)
-from gogmagog.statistics import boolean_stat_triple
+from gogmagog import Permutation, convert, object_statistics
 
 sigma = Permutation.from_one_line("463512")
-print(f"sigma = {sigma.one_line()}, {perm_inversions(sigma)} inversions")
+print(f"sigma = {sigma.one_line()}, {object_statistics(sigma)['inversions']} inversions")
 
-matrix = permutation_matrix(sigma)
+matrix = convert(sigma, "asm")
 for row in matrix.rows:
     print("   ", row)
-bundle = stat_bundle(matrix)
-print(f"matrix inversions {inversion_number(matrix)},"
-      f" one in last row at column {bundle.last_row_one_col},"
-      f" one in last column at row {bundle.last_col_one_row}")
+matrix_stats = object_statistics(matrix)
+print(f"matrix inversions {matrix_stats['inversions']},"
+      f" one in last row at column {matrix_stats['last_row_one_col']},"
+      f" one in last column at row {matrix_stats['last_col_one_row']}")
 
 print()
 print("monotone triangle (row i = sorted prefix of length i):")
-for row in permutation_to_monotone(sigma).rows:
+for row in convert(sigma, "monotone_triangle").rows:
     print("   ", row)
 
 print()
 print("boolean triangle (1 = copy below-left, 0 = copy below-right):")
-b = permutation_to_boolean(sigma)
+b = convert(sigma, "boolean_triangle")
 for row in b.rows:
     print("   ", row)
 
-zeros, last_row_zeros, lowest = boolean_stat_triple(b)
-print(f"zeros {zeros} (= inversions),"
-      f" last-row zeros {last_row_zeros} (= n - {bundle.last_row_one_col}),"
-      f" lowest one of the last diagonal in row {lowest}"
-      f" (= {bundle.last_col_one_row} - 1)")
+boolean_stats = object_statistics(b)
+print(f"zeros {boolean_stats['zeros']} (= inversions),"
+      f" last-row zeros {boolean_stats['last_row_zeros']} (= n - {matrix_stats['last_row_one_col']}),"
+      f" lowest one of the last diagonal in row {boolean_stats['lowest_one_last_diagonal']}"
+      f" (= {matrix_stats['last_col_one_row']} - 1)")
 
-assert boolean_to_permutation(b) == sigma
-print("and back again:", boolean_to_permutation(b).one_line())
+assert convert(b, "permutation") == sigma
+print("and back again:", convert(b, "permutation").one_line())

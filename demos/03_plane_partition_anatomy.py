@@ -9,8 +9,7 @@ the zeros.
 
 import sys
 
-from gogmagog import FamilyId, generate, validate_tsscpp
-from gogmagog.bijections import boolean_from_fundamental, magog_from_fundamental
+from gogmagog import FamilyId, convert, generate, validate_tsscpp
 from gogmagog.enumeration import CapExceeded
 from gogmagog.triangles import FundamentalDomain, expand_fundamental, fundamental_domain
 
@@ -31,7 +30,7 @@ def main():
 
     print()
     print("levels of the domain -> diagonals of the boolean triangle:")
-    b = boolean_from_fundamental(domain)
+    b = convert(domain, "boolean_triangle")
     for q in range(1, domain.n):
         level = domain.n - q
         lengths = []
@@ -42,7 +41,7 @@ def main():
             lengths.append(r)
         print(f"  level {level}: row lengths {lengths} -> diagonal {q} = {b.diagonal(q)}")
     print("boolean triangle:", b.rows)
-    print("magog triangle:  ", magog_from_fundamental(domain).rows)
+    print("magog triangle:  ", convert(domain, "magog_triangle").rows)
 
     print()
     print("all seven objects of order 3 round-trip through their domains:")

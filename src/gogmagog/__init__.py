@@ -9,15 +9,12 @@ so that a command imports only the modules it runs."""
 import sys
 
 _EXPORTS = {
-    "bijections": "asm_to_monotone boolean_to_monotone_perm boolean_to_permutation bracket_vector "
-    "monotone_perm_to_boolean monotone_to_asm permutation_to_boolean",
+    "bijections": "convert permutation_to_boolean",
     "enumeration": "FamilyId count generate",
     "poset": "Poset",
-    "statistics": "StatBundle avoids distribution inversion_number is_permutation_boolean "
-    "is_permutation_magog is_permutation_matrix is_permutation_tsscpp perm_inversions stat_bundle",
+    "statistics": "avoids distribution inversion_number object_statistics",
     "triangles": "Asm BooleanTriangle FundamentalDomain MagogTriangle MonotoneTriangle NilpNest "
-    "Permutation PlanePartition expand_fundamental fundamental_domain from_json to_json "
-    "validate_asm validate_boolean validate_magog validate_monotone validate_tsscpp",
+    "Permutation PlanePartition expand_fundamental fundamental_domain from_json to_json validate_tsscpp",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = ("bijections", "claims", "enumeration", "orders", "poset", "statistics", "triangles")

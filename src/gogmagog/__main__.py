@@ -1,9 +1,18 @@
 import gc
 import sys
 
-gc.disable()  # cli.entry turns it on once the command is loaded: collecting while numpy imports frees little
-try:
-    from .cli import entry
-    sys.exit(entry())
-finally:
-    gc.enable()
+
+def run():
+    """Entry point of ``python -m gogmagog`` and the installed script: the
+    collector stays off while numpy imports, until ``cli.entry`` enables it."""
+    gc.disable()
+    try:
+        from .cli import entry
+
+        return entry()
+    finally:
+        gc.enable()
+
+
+if __name__ == "__main__":
+    sys.exit(run())

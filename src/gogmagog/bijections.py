@@ -3,9 +3,9 @@ domain and invertible.
 
 Every map is one batched algorithm on validated entry arrays of order n
 (one row per value, see ``triangles.validate_batch``) and checks what it
-returns the same way.  An object map runs it on the object's entries as a
-batch of one, as :func:`convert` does along the conversion graph
-``_EDGES``.  The scalar algorithms these maps replaced are the test oracle
+returns the same way.  :func:`convert` maps one object along the
+conversion graph ``_EDGES``, running each map on the object's entries as a
+batch of one.  The scalar algorithms these maps replaced are the test oracle
 (``tests/reference_maps.py``).
 
 The matrix side (ASMs, monotone triangles, permutations) and the
@@ -50,23 +50,12 @@ __all__ = [
     "NotPermutationMonotone",
     "NotPermutationMatrix",
     "convert",
-    "asm_to_monotone",
-    "monotone_to_asm",
-    "asm_to_permutation",
-    "permutation_matrix",
     "permutation_to_monotone",
-    "monotone_to_permutation",
-    "magog_from_fundamental",
-    "fundamental_from_magog",
     "boolean_from_fundamental",
     "fundamental_from_boolean",
     "boolean_to_nilp",
-    "nilp_to_boolean",
-    "nilp_from_fundamental",
-    "fundamental_from_nilp",
     "magog_to_boolean",
     "boolean_to_magog",
-    "tsscpp_to_boolean",
     "boolean_to_tsscpp",
     "booleans_to_tsscpp",
     "permutations_to_asms",
@@ -89,12 +78,7 @@ __all__ = [
     "booleans_to_magogs",
     "booleans_to_brackets",
     "brackets_to_booleans",
-    "boolean_to_monotone_perm",
-    "monotone_perm_to_boolean",
     "permutation_to_boolean",
-    "boolean_to_permutation",
-    "bracket_vector",
-    "bracket_vector_to_boolean",
     "permutation_asms",
     "permutation_booleans",
 ]
@@ -171,10 +155,10 @@ def booleans_to_domains(n, a):
 
 
 def booleans_to_tsscpp(n, a):
-    """Batch form of :func:`boolean_to_tsscpp` on validated boolean entry
-    arrays of order n: the heights arrays, shape (len(a), 2n, 2n), of
-    ``triangles.domains_to_tsscpps`` of :func:`_domains_from_booleans` (a
-    domain that round-trips is the corner of a valid plane partition)."""
+    """The TSSCPPs of validated boolean entry arrays of order n: the heights
+    arrays, shape (len(a), 2n, 2n), of ``triangles.domains_to_tsscpps`` of
+    :func:`_domains_from_booleans` (a domain that round-trips is the corner
+    of a valid plane partition)."""
     domains = _domains_from_booleans(n, a)
     heights = np.empty((len(a), 2 * n, 2 * n), dtype=np.int16)
     for start in range(0, len(a), _CUBE_ROWS):
@@ -447,40 +431,13 @@ def _object_map(kind):
     return lambda obj: convert(obj, kind)
 
 
-asm_to_monotone = _object_map("monotone_triangle")
-monotone_to_asm = _object_map("asm")
-permutation_matrix = _object_map("asm")
-asm_to_permutation = _object_map("permutation")
-permutation_to_monotone = _object_map("monotone_triangle")
-monotone_to_permutation = _object_map("permutation")
-magog_from_fundamental = _object_map("magog_triangle")
-fundamental_from_magog = _object_map("fundamental_domain")
+# Kept only because the benchmark's per-layer metrics wrap them by name;
+# the library, the command line and the demos call :func:`convert`.
 boolean_from_fundamental = _object_map("boolean_triangle")
 fundamental_from_boolean = _object_map("fundamental_domain")
 boolean_to_nilp = _object_map("nilp_nest")
-nilp_to_boolean = _object_map("boolean_triangle")
-nilp_from_fundamental = _object_map("nilp_nest")
-fundamental_from_nilp = _object_map("fundamental_domain")
 magog_to_boolean = _object_map("boolean_triangle")
 boolean_to_magog = _object_map("magog_triangle")
-tsscpp_to_boolean = _object_map("boolean_triangle")
 boolean_to_tsscpp = _object_map("plane_partition")
 permutation_to_boolean = _object_map("boolean_triangle")
-boolean_to_permutation = _object_map("permutation")
-
-
-def boolean_to_monotone_perm(b: BooleanTriangle) -> MonotoneTriangle:
-    return build_batch(MonotoneTriangle, b.n, perm_booleans_to_monotones(b.n, entry_row(b)))[0]
-
-
-def monotone_perm_to_boolean(m: MonotoneTriangle) -> BooleanTriangle:
-    return build_batch(BooleanTriangle, m.n, monotones_to_booleans(m.n, entry_row(m)))[0]
-
-
-def bracket_vector(b: BooleanTriangle) -> tuple[int, ...]:
-    return tuple(booleans_to_brackets(b.n, entry_row(b))[0].tolist())
-
-
-def bracket_vector_to_boolean(x) -> BooleanTriangle:
-    x = np.array([tuple(x)], dtype=np.int64)
-    return build_batch(BooleanTriangle, x.shape[1], brackets_to_booleans(x.shape[1], x))[0]
+permutation_to_monotone = _object_map("monotone_triangle")

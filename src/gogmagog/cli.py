@@ -7,12 +7,12 @@ stderr; output is deterministic for identical inputs.  Exit codes: 0 success,
 environment variable replaces every enumeration cap (``enumeration._cap``).
 
 The package and the parser import only the modules the command runs.
-:func:`entry`, behind ``python -m gogmagog`` and the ``gogmagog`` script,
-keeps the collector off until they are loaded (``python -m`` turns it off
-before numpy's import, whose ~30 collections free little), freezes what the
-imports made (``gc.freeze``) so that no later collection traverses it, then
-turns the collector on and runs the command.  :func:`main`, the in-process
-API for tests and library callers, never freezes.
+:func:`entry`, which ``__main__.run`` calls with the collector already off
+(numpy's import runs ~30 collections that free little), keeps it off until
+they are loaded, freezes what the imports made (``gc.freeze``) so that no
+later collection traverses it, then turns the collector on and runs the
+command.  :func:`main`, the in-process API for tests and library callers,
+never freezes.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ is closed on reach bitsets, level by level from the sinks up; a relation
 given as a matrix is transitive iff the closure of its reduction is itself.
 Componentwise orders on integer vectors (:meth:`Poset.componentwise`) AND
 packed per-coordinate threshold bitsets.  A pair without a meet or join is
-searched for in column blocks, and no table is kept.  Labels are opaque hashable values; the posets built
-elsewhere use canonical JSON (objects) or one-line notation (permutations),
-so that relation containment across posets is well defined.
+searched for in column blocks, and no table is kept.  Labels are opaque
+hashable values; the posets built elsewhere use canonical JSON (objects) or
+one-line notation (permutations), so that relation containment across posets
+is well defined.
 """
 
 from __future__ import annotations
@@ -275,12 +276,6 @@ class Poset:
         j = self._index[y]
         return bool(int(self._rows[self._index[x], j >> 6]) >> (j & 63) & 1)
 
-    def relation_pairs(self):
-        """All strict related label pairs (x, y) with x < y."""
-        lower, upper = np.nonzero(self.leq_matrix())
-        labels = self.labels
-        return frozenset((labels[i], labels[j]) for i, j in zip(lower.tolist(), upper.tolist()) if i != j)
-
     def cover_matrix(self):
         """The covers as a read-only boolean matrix, built on each call."""
         covers = np.zeros((self.size, self.size), dtype=bool)
@@ -294,9 +289,6 @@ class Poset:
         if self._covers is None:
             self._covers = _pair_tuple(self.size, *_cover_rounds(self._rows))
         return self._covers
-
-    def cover_label_pairs(self):
-        return frozenset((self.labels[i], self.labels[j]) for i, j in self.cover_pairs())
 
     # -- constructions -----------------------------------------------------
 
@@ -451,7 +443,7 @@ class Poset:
         if self.size != other.size:
             return None
         if self.size > _ISOMORPHISM_MAX_ELEMENTS:
-            raise SizeCap(f"isomorphic_to capped at {_ISOMORPHISM_MAX_ELEMENTS} elements")
+            raise SizeCap(f"isomorphism_to capped at {_ISOMORPHISM_MAX_ELEMENTS} elements, got {self.size}")
         n = self.size
         mine = self._refined_colors()
         theirs = other._refined_colors()

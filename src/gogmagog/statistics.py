@@ -10,17 +10,15 @@ validated entry arrays of order n (one row per value, the layout of
 ``triangles.validate_batch`` and ``enumeration``), listed by kind in
 ``KINDS``.  :func:`distribution` (behind ``gogmagog dist``) runs one of them
 over the validated chunks of ``enumeration`` and builds no object; an
-object's statistics (:func:`object_statistics`, behind ``gogmagog stats``,
-and the object functions such as :func:`inversion_number`) are the same
-functions on its entries as a batch of one.  The scalar scans these replaced
-are the test oracle (``tests/reference_stats.py``).
+object's statistics (:func:`object_statistics`, behind ``gogmagog stats``)
+are the same functions on its entries as a batch of one.  The scalar scans
+these replaced are the test oracle (``tests/reference_stats.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,17 +28,9 @@ from .triangles import SCHEMA, Permutation, _triangle_cells, _triangle_neighbour
 __all__ = [
     "KINDS",
     "STATISTICS",
-    "StatBundle",
     "object_statistics",
     "inversion_number",
-    "perm_inversions",
     "boolean_zero_count",
-    "boolean_stat_triple",
-    "stat_bundle",
-    "is_permutation_matrix",
-    "is_permutation_boolean",
-    "is_permutation_magog",
-    "is_permutation_tsscpp",
     "avoids",
     "avoiding",
     "distribution",
@@ -150,44 +140,10 @@ def _object_statistic(name):
     return lambda obj: KINDS[SCHEMA[type(obj)][0]][name](obj.n, entry_row(obj))[0].item()
 
 
+# Kept only because the benchmark's per-layer metrics wrap them by name (as
+# ``avoids`` below); the library and the demos call :func:`object_statistics`.
 inversion_number = _object_statistic("inversions")
-perm_inversions = _object_statistic("inversions")
 boolean_zero_count = _object_statistic("zeros")
-is_permutation_matrix = _object_statistic("is_permutation")
-is_permutation_boolean = _object_statistic("is_permutation")
-is_permutation_magog = _object_statistic("is_permutation")
-is_permutation_tsscpp = _object_statistic("is_permutation")
-
-# Per-call costs at order 6, measured on a 2-CPU Xeon with Python 3.11.7 and
-# numpy 2.4.6 over 2,000 objects, against the batched function over all
-# 7,436 entry rows of the family.
-_ONE_ROW = """Whether a {what} is the image of a permutation, by
-``KINDS["{kind}"]["is_permutation"]`` on its entries as a batch of one.
-One call costs about {call} µs at order 6.  On a whole entry array
-(``enumeration.entries``) that function costs {batch} µs per object, so a
-loop over many objects should call it there instead."""
-is_permutation_boolean.__doc__ = _ONE_ROW.format(what="boolean triangle", kind="boolean_triangle", call=16, batch=0.02)
-is_permutation_magog.__doc__ = _ONE_ROW.format(what="magog triangle", kind="magog_triangle", call=260, batch=2.5)
-is_permutation_tsscpp.__doc__ = _ONE_ROW.format(what="TSSCPP", kind="plane_partition", call=350, batch=20)
-
-
-def boolean_stat_triple(b):
-    stats = object_statistics(b)
-    return stats["zeros"], stats["last_row_zeros"], stats["lowest_one_last_diagonal"]
-
-
-class StatBundle(NamedTuple):
-    """The four matrix-side statistics of the permutation bijection."""
-
-    inversion_number: int
-    negative_ones: int
-    last_row_one_col: int
-    last_col_one_row: int
-
-
-def stat_bundle(a) -> StatBundle:
-    s = object_statistics(a)
-    return StatBundle(s["inversions"], s["negative_ones"], s["last_row_one_col"], s["last_col_one_row"])
 
 
 # Pattern comparisons ``avoiding`` makes at a time: rows times choices of

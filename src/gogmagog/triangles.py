@@ -69,11 +69,6 @@ __all__ = [
     "SymmetryReport",
     "SCHEMA",
     "KIND_CLASSES",
-    "validate_monotone",
-    "validate_magog",
-    "validate_boolean",
-    "validate_nilp",
-    "validate_asm",
     "validate_tsscpp",
     "fundamental_domain",
     "expand_fundamental",
@@ -939,28 +934,6 @@ def format_batch(cls, n, a):
         text = lines.tobytes()
         parts.append((text.translate(None, b"\0") if mixed else text).decode())
     return "".join(parts)
-
-
-def _counting(cls, extra=0):
-    """``cls`` of the order its rows give, their count plus ``extra``, or
-    (boolean, nest) of a given order ``n``.  The constructor checks the rest,
-    and refuses a value that is no sequence (counted as one row)."""
-
-    def validate(raw, n=None):
-        try:
-            raw = tuple(raw)
-        except TypeError:
-            return cls(1 if n is None else n, raw)
-        return cls(len(raw) + extra if n is None else n, raw)
-
-    return validate if extra else lambda raw: validate(raw)
-
-
-validate_monotone = _counting(MonotoneTriangle)
-validate_magog = _counting(MagogTriangle)
-validate_boolean = _counting(BooleanTriangle, 1)
-validate_nilp = _counting(NilpNest, 1)
-validate_asm = _counting(Asm)
 
 
 def validate_tsscpp(p: PlanePartition):

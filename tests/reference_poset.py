@@ -7,7 +7,8 @@ up-sets and down-sets built element by element; and the check of a poset's
 packed rows, cover pairs and dense views against a dense relation, with the
 vectors a builder hands to ``Poset.componentwise``.  The permutation-order
 claims as decided before they read packed rows: through dense relation
-matrices pulled back along label maps, on every permutation.
+matrices pulled back along label maps, on every permutation.  The
+relation and the covers of a poset as sets of label pairs.
 """
 
 from functools import lru_cache
@@ -36,6 +37,17 @@ def bool_product(a, b):
             right = b[:, j : j + _PRODUCT_BLOCK].astype(np.float32)
             out[i : i + _PRODUCT_BLOCK, j : j + _PRODUCT_BLOCK] = left @ right > 0
     return out
+
+
+def relation_pairs(p):
+    """All strict related label pairs (x, y) of ``p`` with x < y."""
+    lower, upper = np.nonzero(p.leq_matrix())
+    return frozenset((p.labels[i], p.labels[j]) for i, j in zip(lower.tolist(), upper.tolist()) if i != j)
+
+
+def cover_label_pairs(p):
+    """The covers of ``p`` as label pairs."""
+    return frozenset((p.labels[i], p.labels[j]) for i, j in p.cover_pairs())
 
 
 def closure(matrix):

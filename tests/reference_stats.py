@@ -10,11 +10,20 @@ prints for an object.
 """
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from gogmagog.statistics import StatBundle
 from gogmagog.triangles import SCHEMA, Permutation
+
+
+class StatBundle(NamedTuple):
+    """The four matrix-side statistics of the permutation bijection."""
+
+    inversion_number: int
+    negative_ones: int
+    last_row_one_col: int
+    last_col_one_row: int
 
 
 def inversion_number(a) -> int:

@@ -19,21 +19,13 @@ from gogmagog import bijections as bij
 from gogmagog import claims
 from gogmagog.cli import main
 from gogmagog.enumeration import FamilyId, _elements, count, entries, generate
-from gogmagog.statistics import (
-    boolean_stat_triple,
-    distribution,
-    inversion_number,
-    is_permutation_boolean,
-    object_statistics,
-    perm_inversions,
-)
+from gogmagog.statistics import distribution, object_statistics
 from gogmagog.triangles import (
     BooleanTriangle,
     MagogTriangle,
+    MonotoneTriangle,
     Permutation,
     build_batch,
-    validate_boolean,
-    validate_monotone,
 )
 
 ASM_SEQUENCE = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
@@ -82,8 +74,9 @@ def test_criterion_3_statistic_preservation():
         assert np.array_equal(bij.booleans_to_permutations(n, booleans), perms)
         for p, b in zip(generate(FamilyId.PERMUTATION, n), build_batch(BooleanTriangle, n, booleans), strict=True):
             total += 1
-            zeros, last_row_zeros, lowest = boolean_stat_triple(b)
-            assert zeros == perm_inversions(p)
+            stats = object_statistics(b)
+            zeros, last_row_zeros, lowest = stats["zeros"], stats["last_row_zeros"], stats["lowest_one_last_diagonal"]
+            assert zeros == object_statistics(p)["inversions"]
             assert last_row_zeros == n - p.sigma[-1]
             ell = p.sigma.index(n) + 1
             assert lowest == (None if ell == 1 else ell - 1)
@@ -94,13 +87,14 @@ def test_criterion_3_statistic_preservation():
 
 def test_criterion_4_golden_example():
     sigma = Permutation.from_one_line("463512")
-    matrix = bij.permutation_matrix(sigma)
+    matrix = bij.convert(sigma, "asm")
     assert matrix.rows == gold.GOLDEN["matrix"]
-    assert inversion_number(matrix) == 11
-    assert bij.asm_to_monotone(matrix) == validate_monotone(gold.GOLDEN["monotone"])
-    b = bij.permutation_to_boolean(sigma)
-    assert b == validate_boolean(gold.GOLDEN["boolean"])
-    assert boolean_stat_triple(b) == (11, 4, 1)
+    assert object_statistics(matrix)["inversions"] == 11
+    assert bij.convert(matrix, "monotone_triangle") == MonotoneTriangle(6, gold.GOLDEN["monotone"])
+    b = bij.convert(sigma, "boolean_triangle")
+    assert b == BooleanTriangle(6, gold.GOLDEN["boolean"])
+    stats = object_statistics(b)
+    assert (stats["zeros"], stats["last_row_zeros"], stats["lowest_one_last_diagonal"]) == (11, 4, 1)
     print("ACCEPTANCE 4 PASS: golden example 463512 reproduced exactly")
 
 
@@ -123,7 +117,7 @@ def test_criterion_6_permutation_characterizations(n):
     booleans = bij.domains_to_booleans(n, bij.tsscpps_to_domains(n, tsscpps))
     magogs = build_batch(MagogTriangle, n, bij.booleans_to_magogs(n, booleans))
     for p, b, m in zip(generate(FamilyId.TSSCPP, n), build_batch(BooleanTriangle, n, booleans), magogs, strict=True):
-        if is_permutation_boolean(b):
+        if object_statistics(b)["is_permutation"]:
             by_boolean.add(p)
         if ref_stats.is_permutation_tsscpp(p):
             by_array.add(p)

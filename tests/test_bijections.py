@@ -16,10 +16,12 @@ from gogmagog import statistics as stats
 from gogmagog.enumeration import FamilyId, entries, generate
 from gogmagog.statistics import avoids
 from gogmagog.triangles import (
+    Asm,
     BooleanTriangle,
     FundamentalDomain,
     InconsistentDomain,
     MagogTriangle,
+    MonotoneTriangle,
     Permutation,
     PlanePartition,
     ValidationError,
@@ -27,24 +29,24 @@ from gogmagog.triangles import (
     build_batch,
     entry_row,
     validate_batch,
-    validate_asm,
-    validate_boolean,
-    validate_magog,
-    validate_monotone,
 )
+
+
+def is_permutation(obj):
+    return stats.object_statistics(obj)["is_permutation"]
 
 
 def test_matrix_monotone_pairing_matches_golden_lists():
     for rows_a, rows_m in zip(gold.ASMS_3, gold.MONOTONE_3):
-        a, m = validate_asm(rows_a), validate_monotone(rows_m)
-        assert bij.asm_to_monotone(a) == m
-        assert bij.monotone_to_asm(m) == a
+        a, m = Asm(3, rows_a), MonotoneTriangle(3, rows_m)
+        assert bij.convert(a, "monotone_triangle") == m
+        assert bij.convert(m, "asm") == a
 
 
 def test_identity_matrix_gives_prefix_triangle():
     n = 5
-    eye = validate_asm(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    assert bij.asm_to_monotone(eye).rows == tuple(tuple(range(1, r + 2)) for r in range(n))
+    eye = Asm(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    assert bij.convert(eye, "monotone_triangle").rows == tuple(tuple(range(1, r + 2)) for r in range(n))
 
 
 def test_plane_partition_family_pairing_matches_golden_lists():
@@ -52,17 +54,18 @@ def test_plane_partition_family_pairing_matches_golden_lists():
         gold.TSSCPP_3, gold.DOMAINS_3, gold.MAGOG_3, gold.BOOLEAN_3
     ):
         d = FundamentalDomain(3, dom)
-        assert bij.magog_from_fundamental(d) == validate_magog(rows_mg)
-        assert bij.fundamental_from_magog(validate_magog(rows_mg)) == d
-        assert bij.boolean_from_fundamental(d) == validate_boolean(rows_b)
-        assert bij.fundamental_from_boolean(validate_boolean(rows_b)) == d
-        assert bij.tsscpp_to_boolean(PlanePartition(3, rows_p)) == validate_boolean(rows_b)
-        assert bij.boolean_to_tsscpp(validate_boolean(rows_b)) == PlanePartition(3, rows_p)
+        magog, boolean = MagogTriangle(3, rows_mg), BooleanTriangle(3, rows_b)
+        assert bij.convert(d, "magog_triangle") == magog
+        assert bij.convert(magog, "fundamental_domain") == d
+        assert bij.convert(d, "boolean_triangle") == boolean
+        assert bij.convert(boolean, "fundamental_domain") == d
+        assert bij.convert(PlanePartition(3, rows_p), "boolean_triangle") == boolean
+        assert bij.convert(boolean, "plane_partition") == PlanePartition(3, rows_p)
 
 
 def test_all_zero_domain_gives_smallest_magog():
     d = FundamentalDomain(3, ((0, 0, 0), (0, 0), (0,)))
-    assert bij.magog_from_fundamental(d).rows == ((1,), (1, 2), (1, 2, 3))
+    assert bij.convert(d, "magog_triangle").rows == ((1,), (1, 2), (1, 2, 3))
 
 
 def test_domain_magog_round_trip_is_validated():
@@ -72,12 +75,12 @@ def test_domain_magog_round_trip_is_validated():
 
 
 def test_boolean_nilp_golden_examples():
-    bold = validate_boolean([[0], [0, 1]])
-    nest = bij.boolean_to_nilp(bold)
+    bold = BooleanTriangle(3, [[0], [0, 1]])
+    nest = bij.convert(bold, "nilp_nest")
     assert nest.paths == (("D",), ("D", "V"))
-    assert bij.nilp_to_boolean(nest) == bold
-    all_ones = validate_boolean([[1], [1, 1]])
-    assert bij.boolean_to_nilp(all_ones).endpoints() == ((1, 0), (2, 0))
+    assert bij.convert(nest, "boolean_triangle") == bold
+    all_ones = BooleanTriangle(3, [[1], [1, 1]])
+    assert bij.convert(all_ones, "nilp_nest").endpoints() == ((1, 0), (2, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -94,53 +97,54 @@ def test_boolean_nilp_mutually_inverse(n):
 def test_nilp_from_fundamental_is_the_composition():
     for dom in gold.DOMAINS_3:
         d = FundamentalDomain(3, dom)
-        assert bij.nilp_from_fundamental(d) == bij.boolean_to_nilp(bij.boolean_from_fundamental(d))
-        assert bij.fundamental_from_nilp(bij.nilp_from_fundamental(d)) == d
+        nest = bij.convert(d, "nilp_nest")
+        assert nest == bij.convert(bij.convert(d, "boolean_triangle"), "nilp_nest")
+        assert bij.convert(nest, "fundamental_domain") == d
 
 
 def test_golden_example_full_chain():
     sigma = Permutation.from_one_line(gold.GOLDEN["one_line"])
-    matrix = validate_asm(gold.GOLDEN["matrix"])
-    monotone = validate_monotone(gold.GOLDEN["monotone"])
-    boolean = validate_boolean(gold.GOLDEN["boolean"])
+    matrix = Asm(6, gold.GOLDEN["matrix"])
+    monotone = MonotoneTriangle(6, gold.GOLDEN["monotone"])
+    boolean = BooleanTriangle(6, gold.GOLDEN["boolean"])
     big = PlanePartition(6, gold.GOLDEN["tsscpp"])
-    assert bij.permutation_matrix(sigma) == matrix
-    assert bij.asm_to_permutation(matrix) == sigma
-    assert bij.asm_to_monotone(matrix) == monotone
-    assert bij.permutation_to_monotone(sigma) == monotone
-    assert bij.monotone_perm_to_boolean(monotone) == boolean
-    assert bij.boolean_to_monotone_perm(boolean) == monotone
-    assert bij.permutation_to_boolean(sigma) == boolean
-    assert bij.boolean_to_permutation(boolean) == sigma
-    assert bij.tsscpp_to_boolean(big) == boolean
-    assert bij.boolean_to_tsscpp(boolean) == big
+    assert bij.convert(sigma, "asm") == matrix
+    assert bij.convert(matrix, "permutation") == sigma
+    assert bij.convert(matrix, "monotone_triangle") == monotone
+    assert bij.convert(sigma, "monotone_triangle") == monotone
+    assert bij.convert(monotone, "boolean_triangle") == boolean
+    assert bij.convert(boolean, "monotone_triangle") == monotone
+    assert bij.convert(sigma, "boolean_triangle") == boolean
+    assert bij.convert(boolean, "permutation") == sigma
+    assert bij.convert(big, "boolean_triangle") == boolean
+    assert bij.convert(boolean, "plane_partition") == big
 
 
 def test_all_ones_boolean_is_identity_permutation():
-    b = validate_boolean([[1], [1, 1], [1, 1, 1]])
-    assert bij.boolean_to_permutation(b).sigma == (1, 2, 3, 4)
-    assert bij.boolean_to_monotone_perm(b).rows == tuple(tuple(range(1, r + 2)) for r in range(4))
+    b = BooleanTriangle(4, [[1], [1, 1], [1, 1, 1]])
+    assert bij.convert(b, "permutation").sigma == (1, 2, 3, 4)
+    assert bij.convert(b, "monotone_triangle").rows == tuple(tuple(range(1, r + 2)) for r in range(4))
 
 
 def test_permutation_bijection_matches_golden_order():
     for rows_b, one_line in zip(gold.BOOLEAN_3, gold.PERMS_3):
-        b = validate_boolean(rows_b)
+        b = BooleanTriangle(3, rows_b)
         if one_line is None:
-            assert not stats.is_permutation_boolean(b)
+            assert not is_permutation(b)
             with pytest.raises(bij.NotPermutationBoolean):
-                bij.boolean_to_monotone_perm(b)
+                bij.convert(b, "monotone_triangle")
         else:
-            assert bij.boolean_to_permutation(b).one_line() == one_line
+            assert bij.convert(b, "permutation").one_line() == one_line
 
 
 def test_non_permutation_monotone_rejected():
-    bold = validate_monotone(gold.MONOTONE_3[gold.NON_PERMUTATION_INDEX])
+    bold = MonotoneTriangle(3, gold.MONOTONE_3[gold.NON_PERMUTATION_INDEX])
     with pytest.raises(bij.NotPermutationMonotone):
-        bij.monotone_perm_to_boolean(bold)
+        bij.monotones_to_booleans(3, entry_row(bold))
     with pytest.raises(bij.NotPermutationMonotone):
-        bij.monotone_to_permutation(bold)
+        bij.convert(bold, "permutation")
     with pytest.raises(bij.NotPermutationMatrix):
-        bij.asm_to_permutation(validate_asm(gold.ASMS_3[gold.NON_PERMUTATION_INDEX]))
+        bij.convert(Asm(3, gold.ASMS_3[gold.NON_PERMUTATION_INDEX]), "permutation")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -174,7 +178,7 @@ def test_permutation_matrices_map_onto_strict_entry_free_triangles():
         image = {
             ref.asm_to_monotone(a)
             for a in generate(FamilyId.ASM, n)
-            if stats.is_permutation_matrix(a)
+            if is_permutation(a)
         }
         expected = {
             m for m in generate(FamilyId.MONOTONE, n) if stats.object_statistics(m)["strict_diagonal_entries"] == 0
@@ -196,10 +200,13 @@ def test_bijection_images_cover_targets():
 
 
 def test_bracket_vector_values():
-    assert bij.bracket_vector(validate_boolean([[1], [1, 1]])) == (3, 3, 3)
-    assert bij.bracket_vector(validate_boolean([[0], [0, 0]])) == (1, 2, 3)
+    def bracket_vector(rows):
+        return tuple(bij.booleans_to_brackets(3, entry_row(BooleanTriangle(3, rows)))[0].tolist())
+
+    assert bracket_vector([[1], [1, 1]]) == (3, 3, 3)
+    assert bracket_vector([[0], [0, 0]]) == (1, 2, 3)
     with pytest.raises(bij.NotPermutationBoolean):
-        bij.bracket_vector(validate_boolean([[0], [0, 1]]))
+        bracket_vector([[0], [0, 1]])
 
 
 def bracket_condition(x):
@@ -252,19 +259,19 @@ def test_permutation_characterizations_agree(n):
 
 
 def test_permutation_magog_golden_values():
-    non_perm = validate_magog(gold.MAGOG_3[gold.NON_PERMUTATION_INDEX])
-    assert not stats.is_permutation_magog(non_perm)
+    non_perm = MagogTriangle(3, gold.MAGOG_3[gold.NON_PERMUTATION_INDEX])
+    assert not is_permutation(non_perm)
     for i, rows in enumerate(gold.MAGOG_3):
         if i != gold.NON_PERMUTATION_INDEX:
-            assert stats.is_permutation_magog(validate_magog(rows))
+            assert is_permutation(MagogTriangle(3, rows))
 
 
 def test_permutation_tsscpp_golden_values():
     non_perm = PlanePartition(3, gold.TSSCPP_3[gold.NON_PERMUTATION_INDEX])
-    assert not stats.is_permutation_tsscpp(non_perm)
+    assert not is_permutation(non_perm)
     for i, rows in enumerate(gold.TSSCPP_3):
         if i != gold.NON_PERMUTATION_INDEX:
-            assert stats.is_permutation_tsscpp(PlanePartition(3, rows))
+            assert is_permutation(PlanePartition(3, rows))
 
 
 # ------------------------------------------------------------ batched maps

@@ -482,25 +482,60 @@ def test_the_entry_point_freezes_the_heap_then_runs_main():
     assert (result.stdout, result.stderr) == ("7\n0 True True\n", "")
 
 
-def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
-    """``[project.scripts]`` names the function that ``python -m gogmagog``
-    calls."""
-    import importlib
+def _script_target():
+    """The (module, function) that ``[project.scripts]`` names."""
     import pathlib
-    import runpy
 
     tomllib = pytest.importorskip("tomllib")
-    from gogmagog import cli
-
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gogmagog"].partition(":")
+    return module, name
+
+
+def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
+    """``[project.scripts]`` names the function that ``python -m gogmagog``
+    calls, and that function runs ``cli.entry`` with the collector off."""
+    import gc
+    import importlib
+    import runpy
+    import sys
+
+    from gogmagog import cli
+
+    module, name = _script_target()
     target = getattr(importlib.import_module(module), name)
+    sys.modules.pop(module)  # runpy warns when it runs a module already imported
     calls = []
-    for function in ("entry", "main"):
-        monkeypatch.setattr(cli, function, lambda *args, function=function: calls.append(function) or 0)
+    monkeypatch.setattr(cli, "entry", lambda: calls.append(("entry", gc.isenabled())) or 0)
+    monkeypatch.setattr(cli, "main", lambda *args: calls.append(("main", gc.isenabled())) or 0)
+    assert target() == 0
     with pytest.raises(SystemExit) as exit:
         runpy.run_module("gogmagog", run_name="__main__")
-    assert exit.value.code == 0 and calls == [target.__name__] and target.__module__ == "gogmagog.cli"
+    assert exit.value.code == 0 and calls == [("entry", False)] * 2 and gc.isenabled()
+    assert target.__module__ == "gogmagog.__main__"
+    assert runpy.run_module("gogmagog")[name].__code__ == target.__code__
+
+
+def test_the_installed_script_collects_nothing_before_the_command_is_loaded():
+    """As pip's generated wrapper does, import the script's function and call
+    it: every collection runs after ``cli.entry`` has frozen what the
+    command's imports made, none while numpy imports."""
+    import subprocess
+    import sys
+
+    module, name = _script_target()
+    code = (
+        "import gc, sys\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(gc.get_freeze_count()))\n"
+        f"from {module} import {name}\n"
+        "imported = len(starts)\n"
+        "sys.argv = ['gogmagog', 'enumerate', '--family', 'asm', '--n', '6', '--count-only']\n"
+        f"status = {name}()\n"
+        "print(status, imported, sum(1 for frozen in starts if frozen == 0))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.stdout, result.stderr) == ("7436\n0 0 0\n", "")
 
 
 def test_the_installed_script_runs_with_the_collector_enabled_after_it(monkeypatch):
@@ -548,6 +583,30 @@ def test_the_package_resolves_its_names_on_first_access():
     assert gogmagog.Permutation is triangles.Permutation and gogmagog.claims is sys.modules["gogmagog.claims"]
     assert all(hasattr(gogmagog, name) for name in gogmagog.__all__)
     assert not hasattr(gogmagog, "no_such_name")
+
+
+@pytest.mark.parametrize(
+    "name", ["bijections", "claims", "cli", "enumeration", "orders", "poset", "statistics", "triangles"]
+)
+def test_each_module_lists_exactly_the_public_functions_and_classes_it_defines(name):
+    """``__all__`` names every public function and class the module defines
+    and no other; ``claims``' checks are reached through ``CHECKS`` and
+    ``CLAIMS`` instead."""
+    import importlib
+    import inspect
+
+    module = importlib.import_module(f"gogmagog.{name}")
+    defined = {
+        attr
+        for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+        and not (name == "claims" and attr.startswith("check_"))
+    }
+    values = {attr: getattr(module, attr) for attr in module.__all__}
+    listed = [attr for attr, value in values.items() if inspect.isfunction(value) or inspect.isclass(value)]
+    assert len(values) == len(module.__all__) and set(listed) == defined
 
 
 def _gogmagog_imports(*argv):

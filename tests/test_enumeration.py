@@ -11,7 +11,7 @@ import reference_search
 import reference_stats
 from gogmagog import bijections as bij
 from gogmagog import enumeration
-from gogmagog.statistics import KINDS, is_permutation_boolean
+from gogmagog.statistics import KINDS, object_statistics
 from gogmagog.enumeration import CapExceeded, DEFAULT_CAPS, FamilyId, count, generate
 from gogmagog.triangles import SCHEMA, ValidationError, build_batch, entry_row, validate_tsscpp
 
@@ -92,7 +92,7 @@ def test_generator_counts_match_bijection_images():
         assert {ref.boolean_to_nilp(b) for b in generate(FamilyId.BOOLEAN, n)} == nests
         perm_booleans = set(generate(FamilyId.PERMUTATION_BOOLEAN, n))
         booleans = set(generate(FamilyId.BOOLEAN, n))
-        assert perm_booleans == {b for b in booleans if is_permutation_boolean(b)}
+        assert perm_booleans == {b for b in booleans if object_statistics(b)["is_permutation"]}
 
 
 def test_caps(monkeypatch):

@@ -14,10 +14,12 @@ from reference_poset import (
     bound_table,
     closure,
     count_ideals,
+    cover_label_pairs,
     dense_covers,
     distributivity_witness,
     is_distributive_lattice,
     reach_at,
+    relation_pairs,
     relations_not_in,
 )
 
@@ -67,9 +69,9 @@ def random_poset(rng, k):
 def test_from_comparisons_chain_and_antichain():
     c = chain(4)
     assert c.leq(0, 3) and not c.leq(3, 0)
-    assert c.cover_label_pairs() == frozenset({(0, 1), (1, 2), (2, 3)})
+    assert cover_label_pairs(c) == frozenset({(0, 1), (1, 2), (2, 3)})
     a = antichain(3)
-    assert a.cover_label_pairs() == frozenset()
+    assert cover_label_pairs(a) == frozenset()
     assert not a.leq(0, 1)
 
 
@@ -93,8 +95,8 @@ def test_covers_then_closure_is_identity():
     rng = random.Random(7)
     for k in (1, 2, 5, 8, 12):
         p = random_poset(rng, k)
-        rebuilt = Poset.from_covers(p.labels, p.cover_label_pairs())
-        assert rebuilt.relation_pairs() == p.relation_pairs()
+        rebuilt = Poset.from_covers(p.labels, cover_label_pairs(p))
+        assert relation_pairs(rebuilt) == relation_pairs(p)
 
 
 def ideal_oracle(p):
@@ -127,7 +129,7 @@ def test_order_ideals_match_powerset_oracle(maker, k):
 def test_order_ideals_of_chain_is_longer_chain():
     j = chain(2).order_ideals()
     assert j.size == 3
-    assert j.cover_label_pairs() == frozenset({((), (0,)), ((0,), (0, 1))})
+    assert cover_label_pairs(j) == frozenset({((), (0,)), ((0,), (0, 1))})
 
 
 def test_order_ideals_random_posets_are_distributive_lattices():
@@ -187,9 +189,9 @@ def test_lattice_report_cap(monkeypatch):
 
 def test_induced_subposet():
     p = chain(5)
-    assert p.induced(lambda lbl: True).relation_pairs() == p.relation_pairs()
+    assert relation_pairs(p.induced(lambda lbl: True)) == relation_pairs(p)
     sub = p.induced((0, 2, 4))
-    assert sub.cover_label_pairs() == frozenset({(0, 2), (2, 4)})
+    assert cover_label_pairs(sub) == frozenset({(0, 2), (2, 4)})
     empty = p.induced(())
     assert empty.size == 0
 
@@ -237,6 +239,10 @@ def test_isomorphism_cap(monkeypatch):
     monkeypatch.setattr(poset_module, "_ISOMORPHISM_MAX_ELEMENTS", 5)
     with pytest.raises(SizeCap):
         antichain(10).isomorphism_to(antichain(10))
+    monkeypatch.undo()
+    p = antichain(1001)
+    with pytest.raises(SizeCap, match="^isomorphism_to capped at 1000 elements, got 1001$"):
+        p.isomorphism_to(p)
 
 
 def test_relations_subset():
@@ -396,9 +402,9 @@ def test_bitset_closure_equals_the_dense_closure_on_the_cover_built_orders(monke
 
 def test_from_covers_drops_redundant_edges_and_loops():
     p = Poset.from_covers("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "c"), ("a", "d"), ("a", "d")])
-    assert p.cover_label_pairs() == frozenset({("a", "b"), ("b", "c"), ("a", "d")})
+    assert cover_label_pairs(p) == frozenset({("a", "b"), ("b", "c"), ("a", "d")})
     assert p.cover_pairs() == ((0, 1), (0, 3), (1, 2))  # ("a", "d") once
-    assert p.relation_pairs() == frozenset({("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")})
+    assert relation_pairs(p) == frozenset({("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")})
 
 
 @pytest.mark.parametrize(

@@ -18,24 +18,8 @@ import reference_stats as oracle
 from gogmagog import bijections as bij
 from gogmagog import enumeration, statistics, triangles
 from gogmagog.enumeration import CapExceeded, FamilyId, count, entries, generate
-from gogmagog.statistics import (
-    KINDS,
-    STATISTICS,
-    avoiding,
-    avoids,
-    boolean_stat_triple,
-    distribution,
-    inversion_number,
-    object_statistics,
-    perm_inversions,
-    stat_bundle,
-)
-from gogmagog.triangles import (
-    Permutation,
-    validate_asm,
-    validate_boolean,
-    validate_monotone,
-)
+from gogmagog.statistics import KINDS, STATISTICS, avoiding, avoids, distribution, object_statistics
+from gogmagog.triangles import Asm, BooleanTriangle, MonotoneTriangle, Permutation
 
 
 def inversion_number_oracle(a):
@@ -51,13 +35,22 @@ def inversion_number_oracle(a):
     return total
 
 
+def inversion_number(obj):
+    return object_statistics(obj)["inversions"]
+
+
+def boolean_stat_triple(b):
+    stats = object_statistics(b)
+    return stats["zeros"], stats["last_row_zeros"], stats["lowest_one_last_diagonal"]
+
+
 def test_inversion_number_frozen_values():
-    golden = validate_asm(gold.GOLDEN["matrix"])
+    golden = Asm(6, gold.GOLDEN["matrix"])
     assert inversion_number(golden) == 11
-    eye = validate_asm(((1, 0), (0, 1)))
+    eye = Asm(2, ((1, 0), (0, 1)))
     assert inversion_number(eye) == 0
     # the single order-3 matrix with a -1; value from the quadruple sum
-    minus = validate_asm(gold.ASMS_3[3])
+    minus = Asm(3, gold.ASMS_3[3])
     assert inversion_number_oracle(minus) == 2
     assert inversion_number(minus) == 2
 
@@ -69,15 +62,15 @@ def test_inversion_number_matches_quadruple_sum(n):
 
 
 def test_perm_inversions():
-    assert perm_inversions(Permutation.from_one_line("463512")) == 11
-    assert perm_inversions(Permutation.from_one_line("1234")) == 0
-    assert perm_inversions(Permutation.from_one_line("4321")) == 6
+    assert inversion_number(Permutation.from_one_line("463512")) == 11
+    assert inversion_number(Permutation.from_one_line("1234")) == 0
+    assert inversion_number(Permutation.from_one_line("4321")) == 6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_inversion_number_extends_permutation_inversions(n):
     for p in generate(FamilyId.PERMUTATION, n):
-        assert inversion_number(ref.permutation_matrix(p)) == perm_inversions(p)
+        assert inversion_number(ref.permutation_matrix(p)) == inversion_number(p)
 
 
 def negative_ones(a):
@@ -89,11 +82,11 @@ def strict_diagonal_entries(m):
 
 
 def test_negative_ones_matches_strict_diagonal_entries_on_golden_pairs():
-    bold_asm = validate_asm(gold.ASMS_3[3])
-    bold_mono = validate_monotone(gold.MONOTONE_3[3])
+    bold_asm = Asm(3, gold.ASMS_3[3])
+    bold_mono = MonotoneTriangle(3, gold.MONOTONE_3[3])
     assert negative_ones(bold_asm) == strict_diagonal_entries(bold_mono) == 1
     for rows in gold.MONOTONE_3[:3]:
-        assert strict_diagonal_entries(validate_monotone(rows)) == 0
+        assert strict_diagonal_entries(MonotoneTriangle(3, rows)) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -103,19 +96,19 @@ def test_negative_ones_equal_strict_diagonal_entries(n):
 
 
 def test_boolean_statistics_on_golden_example():
-    b = validate_boolean(gold.GOLDEN["boolean"])
+    b = BooleanTriangle(6, gold.GOLDEN["boolean"])
     assert boolean_stat_triple(b) == (11, 4, 1)
 
 
 def test_boolean_statistics_all_ones():
     for n in (2, 3, 4, 5):
-        b = validate_boolean([[1] * (r + 1) for r in range(n - 1)])
+        b = BooleanTriangle(n, [[1] * (r + 1) for r in range(n - 1)])
         assert boolean_stat_triple(b) == (0, 0, n - 1)
 
 
 def test_lowest_one_none_when_diagonal_empty():
-    assert object_statistics(validate_boolean([[0], [0, 0]]))["lowest_one_last_diagonal"] is None
-    assert object_statistics(validate_boolean([], n=1))["lowest_one_last_diagonal"] is None
+    assert object_statistics(BooleanTriangle(3, [[0], [0, 0]]))["lowest_one_last_diagonal"] is None
+    assert object_statistics(BooleanTriangle(1, []))["lowest_one_last_diagonal"] is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -124,16 +117,16 @@ def test_statistic_preservation(n):
     last-column one at row l <-> lowest one of the last diagonal at row l-1."""
     for p in generate(FamilyId.PERMUTATION, n):
         b = ref.permutation_to_boolean(p)
-        bundle = stat_bundle(ref.permutation_matrix(p))
+        matrix = object_statistics(ref.permutation_matrix(p))
         zeros, last_row, lowest = boolean_stat_triple(b)
-        assert zeros == bundle.inversion_number == perm_inversions(p)
-        assert last_row == n - bundle.last_row_one_col
-        assert lowest == (None if bundle.last_col_one_row == 1 else bundle.last_col_one_row - 1)
+        assert zeros == matrix["inversions"] == inversion_number(p)
+        assert last_row == n - matrix["last_row_one_col"]
+        assert lowest == (None if matrix["last_col_one_row"] == 1 else matrix["last_col_one_row"] - 1)
 
 
 def test_zero_then_one_count():
     def zero_then_one(rows):
-        return object_statistics(validate_boolean(rows))["zero_then_one"]
+        return object_statistics(BooleanTriangle(len(rows) + 1, rows))["zero_then_one"]
 
     assert zero_then_one([[0], [0, 1]]) == 1
     assert zero_then_one([[1], [1, 1]]) == 0
@@ -199,13 +192,13 @@ def test_avoiding_in_blocks_of_one_choice_of_positions(monkeypatch):
 
 
 def test_stat_bundle_positions():
-    bundle = stat_bundle(bij.permutation_matrix(Permutation.from_one_line("463512")))
-    assert bundle.last_row_one_col == 2
-    assert bundle.last_col_one_row == 2
-    assert bundle.negative_ones == 0
+    bundle = object_statistics(bij.convert(Permutation.from_one_line("463512"), "asm"))
+    assert bundle["last_row_one_col"] == 2
+    assert bundle["last_col_one_row"] == 2
+    assert bundle["negative_ones"] == 0
     # boundary positions exist for matrices with a -1 as well
-    bundle = stat_bundle(validate_asm(gold.ASMS_3[3]))
-    assert (bundle.last_row_one_col, bundle.last_col_one_row) == (2, 2)
+    bundle = object_statistics(Asm(3, gold.ASMS_3[3]))
+    assert (bundle["last_row_one_col"], bundle["last_col_one_row"]) == (2, 2)
 
 
 def test_distribution_frozen_values():
@@ -308,7 +301,7 @@ def test_inversions_of_an_order_10000_permutation_take_linear_memory():
     p = Permutation(n, tuple(range(n, 0, -1)))
     tracemalloc.start()
     try:
-        inversions = perm_inversions(p)
+        inversions = inversion_number(p)
         printed = object_statistics(p)["inversions"]
         _, peak = tracemalloc.get_traced_memory()
     finally:

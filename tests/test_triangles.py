@@ -11,7 +11,7 @@ import golden_data as gold
 import reference_checks
 from gogmagog import triangles
 from gogmagog.enumeration import entries
-from gogmagog.statistics import is_permutation_matrix
+from gogmagog.statistics import object_statistics
 from gogmagog.triangles import (
     AlternationError,
     Asm,
@@ -37,11 +37,6 @@ from gogmagog.triangles import (
     from_json,
     fundamental_domain,
     to_json,
-    validate_asm,
-    validate_boolean,
-    validate_magog,
-    validate_monotone,
-    validate_nilp,
     validate_tsscpp,
 )
 
@@ -119,25 +114,25 @@ def nest_intersects(paths):
 
 def test_monotone_golden_examples():
     for rows in gold.MONOTONE_3:
-        assert validate_monotone(rows).rows == rows
-    assert validate_monotone([[1], [1, 2], [1, 2, 3]]).n == 3
+        assert MonotoneTriangle(3, rows).rows == rows
+    assert MonotoneTriangle(3, [[1], [1, 2], [1, 2, 3]]).n == 3
 
 
 def test_monotone_interlace_violation_reports_first_position():
     with pytest.raises(InterlaceError) as err:
-        validate_monotone([[3], [1, 2], [1, 2, 3]])
+        MonotoneTriangle(3, [[3], [1, 2], [1, 2, 3]])
     assert (err.value.row, err.value.col) == (1, 1)
 
 
 def test_monotone_error_kinds():
     with pytest.raises(BottomRowError):
-        validate_monotone([[1], [1, 2], [1, 3, 3]])
+        MonotoneTriangle(3, [[1], [1, 2], [1, 3, 3]])
     with pytest.raises(RowStrictError):
-        validate_monotone([[2], [2, 2], [1, 2, 3]])
+        MonotoneTriangle(3, [[2], [2, 2], [1, 2, 3]])
     with pytest.raises(ShapeError):
-        validate_monotone([[1], [1, 2, 3]])
+        MonotoneTriangle(2, [[1], [1, 2, 3]])
     with pytest.raises(EntryError):
-        validate_monotone([[5], [1, 2], [1, 2, 3]])
+        MonotoneTriangle(3, [[5], [1, 2], [1, 2, 3]])
 
 
 def all_candidate_towers(n):
@@ -159,7 +154,7 @@ def test_monotone_matches_oracle_exhaustively(n):
         if monotone_ok(rows, n):
             expected.add(rows)
         try:
-            validate_monotone(rows)
+            MonotoneTriangle(n, rows)
             accepted.add(rows)
         except Exception:
             pass
@@ -169,10 +164,10 @@ def test_monotone_matches_oracle_exhaustively(n):
 
 
 def test_magog_golden_examples():
-    assert validate_magog([[3], [1, 3], [1, 2, 3]]).rows == ((3,), (1, 3), (1, 2, 3))
-    assert validate_magog([[1], [1, 2], [1, 2, 3]]).n == 3
+    assert MagogTriangle(3, [[3], [1, 3], [1, 2, 3]]).rows == ((3,), (1, 3), (1, 2, 3))
+    assert MagogTriangle(3, [[1], [1, 2], [1, 2, 3]]).n == 3
     # below-right may exceed the entry by exactly one
-    assert validate_magog([[3], [1, 2], [1, 2, 3]]).rows == ((3,), (1, 2), (1, 2, 3))
+    assert MagogTriangle(3, [[3], [1, 2], [1, 2, 3]]).rows == ((3,), (1, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -183,7 +178,7 @@ def test_magog_matches_oracle_exhaustively(n):
         if magog_ok(rows, n):
             expected.add(rows)
         try:
-            validate_magog(rows)
+            MagogTriangle(n, rows)
             accepted.add(rows)
         except Exception:
             pass
@@ -193,16 +188,16 @@ def test_magog_matches_oracle_exhaustively(n):
 
 
 def test_boolean_golden_examples():
-    assert validate_boolean([[0], [0, 1]]).rows == ((0,), (0, 1))
-    assert validate_boolean([[0], [0, 0], [0, 0, 0]]).n == 4
+    assert BooleanTriangle(3, [[0], [0, 1]]).rows == ((0,), (0, 1))
+    assert BooleanTriangle(4, [[0], [0, 0], [0, 0, 0]]).n == 4
 
 
 def test_boolean_partial_sum_violation():
     with pytest.raises(PartialSumError) as err:
-        validate_boolean([[1], [0, 1]])
+        BooleanTriangle(3, [[1], [0, 1]])
     assert (err.value.j, err.value.i_prime) == (1, 2)
     with pytest.raises(EntryError):
-        validate_boolean([[2], [0, 0]])
+        BooleanTriangle(3, [[2], [0, 0]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -219,7 +214,7 @@ def test_boolean_matches_oracle_exhaustively(n):
         rows = tuple(rows)
         universe.add(rows) if boolean_ok(rows, n) else None
         try:
-            validate_boolean(rows)
+            BooleanTriangle(n, rows)
             accepted.add(rows)
         except PartialSumError:
             pass
@@ -230,22 +225,22 @@ def test_boolean_matches_oracle_exhaustively(n):
 
 def test_asm_golden_examples():
     for rows in gold.ASMS_3:
-        assert validate_asm(rows).rows == rows
-    assert is_permutation_matrix(validate_asm(gold.ASMS_3[0]))
-    assert not is_permutation_matrix(validate_asm(gold.ASMS_3[3]))
-    assert is_permutation_matrix(validate_asm(gold.GOLDEN["matrix"]))
+        assert Asm(3, rows).rows == rows
+    assert object_statistics(Asm(3, gold.ASMS_3[0]))["is_permutation"]
+    assert not object_statistics(Asm(3, gold.ASMS_3[3]))["is_permutation"]
+    assert object_statistics(Asm(6, gold.GOLDEN["matrix"]))["is_permutation"]
 
 
 def test_asm_error_kinds():
     with pytest.raises(RowSumError):
-        validate_asm([[1, 0], [0, 0]])
+        Asm(2, [[1, 0], [0, 0]])
     # a doubled column shows up as a prefix-sum (alternation) failure
     with pytest.raises(AlternationError):
-        validate_asm([[1, 0, 0], [0, 0, 1], [1, 0, 0]])
+        Asm(3, [[1, 0, 0], [0, 0, 1], [1, 0, 0]])
     with pytest.raises(AlternationError):
-        validate_asm([[1, -1, 1], [0, 1, 0], [0, 1, 0]])
+        Asm(3, [[1, -1, 1], [0, 1, 0], [0, 1, 0]])
     with pytest.raises(EntryError):
-        validate_asm([[2, -1], [-1, 2]])
+        Asm(2, [[2, -1], [-1, 2]])
 
 
 def test_asm_matches_bruteforce_for_n3():
@@ -253,7 +248,7 @@ def test_asm_matches_bruteforce_for_n3():
     for flat in itertools.product((-1, 0, 1), repeat=9):
         rows = (flat[0:3], flat[3:6], flat[6:9])
         try:
-            validate_asm(rows)
+            Asm(3, rows)
             found.add(rows)
         except Exception:
             pass
@@ -261,7 +256,7 @@ def test_asm_matches_bruteforce_for_n3():
 
 
 def test_nilp_validation():
-    nest = validate_nilp([("V",), ("D", "V")])
+    nest = NilpNest(3, [("V",), ("D", "V")])
     assert nest.endpoints() == ((1, 0), (3, 0))
     with pytest.raises(IntersectionError):
         NilpNest(3, (("D",), ("V", "V")))
@@ -438,19 +433,19 @@ def test_fundamental_domain_shape_checks():
 
 
 def test_json_exact_format():
-    b = validate_boolean([[1], [1, 0]])
+    b = BooleanTriangle(3, [[1], [1, 0]])
     assert to_json(b) == '{"kind":"boolean_triangle","n":3,"rows":[[1],[1,0]]}'
-    a = validate_asm(gold.ASMS_3[3])
+    a = Asm(3, gold.ASMS_3[3])
     assert to_json(a) == '{"kind":"asm","n":3,"rows":[[0,1,0],[1,-1,1],[0,1,0]]}'
 
 
 @pytest.mark.parametrize(
     "obj",
     [
-        validate_monotone(gold.MONOTONE_3[3]),
-        validate_magog(gold.MAGOG_3[3]),
-        validate_boolean(gold.BOOLEAN_3[3]),
-        validate_asm(gold.ASMS_3[3]),
+        MonotoneTriangle(3, gold.MONOTONE_3[3]),
+        MagogTriangle(3, gold.MAGOG_3[3]),
+        BooleanTriangle(3, gold.BOOLEAN_3[3]),
+        Asm(3, gold.ASMS_3[3]),
         Permutation.from_one_line("463512"),
         NilpNest(3, (("V",), ("D", "V"))),
         PlanePartition(3, gold.TSSCPP_3[5]),
@@ -530,16 +525,16 @@ def test_permutation_rejects_non_integers_like_the_other_constructors():
 
 
 def test_values_are_immutable():
-    b = validate_boolean([[1], [1, 0]])
+    b = BooleanTriangle(3, [[1], [1, 0]])
     with pytest.raises(AttributeError):
         b.rows = ()
 
 
 def test_order_one_objects():
-    assert validate_boolean([], n=1).rows == ()
-    assert validate_nilp([], n=1).paths == ()
-    assert validate_monotone([[1]]).n == 1
-    assert validate_asm([[1]]).n == 1
+    assert BooleanTriangle(1, []).rows == ()
+    assert NilpNest(1, []).paths == ()
+    assert MonotoneTriangle(1, [[1]]).n == 1
+    assert Asm(1, [[1]]).n == 1
 
 
 # ------------------------------------------------------------------ fuzz
@@ -577,7 +572,7 @@ def test_fuzz_asm_validator_against_alternation_oracle():
             samples.append(tuple(tuple(row) for row in rows))
     for rows in samples:
         try:
-            validate_asm(rows)
+            Asm(4, rows)
             accepted = True
         except Exception:
             accepted = False
@@ -612,13 +607,13 @@ def test_fuzz_triangle_validators_order_six():
     for rows in samples:
         in_range = all(1 <= v <= 6 for row in rows for v in row)
         try:
-            validate_monotone(rows)
+            MonotoneTriangle(6, rows)
             accepted = True
         except Exception:
             accepted = False
         assert accepted == (in_range and monotone_ok(rows, 6)), rows
         try:
-            validate_magog(rows)
+            MagogTriangle(6, rows)
             accepted = True
         except Exception:
             accepted = False

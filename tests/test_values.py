@@ -1,4 +1,4 @@
-"""The contract of the eight value classes and the three report records:
+"""The contract of the eight value classes and the two report records:
 equality and hashing, immutability, copying and pickling, and ``repr``."""
 
 import copy
@@ -10,13 +10,10 @@ import sys
 import pytest
 
 from gogmagog import enumeration, orders
-from gogmagog.bijections import permutation_matrix
-from gogmagog.statistics import stat_bundle
 from gogmagog.triangles import (
     SCHEMA,
     MagogTriangle,
     MonotoneTriangle,
-    Permutation,
     PlanePartition,
     build_batch,
     entry_row,
@@ -118,10 +115,6 @@ def records():
         (orders.build_Tn_perm(4).lattice_report(), "LatticeReport(is_lattice=False, witness=('meet', '1432', '2314'))"),
         (orders.build_tamari(3).lattice_report(), "LatticeReport(is_lattice=True, witness=None)"),
         (
-            stat_bundle(permutation_matrix(Permutation.from_one_line("463512"))),
-            "StatBundle(inversion_number=11, negative_ones=0, last_row_one_col=2, last_col_one_row=2)",
-        ),
-        (
             validate_tsscpp(PlanePartition(1, ((2, 1), (1, 0)))),
             "SymmetryReport(symmetric=True, cyclically_symmetric=True, self_complementary=True)",
         ),
@@ -133,7 +126,7 @@ def records():
 
 
 @pytest.mark.parametrize(
-    "record, recorded", records(), ids=["no-meet", "lattice", "bundle", "tsscpp", "not-self-complementary"]
+    "record, recorded", records(), ids=["no-meet", "lattice", "tsscpp", "not-self-complementary"]
 )
 def test_records_keep_their_repr_equality_and_immutability(record, recorded):
     assert repr(record) == recorded
