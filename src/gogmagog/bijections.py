@@ -36,6 +36,7 @@ from .triangles import (
     Permutation,
     ValidationError,
     _domain_cells,
+    _domain_dtype,
     _passed,
     _triangle_cells,
     _triangle_neighbours,
@@ -96,11 +97,6 @@ class NotPermutationMatrix(ValidationError):
     pass
 
 
-def _domain_dtype(n):
-    """A dtype that holds every count up to n: int8 up to n = 64."""
-    return np.min_scalar_type(-2 * n)
-
-
 def _domains_from_booleans(n, a):
     """The domain entry arrays (row-major, in :func:`_domain_dtype`) of the
     boolean triangles in the rows of ``a``.  In domain row i the cells of
@@ -128,9 +124,12 @@ def _domains_from_booleans(n, a):
 # order 7 check 2,048 values 3.4 to 5.3 times faster than 256 at a time.
 # Some maps also map a block at a time.  Only
 # :func:`booleans_to_tsscpp` expands in blocks of ``_CUBE_ROWS``, because
-# ``triangles.expand_domains`` holds (rows, 2n, 2n, 2n) closure cubes per
-# block: with blocks of 2,048 rows counting the TSSCPPs of order 7 peaks at
-# 51 MiB against 36 MiB (in one process on a 2-CPU Xeon).
+# ``triangles.expand_domains`` gathers (rows, columns, 2n) closure columns per
+# block: counting the TSSCPPs of order 7 takes 0.27 to 0.37 s at a peak of
+# 32.7 MiB in blocks of 256 rows, against 0.41 to 0.44 s at 32.7 MiB in
+# blocks of 128, 0.46 s at 33.5 MiB in blocks of 512, 0.50 to 0.59 s at
+# 34.9 MiB in blocks of 1,024 and 0.49 s at 37.7 MiB in blocks of 2,048 (in
+# one process on a 2-CPU Xeon).
 _CHECK_ROWS = 2048
 _CUBE_ROWS = 256
 
@@ -160,7 +159,7 @@ def booleans_to_tsscpp(n, a):
     :func:`_domains_from_booleans` (a domain that round-trips is the corner
     of a valid plane partition)."""
     domains = _domains_from_booleans(n, a)
-    heights = np.empty((len(a), 2 * n, 2 * n), dtype=np.int16)
+    heights = np.empty((len(a), 2 * n, 2 * n), dtype=_domain_dtype(n))
     for start in range(0, len(a), _CUBE_ROWS):
         block = slice(start, start + _CUBE_ROWS)
         heights[block] = domains_to_tsscpps(n, domains[block])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 
@@ -50,6 +49,8 @@ _KIND_ALIASES = {
 def _parse_value(kind, text):
     text = text.strip()
     if text.startswith("{"):
+        import json
+
         data = json.loads(text)
         obj = from_json_dict(data)
         if kind is not None and _KIND_ALIASES[kind] != data["kind"]:
@@ -101,6 +102,8 @@ def _cmd_convert(args):
 
 
 def _cmd_stats(args):
+    import json
+
     from . import statistics
 
     obj = _parse_value(args.kind, args.value)
@@ -109,6 +112,8 @@ def _cmd_stats(args):
 
 
 def _cmd_dist(args):
+    import json
+
     from . import statistics
 
     counts = statistics.distribution(args.family, args.n, args.statistic)
@@ -121,6 +126,8 @@ def _cmd_poset(args):
     if args.out == "dot":
         print(p.to_dot())
     else:
+        import json
+
         print(json.dumps(p.to_json_dict()))
     return 0
 
@@ -132,6 +139,8 @@ def _cmd_poset_check(args):
     if result["ok"]:
         print(f"{args.claim} n={args.n}: PASS")
         return 0
+    import json
+
     print(json.dumps(result), file=sys.stderr)
     print(f"{args.claim} n={args.n}: FAIL")
     return 1
@@ -150,6 +159,8 @@ def _cmd_verify_all(args):
         if status == "CAP":
             print(f"{r['claim']} n={r['n']}: {r['cap']}", file=sys.stderr)
         elif status == "FAIL":
+            import json
+
             print(json.dumps(r), file=sys.stderr)
     passed = sum(r["ok"] for r in rows)
     capped = sum("cap" in r for r in rows)
@@ -230,7 +241,9 @@ def _run(args):
         os.close(devnull)
         return 2
     except Exception as exc:
-        from .poset import SizeCap  # imported on an error only
+        import json  # json and poset imported on an error only
+
+        from .poset import SizeCap
 
         if not isinstance(exc, (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError)):
             raise

@@ -350,9 +350,10 @@ def _validated(family, n):
     table passes it (``triangles._passed``, the check of
     ``triangles.validate_batch`` without its int64 copy), so a consumer
     widens only where a sum can pass 127; a derived chunk comes in the dtype
-    its batched map returns (TSSCPPs: flat int16 heights arrays).  A search
-    chunk that fails a check goes to ``build_batch``, which raises the first
-    violation; the batched maps check their own output."""
+    its batched map returns (TSSCPPs: flat heights arrays in
+    ``triangles._domain_dtype``, int8 up to n = 63).  A search chunk that
+    fails a check goes to ``build_batch``, which raises the first violation;
+    the batched maps check their own output."""
     if family in _DERIVED:
         _, source, image = _DERIVED[family]
         for a in _validated(source, n):
@@ -366,13 +367,35 @@ def _validated(family, n):
         yield chunk
 
 
+# The most bytes of chunks :func:`_stacked` holds before it joins them: 32 MiB,
+# glibc's largest mmap threshold, so that every joined block is mapped on its
+# own and goes back to the system when freed.
+_STACK_BYTES = 1 << 25
+
+
+def _stacked(chunks, dtype):
+    """The chunks as one array in ``dtype``, joined into blocks as they come,
+    so that the heap holds at most ``_STACK_BYTES`` of them at a time.  A list
+    of all of them would leave them all in the heap, freed but resident
+    under whatever was allocated after them: 339 MiB after the magog
+    triangles of order 8 were sorted (glibc's ``mallinfo2``)."""
+    blocks, pending, size = [], [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += chunk.nbytes
+        if size >= _STACK_BYTES:
+            blocks.append(np.concatenate(pending, dtype=dtype))
+            pending, size = [], 0
+    return np.concatenate(blocks + pending, dtype=dtype)
+
+
 def _sorted_image(family, n):
     """The entry arrays of a derived family at order n in lexicographic
     order, in the narrowest dtype that holds -1..2n, as one array.  Nests
     sort by the negated entries, as "D" (stored as 1) sorts before "V".
     Two equal values mean the map is not injective, and raise."""
     dtype = np.min_scalar_type(-2 * n)
-    a = np.concatenate([chunk.astype(dtype) for chunk in _validated(family, n)])
+    a = _stacked(_validated(family, n), dtype)
     key = -a if _DERIVED[family][0] is NilpNest else a
     if a.shape[1]:  # a value with no entries is alone in its family
         a = a[np.lexsort(key.T[::-1])]
@@ -412,11 +435,12 @@ def count(family, n) -> int:
 def entries(family, n):
     """The entries of the objects of :func:`generate`, in its order, as one
     array with a row per object (the rows of :func:`jsonl`'s entry arrays,
-    in the narrowest dtype that holds -1..2n).  Every value is validated,
-    none is built."""
+    in the narrowest dtype that holds -1..2n): a derived family's sorted
+    array itself.  Every value is validated, none is built."""
     family = _check_order(n, family)
-    dtype = np.min_scalar_type(-2 * n)
-    return np.concatenate([a.astype(dtype) for a in _arrays(family, n)[1]])
+    if family in _DERIVED:
+        return _sorted_image(family, n)
+    return _stacked(_validated(family, n), np.min_scalar_type(-2 * n))
 
 
 def jsonl(family, n):

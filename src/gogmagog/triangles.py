@@ -35,7 +35,6 @@ any object.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
@@ -520,6 +519,12 @@ def _triangle_neighbours(n):
     return p[c < r], above, above + r[above] + 1
 
 
+def _domain_dtype(n):
+    """The narrowest signed dtype that holds every height 0..2n of a TSSCPP
+    of order n, and its negation: int8 up to n = 63."""
+    return np.min_scalar_type(-2 * n - 1)
+
+
 @lru_cache(maxsize=None)
 def _domain_cells(n):
     """Row and column of each entry of a fundamental domain, row-major (row i
@@ -911,8 +916,12 @@ def format_batch(cls, n, a):
     in width."""
     family = _FAMILIES[cls]
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
-    word = str if family.entry is int else lambda v: json.dumps(family.entry[v])
-    words = [word(v).encode() for v in range(lo, hi + 1)]
+    if family.entry is int:
+        words = [str(v).encode() for v in range(lo, hi + 1)]
+    else:  # a nest's step letters
+        import json
+
+        words = [json.dumps(family.entry[v]).encode() for v in range(lo, hi + 1)]
     width = max(map(len, words), default=0)
     slot = "\0" * width
     rows = ",".join("[" + ",".join([slot] * length) + "]" for length in _row_lengths(cls, n))
@@ -954,7 +963,7 @@ def _closure_cells(n):
     for every cell of the cube, row-major, the index of its sorted cell.
     Built on first use and shared by every domain of order n."""
     side = 2 * n
-    idx = np.arange(1, side + 1, dtype=np.int16)
+    idx = np.arange(1, side + 1, dtype=_domain_dtype(n))
     cells = np.sort(np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1), axis=0)
     codes = (cells[0] * np.int64(side + 1) + cells[1]) * (side + 1) + cells[2]
     _, first, cube = np.unique(codes, return_index=True, return_inverse=True)
@@ -965,22 +974,27 @@ def _closure_cells(n):
     return flat, threshold, inside, cube
 
 
-def _closure(n, dom):
-    """Membership cubes, shape (m, 2n, 2n, 2n), of the closures of the padded
-    domain arrays ``dom`` of shape (m, 2n+1, 2n+1).
-
-    The lattice-point set is closed under the six coordinate permutations and
-    the complementation involution: a cell sorted to (a >= b >= c) lies in the
-    set iff c <= t[b][a] when b > n, and otherwise iff its complement cell is
-    absent.  So every cube is totally symmetric and self-complementary
-    whatever ``dom`` holds: membership is decided once per sorted cell, and
-    a cell with b <= n is decided by its complement, whose middle coordinate
-    2n + 1 - b exceeds n.
-    """
+@lru_cache(maxsize=None)
+def _orbit_columns(n):
+    """The columns (x, y) of the (2n)^3 cube, 1-based, with x >= y and
+    x + y >= 2n + 1, one per orbit of transpose and complement: the sorted
+    cells they meet, as :func:`_closure_cells` gives them (flat index,
+    threshold, whether the cell decides itself); the index among those of
+    the sorted cell of each of their cells, shape (columns, 2n); and for
+    every column of the cube, row-major, the index of its height among the
+    heights of the orbit columns followed by their complements 2n - h.
+    Built on first use and shared by every domain of order n."""
     side = 2 * n
+    x, y = np.indices((side, side)) + 1
+    orbit = (x >= y) & (x + y >= side + 1)
+    number = np.full((side, side), -1)
+    number[orbit] = np.arange(np.count_nonzero(orbit))
+    # H[y][x] = H[x][y], and H[2n+1-x][2n+1-y] = 2n - H[x][y]
+    direct = np.maximum(number, number.T)
+    fill = np.where(direct >= 0, direct, direct[::-1, ::-1] + np.count_nonzero(orbit))
     flat, threshold, inside, cube = _closure_cells(n)
-    member = (dom.reshape(len(dom), -1)[:, flat] >= threshold) == inside
-    return member[:, cube].reshape(len(dom), side, side, side)
+    used, cells = np.unique(cube.reshape(side * side, side)[orbit.ravel()], return_inverse=True)
+    return flat[used], threshold[used], inside[used], cells.reshape(-1, side), fill.ravel()
 
 
 def expand_domains(n, dom):
@@ -989,20 +1003,36 @@ def expand_domains(n, dom):
     ``dom`` holds fundamental domains of order ``n`` as padded arrays of
     shape (m, 2n+1, 2n+1): ``dom[:, n+1+i, n+1+i+c]`` is entry ``(i, c)``
     (0-based) of a domain, every other entry is zero.  Returns the heights
-    arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure (totally
-    symmetric and self-complementary by construction) is column contiguous,
-    a plane partition, and reproduces its domain; otherwise None.
+    arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure is column
+    contiguous, a plane partition, and reproduces its domain; otherwise None.
+
+    The lattice-point set is closed under the six coordinate permutations and
+    the complementation involution: a cell sorted to (a >= b >= c) lies in the
+    set iff c <= t[b][a] when b > n, and otherwise iff its complement cell is
+    absent.  So membership is decided once per sorted cell, and every closure
+    is totally symmetric and self-complementary whatever ``dom`` holds: column
+    (y, x) of the cube is column (x, y), and column (2n+1-x, 2n+1-y) is column
+    (x, y) reversed and negated, so it is contiguous exactly when (x, y) is,
+    with height 2n - H[x][y].  Only the columns with x >= y and
+    x + y >= 2n + 1, one per orbit of the two (:func:`_orbit_columns`), are
+    gathered, checked and summed, and the other heights are filled in from
+    them; the result is that of checking the whole cube.
     """
-    m = _closure(n, dom)
-    # Column contiguity: down the third axis every column is a run of
-    # members followed by a run of non-members.
-    if not (m[..., 1:] <= m[..., :-1]).all():
+    side = 2 * n
+    flat, threshold, inside, cells, fill = _orbit_columns(n)
+    member = dom.reshape(len(dom), -1)[:, flat] >= threshold
+    np.equal(member, inside, out=member)
+    columns = member[:, cells]
+    # Column contiguity: down each column a run of members, then a run of
+    # non-members.
+    if not (columns[..., 1:] <= columns[..., :-1]).all():
         return None
-    heights = m.sum(axis=3, dtype=np.int16)
-    if _plane_partition_table(n).violated(heights.reshape(len(dom), -1)):
+    h = columns.sum(axis=2, dtype=threshold.dtype)
+    heights = np.concatenate((h, side - h), axis=1)[:, fill]
+    if _plane_partition_table(n).violated(heights):
         return None
-    # The cube of a contiguous closure is the cube of its heights, and every
-    # closure is totally symmetric and self-complementary (see _closure).
+    # The cube of a contiguous closure is the cube of its heights.
+    heights = heights.reshape(len(dom), side, side)
     i, c = _domain_cells(n)
     if not (heights[:, n + i, n + i + c] == dom[:, n + 1 + i, n + 1 + i + c]).all():
         return None
@@ -1015,9 +1045,10 @@ def _inconsistent(n):
 
 def _padded_domains(n, a):
     """The arrays :func:`expand_domains` takes, of domain entry arrays, in
-    their dtype widened to at least the int16 of the closure thresholds."""
+    their dtype widened to at least the :func:`_domain_dtype` of the closure
+    thresholds."""
     i, c = _domain_cells(n)
-    dom = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.promote_types(a.dtype, np.int16))
+    dom = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.promote_types(a.dtype, _domain_dtype(n)))
     dom[:, n + 1 + i, n + 1 + i + c] = a
     return dom
 
@@ -1099,8 +1130,12 @@ def from_json_dict(data):
 
 
 def to_json(obj):
+    import json
+
     return json.dumps(to_json_dict(obj), separators=(",", ":"))
 
 
 def from_json(text):
+    import json
+
     return from_json_dict(json.loads(text))

@@ -37,7 +37,7 @@ from gogmagog.triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
-    _closure,
+    _closure_cells,
     validate_tsscpp,
 )
 
@@ -225,6 +225,41 @@ def _padded_domain(d: FundamentalDomain):
         for c, entry in enumerate(row):
             dom[0, n + 1 + i, n + 1 + i + c] = entry
     return dom
+
+
+def _closure(n, dom):
+    """Membership cubes, shape (m, 2n, 2n, 2n), of the closures of the padded
+    domain arrays ``dom`` of shape (m, 2n+1, 2n+1): every cell of the cube
+    decided through its sorted cell (``triangles._closure_cells``), the rule
+    ``triangles.expand_domains`` states.  So every cube is totally symmetric
+    and self-complementary whatever ``dom`` holds; the whole cube is the
+    oracle of the orbit columns that ``expand_domains`` gathers.
+    """
+    side = 2 * n
+    flat, threshold, inside, cube = _closure_cells(n)
+    member = (dom.reshape(len(dom), -1)[:, flat] >= threshold) == inside
+    return member[:, cube].reshape(len(dom), side, side, side)
+
+
+def expand_domains(n, dom):
+    """What ``triangles.expand_domains`` returns for the padded domain
+    arrays ``dom``, from the whole closure cubes: every column of every cube
+    checked for contiguity and summed, each heights array built as a
+    ``PlanePartition``, and its corner compared with the domain."""
+    m = _closure(n, dom)
+    if not (m[..., 1:] <= m[..., :-1]).all():
+        return None
+    heights = m.sum(axis=3)
+    for rows in heights.tolist():
+        try:
+            PlanePartition(n, rows)
+        except ValidationError:
+            return None
+    for i in range(n):
+        for c in range(n - i):
+            if (heights[:, n + i, n + i + c] != dom[:, n + 1 + i, n + 1 + i + c]).any():
+                return None
+    return heights
 
 
 def expand_fundamental(d: FundamentalDomain):

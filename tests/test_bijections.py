@@ -496,6 +496,20 @@ def test_order_130_conversions_equal_the_oracle(sigma):
         assert bij.convert(got, "boolean_triangle") == boolean, target
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_tsscpp_heights_reach_2n_in_the_narrowest_dtype(n):
+    """A TSSCPP's heights run to 2n: int8 holds them up to order 63, and
+    order 64 needs int16.  The TSSCPPs of the identity and the reversal
+    equal the oracle's at both orders."""
+    for sigma in (range(1, n + 1), range(n, 0, -1)):
+        p = Permutation(n, tuple(sigma))
+        expected = ref.convert_object(p, "plane_partition")
+        heights = bij.booleans_to_tsscpp(n, entry_row(ref.permutation_to_boolean(p)))
+        assert heights.dtype == (np.int8 if n < 64 else np.int16)
+        assert heights[0].tolist() == [list(row) for row in expected.rows]
+        assert bij.convert(p, "plane_partition") == expected
+
+
 @pytest.mark.parametrize(
     "rows",
     [((2, 0), (0,)), ((3, 1, 0), (0, 0), (0,)), ((1, 1, 1), (1, 1), (1,)), ((4, 4, 4), (4, 4), (4,))],

@@ -609,9 +609,8 @@ def test_each_module_lists_exactly_the_public_functions_and_classes_it_defines(n
     assert len(values) == len(module.__all__) and set(listed) == defined
 
 
-def _gogmagog_imports(*argv):
-    """The package's modules that ``python -X importtime -m gogmagog argv``
-    imports."""
+def _imports(*argv):
+    """The modules that ``python -X importtime -m gogmagog argv`` imports."""
     import subprocess
     import sys
 
@@ -619,15 +618,50 @@ def _gogmagog_imports(*argv):
         [sys.executable, "-X", "importtime", "-m", "gogmagog", *argv], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    names = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")]
-    return {name for name in names if name.startswith("gogmagog")}
+    return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+
+
+def _gogmagog_imports(*argv):
+    """The package's modules among :func:`_imports`."""
+    return {name for name in _imports(*argv) if name.startswith("gogmagog")}
 
 
 def test_a_count_imports_only_the_search_and_its_maps():
-    imported = _gogmagog_imports("enumerate", "--family", "asm", "--n", "1", "--count-only")
-    assert imported == {"gogmagog", "gogmagog.cli", "gogmagog.enumeration", "gogmagog.bijections", "gogmagog.triangles"}
+    """No JSON is read or written, so no ``json`` either."""
+    imported = _imports("enumerate", "--family", "asm", "--n", "1", "--count-only")
+    assert {name for name in imported if name.startswith("gogmagog")} == {
+        "gogmagog", "gogmagog.cli", "gogmagog.enumeration", "gogmagog.bijections", "gogmagog.triangles"
+    }
+    assert not {name for name in imported if name == "json" or name.startswith("json.")}
 
 
 def test_a_claim_imports_the_claims_and_what_they_build():
     imported = _gogmagog_imports("poset-check", "--claim", "thm4.9", "--n", "3")
     assert {"gogmagog.claims", "gogmagog.orders", "gogmagog.poset", "gogmagog.statistics"} <= imported
+
+
+def _peak_rss(*argv):
+    """``python tests/peak_rss.py argv``, its output captured."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = str(Path(__file__).with_name("peak_rss.py"))
+    return subprocess.run([sys.executable, script, *argv], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [[], ["48"], ["abc", "true"], ["nan", "true"], ["", "true"]])
+def test_peak_rss_prints_its_usage_on_bad_arguments(argv):
+    """``tests/peak_rss.py`` without a numeric bound and a command exits 2
+    with its usage line, and runs nothing."""
+    result = _peak_rss(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "usage: python tests/peak_rss.py MIB COMMAND [ARG ...]\n"
+
+
+def test_peak_rss_passes_the_exit_code_and_checks_the_bound():
+    import sys
+
+    codes = [_peak_rss(bound, sys.executable, "-c", f"raise SystemExit({code})").returncode
+             for bound, code in (("1000", 0), ("1000", 3), ("0.001", 0), ("0.001", 3))]
+    assert codes == [0, 3, 1, 3]

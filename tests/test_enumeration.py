@@ -228,6 +228,17 @@ def test_a_derived_map_that_repeats_a_value_raises(monkeypatch):
         enumeration.entries("monotone", 4)
 
 
+@pytest.mark.parametrize("stack_bytes", [1, 100, 250, 1 << 25])
+def test_stacked_chunks_equal_the_chunks_joined_at_once(monkeypatch, stack_bytes):
+    """Joined into blocks of one chunk, of a few (an empty one among them)
+    or of all, the chunks are those joined at once, in the dtype asked for."""
+    rng = np.random.default_rng(0)
+    chunks = [rng.integers(-1, 15, (rows, 5)).astype(np.int16) for rows in (7, 0, 20, 3, 11)]
+    monkeypatch.setattr(enumeration, "_STACK_BYTES", stack_bytes)
+    got = enumeration._stacked(iter(chunks), np.int8)
+    assert got.dtype == np.int8 and np.array_equal(got, np.concatenate(chunks))
+
+
 # A frontier held whole at n = 7 peaks at 190 MB (boolean) and 300 MB (asm)
 # of traced allocations; CHUNK-sized blocks stay below 7 MB.
 PEAK_BYTES = 12_000_000

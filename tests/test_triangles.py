@@ -9,6 +9,7 @@ import pytest
 
 import golden_data as gold
 import reference_checks
+import reference_maps
 from gogmagog import triangles
 from gogmagog.enumeration import entries
 from gogmagog.statistics import object_statistics
@@ -369,8 +370,6 @@ def test_expand_fundamental_round_trip():
 
 
 def test_expand_fundamental_checks_the_symmetries_once(monkeypatch):
-    import reference_maps
-
     calls = []
     monkeypatch.setattr(reference_maps, "validate_tsscpp", lambda p: calls.append(p) or validate_tsscpp(p))
     for rows, domain in zip(gold.TSSCPP_3, gold.DOMAINS_3):
@@ -385,15 +384,18 @@ def test_expand_fundamental_rejects_inconsistent_domain():
         expand_fundamental(FundamentalDomain(3, ((1, 1, 1), (1, 1), (1,))))
 
 
+def _random_padded_arrays():
+    """Order n -> 300 random padded arrays of order n, every entry drawn
+    from -2..2n+2 (domains or not), for n = 1..5."""
+    rng = np.random.default_rng(128)
+    return {n: rng.integers(-2, 2 * n + 3, (300, 2 * n + 1, 2 * n + 1)).astype(np.int16) for n in range(1, 6)}
+
+
 def _closures_are_symmetric_and_self_complementary(closure):
     """Whether the cubes ``closure(n, dom)`` equal their transposes and
-    their complement for padded arrays of every order 1..5: random ones,
-    every entry drawn from -2..2n+2 (domains or not), and those of every
-    TSSCPP of order up to 4."""
-    rng = np.random.default_rng(128)
-    for n in range(1, 6):
-        side = 2 * n
-        dom = rng.integers(-2, side + 3, (300, side + 1, side + 1)).astype(np.int16)
+    their complement for padded arrays of every order 1..5: the random ones
+    and those of every TSSCPP of order up to 4."""
+    for n, dom in _random_padded_arrays().items():
         if n <= 4:
             domains = triangles.tsscpps_to_domains(n, entries("tsscpp", n))
             dom = np.concatenate((dom, triangles._padded_domains(n, domains)))
@@ -405,7 +407,7 @@ def _closures_are_symmetric_and_self_complementary(closure):
 
 
 def _closure_deciding_every_cell_itself(n, dom):
-    """A wrong ``_closure``: a cell sorted to (a >= b >= c) is a member iff
+    """A wrong closure: a cell sorted to (a >= b >= c) is a member iff
     c <= t[b][a], also where b <= n."""
     side = 2 * n
     cell = np.arange(1, side + 1)
@@ -415,11 +417,44 @@ def _closure_deciding_every_cell_itself(n, dom):
 
 
 def test_every_closure_is_totally_symmetric_and_self_complementary():
-    """``expand_domains`` checks neither property: ``_closure`` builds them
-    in for any padded array.  The check above tells a closure that decides
-    the cells of small middle coordinate itself."""
-    assert _closures_are_symmetric_and_self_complementary(triangles._closure)
+    """``expand_domains`` gathers one column per orbit of transpose and
+    complement, which is exact only because the closure it decides cell by
+    sorted cell is totally symmetric and self-complementary for any padded
+    array.  The check above tells a closure that decides the cells of small
+    middle coordinate itself."""
+    assert _closures_are_symmetric_and_self_complementary(reference_maps._closure)
     assert not _closures_are_symmetric_and_self_complementary(_closure_deciding_every_cell_itself)
+
+
+def _moved_domains(n):
+    """The padded domain arrays of every TSSCPP of order n, each with one
+    entry, drawn at random, moved by -2, -1, 1 or 2."""
+    rng = np.random.default_rng(n)
+    domains = triangles.tsscpps_to_domains(n, entries("tsscpp", n)).astype(np.int16)
+    rows = np.arange(len(domains))
+    domains[rows, rng.integers(0, domains.shape[1], len(rows))] += rng.choice([-2, -1, 1, 2], len(rows))
+    return triangles._padded_domains(n, domains)
+
+
+@pytest.mark.parametrize("arrays", ["random", "moved"])
+def test_orbit_columns_expand_as_the_whole_cube(arrays):
+    """Array by array, ``expand_domains`` gives the heights of the
+    whole-cube oracle, or None where the oracle does: on random padded
+    arrays of orders 1..5, and on every TSSCPP domain of order up to 6 with
+    one entry moved."""
+    inputs = _random_padded_arrays() if arrays == "random" else {n: _moved_domains(n) for n in range(1, 7)}
+    expanded = refused = 0
+    for n, batch in inputs.items():
+        for dom in batch:
+            heights = triangles.expand_domains(n, dom[None])
+            expected = reference_maps.expand_domains(n, dom[None])
+            if expected is None:
+                refused += 1
+                assert heights is None, dom
+            else:
+                expanded += 1
+                assert heights is not None and heights.dtype == np.int8 and (heights == expected).all(), dom
+    assert refused and expanded
 
 
 def test_fundamental_domain_shape_checks():
