@@ -119,26 +119,24 @@ def _domains_from_booleans(n, a):
 
 # The batched maps below take validated entry arrays of order n (one row per
 # value, see ``triangles.validate_batch``) and check the values they return
-# in blocks of ``_CHECK_ROWS``, the ``enumeration.CHUNK`` of the searches: the
-# rule tables of ASMs, nests and monotone, magog and boolean triangles of
-# order 7 check 2,048 values 3.4 to 5.3 times faster than 256 at a time.
-# Some maps also map a block at a time.  Only
-# :func:`booleans_to_tsscpp` expands in blocks of ``_CUBE_ROWS``, because
-# ``triangles.expand_domains`` gathers (rows, columns, 2n) closure columns per
-# block: counting the TSSCPPs of order 7 takes 0.27 to 0.37 s at a peak of
-# 32.7 MiB in blocks of 256 rows, against 0.41 to 0.44 s at 32.7 MiB in
-# blocks of 128, 0.46 s at 33.5 MiB in blocks of 512, 0.50 to 0.59 s at
-# 34.9 MiB in blocks of 1,024 and 0.49 s at 37.7 MiB in blocks of 2,048 (in
-# one process on a 2-CPU Xeon).
-_CHECK_ROWS = 2048
+# with one rule-table check (``_checked``), which reads them in blocks of at
+# most ``triangles._NODE_BYTES``.  Some maps also map ``_MAP_ROWS`` values at
+# a time, the ``enumeration.CHUNK`` of the searches, so that no temporary of
+# theirs holds every value.  Only :func:`booleans_to_tsscpp` expands in blocks
+# of ``_CUBE_ROWS``, because ``triangles.expand_domains`` gathers (rows,
+# columns, 2n) closure cells per block: ``enumerate --family tsscpp --n 7
+# --count-only`` takes a median 0.44 s at a peak of 32.9 MiB in blocks of 256
+# rows, against 0.56 s at 32.9 MiB in blocks of 128, 0.54 s at 33.3 MiB in
+# blocks of 512 and 0.60 s at 34.1 MiB in blocks of 1,024 (5 whole runs
+# each, on a 2-CPU Xeon).
+_MAP_ROWS = 2048
 _CUBE_ROWS = 256
 
 
 def _checked(cls, n, a):
     """``a``, once its values pass the batch check of ``cls``."""
-    for block in np.split(a, range(_CHECK_ROWS, len(a), _CHECK_ROWS)):
-        if _passed(cls, n, block) is None:
-            raise ValidationError(f"a batched map gave a value that is no {cls.__name__} of order {n}")
+    if _passed(cls, n, a) is None:
+        raise ValidationError(f"a batched map gave a value that is no {cls.__name__} of order {n}")
     return a
 
 
@@ -147,19 +145,19 @@ def booleans_to_domains(n, a):
     order n (:func:`_domains_from_booleans`), checked with the
     FundamentalDomain rule table."""
     domains = np.empty((len(a), n * (n + 1) // 2), dtype=_domain_dtype(n))
-    for start in range(0, len(a), _CHECK_ROWS):
-        block = slice(start, start + _CHECK_ROWS)
+    for start in range(0, len(a), _MAP_ROWS):
+        block = slice(start, start + _MAP_ROWS)
         domains[block] = _checked(FundamentalDomain, n, _domains_from_booleans(n, a[block]))
     return domains
 
 
 def booleans_to_tsscpp(n, a):
     """The TSSCPPs of validated boolean entry arrays of order n: the heights
-    arrays, shape (len(a), 2n, 2n), of ``triangles.domains_to_tsscpps`` of
-    :func:`_domains_from_booleans` (a domain that round-trips is the corner
-    of a valid plane partition)."""
+    entry arrays, shape (len(a), 4n^2), of ``triangles.domains_to_tsscpps``
+    of :func:`_domains_from_booleans` (a domain that round-trips is the
+    corner of a valid plane partition)."""
     domains = _domains_from_booleans(n, a)
-    heights = np.empty((len(a), 2 * n, 2 * n), dtype=_domain_dtype(n))
+    heights = np.empty((len(a), 4 * n * n), dtype=_domain_dtype(n))
     for start in range(0, len(a), _CUBE_ROWS):
         block = slice(start, start + _CUBE_ROWS)
         heights[block] = domains_to_tsscpps(n, domains[block])
@@ -267,8 +265,8 @@ def asms_to_monotones(n, a):
     increasing order.  An ASM has k + 1 of them in row k, so the columns of
     those prefix sums, read row-major, are the monotone entries."""
     monotones = np.empty((len(a), n * (n + 1) // 2), dtype=np.min_scalar_type(-2 * n))  # int8 up to n = 64
-    for start in range(0, len(a), _CHECK_ROWS):
-        block = slice(start, start + _CHECK_ROWS)
+    for start in range(0, len(a), _MAP_ROWS):
+        block = slice(start, start + _MAP_ROWS)
         ones = a[block].reshape(-1, n, n).cumsum(axis=1, dtype=np.int8) == 1
         monotones[block] = (np.flatnonzero(ones) % n + 1).reshape(-1, monotones.shape[1])
     return _checked(MonotoneTriangle, n, monotones)
@@ -311,11 +309,11 @@ def _magog_cells(n):
 def domains_to_booleans(n, a):
     """The inverse of :func:`booleans_to_domains`: a domain row with l >= 1
     cells of height at least L puts the zero at depth n - L - l of diagonal
-    n - L, in row n - 1 - l.  Node-major, ``_CHECK_ROWS`` domains at a time."""
+    n - L, in row n - 1 - l.  Node-major, ``_MAP_ROWS`` domains at a time."""
     i, c = _domain_cells(n)
     out = np.empty((len(a), n * (n - 1) // 2), dtype=np.int8)
-    for start in range(0, len(a), _CHECK_ROWS):
-        block = a[start : start + _CHECK_ROWS]
+    for start in range(0, len(a), _MAP_ROWS):
+        block = a[start : start + _MAP_ROWS]
         domain = np.zeros((n, n, len(block)), dtype=a.dtype)
         domain[i, c] = block.T
         zeros = np.empty((out.shape[1], len(block)), dtype=bool)
@@ -324,7 +322,7 @@ def domains_to_booleans(n, a):
             length = np.arange(1, n - level + 1)
             row = n - 1 - length
             zeros[row * (row + 1) // 2 + n - level - length] = (lengths == length[:, None, None]).any(axis=1)
-        out[start : start + _CHECK_ROWS] = ~zeros.T
+        out[start : start + _MAP_ROWS] = ~zeros.T
     return _checked(BooleanTriangle, n, out)
 
 
@@ -422,7 +420,7 @@ def convert(obj, kind):
         domains_to_tsscpps(n, a)
     for step in _conversion_path(SCHEMA[type(obj)][0], kind):
         a = step(n, a)
-    return build_batch(KIND_CLASSES[kind], n, a.reshape(1, -1))[0]
+    return build_batch(KIND_CLASSES[kind], n, a)[0]
 
 
 def _object_map(kind):

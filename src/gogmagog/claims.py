@@ -35,7 +35,7 @@ import numpy as np
 from . import bijections, enumeration, orders, statistics
 from .enumeration import CHUNK, CapExceeded, FamilyId
 from .poset import Poset, SizeCap
-from .triangles import _domain_cells, _one_line_text, _triangle_cells, format_batch
+from .triangles import _corner_cells, _one_line_text, _triangle_cells, format_batch
 
 __all__ = ["CHECKS", "CLAIMS", "run_claim", "verify_all"]
 
@@ -81,10 +81,9 @@ def _tsscpp_corners(n, booleans, domains):
     """Whether the TSSCPP of each boolean triangle, its closure checked by
     ``triangles.expand_domains``, has the triangle's domain as its corner;
     ``CHUNK`` triangles at a time, so no heights array holds them all."""
-    i, c = _domain_cells(n)
     blocks = (slice(start, start + CHUNK) for start in range(0, len(booleans), CHUNK))
     return all(
-        np.array_equal(bijections.booleans_to_tsscpp(n, booleans[block])[:, n + i, n + i + c], domains[block])
+        np.array_equal(bijections.booleans_to_tsscpp(n, booleans[block])[:, _corner_cells(n)], domains[block])
         for block in blocks
     )
 
@@ -409,8 +408,14 @@ def _capped(name, check, n):
 
 def verify_all(n):
     """Every result of the registry up to order n: the ``CHECKS`` for
-    k = 1..n, then each claim for k = 2..n."""
+    k = 1..n, then each claim for k = 2..n.  An order above every family's
+    cap, whose rows past that cap could only be capped, is refused before
+    any check runs."""
     enumeration._check_order(n)
+    cap = enumeration._cap()
+    cap = max(enumeration.DEFAULT_CAPS.values()) if cap is None else cap
+    if n > cap:
+        raise CapExceeded(f"order {n} exceeds the cap {cap} of every family (raise it with {enumeration.ENV_CAP})")
     rows = [_capped(name, check, k) for k in range(1, n + 1) for name, check in CHECKS.items()]
     for name, check in CLAIMS.items():
         rows += [_capped(name, check, k) for k in range(2, n + 1)]

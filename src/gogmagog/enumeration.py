@@ -349,15 +349,16 @@ def _validated(family, n):
     source.  A search chunk is yielded in its own int8 dtype once the rule
     table passes it (``triangles._passed``, the check of
     ``triangles.validate_batch`` without its int64 copy), so a consumer
-    widens only where a sum can pass 127; a derived chunk comes in the dtype
-    its batched map returns (TSSCPPs: flat heights arrays in
+    widens only where a sum can pass 127; a derived chunk is the entry array
+    its batched map returns, one flat row per value, in that map's dtype
+    (TSSCPPs: heights entry arrays, 4n^2 per row, in
     ``triangles._domain_dtype``, int8 up to n = 63).  A search chunk that
     fails a check goes to ``build_batch``, which raises the first violation;
     the batched maps check their own output."""
     if family in _DERIVED:
         _, source, image = _DERIVED[family]
         for a in _validated(source, n):
-            yield image(n, a).reshape(len(a), -1)
+            yield image(n, a)
         return
     cls, search = _SEARCH[family]
     for chunk in search(n):

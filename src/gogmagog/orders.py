@@ -40,8 +40,9 @@ __all__ = [
 
 
 # The most bytes of packed relation (a row of whole uint64 words per
-# element) that an order is built with, and the least element count that
-# _check_size does not build (Python prints ints of at most 4300 digits).
+# element) that an order is built with, and the least count that
+# _check_size does not build or print (Python prints ints of at most 4300
+# digits).
 _MAX_RELATION_BYTES = 1 << 28
 _UNPRINTABLE = 10**4300
 
@@ -50,14 +51,16 @@ def _check_size(n, size):
     """Refuse order n of an order on size(n) elements, a count that grows with
     n, when its packed relation exceeds ``_MAX_RELATION_BYTES``.  The size is
     built at orders 1, 2, 4, ... below n until one reaches ``_UNPRINTABLE``,
-    and then order n is refused unbuilt."""
+    and then order n is refused unbuilt; so is an order whose relation has
+    ``_UNPRINTABLE`` bytes or more, which the message could not print."""
     m = 1
     while m < n and size(m) < _UNPRINTABLE:
         m *= 2
     total = size(n) if m >= n else _UNPRINTABLE
-    if total >= _UNPRINTABLE:
+    nbytes = total * -(-total // 64) * 8
+    if nbytes >= _UNPRINTABLE:
         raise SizeCap(f"poset of order {n} needs more than {_MAX_RELATION_BYTES} bytes of relation")
-    if (nbytes := total * -(-total // 64) * 8) > _MAX_RELATION_BYTES:
+    if nbytes > _MAX_RELATION_BYTES:
         raise SizeCap(f"poset on {total} elements needs {nbytes} bytes of relation, more than {_MAX_RELATION_BYTES}")
 
 

@@ -955,35 +955,24 @@ def validate_tsscpp(p: PlanePartition):
 
 
 @lru_cache(maxsize=None)
-def _closure_cells(n):
-    """The cells (a >= b >= c) of the (2n)^3 cube with sorted coordinates,
-    each once: the flat index into the padded (2n+1)^2 domain array of the
-    height that decides it, the threshold it is compared with, and whether
-    it decides itself (b exceeds n) or through its complement cell; then,
-    for every cell of the cube, row-major, the index of its sorted cell.
-    Built on first use and shared by every domain of order n."""
-    side = 2 * n
-    idx = np.arange(1, side + 1, dtype=_domain_dtype(n))
-    cells = np.sort(np.stack(np.meshgrid(idx, idx, idx, indexing="ij")).reshape(3, -1), axis=0)
-    codes = (cells[0] * np.int64(side + 1) + cells[1]) * (side + 1) + cells[2]
-    _, first, cube = np.unique(codes, return_index=True, return_inverse=True)
-    low, mid, high = cells[:, first]
-    inside = mid >= n + 1
-    threshold = np.where(inside, low, side + 1 - high)
-    flat = np.where(inside, mid, side + 1 - mid) * np.int64(side + 1) + np.where(inside, high, side + 1 - low)
-    return flat, threshold, inside, cube
+def _corner_cells(n):
+    """The position in a TSSCPP's heights entries (row-major, 2n per row)
+    of each entry (i, c) of its fundamental domain: t[n+1+i][n+1+i+c],
+    1-based."""
+    i, c = _domain_cells(n)
+    return (n + i) * 2 * n + n + i + c
 
 
 @lru_cache(maxsize=None)
 def _orbit_columns(n):
     """The columns (x, y) of the (2n)^3 cube, 1-based, with x >= y and
-    x + y >= 2n + 1, one per orbit of transpose and complement: the sorted
-    cells they meet, as :func:`_closure_cells` gives them (flat index,
-    threshold, whether the cell decides itself); the index among those of
-    the sorted cell of each of their cells, shape (columns, 2n); and for
-    every column of the cube, row-major, the index of its height among the
-    heights of the orbit columns followed by their complements 2n - h.
-    Built on first use and shared by every domain of order n."""
+    x + y >= 2n + 1, one per orbit of transpose and complement, and for
+    each of their cells (x, y, k), shape (columns, 2n): the domain entry
+    that decides it, the threshold that entry is compared with, and whether
+    the cell decides itself; then for every column of the cube, row-major,
+    the index of its height among the heights of the orbit columns followed
+    by their complements 2n - h.  Built on first use and shared by every
+    domain of order n."""
     side = 2 * n
     x, y = np.indices((side, side)) + 1
     orbit = (x >= y) & (x + y >= side + 1)
@@ -992,25 +981,31 @@ def _orbit_columns(n):
     # H[y][x] = H[x][y], and H[2n+1-x][2n+1-y] = 2n - H[x][y]
     direct = np.maximum(number, number.T)
     fill = np.where(direct >= 0, direct, direct[::-1, ::-1] + np.count_nonzero(orbit))
-    flat, threshold, inside, cube = _closure_cells(n)
-    used, cells = np.unique(cube.reshape(side * side, side)[orbit.ravel()], return_inverse=True)
-    return flat[used], threshold[used], inside[used], cells.reshape(-1, side), fill.ravel()
+    # Each cell sorted to (u >= v >= w): decided by t[v][u] >= w when v > n,
+    # else absent iff its complement cell, decided by
+    # t[2n+1-v][2n+1-w] >= 2n+1-u, is present.
+    low, middle, high = np.sort(np.broadcast_arrays(x[orbit, None], y[orbit, None], np.arange(1, side + 1)), axis=0)
+    inside = middle > n
+    row = np.where(inside, middle, side + 1 - middle) - n - 1
+    col = np.where(inside, high, side + 1 - low) - n - 1 - row
+    threshold = np.where(inside, low, side + 1 - high).astype(_domain_dtype(n))
+    return row * (side + 1 - row) // 2 + col, threshold, inside, fill.ravel()
 
 
-def expand_domains(n, dom):
+def expand_domains(n, a):
     """The TSSCPPs of a batch of fundamental domains, every closure checked.
 
-    ``dom`` holds fundamental domains of order ``n`` as padded arrays of
-    shape (m, 2n+1, 2n+1): ``dom[:, n+1+i, n+1+i+c]`` is entry ``(i, c)``
-    (0-based) of a domain, every other entry is zero.  Returns the heights
-    arrays, shape (m, 2n, 2n), of their TSSCPPs when every closure is column
-    contiguous, a plane partition, and reproduces its domain; otherwise None.
+    ``a`` holds fundamental domains of order ``n`` as domain entry arrays,
+    shape (m, n(n+1)/2).  Returns the heights entry arrays, shape (m, 4n^2),
+    row-major, of their TSSCPPs when every closure is column contiguous, a
+    plane partition, and reproduces its domain; otherwise None.
 
     The lattice-point set is closed under the six coordinate permutations and
-    the complementation involution: a cell sorted to (a >= b >= c) lies in the
-    set iff c <= t[b][a] when b > n, and otherwise iff its complement cell is
-    absent.  So membership is decided once per sorted cell, and every closure
-    is totally symmetric and self-complementary whatever ``dom`` holds: column
+    the complementation involution: a cell sorted to (u >= v >= w) lies in the
+    set iff w <= t[v][u] when v > n, and otherwise iff its complement cell is
+    absent.  So every cell is decided by one domain entry t[v][u],
+    n < v <= u, and only domain entries are read; and every closure is
+    totally symmetric and self-complementary whatever ``a`` holds: column
     (y, x) of the cube is column (x, y), and column (2n+1-x, 2n+1-y) is column
     (x, y) reversed and negated, so it is contiguous exactly when (x, y) is,
     with height 2n - H[x][y].  Only the columns with x >= y and
@@ -1019,10 +1014,9 @@ def expand_domains(n, dom):
     them; the result is that of checking the whole cube.
     """
     side = 2 * n
-    flat, threshold, inside, cells, fill = _orbit_columns(n)
-    member = dom.reshape(len(dom), -1)[:, flat] >= threshold
-    np.equal(member, inside, out=member)
-    columns = member[:, cells]
+    flat, threshold, inside, fill = _orbit_columns(n)
+    columns = a[:, flat] >= threshold
+    np.equal(columns, inside, out=columns)
     # Column contiguity: down each column a run of members, then a run of
     # non-members.
     if not (columns[..., 1:] <= columns[..., :-1]).all():
@@ -1032,9 +1026,7 @@ def expand_domains(n, dom):
     if _plane_partition_table(n).violated(heights):
         return None
     # The cube of a contiguous closure is the cube of its heights.
-    heights = heights.reshape(len(dom), side, side)
-    i, c = _domain_cells(n)
-    if not (heights[:, n + i, n + i + c] == dom[:, n + 1 + i, n + 1 + i + c]).all():
+    if not (heights[:, _corner_cells(n)] == a).all():
         return None
     return heights
 
@@ -1043,21 +1035,12 @@ def _inconsistent(n):
     return InconsistentDomain(f"fundamental domain: a domain of order {n} is the corner of no TSSCPP")
 
 
-def _padded_domains(n, a):
-    """The arrays :func:`expand_domains` takes, of domain entry arrays, in
-    their dtype widened to at least the :func:`_domain_dtype` of the closure
-    thresholds."""
-    i, c = _domain_cells(n)
-    dom = np.zeros((len(a), 2 * n + 1, 2 * n + 1), dtype=np.promote_types(a.dtype, _domain_dtype(n)))
-    dom[:, n + 1 + i, n + 1 + i + c] = a
-    return dom
-
-
 def domains_to_tsscpps(n, a):
-    """The heights arrays, shape (m, 2n, 2n), of the TSSCPPs whose
-    fundamental domains are the rows of a domain entry array; a row that is
-    no TSSCPP's domain raises InconsistentDomain."""
-    heights = expand_domains(n, _padded_domains(n, a))
+    """The heights entry arrays, shape (m, 4n^2), of the TSSCPPs whose
+    fundamental domains are the rows of a domain entry array
+    (:func:`expand_domains`); a row that is no TSSCPP's domain raises
+    InconsistentDomain."""
+    heights = expand_domains(n, a)
     if heights is None:
         raise _inconsistent(n)
     return heights
@@ -1068,12 +1051,10 @@ def tsscpps_to_domains(n, a):
     the rows of an entry array, as domain entry arrays.  A plane partition
     is a TSSCPP iff its corner expands back to it; the first that is not
     raises NotTsscpp with its symmetry report."""
-    i, c = _domain_cells(n)
-    t = a.reshape(len(a), 2 * n, 2 * n)
-    corners = t[:, n + i, n + i + c]
-    heights = expand_domains(n, _padded_domains(n, corners))
-    if heights is None or (heights != t).any():
-        for rows in t.tolist():
+    corners = a[:, _corner_cells(n)]
+    heights = expand_domains(n, corners)
+    if heights is None or (heights != a).any():
+        for rows in _array_values(PlanePartition, n, a):
             report = validate_tsscpp(PlanePartition(n, rows))
             if not report.all_true:
                 raise NotTsscpp(f"array is not a TSSCPP: {report}")
@@ -1102,7 +1083,7 @@ def fundamental_domain(p: PlanePartition):
 
 def expand_fundamental(d: FundamentalDomain):
     """The unique TSSCPP with fundamental domain ``d``."""
-    return build_batch(PlanePartition, d.n, domains_to_tsscpps(d.n, entry_row(d)).reshape(1, -1))[0]
+    return build_batch(PlanePartition, d.n, domains_to_tsscpps(d.n, entry_row(d)))[0]
 
 
 def to_json_dict(obj):

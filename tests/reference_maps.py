@@ -37,7 +37,6 @@ from gogmagog.triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
-    _closure_cells,
     validate_tsscpp,
 )
 
@@ -218,35 +217,42 @@ def fundamental_domain(p: PlanePartition):
     return FundamentalDomain(p.n, _corner(p))
 
 
-def _padded_domain(d: FundamentalDomain):
-    n = d.n
-    dom = np.zeros((1, 2 * n + 1, 2 * n + 1), dtype=np.int64)
-    for i, row in enumerate(d.rows):
-        for c, entry in enumerate(row):
-            dom[0, n + 1 + i, n + 1 + i + c] = entry
-    return dom
+def _corner_square(n, a):
+    """``t[:, i, j]``, 1-based, of domain entry arrays ``a`` (row-major, row
+    i having n - i entries): entry (i, c) of a domain at t[n+1+i][n+1+i+c],
+    zero outside the corner."""
+    side = 2 * n
+    t = np.zeros((len(a), side + 1, side + 1), dtype=np.int64)
+    rows, cols = np.triu_indices(n)
+    t[:, n + 1 + rows, n + 1 + cols] = a
+    return t
 
 
-def _closure(n, dom):
-    """Membership cubes, shape (m, 2n, 2n, 2n), of the closures of the padded
-    domain arrays ``dom`` of shape (m, 2n+1, 2n+1): every cell of the cube
-    decided through its sorted cell (``triangles._closure_cells``), the rule
-    ``triangles.expand_domains`` states.  So every cube is totally symmetric
-    and self-complementary whatever ``dom`` holds; the whole cube is the
-    oracle of the orbit columns that ``expand_domains`` gathers.
+def _closure(n, a):
+    """Membership cubes, shape (m, 2n, 2n, 2n), of the closures of the domain
+    entry arrays ``a``, every cell decided from the definition: sorted to
+    (u >= v >= w), it is a member iff w <= t[v][u] when v > n, and
+    otherwise iff its complement cell, sorted to
+    (2n+1-w >= 2n+1-v >= 2n+1-u), is not.  So every cube is totally
+    symmetric and self-complementary whatever ``a`` holds; the whole cube
+    is the oracle of the orbit columns that ``triangles.expand_domains``
+    gathers.
     """
     side = 2 * n
-    flat, threshold, inside, cube = _closure_cells(n)
-    member = (dom.reshape(len(dom), -1)[:, flat] >= threshold) == inside
-    return member[:, cube].reshape(len(dom), side, side, side)
+    t = _corner_square(n, a)
+    cell = np.arange(1, side + 1)
+    w, v, u = np.sort(np.stack(np.meshgrid(cell, cell, cell, indexing="ij")).reshape(3, -1), axis=0)
+    itself = t[:, v, u] >= w
+    complement = t[:, side + 1 - v, side + 1 - w] >= side + 1 - u
+    return np.where(v > n, itself, ~complement).reshape(len(a), side, side, side)
 
 
-def expand_domains(n, dom):
-    """What ``triangles.expand_domains`` returns for the padded domain
-    arrays ``dom``, from the whole closure cubes: every column of every cube
-    checked for contiguity and summed, each heights array built as a
+def expand_domains(n, a):
+    """What ``triangles.expand_domains`` returns for the domain entry arrays
+    ``a``, from the whole closure cubes: every column of every cube checked
+    for contiguity and summed, each heights array built as a
     ``PlanePartition``, and its corner compared with the domain."""
-    m = _closure(n, dom)
+    m = _closure(n, a)
     if not (m[..., 1:] <= m[..., :-1]).all():
         return None
     heights = m.sum(axis=3)
@@ -255,11 +261,10 @@ def expand_domains(n, dom):
             PlanePartition(n, rows)
         except ValidationError:
             return None
-    for i in range(n):
-        for c in range(n - i):
-            if (heights[:, n + i, n + i + c] != dom[:, n + 1 + i, n + 1 + i + c]).any():
-                return None
-    return heights
+    rows, cols = np.triu_indices(n)
+    if (heights[:, n + rows, n + cols] != a).any():
+        return None
+    return heights.reshape(len(a), -1)
 
 
 def expand_fundamental(d: FundamentalDomain):
@@ -270,7 +275,7 @@ def expand_fundamental(d: FundamentalDomain):
     """
     n = d.n
     side = 2 * n
-    m = _closure(n, _padded_domain(d))[0]
+    m = _closure(n, np.array([[entry for row in d.rows for entry in row]]))[0]
     heights = m.sum(axis=2)
     k = np.arange(1, side + 1)
     if not (m == (k[None, None, :] <= heights[:, :, None])).all():

@@ -187,7 +187,7 @@ def test_criterion_9_round_trips():
         tsscpps = entries(FamilyId.TSSCPP, n)
         d = bij.booleans_to_domains(n, bij.domains_to_booleans(n, bij.tsscpps_to_domains(n, tsscpps)))
         heights = bij.booleans_to_tsscpp(n, bij.domains_to_booleans(n, d))
-        assert np.array_equal(heights.reshape(len(tsscpps), -1), tsscpps)
+        assert np.array_equal(heights, tsscpps)
         asms = entries(FamilyId.ASM, n)
         assert np.array_equal(bij.monotones_to_asms(n, bij.asms_to_monotones(n, asms)), asms)
     for n in range(1, 8):

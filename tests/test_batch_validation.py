@@ -229,13 +229,13 @@ def test_batch_expansion_rejects_exactly_the_inconsistent_domains():
                 expected = reference_maps.expand_fundamental(mutated).rows
             except ValidationError:
                 expected = None
-            heights = expand_domains(n, reference_maps._padded_domain(mutated))
+            heights = expand_domains(n, entry_row(mutated))
             if expected is None:
                 inconsistent += 1
                 assert heights is None, raw
             else:
                 consistent += 1
-                assert tuple(map(tuple, heights[0].tolist())) == expected
+                assert tuple(map(tuple, heights[0].reshape(2 * n, 2 * n).tolist())) == expected
     assert consistent and inconsistent
 
 

@@ -25,7 +25,7 @@ from gogmagog.triangles import (
     Permutation,
     PlanePartition,
     ValidationError,
-    _domain_cells,
+    _corner_cells,
     build_batch,
     entry_row,
     validate_batch,
@@ -248,7 +248,7 @@ def test_permutation_characterizations_agree(n):
     the row and pattern scans of ``reference_stats`` on each object."""
     booleans = entries(FamilyId.BOOLEAN, n)
     magogs = bij.booleans_to_magogs(n, booleans)
-    tsscpps = bij.booleans_to_tsscpp(n, booleans).reshape(len(booleans), -1)
+    tsscpps = bij.booleans_to_tsscpp(n, booleans)
     mask = bij.permutation_booleans(n, booleans)
     assert np.array_equal(stats.KINDS["magog_triangle"]["is_permutation"](n, magogs), mask)
     assert np.array_equal(stats.KINDS["plane_partition"]["is_permutation"](n, tsscpps), mask)
@@ -319,9 +319,8 @@ def test_batched_asm_and_boolean_maps_equal_the_scalar_maps(n):
 def test_derived_domains_are_the_corners_of_the_tsscpps(n):
     """The domains read off the boolean triangles equal the corners of the
     TSSCPPs built from them, whose closures ``expand_domains`` checks."""
-    i, c = _domain_cells(n)
     for booleans in enumeration._validated(FamilyId.BOOLEAN, n):
-        corners = bij.booleans_to_tsscpp(n, booleans)[:, n + i, n + i + c]
+        corners = bij.booleans_to_tsscpp(n, booleans)[:, _corner_cells(n)]
         assert np.array_equal(bij.booleans_to_domains(n, booleans), corners)
 
 
@@ -401,7 +400,7 @@ def batched(maps, objects, n):
     a = validate_batch(type(objects[0]), n, np.concatenate([entry_row(obj) for obj in objects]))
     for step in maps:
         a = step(n, a)
-    return a.reshape(len(a), -1)
+    return a
 
 
 def oracle_edges():
@@ -506,7 +505,7 @@ def test_tsscpp_heights_reach_2n_in_the_narrowest_dtype(n):
         expected = ref.convert_object(p, "plane_partition")
         heights = bij.booleans_to_tsscpp(n, entry_row(ref.permutation_to_boolean(p)))
         assert heights.dtype == (np.int8 if n < 64 else np.int16)
-        assert heights[0].tolist() == [list(row) for row in expected.rows]
+        assert heights[0].reshape(2 * n, 2 * n).tolist() == [list(row) for row in expected.rows]
         assert bij.convert(p, "plane_partition") == expected
 
 

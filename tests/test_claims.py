@@ -254,7 +254,10 @@ def test_permutation_claims_refuse_past_the_relation_guard_before_converting(mon
 
 
 def test_verify_all_marks_capped_rows(monkeypatch):
-    monkeypatch.setenv("TSSCPP_MAX_N", "3")
+    """ASMs capped at 4 and every other family at 3."""
+    monkeypatch.delenv("TSSCPP_MAX_N", raising=False)
+    for family in FamilyId:
+        monkeypatch.setitem(enumeration.DEFAULT_CAPS, family, 4 if family is FamilyId.ASM else 3)
     rows = claims.verify_all(4)
     capped = [(r["claim"], r["n"]) for r in rows if "cap" in r]
     assert capped == [(name, 4) for name in claims.CHECKS] + [(name, 4) for name in claims.CLAIMS]

@@ -123,16 +123,39 @@ def test_verify_all(capsys):
 
 
 def test_verify_all_prints_capped_rows_and_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("TSSCPP_MAX_N", "3")
+    """ASMs capped at 4 and every other family at 3: each check of order 4
+    reaches a family it may not enumerate."""
+    from gogmagog.enumeration import DEFAULT_CAPS, FamilyId
+
+    monkeypatch.delenv("TSSCPP_MAX_N", raising=False)
+    for family in FamilyId:
+        monkeypatch.setitem(DEFAULT_CAPS, family, 4 if family is FamilyId.ASM else 3)
     code, out, err = run_cli(capsys, "verify-all", "--n", "4")
     lines = out.splitlines()
     assert code == 2 and lines[-1] == "30/43 checks passed"
     assert len(lines) == 44 and sum(line.endswith("n=4  CAP") for line in lines) == 13
     assert "FAIL" not in out
     assert err.splitlines()[0] == (
-        "counts n=4: order 4 exceeds the cap 3 for asm (raise it with TSSCPP_MAX_N)"
+        "counts n=4: order 4 exceeds the cap 3 for boolean (raise it with TSSCPP_MAX_N)"
     )
     assert len(err.splitlines()) == 13
+
+
+@pytest.mark.parametrize(
+    "env, n, cap", [(None, "9", 8), (None, "99999999999999999999", 8), ("3", "4", 3), ("0", "1", 0)]
+)
+def test_verify_all_above_every_cap_is_refused_before_any_row(capsys, monkeypatch, env, n, cap):
+    """Above the largest cap, ``TSSCPP_MAX_N`` or else the largest default,
+    every row could only be capped: no row runs."""
+    from gogmagog import claims
+
+    monkeypatch.delenv("TSSCPP_MAX_N", raising=False)
+    if env is not None:
+        monkeypatch.setenv("TSSCPP_MAX_N", env)
+    monkeypatch.setattr(claims, "_capped", lambda *args: pytest.fail("a row ran"))
+    code, out, err = run_cli(capsys, "verify-all", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: order {n} exceeds the cap {cap} of every family (raise it with TSSCPP_MAX_N)\n"
 
 
 def test_determinism(capsys):
@@ -418,6 +441,28 @@ def test_an_order_too_large_to_count_exits_2_at_once(argv):
     assert time.perf_counter() - start < 2
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == f"error: poset of order {argv[-1]} needs more than 268435456 bytes of relation\n"
+
+
+# Posets and claims at orders whose relation needs more bytes than Python
+# prints digits of (10**4300): the relation guard refuses them by order.
+_UNPRINTABLE_RELATIONS = {
+    "1000": {"chains", "weak", "strong", "TnPerm", "TBoolPerm", "thm4.4", "cor4.16"},
+    "3700": {"chains", "weak", "strong", "TnPerm", "TBoolPerm", "tamari", "catalan",
+             "thm4.4", "thm4.9", "thm4.12", "cor4.16", "cor4.17"},
+}
+
+
+@pytest.mark.parametrize("n", sorted(_UNPRINTABLE_RELATIONS))
+def test_every_poset_and_claim_at_a_large_order_exits_2_with_one_message(capsys, n):
+    from gogmagog import claims, cli
+
+    argvs = [("poset", "--name", name, "--n", n) for name in cli._poset_builders()]
+    argvs += [("poset-check", "--claim", claim, "--n", n) for claim in claims.CLAIMS]
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, argv
+        if argv[2] in _UNPRINTABLE_RELATIONS[n]:
+            assert err == f"error: poset of order {n} needs more than 268435456 bytes of relation\n", argv
 
 
 # -- the process entry point --------------------------------------------------

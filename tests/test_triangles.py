@@ -384,76 +384,81 @@ def test_expand_fundamental_rejects_inconsistent_domain():
         expand_fundamental(FundamentalDomain(3, ((1, 1, 1), (1, 1), (1,))))
 
 
-def _random_padded_arrays():
-    """Order n -> 300 random padded arrays of order n, every entry drawn
-    from -2..2n+2 (domains or not), for n = 1..5."""
+def _random_domain_arrays():
+    """Order n -> 300 random domain entry arrays of order n, every entry
+    drawn from -2..2n+2 (domains or not), for n = 1..5: the domain cells of
+    random (2n+1)-square arrays."""
     rng = np.random.default_rng(128)
-    return {n: rng.integers(-2, 2 * n + 3, (300, 2 * n + 1, 2 * n + 1)).astype(np.int16) for n in range(1, 6)}
+    arrays = {}
+    for n in range(1, 6):
+        square = rng.integers(-2, 2 * n + 3, (300, 2 * n + 1, 2 * n + 1)).astype(np.int16)
+        rows, cols = np.triu_indices(n)
+        arrays[n] = square[:, n + 1 + rows, n + 1 + cols]
+    return arrays
 
 
 def _closures_are_symmetric_and_self_complementary(closure):
-    """Whether the cubes ``closure(n, dom)`` equal their transposes and
-    their complement for padded arrays of every order 1..5: the random ones
+    """Whether the cubes ``closure(n, a)`` equal their transposes and their
+    complement for domain entry arrays of every order 1..5: the random ones
     and those of every TSSCPP of order up to 4."""
-    for n, dom in _random_padded_arrays().items():
+    for n, a in _random_domain_arrays().items():
         if n <= 4:
-            domains = triangles.tsscpps_to_domains(n, entries("tsscpp", n))
-            dom = np.concatenate((dom, triangles._padded_domains(n, domains)))
-        m = closure(n, dom)
+            a = np.concatenate((a, triangles.tsscpps_to_domains(n, entries("tsscpp", n))))
+        m = closure(n, a)
         if not ((m == m.transpose(0, 2, 1, 3)).all() and (m == m.transpose(0, 3, 1, 2)).all()
                 and (m == ~m[:, ::-1, ::-1, ::-1]).all()):
             return False
     return True
 
 
-def _closure_deciding_every_cell_itself(n, dom):
-    """A wrong closure: a cell sorted to (a >= b >= c) is a member iff
-    c <= t[b][a], also where b <= n."""
+def _closure_deciding_every_cell_itself(n, a):
+    """A wrong closure: a cell sorted to (u >= v >= w) is a member iff
+    w <= t[v][u], also where v <= n, outside the domain, where t reads 0."""
     side = 2 * n
     cell = np.arange(1, side + 1)
-    low, middle, high = np.sort(np.stack(np.meshgrid(cell, cell, cell, indexing="ij")).reshape(3, -1), axis=0)
-    member = dom.reshape(len(dom), -1)[:, middle * (side + 1) + high] >= low
-    return member.reshape(len(dom), side, side, side)
+    w, v, u = np.sort(np.stack(np.meshgrid(cell, cell, cell, indexing="ij")).reshape(3, -1), axis=0)
+    member = reference_maps._corner_square(n, a)[:, v, u] >= w
+    return member.reshape(len(a), side, side, side)
 
 
 def test_every_closure_is_totally_symmetric_and_self_complementary():
     """``expand_domains`` gathers one column per orbit of transpose and
     complement, which is exact only because the closure it decides cell by
-    sorted cell is totally symmetric and self-complementary for any padded
-    array.  The check above tells a closure that decides the cells of small
-    middle coordinate itself."""
+    sorted cell is totally symmetric and self-complementary for any domain
+    entry array.  The check above tells a closure that decides the cells of
+    small middle coordinate itself."""
     assert _closures_are_symmetric_and_self_complementary(reference_maps._closure)
     assert not _closures_are_symmetric_and_self_complementary(_closure_deciding_every_cell_itself)
 
 
 def _moved_domains(n):
-    """The padded domain arrays of every TSSCPP of order n, each with one
+    """The domain entry arrays of every TSSCPP of order n, each with one
     entry, drawn at random, moved by -2, -1, 1 or 2."""
     rng = np.random.default_rng(n)
     domains = triangles.tsscpps_to_domains(n, entries("tsscpp", n)).astype(np.int16)
     rows = np.arange(len(domains))
     domains[rows, rng.integers(0, domains.shape[1], len(rows))] += rng.choice([-2, -1, 1, 2], len(rows))
-    return triangles._padded_domains(n, domains)
+    return domains
 
 
 @pytest.mark.parametrize("arrays", ["random", "moved"])
 def test_orbit_columns_expand_as_the_whole_cube(arrays):
     """Array by array, ``expand_domains`` gives the heights of the
-    whole-cube oracle, or None where the oracle does: on random padded
-    arrays of orders 1..5, and on every TSSCPP domain of order up to 6 with
-    one entry moved."""
-    inputs = _random_padded_arrays() if arrays == "random" else {n: _moved_domains(n) for n in range(1, 7)}
+    whole-cube oracle, or None where the oracle does: on random domain
+    entry arrays of orders 1..5, and on every TSSCPP domain of order up to 6
+    with one entry moved."""
+    inputs = _random_domain_arrays() if arrays == "random" else {n: _moved_domains(n) for n in range(1, 7)}
     expanded = refused = 0
     for n, batch in inputs.items():
-        for dom in batch:
-            heights = triangles.expand_domains(n, dom[None])
-            expected = reference_maps.expand_domains(n, dom[None])
+        for a in batch:
+            heights = triangles.expand_domains(n, a[None])
+            expected = reference_maps.expand_domains(n, a[None])
             if expected is None:
                 refused += 1
-                assert heights is None, dom
+                assert heights is None, a
             else:
                 expanded += 1
-                assert heights is not None and heights.dtype == np.int8 and (heights == expected).all(), dom
+                assert heights is not None and heights.dtype == np.int8 and (heights == expected).all(), a
     assert refused and expanded
 
 
