@@ -122,15 +122,8 @@ def _domains_from_booleans(n, a):
 # with one rule-table check (``_checked``), which reads them in blocks of at
 # most ``triangles._NODE_BYTES``.  Some maps also map ``_MAP_ROWS`` values at
 # a time, the ``enumeration.CHUNK`` of the searches, so that no temporary of
-# theirs holds every value.  Only :func:`booleans_to_tsscpp` expands in blocks
-# of ``_CUBE_ROWS``, because ``triangles.expand_domains`` gathers (rows,
-# columns, 2n) closure cells per block: ``enumerate --family tsscpp --n 7
-# --count-only`` takes a median 0.44 s at a peak of 32.9 MiB in blocks of 256
-# rows, against 0.56 s at 32.9 MiB in blocks of 128, 0.54 s at 33.3 MiB in
-# blocks of 512 and 0.60 s at 34.1 MiB in blocks of 1,024 (5 whole runs
-# each, on a 2-CPU Xeon).
+# theirs holds every value.
 _MAP_ROWS = 2048
-_CUBE_ROWS = 256
 
 
 def _checked(cls, n, a):
@@ -156,12 +149,7 @@ def booleans_to_tsscpp(n, a):
     entry arrays, shape (len(a), 4n^2), of ``triangles.domains_to_tsscpps``
     of :func:`_domains_from_booleans` (a domain that round-trips is the
     corner of a valid plane partition)."""
-    domains = _domains_from_booleans(n, a)
-    heights = np.empty((len(a), 4 * n * n), dtype=_domain_dtype(n))
-    for start in range(0, len(a), _CUBE_ROWS):
-        block = slice(start, start + _CUBE_ROWS)
-        heights[block] = domains_to_tsscpps(n, domains[block])
-    return heights
+    return domains_to_tsscpps(n, _domains_from_booleans(n, a))
 
 
 def permutations_to_asms(n, a):

@@ -6,21 +6,29 @@ stderr; output is deterministic for identical inputs.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.  The ``TSSCPP_MAX_N``
 environment variable replaces every enumeration cap (``enumeration._cap``).
 
-The package and the parser import only the modules the command runs.
-:func:`entry`, which ``__main__.run`` calls with the collector already off
-(numpy's import runs ~30 collections that free little), keeps it off until
-they are loaded, freezes what the imports made (``gc.freeze``) so that no
-later collection traverses it, then turns the collector on and runs the
-command.  :func:`main`, the in-process API for tests and library callers,
-never freezes.
+Each command's arguments are declared once, in ``_COMMANDS``.  :func:`_read`
+reads a plainly well-formed argv from that table: the command first, each
+option at most once by its full name, no value starting with ``-``, every
+choice in its list, ``--n`` in ASCII digits.  Help, usage errors and every
+other argv go to argparse (:func:`_build_parser`, built from the same table
+and the only importer of ``argparse``).  So a well-formed command loads only
+the package modules it runs: ``cli``, ``enumeration``, ``bijections`` and
+``triangles``, with ``statistics`` for ``stats`` and ``dist``, ``orders``
+and ``poset`` for ``poset``, ``claims`` and what it builds for
+``poset-check`` and ``verify-all``.  :func:`entry`, which ``__main__.run``
+calls with the collector already off (numpy's import runs ~30 collections
+that free little), keeps it off until they are loaded, freezes what the
+imports made (``gc.freeze``) so that no later collection traverses it, then
+turns the collector on and runs the command.  :func:`main`, the in-process
+API for tests and library callers, never freezes.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import FunctionType, SimpleNamespace
 
 from . import enumeration
 from .enumeration import CapExceeded, FamilyId
@@ -170,60 +178,106 @@ def _cmd_verify_all(args):
     return 2 if capped else 0
 
 
+def _module(name):
+    """The package's module ``name``, imported if it is not yet."""
+    __import__(f"{__package__}.{name}")
+    return sys.modules[f"{__package__}.{name}"]
+
+
+# An argument is a row (flag, dest, kind, default[, help]), flag None for
+# the positional value.  Its kind is int, bool for a bare flag, str for the
+# value, or its choices, or a function that gives them once the command's
+# modules are loaded; a default of _REQUIRED marks a required argument.
+_REQUIRED = object()
+_KINDS = sorted(_KIND_ALIASES)
+_FAMILY = ("--family", "family", [f.value for f in FamilyId], _REQUIRED)
+_N = ("--n", "n", int, _REQUIRED)
+
+# command -> (run, help, the modules it runs, its arguments in help order)
 _COMMANDS = {
-    "enumerate": (_cmd_enumerate, "stream a family as JSON lines"),
-    "convert": (_cmd_convert, "convert an object between families"),
-    "stats": (_cmd_stats, "statistics of a single object"),
-    "dist": (_cmd_dist, "distribution of a statistic over a family"),
-    "poset": (_cmd_poset, "emit a named poset as DOT or JSON"),
-    "poset-check": (_cmd_poset_check, "verify one structural claim"),
-    "verify-all": (_cmd_verify_all, "run the whole claim suite up to n"),
+    "enumerate": (_cmd_enumerate, "stream a family as JSON lines", (),
+                  (_FAMILY, _N, ("--count-only", "count_only", bool, False),
+                   ("--jsonl", "jsonl", bool, False, "JSON lines (the default)"))),
+    "convert": (_cmd_convert, "convert an object between families", (),
+                (("--from", "source", _KINDS, _REQUIRED), ("--to", "target", _KINDS, _REQUIRED),
+                 (None, "value", str, _REQUIRED, "object JSON, or one-line notation for permutations"))),
+    "stats": (_cmd_stats, "statistics of a single object", ("statistics",),
+              (("--kind", "kind", _KINDS, None), (None, "value", str, _REQUIRED))),
+    "dist": (_cmd_dist, "distribution of a statistic over a family", ("statistics",),
+             (_FAMILY, _N, ("--statistic", "statistic", lambda: sorted(_module("statistics").STATISTICS), _REQUIRED))),
+    "poset": (_cmd_poset, "emit a named poset as DOT or JSON", ("orders",),
+              (("--name", "name", lambda: sorted(_poset_builders()), _REQUIRED), _N,
+               ("--out", "out", ("dot", "json"), "json"))),
+    "poset-check": (_cmd_poset_check, "verify one structural claim", ("claims",),
+                    (("--claim", "claim", lambda: sorted(_module("claims").CLAIMS), _REQUIRED), _N)),
+    "verify-all": (_cmd_verify_all, "run the whole claim suite up to n", ("claims",), (_N,)),
 }
 
 
+def _arguments(command):
+    """The argument rows of ``command``, each choice function replaced by its
+    choices, once the modules the command runs are loaded (before
+    :func:`entry` freezes)."""
+    _, _, modules, rows = _COMMANDS[command]
+    for name in modules:
+        _module(name)
+    return [(flag, dest, kind() if isinstance(kind, FunctionType) else kind, *rest) for flag, dest, kind, *rest in rows]
+
+
+def _read(argv):
+    """The namespace that argparse returns for a plainly well-formed ``argv``
+    (see the module's docstring), else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = _arguments(argv[0])
+    kinds = {flag: (dest, kind) for flag, dest, kind, *_ in rows}
+    values = {"command": argv[0], "func": _COMMANDS[argv[0]][0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token if token.startswith("-") else None
+        if flag not in kinds or kinds[flag][0] in values:
+            return None
+        dest, kind = kinds[flag]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = token if flag is None else next(tokens, "-")  # no number or choice starts with "-"
+        if kind is int:
+            if not (value.isascii() and value.isdigit()) or len(value) > sys.get_int_max_str_digits() > 0:
+                return None  # int() converts at most that many digits, unless the limit is 0
+            value = int(value)
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    for _, dest, _, default, *_ in rows:
+        values.setdefault(dest, default)
+    return None if _REQUIRED in values.values() else SimpleNamespace(**values)
+
+
 def _build_parser(argv):
-    """Every subcommand's name and help, and arguments for the one ``argv``
-    names (nothing before it takes a value), whose modules are loaded here."""
+    """argparse's parser, for help, usage errors and every ``argv`` that
+    :func:`_read` refuses: every subcommand's name and help, and the
+    arguments of the one ``argv`` names (nothing before it takes a value)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gogmagog",
         description="Matrices, plane partitions, triangles: bijections, statistics, and orders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text) in _COMMANDS.items():
+    for name, (func, text, _, _) in _COMMANDS.items():
         sub.add_parser(name, help=text).set_defaults(func=func)
     name = next((arg for arg in argv if arg in _COMMANDS), None)
-    p = sub.choices.get(name)
-    families = [f.value for f in FamilyId]
-    if name == "enumerate":
-        p.add_argument("--family", required=True, choices=families)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--count-only", action="store_true")
-        p.add_argument("--jsonl", action="store_true", help="JSON lines (the default)")
-    elif name == "convert":
-        p.add_argument("--from", dest="source", required=True, choices=sorted(_KIND_ALIASES))
-        p.add_argument("--to", dest="target", required=True, choices=sorted(_KIND_ALIASES))
-        p.add_argument("value", help="object JSON, or one-line notation for permutations")
-    elif name == "stats":
-        from . import statistics  # what stats runs, loaded before entry freezes
-
-        p.add_argument("--kind", choices=sorted(_KIND_ALIASES))
-        p.add_argument("value")
-    elif name == "dist":
-        from . import statistics
-
-        p.add_argument("--family", required=True, choices=families)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--statistic", required=True, choices=sorted(statistics.STATISTICS))
-    elif name == "poset":
-        p.add_argument("--name", required=True, choices=sorted(_poset_builders()))
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--out", choices=("dot", "json"), default="json")
-    elif name in ("poset-check", "verify-all"):
-        from . import claims
-
-        if name == "poset-check":
-            p.add_argument("--claim", required=True, choices=sorted(claims.CLAIMS))
-        p.add_argument("--n", type=int, required=True)
+    for flag, dest, kind, default, *doc in _arguments(name) if name else ():
+        p, doc = sub.choices[name], doc[0] if doc else None
+        if flag is None:
+            p.add_argument(dest, help=doc)
+        elif kind is bool:
+            p.add_argument(flag, action="store_true", help=doc)
+        else:
+            required = default is _REQUIRED
+            p.add_argument(flag, dest=dest, type=int if kind is int else None, choices=None if kind is int else kind,
+                           required=required, default=None if required else default, help=doc)
     return parser
 
 
@@ -245,15 +299,16 @@ def _run(args):
 
         from .poset import SizeCap
 
-        if not isinstance(exc, (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError)):
+        if not isinstance(exc, (ValidationError, CapExceeded, SizeCap, KeyError, json.JSONDecodeError, MemoryError)):
             raise
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)  # str(KeyError) is a repr
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc) or "out of memory"  # str(KeyError) is a repr
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    return _run(_build_parser(argv).parse_args(argv))
+    return _run(_read(argv) or _build_parser(argv).parse_args(argv))
 
 
 def entry() -> int:
@@ -261,7 +316,7 @@ def entry() -> int:
     off until its modules are loaded and what their imports made frozen."""
     gc.disable()
     try:
-        args = _build_parser(sys.argv[1:]).parse_args(sys.argv[1:])
+        args = _read(sys.argv[1:]) or _build_parser(sys.argv[1:]).parse_args(sys.argv[1:])
         gc.freeze()
     finally:
         gc.enable()

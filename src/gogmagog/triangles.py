@@ -992,6 +992,15 @@ def _orbit_columns(n):
     return row * (side + 1 - row) // 2 + col, threshold, inside, fill.ravel()
 
 
+# :func:`expand_domains` decides the closure cells of at most this many
+# domains at a time, whose (columns, 2n, rows) cells then stay in cache:
+# ``enumerate --family tsscpp --n 7 --count-only`` takes a median 0.44 s at
+# a peak of 33.2 MiB in blocks of 256, against 0.53 s at 32.9 MiB in blocks
+# of 128, 0.42 s at 33.9 MiB in blocks of 512 and 0.44 s at 35.0 MiB in
+# blocks of 1,024 (8 whole runs each, on a 2-CPU Xeon).
+_CUBE_ROWS = 256
+
+
 def expand_domains(n, a):
     """The TSSCPPs of a batch of fundamental domains, every closure checked.
 
@@ -1012,22 +1021,33 @@ def expand_domains(n, a):
     x + y >= 2n + 1, one per orbit of the two (:func:`_orbit_columns`), are
     gathered, checked and summed, and the other heights are filled in from
     them; the result is that of checking the whole cube.
+
+    The domains are read entry-major, ``_CUBE_ROWS`` at a time, and the
+    heights are written once, cell-major, by one gather of whole rows: the
+    array returned is its transpose, in Fortran order, which a consumer that
+    needs contiguous rows copies as it joins them (``np.concatenate``).
     """
     side = 2 * n
     flat, threshold, inside, fill = _orbit_columns(n)
-    columns = a[:, flat] >= threshold
-    np.equal(columns, inside, out=columns)
-    # Column contiguity: down each column a run of members, then a run of
-    # non-members.
-    if not (columns[..., 1:] <= columns[..., :-1]).all():
-        return None
-    h = columns.sum(axis=2, dtype=threshold.dtype)
-    heights = np.concatenate((h, side - h), axis=1)[:, fill]
-    if _plane_partition_table(n).violated(heights):
-        return None
-    # The cube of a contiguous closure is the cube of its heights.
-    if not (heights[:, _corner_cells(n)] == a).all():
-        return None
+    entries = a.T
+    h = np.empty((len(flat), len(a)), dtype=threshold.dtype)  # the orbit columns' heights
+    for start in range(0, len(a), _CUBE_ROWS):
+        block = slice(start, start + _CUBE_ROWS)
+        columns = entries[:, block][flat] >= threshold[..., None]
+        np.equal(columns, inside[..., None], out=columns)
+        # Column contiguity: down each column a run of members, then a run
+        # of non-members.
+        if not (columns[:, 1:] <= columns[:, :-1]).all():
+            return None
+        h[:, block] = columns.sum(axis=1, dtype=threshold.dtype)
+    heights = np.concatenate((h, side - h))[fill].T
+    for start in range(0, len(a), _CUBE_ROWS):
+        block = slice(start, start + _CUBE_ROWS)
+        if _plane_partition_table(n).violated(heights[block]):
+            return None
+        # The cube of a contiguous closure is the cube of its heights.
+        if not (heights[block][:, _corner_cells(n)] == a[block]).all():
+            return None
     return heights
 
 

@@ -399,17 +399,13 @@ def test_stats_refuses_a_plane_partition_that_is_no_tsscpp_like_convert(capsys, 
 def test_convert_and_stats_transcript_matches_the_recorded_digests(monkeypatch):
     """stdout, stderr and exit code of `convert` for every pair of kind
     aliases and of `stats`, on every object of orders 1..4 and the golden
-    examples (see cli_transcript.py)."""
-    import functools
-
+    examples (see cli_transcript.py).  Every argv is well-formed, so the
+    strict reader reads it and no argparse parser is built."""
     import cli_transcript
     import golden_cli
     from gogmagog import cli
 
-    # One parser per command serves every run; building it is most of a
-    # short run's time.  Every argv here starts with its command.
-    parser_of = functools.cache(lambda command, build=cli._build_parser: build([command]))
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: parser_of(argv[0]))
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: pytest.fail(f"argparse read {argv}"))
     assert cli_transcript.digests() == golden_cli.DIGESTS
 
 
@@ -441,6 +437,30 @@ def test_an_order_too_large_to_count_exits_2_at_once(argv):
     assert time.perf_counter() - start < 2
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == f"error: poset of order {argv[-1]} needs more than 268435456 bytes of relation\n"
+
+
+def test_running_out_of_memory_is_one_error_line_with_exit_2():
+    """The boolean triangle of a permutation of order 10,000 needs tables of
+    hundreds of MiB; under an address-space limit of 384 MiB, which the
+    interpreter and numpy start well within (with one BLAS thread), their
+    allocation fails at once, and the command reports it instead of a
+    traceback."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    limit = 384 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    sigma = ",".join(map(str, range(10000, 0, -1)))
+    argv = [sys.executable, "-m", "gogmagog", "convert", "--from", "permutation", "--to", "boolean", sigma]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: Unable to allocate ") and result.stderr.count("\n") == 1
 
 
 # Posets and claims at orders whose relation needs more bytes than Python
@@ -619,6 +639,77 @@ def test_the_first_subcommand_name_is_the_command_and_a_later_one_a_value(capsys
     assert (code, out, err) == (2, "", "error: permutation: 'dist' is not one-line notation\n")
 
 
+# One well-formed argv per command, as its arguments: an option with its
+# value, a bare flag, or the positional value.
+_WELL_FORMED = {
+    "enumerate": [["--family", "asm"], ["--n", "5"], ["--count-only"], ["--jsonl"]],
+    "convert": [["--from", "permutation"], ["--to", "boolean"], ["312"]],
+    "stats": [["--kind", "permutation"], ["312"]],
+    "dist": [["--family", "asm"], ["--n", "3"], ["--statistic", "zeros"]],
+    "poset": [["--name", "tamari"], ["--n", "3"], ["--out", "dot"]],
+    "poset-check": [["--claim", "thm4.9"], ["--n", "3"]],
+    "verify-all": [["--n", "2"]],
+}
+_N_VALUES = ["5", "05", "+5", "-5", "٥", "²", "1_0", " 5", "x", "", "9" * 4300, "9" * 4301]
+_CHOICE_VALUES = ["", "nope", "-x", "asm", "boolean", "permutation", "zeros", "json", "An", "thm4.4"]
+_POSITIONAL_VALUES = ["", "-", "-312", "--", "dist", "{}", "3 1 2"]
+
+
+def _grammar(command):
+    """Argv around the command's well-formed one: every order of its
+    arguments and every subset, then one argument changed at a time: given
+    as --opt=value, abbreviated, repeated, its value replaced; -h, --help,
+    unknown tokens, a command's name and -- at every position."""
+    import itertools
+
+    items = _WELL_FORMED[command]
+    yield from ([command, *sum(order, [])] for order in itertools.permutations(items))
+    for k in range(len(items)):
+        yield from ([command, *sum(subset, [])] for subset in itertools.combinations(items, k))
+    for i, item in enumerate(items):
+        rest = [*items[:i], *items[i + 1 :]]
+        variants = [item + item, item + [item[0], "5"]]
+        if item[0].startswith("--"):
+            variants += [[item[0][:k], *item[1:]] for k in range(3, len(item[0]))]
+        if len(item) == 2:
+            value = item[1]
+            variants.append([f"{item[0]}={value}"] if item[0].startswith("--") else [value, "313"])
+            values = _N_VALUES if item[0] == "--n" else _CHOICE_VALUES if item[0].startswith("--") else []
+            variants += [[item[0], other] for other in values] + [[item[0]]]
+        else:
+            variants += [[other] for other in _POSITIONAL_VALUES]
+        for variant in variants:
+            yield [command, *sum(rest, []), *variant]
+            yield [command, *variant, *sum(rest, [])]
+    whole = [command, *sum(items, [])]
+    for token in ("-h", "--help", "--bogus", "extra", "enumerate", "--"):
+        yield from ([*whole[:k], token, *whole[k:]] for k in range(len(whole) + 1))
+
+
+@pytest.mark.parametrize("command", list(_WELL_FORMED))
+def test_the_strict_reader_returns_what_argparse_returns_or_refuses(capsys, command):
+    """``_read`` accepts only plainly well-formed argv, every order of a
+    command's well-formed arguments among them, and returns exactly the
+    namespace of argparse's parser; argparse reads whatever it refuses."""
+    import itertools
+
+    from gogmagog import cli
+
+    accepted = 0
+    for argv in _grammar(command):
+        fast = cli._read(argv)
+        try:
+            slow = vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            slow = None
+        capsys.readouterr()
+        assert fast is None or vars(fast) == slow, argv
+        accepted += fast is not None
+    orders = list(itertools.permutations(_WELL_FORMED[command]))
+    assert all(cli._read([command, *sum(order, [])]) for order in orders)
+    assert accepted > len(orders)
+
+
 def test_the_package_resolves_its_names_on_first_access():
     import sys
 
@@ -672,12 +763,28 @@ def _gogmagog_imports(*argv):
 
 
 def test_a_count_imports_only_the_search_and_its_maps():
-    """No JSON is read or written, so no ``json`` either."""
+    """No JSON is read or written, so no ``json`` either, and the argv is
+    well-formed, so no ``argparse``."""
     imported = _imports("enumerate", "--family", "asm", "--n", "1", "--count-only")
     assert {name for name in imported if name.startswith("gogmagog")} == {
         "gogmagog", "gogmagog.cli", "gogmagog.enumeration", "gogmagog.bijections", "gogmagog.triangles"
     }
     assert not {name for name in imported if name == "json" or name.startswith("json.")}
+    assert not imported & {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset-check", "--claim", "thm4.4", "--n", "3"),
+        ("dist", "--family", "asm", "--n", "3", "--statistic", "inversions"),
+        ("convert", "--from", "permutation", "--to", "boolean", "312"),
+    ],
+    ids=" ".join,
+)
+def test_a_well_formed_command_imports_no_argparse(argv):
+    """Only help, usage errors and unusual argv build argparse's parser."""
+    assert not _imports(*argv) & {"argparse", "gettext", "locale"}
 
 
 def test_a_claim_imports_the_claims_and_what_they_build():
