@@ -18,8 +18,6 @@ increases), and that of the maps out of matrices :func:`permutation_asms`
 (no -1); ``statistics`` lists both with the statistics.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 import numpy as np

@@ -25,8 +25,6 @@ The statistics and round-trip checks and the permutation orders read entry
 arrays through the batched maps of ``bijections``.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from math import factorial, prod
 

@@ -8,22 +8,26 @@ environment variable replaces every enumeration cap (``enumeration._cap``).
 
 Each command's arguments are declared once, in ``_COMMANDS``.  :func:`_read`
 reads a plainly well-formed argv from that table: the command first, each
-option at most once by its full name, no value starting with ``-``, every
-choice in its list, ``--n`` in ASCII digits.  Help, usage errors and every
-other argv go to argparse (:func:`_build_parser`, built from the same table
-and the only importer of ``argparse``).  So a well-formed command loads only
-the package modules it runs: ``cli``, ``enumeration``, ``bijections`` and
-``triangles``, with ``statistics`` for ``stats`` and ``dist``, ``orders``
-and ``poset`` for ``poset``, ``claims`` and what it builds for
-``poset-check`` and ``verify-all``.  :func:`entry`, which ``__main__.run``
-calls with the collector already off (numpy's import runs ~30 collections
-that free little), keeps it off until they are loaded, freezes what the
-imports made (``gc.freeze``) so that no later collection traverses it, then
-turns the collector on and runs the command.  :func:`main`, the in-process
-API for tests and library callers, never freezes.
+option at most once by its full name, no value but an order starting with
+``-``, every choice in its list.  Every order given from outside, ``--n``
+in both readers and ``TSSCPP_MAX_N``, is read by ``enumeration._integer``:
+ASCII ``-?[0-9]+`` only.  Help, usage errors and every other argv go to
+argparse (:func:`_build_parser`, built from the same table and the only
+importer of ``argparse``).  So a well-formed command loads only the package modules it
+runs: ``cli``, ``enumeration``, ``bijections`` and ``triangles``, with
+``statistics`` for ``stats`` and ``dist``, ``orders`` and ``poset`` for
+``poset``, ``claims`` and what it builds for ``poset-check`` and
+``verify-all``.  :func:`entry`, which ``__main__.run`` calls with the
+collector already off (numpy's import runs ~30 collections that free
+little), keeps it off until they are loaded, freezes what the imports made
+(``gc.freeze``) so that no later collection traverses it, then turns the
+collector on and runs the command.  It returns the command's status, and
+``__main__.run`` then ends the process with ``os._exit``, after the atexit
+handlers and a flush of stdout and stderr.  A closed stdout, or a reader of
+stdout that went away, ends the command with exit 2 and nothing on stderr.
+:func:`main`, the in-process API for tests and library callers, never
+freezes and never ends the interpreter.
 """
-
-from __future__ import annotations
 
 import gc
 import os
@@ -241,11 +245,12 @@ def _read(argv):
         if kind is bool:
             values[dest] = True
             continue
-        value = token if flag is None else next(tokens, "-")  # no number or choice starts with "-"
+        value = token if flag is None else next(tokens, "-")  # "-" is no order and no choice
         if kind is int:
-            if not (value.isascii() and value.isdigit()) or len(value) > sys.get_int_max_str_digits() > 0:
-                return None  # int() converts at most that many digits, unless the limit is 0
-            value = int(value)
+            try:
+                value = enumeration._integer(value)
+            except ValueError:
+                return None
         elif kind is not str and value not in kind:
             return None
         values[dest] = value
@@ -276,12 +281,15 @@ def _build_parser(argv):
             p.add_argument(flag, action="store_true", help=doc)
         else:
             required = default is _REQUIRED
-            p.add_argument(flag, dest=dest, type=int if kind is int else None, choices=None if kind is int else kind,
-                           required=required, default=None if required else default, help=doc)
+            p.add_argument(flag, dest=dest, type=enumeration._integer if kind is int else None,
+                           choices=None if kind is int else kind, required=required,
+                           default=None if required else default, help=doc)
     return parser
 
 
 def _run(args):
+    if sys.stdout is None:  # stdout closed (as under ``>&-``): as if its reader went away
+        return 2
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -37,8 +37,6 @@ one order guard, shared by this module, the ``orders`` builders and
 ``claims.verify_all``.
 """
 
-from __future__ import annotations
-
 import os
 from enum import Enum
 from functools import lru_cache, partial
@@ -97,6 +95,19 @@ class CapExceeded(ValueError):
     pass
 
 
+def _integer(text):
+    """The integer that ``text`` writes as ASCII ``-?[0-9]+``; any other text
+    (a sign ``+``, spaces, underscores, non-ASCII digits, more digits than
+    ``int`` converts) raises ValueError.  The one reader of every order and
+    cap given from outside: ``--n`` and ``TSSCPP_MAX_N``."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names its type in "invalid int value: ..."
+
+
 def _cap(family=None):
     """The order cap of the family: ``TSSCPP_MAX_N`` if set, else the family
     default (None without a family).  A malformed ``TSSCPP_MAX_N`` raises
@@ -104,7 +115,7 @@ def _cap(family=None):
     env = os.environ.get(ENV_CAP)
     if env is not None:
         try:
-            return int(env)
+            return _integer(env)
         except ValueError:
             raise CapExceeded(f"{ENV_CAP} must be an integer, got {env!r}") from None
     return DEFAULT_CAPS.get(family)

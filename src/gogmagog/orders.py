@@ -8,8 +8,6 @@ use one-line notation strings so the same ground set can be compared across
 different orders.
 """
 
-from __future__ import annotations
-
 from itertools import product
 from math import comb, factorial, prod
 

@@ -19,8 +19,6 @@ one-line notation (permutations), so that relation containment across posets
 is well defined.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple
 

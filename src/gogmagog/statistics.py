@@ -15,8 +15,6 @@ are the same functions on its entries as a batch of one.  The scalar scans
 these replaced are the test oracle (``tests/reference_stats.py``).
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import combinations, islice
 

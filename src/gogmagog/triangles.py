@@ -33,12 +33,10 @@ again, and :func:`format_batch` writes their JSON lines without building
 any object.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache, partial
 from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -725,19 +723,25 @@ def _nest_table(n):
 # -- the families ------------------------------------------------------------
 
 
-class _Family(NamedTuple):
+class _Family:
     """Everything one value class declares.  A value is a tuple of rows,
     each a tuple of entries, or (``count`` None) one flat tuple of n
     entries, whose length is one of its rules."""
 
-    what: str  # the name in messages
-    kind: str  # the JSON kind
-    field: str  # the attribute, and JSON field, holding the value
-    count: Callable | None  # n -> the row count
-    length: Callable | None  # (n, r) -> the length of row r (0-based)
-    entry: type | tuple  # int, or the step letters (letter i is entry i in an entry array)
-    rules: Callable  # n -> the rule table
-    shape: tuple | None  # the templates of a wrong row count and of a wrong row length
+    __slots__ = (
+        "what",  # the name in messages
+        "kind",  # the JSON kind
+        "field",  # the attribute, and JSON field, holding the value
+        "count",  # n -> the row count, or None
+        "length",  # (n, r) -> the length of row r (0-based), or None
+        "entry",  # int, or the step letters (letter i is entry i in an entry array)
+        "rules",  # n -> the rule table
+        "shape",  # the templates of a wrong row count and of a wrong row length, or None
+    )
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
 
 
 _ROWS = ("{what}: expected {rows} rows, got {got}", "{what}: row {row} has {got} entries, expected {expected}")

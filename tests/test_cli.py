@@ -330,6 +330,21 @@ def test_closed_stdout_pipe_exits_2_without_a_traceback(n, lines_read):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "--family", "asm", "--n", "3", "--count-only"),
+                                  ("enumerate", "--family", "boolean", "--n", "7"), ("verify-all", "--n", "2")])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv):
+    """As under ``>&-``: with file descriptor 1 closed the interpreter sets
+    ``sys.stdout`` to None, and the command ends as when its reader went
+    away."""
+    import os
+    import subprocess
+    import sys
+
+    result = subprocess.run([sys.executable, "-m", "gogmagog", *argv], stderr=subprocess.PIPE,
+                            preexec_fn=lambda: os.close(1))
+    assert (result.returncode, result.stderr) == (2, b"")
+
+
 def test_verify_all_order_below_one_is_a_usage_error(capsys):
     for n in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify-all", "--n", n)
@@ -557,9 +572,29 @@ def _script_target():
     return module, name
 
 
-def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
+@pytest.fixture
+def process_exit(monkeypatch):
+    """The calls that end the process, in order, recorded instead of made:
+    ``atexit._run_exitfuncs`` (the test process's own handlers stay
+    registered) and ``os._exit``, which raises SystemExit with its status."""
+    import atexit
+    import os
+
+    calls = []
+
+    def exit(status):
+        calls.append(("_exit", status))
+        raise SystemExit(status)
+
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append(("atexit",)))
+    monkeypatch.setattr(os, "_exit", exit)
+    return calls
+
+
+def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch, process_exit):
     """``[project.scripts]`` names the function that ``python -m gogmagog``
-    calls, and that function runs ``cli.entry`` with the collector off."""
+    calls, and that function runs ``cli.entry`` with the collector off, then
+    the atexit handlers, then ends the process with the command's status."""
     import gc
     import importlib
     import runpy
@@ -570,13 +605,15 @@ def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
     module, name = _script_target()
     target = getattr(importlib.import_module(module), name)
     sys.modules.pop(module)  # runpy warns when it runs a module already imported
-    calls = []
+    calls = process_exit
     monkeypatch.setattr(cli, "entry", lambda: calls.append(("entry", gc.isenabled())) or 0)
     monkeypatch.setattr(cli, "main", lambda *args: calls.append(("main", gc.isenabled())) or 0)
-    assert target() == 0
+    with pytest.raises(SystemExit) as exit:
+        target()
+    assert exit.value.code == 0
     with pytest.raises(SystemExit) as exit:
         runpy.run_module("gogmagog", run_name="__main__")
-    assert exit.value.code == 0 and calls == [("entry", False)] * 2 and gc.isenabled()
+    assert exit.value.code == 0 and calls == [("entry", False), ("atexit",), ("_exit", 0)] * 2 and gc.isenabled()
     assert target.__module__ == "gogmagog.__main__"
     assert runpy.run_module("gogmagog")[name].__code__ == target.__code__
 
@@ -584,26 +621,27 @@ def test_the_installed_script_runs_the_entry_point_of_the_module(monkeypatch):
 def test_the_installed_script_collects_nothing_before_the_command_is_loaded():
     """As pip's generated wrapper does, import the script's function and call
     it: every collection runs after ``cli.entry`` has frozen what the
-    command's imports made, none while numpy imports."""
+    command's imports made, none while numpy imports.  The function ends the
+    process; the counts are printed by an atexit handler."""
     import subprocess
     import sys
 
     module, name = _script_target()
     code = (
-        "import gc, sys\n"
+        "import atexit, gc, sys\n"
         "starts = []\n"
         "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(gc.get_freeze_count()))\n"
         f"from {module} import {name}\n"
         "imported = len(starts)\n"
         "sys.argv = ['gogmagog', 'enumerate', '--family', 'asm', '--n', '6', '--count-only']\n"
-        f"status = {name}()\n"
-        "print(status, imported, sum(1 for frozen in starts if frozen == 0))\n"
+        "atexit.register(lambda: print(imported, sum(1 for frozen in starts if frozen == 0)))\n"
+        f"sys.exit({name}())\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (result.stdout, result.stderr) == ("7436\n0 0 0\n", "")
+    assert (result.stdout, result.stderr, result.returncode) == ("7436\n0 0\n", "", 0)
 
 
-def test_the_installed_script_runs_with_the_collector_enabled_after_it(monkeypatch):
+def test_the_installed_script_runs_with_the_collector_enabled_after_it(monkeypatch, process_exit):
     """``python -m gogmagog`` turns the collector off before numpy is
     imported; it is on again however the entry point returns or raises."""
     import gc
@@ -619,6 +657,70 @@ def test_the_installed_script_runs_with_the_collector_enabled_after_it(monkeypat
         with pytest.raises(raised):
             runpy.run_module("gogmagog", run_name="__main__")
         assert gc.isenabled()
+
+
+# Loaded by the children of the next test at start-up: an atexit handler
+# that writes to stderr, and one that writes to stdout when ATEXIT_STDOUT is
+# set, each a write that only a flush sends on; and, when FAIL_THM49 is set,
+# the claim thm4.9 made to fail.
+_SITECUSTOMIZE = """\
+import atexit, os, sys
+atexit.register(lambda: sys.stderr.write("atexit ran"))
+if os.environ.get("ATEXIT_STDOUT"):
+    atexit.register(lambda: sys.stdout.write("written at exit\\n"))
+if os.environ.get("FAIL_THM49"):
+    from gogmagog import claims
+    claims.CLAIMS["thm4.9"] = lambda n: {"claim": "thm4.9", "n": n, "ok": False}
+"""
+_BOOLEAN_7_DIGEST = "c1732c22dbe21332c8b26a1f375b8215b799ecb6895e63ab50228d32fdb2b22d"
+_USAGE_ERROR = """\
+usage: gogmagog enumerate [-h] --family
+                          {asm,monotone,magog,boolean,nilp,tsscpp,permutation,permutation-boolean}
+                          --n N [--count-only] [--jsonl]
+gogmagog enumerate: error: argument --n: invalid int value: 'x'
+"""
+
+
+@pytest.mark.parametrize(
+    "shell,code,out,err",
+    [
+        ("G enumerate --family boolean --n 7 | sha256sum", 0, f"{_BOOLEAN_7_DIGEST}  -\n", ""),
+        ("FAIL_THM49=1 G poset-check --claim thm4.9 --n 3", 1, "thm4.9 n=3: FAIL\n",
+         '{"claim": "thm4.9", "n": 3, "ok": false}\n'),
+        ("TSSCPP_MAX_N=abc G enumerate --family asm --n 3 --count-only", 2, "",
+         "error: TSSCPP_MAX_N must be an integer, got 'abc'\n"),
+        ("G enumerate --family asm --n x", 2, "", _USAGE_ERROR),
+        ("G enumerate --family boolean --n 7 | head -1 | cut -c 1-34", 2, '{"kind":"boolean_triangle","n":7,"\n', ""),
+        ("G enumerate --family boolean --n 7 | head -0", 2, "", ""),
+        ("G enumerate --family asm --n 3 --count-only >&-", 2, "", ""),
+        ("ATEXIT_STDOUT=1 G enumerate --family boolean --n 3 --count-only", 0, "7\nwritten at exit\n", ""),
+    ],
+    ids=["exit-0", "exit-1", "cap-error", "usage-error", "head-1", "head-0", "closed-stdout", "atexit-stdout"],
+)
+def test_the_module_and_the_installed_script_end_the_process_alike(tmp_path, shell, code, out, err):
+    """``python -m gogmagog`` and the script's function, called as pip's
+    wrapper calls it, give the same bytes, exit code and stderr, whether the
+    command ends at ``os._exit`` or (a usage error) at the normal exit; an
+    atexit handler the child registered runs either way."""
+    import os
+    import subprocess
+    import sys
+
+    (tmp_path / "sitecustomize.py").write_text(_SITECUSTOMIZE)
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONUNBUFFERED", "TSSCPP_MAX_N")}
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), *filter(None, [env.get("PYTHONPATH")])])
+    env["COLUMNS"] = "80"
+    module, name = _script_target()
+    sides = {"module": f"{sys.executable} -m gogmagog \"$@\"",
+             "script": f"{sys.executable} -c 'import sys; from {module} import {name}; sys.exit({name}())' \"$@\""}
+    results = {}
+    for side, command in sides.items():
+        script = f'G() {{ {command}; }}\n{shell}\necho "exit ${{PIPESTATUS[0]}}"\n'
+        result = subprocess.run(["bash", "-c", script], capture_output=True, text=True, env=env)
+        results[side] = (result.stdout, result.stderr)
+    assert results["module"] == results["script"]
+    stdout, stderr = results["module"]
+    assert (stdout, stderr) == (f"{out}exit {code}\n", f"{err}atexit ran")
 
 
 @pytest.mark.parametrize("argv", list(golden_usage.USAGE), ids=" ".join)
@@ -650,7 +752,9 @@ _WELL_FORMED = {
     "poset-check": [["--claim", "thm4.9"], ["--n", "3"]],
     "verify-all": [["--n", "2"]],
 }
-_N_VALUES = ["5", "05", "+5", "-5", "٥", "²", "1_0", " 5", "x", "", "9" * 4300, "9" * 4301]
+_N_VALUES = ["5", "05", "+5", "-5", "-0", "٥", "-٥", "²", "1_0", " 5", "5 ", "x", "", "9" * 4300, "9" * 4301]
+# The values of _N_VALUES that are ASCII -?[0-9]+ within int()'s digit limit.
+_INTEGERS = {"5": 5, "05": 5, "-5": -5, "-0": 0, "9" * 4300: int("9" * 4300)}
 _CHOICE_VALUES = ["", "nope", "-x", "asm", "boolean", "permutation", "zeros", "json", "An", "thm4.4"]
 _POSITIONAL_VALUES = ["", "-", "-312", "--", "dist", "{}", "3 1 2"]
 
@@ -708,6 +812,29 @@ def test_the_strict_reader_returns_what_argparse_returns_or_refuses(capsys, comm
     orders = list(itertools.permutations(_WELL_FORMED[command]))
     assert all(cli._read([command, *sum(order, [])]) for order in orders)
     assert accepted > len(orders)
+
+
+@pytest.mark.parametrize("value", _N_VALUES, ids=ascii)
+def test_every_order_reader_takes_ascii_integers_only(capsys, monkeypatch, value):
+    """``--n`` in the strict reader and in argparse, and ``TSSCPP_MAX_N``,
+    read the same integers, and refuse the same texts with their messages."""
+    from gogmagog import cli, enumeration
+
+    argv = ["verify-all", "--n", value]
+    fast = cli._read(argv)
+    try:
+        slow = cli._build_parser(argv).parse_args(argv).n
+    except SystemExit:
+        slow = None
+        assert capsys.readouterr().err.endswith(f"error: argument --n: invalid int value: {value!r}\n")
+    monkeypatch.setenv("TSSCPP_MAX_N", value)
+    try:
+        cap = enumeration._cap()
+    except enumeration.CapExceeded as exc:
+        cap = None
+        assert str(exc) == f"TSSCPP_MAX_N must be an integer, got {value!r}"
+    expected = _INTEGERS.get(value)
+    assert (None if fast is None else fast.n, slow, cap) == (expected, expected, expected)
 
 
 def test_the_package_resolves_its_names_on_first_access():
